@@ -25,9 +25,10 @@ from .manifold import (CameraRig, DimensionMismatch, MotionParams, RigCamera,
                        multi_camera_energy, pack_free, pose_from_params,
                        unpack_free)
 from .metrics import (EpipoleDegenerate, FeatureMatch, MatchSet, MetricKind,
-                      RobustLoss, angleplane_energy, angleplane_residual,
-                      angleplane_residuals, epipolar_line_distance,
-                      geoline_energy, geoline_residuals, robust_loss_eval)
+                      NonFiniteMatch, RobustLoss, angleplane_energy,
+                      angleplane_residual, angleplane_residuals,
+                      epipolar_line_distance, geoline_energy,
+                      geoline_residuals, robust_loss_eval)
 from .pipeline import (FixedScale, FrameOutcome, FreeInCurves,
                        match_sets_from_record, run_sequence,
                        simulate_sequence)

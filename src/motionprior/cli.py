@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .estimator import EstimatorOptions, LandscapeGrid, energy_landscape
@@ -47,21 +46,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
-
-
-def max_threads() -> int:
-    """Internal parallelism cap from MOMO_THREADS (currently all energy
-    evaluation is single-threaded, the cap is validated and recorded)."""
-    value = os.environ.get("MOMO_THREADS")
-    if value is None:
-        return 0
-    try:
-        n = int(value)
-    except ValueError:
-        raise UsageError(f"MOMO_THREADS must be an integer, got {value!r}")
-    if n < 0:
-        raise UsageError("MOMO_THREADS must be nonnegative")
-    return n
 
 
 def _build_parser():
@@ -260,7 +244,6 @@ COMMANDS = {"simulate": _cmd_simulate, "estimate": _cmd_estimate,
 def run_cli(argv) -> int:
     parser = _build_parser()
     try:
-        max_threads()
         argv = _apply_config(parser, list(argv))
         args = parser.parse_args(argv)
         return COMMANDS[args.command](args)

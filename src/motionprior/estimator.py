@@ -9,17 +9,15 @@ the (at most four) free parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (DegenerateTranslation, Pose, essential_from_motion,
-                       fundamental_from_essential)
-from .manifold import (CameraRig, MotionParams, camera_point_transform,
-                       multi_camera_energy, pack_free, pose_from_params,
-                       unpack_free)
-from .metrics import (MetricKind, RobustLoss, angleplane_residuals,
-                      geoline_residuals)
+from .geometry import DegenerateTranslation, Pose
+from .manifold import (CameraRig, MotionParams, free_rows, lowest_energy,
+                       multi_camera_energy, pack_free, params_rows,
+                       pose_from_params, rig_residuals, unpack_free)
+from .metrics import MetricKind, RobustLoss
 
 FEW_MATCHES_THRESHOLD = 8
 SCALE_CURVATURE_REL_TOL = 1e-9
@@ -82,105 +80,51 @@ class EstimateResult:
     condition_note: str            # "ok" | "scale_unobservable" | "few_matches"
 
 
-def _camera_blocks(p: MotionParams, rig: CameraRig, match_sets,
-                   metric: MetricKind):
-    """Per-camera residual components.
-
-    Returns a list aligned with the non-empty match sets of
-    (components (n, k), valid (n,)) and raises DegenerateTranslation when
-    every populated camera degenerates.
-    """
-    pose = pose_from_params(p)
-    blocks = []
-    usable = 0
-    for s in match_sets:
-        if len(s) == 0:
-            continue
-        cam = rig.camera(s.camera_id)
-        transform = camera_point_transform(pose, cam.extrinsic)
-        try:
-            e = essential_from_motion(transform)
-        except DegenerateTranslation:
-            blocks.append((np.zeros((len(s), 1)), np.zeros(len(s), bool)))
-            continue
-        usable += 1
-        if metric is MetricKind.GEOLINE:
-            k = cam.model.intrinsics
-            f = fundamental_from_essential(e, k, k)
-            d1, d0, valid = geoline_residuals(f, s)
-            blocks.append((np.stack([d1, d0], axis=1), valid))
-        else:
-            r, valid = angleplane_residuals(e, s)
-            blocks.append((r[:, None], valid))
-    if blocks and not usable:
+def _weighted(rows, rig, match_sets, loss, metric):
+    """Kernel residuals of K rows, also weighted by sqrt(rho(s) / s) so a
+    match's squared weighted components sum to its robust energy. Raises
+    DegenerateTranslation when no populated camera translates at a row."""
+    components, valid, usable = rig_residuals(rows, rig, match_sets, metric)
+    if not usable.all():
         raise DegenerateTranslation(
             "all per-camera motions have zero translation")
-    return blocks
+    squared = np.sum(components ** 2, axis=-1)
+    rho, _ = loss.evaluate(squared)
+    weight = np.sqrt(rho / np.maximum(squared, 1e-300))
+    return weight[..., None] * components, components, valid, rho
 
 
-def _robustify(blocks, loss: RobustLoss):
-    """Stack robustified residual entries so that sum(z^2) equals the
-    robust energy; also return the signed raw residual per match (NaN for
-    skipped) and the skip count."""
-    z_parts = []
-    raw_parts = []
-    skipped = 0
-    energy = 0.0
-    for components, valid in blocks:
-        squared = np.sum(components ** 2, axis=1)
-        rho, _ = loss.evaluate(squared)
-        energy += float(np.sum(rho[valid]))
-        weight = np.ones_like(squared)
-        big = squared > 1e-300
-        weight[big] = np.sqrt(rho[big] / squared[big])
-        z = (weight[:, None] * components)[valid].ravel()
-        z_parts.append(z)
-        raw = components[:, 0].copy()
-        raw[~valid] = np.nan
-        raw_parts.append(raw)
-        skipped += int(np.sum(~valid))
-    z = np.concatenate(z_parts) if z_parts else np.zeros(0)
-    raw = np.concatenate(raw_parts) if raw_parts else np.zeros(0)
-    return z, raw, skipped, energy
+def _solver_state(p: MotionParams, rig, match_sets, loss, metric):
+    """Residual vector z (sum(z^2) is the robust energy), signed raw
+    residual per match (NaN for skipped), skip count, energy and the
+    validity mask at one manifold point."""
+    weighted, components, valid, rho = _weighted(params_rows(p), rig,
+                                                 match_sets, loss, metric)
+    mask = valid[0]
+    return (weighted[0, mask].ravel(),
+            np.where(mask, components[0, :, 0], np.nan),
+            len(mask) - int(np.count_nonzero(mask)),
+            float(np.sum(rho[0], where=mask)), mask)
 
 
-def _frozen_residuals(p, rig, match_sets, loss, metric, masks):
-    """Residual vector re-evaluated at p but with validity masks frozen;
-    keeps the Jacobian stencil dimension fixed."""
-    blocks = _camera_blocks(p, rig, match_sets, metric)
-    z_parts = []
-    for (components, _), mask in zip(blocks, masks):
-        squared = np.sum(components ** 2, axis=1)
-        rho, _ = loss.evaluate(squared)
-        weight = np.ones_like(squared)
-        big = squared > 1e-300
-        weight[big] = np.sqrt(rho[big] / squared[big])
-        z_parts.append((weight[:, None] * components)[mask].ravel())
-    return np.concatenate(z_parts) if z_parts else np.zeros(0)
-
-
-def _jacobian(x, template, rig, match_sets, loss, metric, masks, h):
+def _jacobian(x, template, rig, match_sets, loss, metric, mask, h):
+    """Central differences of the residual vector, with the validity mask
+    frozen so the stencil keeps its dimension; the 2n stencil points go
+    through the kernel in one call."""
     n = len(x)
-    cols = []
-    for k in range(n):
-        dx = np.zeros(n)
-        dx[k] = h
-        zp = _frozen_residuals(unpack_free(x + dx, template), rig,
-                               match_sets, loss, metric, masks)
-        zm = _frozen_residuals(unpack_free(x - dx, template), rig,
-                               match_sets, loss, metric, masks)
-        cols.append((zp - zm) / (2.0 * h))
-    return np.stack(cols, axis=1) if cols else np.zeros((0, 0))
+    steps = h * np.eye(n)
+    rows = free_rows(np.concatenate([x + steps, x - steps]), template)
+    weighted = _weighted(rows, rig, match_sets, loss, metric)[0]
+    z = weighted[:, mask].reshape(2 * n, -1)
+    return (z[:n] - z[n:]).T / (2.0 * h)
 
 
 def internal_gradient(rig, match_sets, p: MotionParams, loss: RobustLoss,
                       metric: MetricKind, h: float = 1e-7) -> np.ndarray:
     """Gradient of the robust energy implied by the solver's residual
     Jacobian: 2 J^T z."""
-    blocks = _camera_blocks(p, rig, match_sets, metric)
-    masks = [valid for _, valid in blocks]
-    z, _, _, _ = _robustify(blocks, loss)
-    J = _jacobian(pack_free(p), p, rig, match_sets, loss, metric, masks, h)
+    z, _, _, _, mask = _solver_state(p, rig, match_sets, loss, metric)
+    J = _jacobian(pack_free(p), p, rig, match_sets, loss, metric, mask, h)
     return 2.0 * J.T @ z
 
 
@@ -202,44 +146,20 @@ def numeric_gradient(rig, match_sets, p: MotionParams, loss: RobustLoss,
     return grad
 
 
-def _safe_energy(p, rig, match_sets, loss, metric):
-    try:
-        return multi_camera_energy(p, rig, match_sets, loss, metric)
-    except DegenerateTranslation:
-        return np.inf
-
-
-def _grid_best(grid: GridSpec, template, rig, match_sets, loss, metric):
-    """Lowest-energy grid point; ties broken by smallest |yaw| then
-    smallest arc length, for determinism."""
-    best = None
-    best_key = None
-    for row in grid.points(template):
-        try:
-            p = unpack_free(row, template)
-        except ValueError:
-            continue
-        energy = _safe_energy(p, rig, match_sets, loss, metric)
-        key = (energy, abs(p.yaw), p.arc_length)
-        if best_key is None or key < best_key:
-            best, best_key = p, key
-    return best, (best_key[0] if best_key else np.inf)
-
-
 def _scale_observable(params, rig, match_sets, loss, metric):
     """Probe the energy's sensitivity to arc length at the solution."""
     l0 = params.arc_length if abs(params.arc_length) > 1e-3 else 1.0
-    sweep = [_safe_energy(params.with_values(arc_length=l0 * k), rig,
-                          match_sets, loss, metric)
-             for k in (0.5, 0.75, 1.0, 1.5, 2.0)]
-    sweep = [e for e in sweep if np.isfinite(e)]
+    yaw_ref = params.yaw + (0.05 if params.yaw < np.pi - 0.1 else -0.05)
+    rows = np.repeat(params_rows(params), 6, axis=0)
+    rows[:5, 1] = l0 * np.array([0.5, 0.75, 1.0, 1.5, 2.0])
+    rows[5, :2] = yaw_ref, l0
+    energies = multi_camera_energy(rows, rig, match_sets, loss, metric)
+    sweep = energies[:5][np.isfinite(energies[:5])]
     if len(sweep) < 2:
         return False
-    variation = max(sweep) - min(sweep)
-    yaw_ref = params.yaw + (0.05 if params.yaw < np.pi - 0.1 else -0.05)
-    reference = _safe_energy(params.with_values(yaw=yaw_ref, arc_length=l0),
-                             rig, match_sets, loss, metric)
-    scale = max(max(sweep), reference if np.isfinite(reference) else 0.0,
+    variation = sweep.max() - sweep.min()
+    reference = energies[5]
+    scale = max(sweep.max(), reference if np.isfinite(reference) else 0.0,
                 1e-300)
     return variation >= SCALE_CURVATURE_REL_TOL * scale
 
@@ -255,24 +175,25 @@ def estimate(rig: CameraRig, match_sets, prior: MotionParams,
 
     start = prior
     if opts.fallback_grid is not None:
-        candidate, cand_energy = _grid_best(opts.fallback_grid, prior, rig,
-                                            match_sets, loss, metric)
-        if candidate is not None and cand_energy <= _safe_energy(
-                prior, rig, match_sets, loss, metric):
-            start = candidate
+        # grid cells, then the prior: the best cell must be at least as low
+        points = opts.fallback_grid.points(prior)
+        rows = np.concatenate([free_rows(points, prior), params_rows(prior)])
+        energies = multi_camera_energy(rows, rig, match_sets, loss, metric)
+        best = lowest_energy(rows[:-1], energies[:-1])
+        if best is not None and energies[best] <= energies[-1]:
+            start = unpack_free(points[best], prior)
 
     params = start
     x = pack_free(params)
-    blocks = _camera_blocks(params, rig, match_sets, metric)
-    masks = [valid for _, valid in blocks]
-    z, raw, skipped, energy = _robustify(blocks, loss)
+    z, raw, skipped, energy, mask = _solver_state(params, rig, match_sets,
+                                                   loss, metric)
 
     converged = len(x) == 0
     iterations = 0
     lam = opts.damping_init
     while not converged and iterations < opts.max_iterations:
         iterations += 1
-        J = _jacobian(x, params, rig, match_sets, loss, metric, masks,
+        J = _jacobian(x, params, rig, match_sets, loss, metric, mask,
                       opts.jacobian_step)
         gradient = 2.0 * J.T @ z
         if np.abs(gradient).max() <= opts.gradient_tolerance:
@@ -289,16 +210,14 @@ def estimate(rig: CameraRig, match_sets, prior: MotionParams,
                 continue
             try:
                 trial = unpack_free(x + step, params)
-                t_blocks = _camera_blocks(trial, rig, match_sets, metric)
-                t_z, t_raw, t_skipped, t_energy = _robustify(t_blocks, loss)
+                t_state = _solver_state(trial, rig, match_sets, loss, metric)
             except (ValueError, DegenerateTranslation):
                 lam *= 10.0
                 continue
-            if t_energy < energy:
+            if t_state[3] < energy:
                 x = x + step
-                params, blocks = trial, t_blocks
-                masks = [valid for _, valid in blocks]
-                z, raw, skipped, energy = t_z, t_raw, t_skipped, t_energy
+                params = trial
+                z, raw, skipped, energy, mask = t_state
                 lam = max(lam / 3.0, 1e-15)
                 accepted = True
                 if np.linalg.norm(step) <= opts.step_tolerance:
@@ -355,16 +274,13 @@ def energy_landscape(rig, match_sets, grid: LandscapeGrid,
     arcs = np.linspace(grid.arc_range[0], grid.arc_range[1], grid.arc_steps)
     if len(yaws) == 0 or len(arcs) == 0:
         raise ValueError("grid must be nonempty")
-    energies = np.zeros((len(yaws), len(arcs)))
-    degenerate = np.zeros_like(energies, dtype=bool)
-    for i, g in enumerate(yaws):
-        for j, l in enumerate(arcs):
-            try:
-                p = fixed.with_values(yaw=float(g), arc_length=float(l))
-                energies[i, j] = multi_camera_energy(p, rig, match_sets,
-                                                     loss, metric)
-            except (ValueError, DegenerateTranslation):
-                degenerate[i, j] = True
+    gg, ll = np.meshgrid(yaws, arcs, indexing="ij")
+    rows = np.repeat(params_rows(fixed), gg.size, axis=0)
+    rows[:, 0], rows[:, 1] = gg.ravel(), ll.ravel()
+    energies = multi_camera_energy(rows, rig, match_sets, loss,
+                                   metric).reshape(gg.shape)
+    degenerate = ~np.isfinite(energies)
+    energies[degenerate] = 0.0
     if normalize:
         peak = energies[~degenerate].max(initial=0.0)
         if peak > 0:

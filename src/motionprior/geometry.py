@@ -8,6 +8,8 @@ import numpy as np
 
 ORTHONORMALITY_TOL = 1e-9
 
+TRANSLATION_EPS = 1e-12     # below: pure rotation, no epipolar geometry
+
 
 class GeometryError(Exception):
     pass
@@ -89,8 +91,9 @@ def skew(t) -> np.ndarray:
 def essential_from_motion(m: Pose) -> np.ndarray:
     """Essential matrix of the point transform carrying coordinates from
     the first camera frame into the second: b1^T E b0 = 0."""
-    if np.linalg.norm(m.translation) < 1e-12:
-        raise DegenerateTranslation("translation magnitude below 1e-12")
+    if np.linalg.norm(m.translation) < TRANSLATION_EPS:
+        raise DegenerateTranslation(
+            f"translation magnitude below {TRANSLATION_EPS}")
     return skew(m.translation) @ m.rotation
 
 
@@ -276,19 +279,27 @@ def project(model, point) -> np.ndarray:
     return model.project(point)
 
 
-def rotation_x(angle: float) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+def _axis_rotation(angle, i: int, j: int) -> np.ndarray:
+    """Rotations by `angle` in the (i, j) plane: angle.shape + (3, 3)."""
+    angle = np.asarray(angle, dtype=float)
+    r = np.zeros(angle.shape + (3, 3))
+    r[..., 3 - i - j, 3 - i - j] = 1.0
+    r[..., i, i] = r[..., j, j] = np.cos(angle)
+    r[..., j, i] = np.sin(angle)
+    r[..., i, j] = -r[..., j, i]
+    return r
 
 
-def rotation_y(angle: float) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+def rotation_x(angle) -> np.ndarray:
+    return _axis_rotation(angle, 1, 2)
 
 
-def rotation_z(angle: float) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+def rotation_y(angle) -> np.ndarray:
+    return _axis_rotation(angle, 2, 0)
+
+
+def rotation_z(angle) -> np.ndarray:
+    return _axis_rotation(angle, 0, 1)
 
 
 # Camera axes (z forward, x right, y down) expressed in the vehicle frame

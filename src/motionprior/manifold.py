@@ -7,15 +7,18 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import (DegenerateTranslation, Pose, essential_from_motion,
+from .geometry import (TRANSLATION_EPS, DegenerateTranslation, Pose,
                        fundamental_from_essential, rotation_x, rotation_y,
-                       rotation_z)
-from .metrics import (MetricKind, RobustLoss, angleplane_energy,
-                      geoline_energy)
+                       rotation_z, skew)
+from .metrics import (MetricKind, RobustLoss, angleplane_residuals,
+                      geoline_residuals)
 
 PARAM_FIELDS = ("yaw", "arc_length", "pitch", "roll")
 
 YAW_SERIES_SWITCH = 1e-6
+
+# Rows x matches that multi_camera_energy evaluates at once (bounds memory)
+ENERGY_CHUNK = 16384
 
 
 class DimensionMismatch(Exception):
@@ -60,24 +63,47 @@ def unpack_free(vector, template: MotionParams) -> MotionParams:
     return replace(template, **dict(zip(template.free, map(float, vector))))
 
 
-def pose_from_params(p: MotionParams) -> Pose:
-    """Pose of the vehicle frame at t1 expressed in the frame at t0.
+def params_rows(p: MotionParams) -> np.ndarray:
+    """The (1, 4) row [yaw, arc_length, pitch, roll] of a manifold point."""
+    return np.array([[p.yaw, p.arc_length, p.pitch, p.roll]])
 
-    The planar translation is the chord of a circular arc; near zero yaw
-    the closed form l/yaw is replaced by its series expansion.
-    """
-    g = p.yaw
-    if abs(g) < YAW_SERIES_SWITCH:
-        sinc = 1.0 - g * g / 6.0 + g ** 4 / 120.0
-        versine = g / 2.0 - g ** 3 / 24.0
-    else:
-        sinc = np.sin(g) / g
-        versine = (1.0 - np.cos(g)) / g
-    t = np.array([p.arc_length * sinc, p.arc_length * versine, 0.0])
+
+def free_rows(values, template: MotionParams) -> np.ndarray:
+    """(K, 4) rows of `template`, free fields from the K rows of values."""
+    values = np.atleast_2d(np.asarray(values, dtype=float))
+    rows = np.repeat(params_rows(template), len(values), axis=0)
+    rows[:, [PARAM_FIELDS.index(f) for f in template.free]] = values
+    return rows
+
+
+def motion_arrays(rows):
+    """Rotations (K, 3, 3) and translations (K, 3) of the vehicle frame at
+    t1 in the frame at t0, for K rows [yaw, arc_length, pitch, roll]. The
+    planar translation is the chord of a circular arc (a series near zero
+    yaw); pitch and roll tilt only the rows where either is non-zero."""
+    rows = np.asarray(rows, dtype=float).reshape(-1, 4)
+    g = rows[:, 0]
+    closed = np.abs(g) >= YAW_SERIES_SWITCH
+    t = np.zeros((len(rows), 3))
+    np.divide(np.sin(g), g, out=t[:, 0], where=closed)
+    np.divide(1.0 - np.cos(g), g, out=t[:, 1], where=closed)
+    if np.count_nonzero(closed) < len(g):
+        gs = g[~closed]
+        t[~closed, 0] = 1.0 - gs * gs / 6.0 + gs ** 4 / 120.0
+        t[~closed, 1] = gs / 2.0 - gs ** 3 / 24.0
+    t *= rows[:, 1:2]
     rot = rotation_z(g)
-    if p.pitch or p.roll:
-        rot = rot @ rotation_y(p.pitch) @ rotation_x(p.roll)
-    return Pose(rot, t)
+    if np.count_nonzero(rows[:, 2:]):
+        tilted = rows[:, 2:].any(axis=1)
+        rot[tilted] = (rot[tilted] @ rotation_y(rows[tilted, 2])
+                       @ rotation_x(rows[tilted, 3]))
+    return rot, t
+
+
+def pose_from_params(p: MotionParams) -> Pose:
+    """Pose of the vehicle frame at t1 expressed in the frame at t0."""
+    rot, t = motion_arrays(params_rows(p))
+    return Pose(rot[0], t[0])
 
 
 def conjugate_to_camera(motion: Pose, extrinsic: Pose) -> Pose:
@@ -118,31 +144,86 @@ def camera_point_transform(motion: Pose, extrinsic: Pose) -> Pose:
     return conjugate_to_camera(motion, extrinsic).inverse()
 
 
-def multi_camera_energy(p: MotionParams, rig: CameraRig, match_sets,
-                        loss: RobustLoss, metric: MetricKind) -> float:
-    """Total epipolar energy over all cameras for one manifold point."""
-    pose = pose_from_params(p)
-    total = 0.0
-    populated = 0
-    usable = 0
+# u @ _SKEW, reshaped to (..., 3, 3), is the cross-product matrix of u
+_SKEW = np.stack([skew(axis).ravel() for axis in np.eye(3)])
+
+
+def camera_essentials(rotations, translations, extrinsic: Pose):
+    """Essentials (K, 3, 3) of one camera for K vehicle motions, and the
+    (K,) mask of rows whose camera translation is at least TRANSLATION_EPS.
+    E = Re^T [u]x R^T Re, u = R^T (te - t) - te, is the essential of
+    camera_point_transform(motion, extrinsic), whose translation is Re^T u.
+    """
+    re, te = extrinsic.rotation, extrinsic.translation
+    rt = np.swapaxes(rotations, -1, -2)
+    u = (rt @ (te - translations)[..., None])[..., 0] - te
+    usable = np.einsum("...i,...i->...", u, u) >= TRANSLATION_EPS ** 2
+    u_cross = (u @ _SKEW).reshape(u.shape[:-1] + (3, 3))
+    return re.T @ u_cross @ rt @ re, usable
+
+
+def rig_residuals(rows, rig: CameraRig, match_sets, metric: MetricKind):
+    """The batched residual kernel at K manifold points (rows [yaw,
+    arc_length, pitch, roll]) over the N matches of all match sets, in
+    order. Returns components (K, N, c), the signed plane sine (c = 1) or
+    line distances d1, d0 (c = 2); valid (K, N), False on epipole-degenerate
+    matches and on cameras without translation at a row; and usable (K,),
+    False on rows where no populated camera translates."""
+    rot, t = motion_arrays(rows)
+    c = 2 if metric is MetricKind.GEOLINE else 1
+    parts = [np.zeros((len(rot), 0, c))]
+    valid = [np.zeros((len(rot), 0), dtype=bool)]
+    usable = np.full(len(rot), not any(len(s) for s in match_sets))
     for s in match_sets:
         if len(s) == 0:
             continue
-        populated += 1
         cam = rig.camera(s.camera_id)
-        transform = camera_point_transform(pose, cam.extrinsic)
-        try:
-            e = essential_from_motion(transform)
-        except DegenerateTranslation:
-            continue
-        usable += 1
+        e, cam_usable = camera_essentials(rot, t, cam.extrinsic)
         if metric is MetricKind.GEOLINE:
             k = cam.model.intrinsics
-            f = fundamental_from_essential(e, k, k)
-            total += geoline_energy(f, s, loss)
+            d1, d0, ok = geoline_residuals(
+                fundamental_from_essential(e, k, k), s)
+            parts.append(np.stack([d1, d0], axis=-1))
         else:
-            total += angleplane_energy(e, s, loss)
-    if populated and not usable:
-        raise DegenerateTranslation(
-            "all per-camera motions have zero translation")
-    return float(total)
+            r, ok = angleplane_residuals(e, s)
+            parts.append(r[..., None])
+        valid.append(ok & cam_usable[:, None])
+        usable |= cam_usable
+    return np.concatenate(parts, axis=1), np.concatenate(valid, axis=1), usable
+
+
+def multi_camera_energy(p, rig: CameraRig, match_sets, loss: RobustLoss,
+                        metric: MetricKind):
+    """Total epipolar energy over all cameras. For a MotionParams, a float;
+    raises DegenerateTranslation when no populated camera translates. For
+    a (K, 4) array of rows [yaw, arc_length, pitch, roll], (K,) energies,
+    inf on rows outside the yaw domain or where no populated camera
+    translates; evaluated ENERGY_CHUNK matches at a time."""
+    single = isinstance(p, MotionParams)
+    rows = params_rows(p) if single else np.asarray(p, float).reshape(-1, 4)
+    step = max(1, ENERGY_CHUNK // max(1, sum(len(s) for s in match_sets)))
+    energies = np.empty(len(rows))
+    for i in range(0, len(rows), step):
+        components, valid, usable = rig_residuals(rows[i:i + step], rig,
+                                                  match_sets, metric)
+        rho, _ = loss.evaluate(np.sum(components ** 2, axis=-1))
+        energies[i:i + step] = np.where(
+            usable, np.sum(rho, axis=-1, where=valid), np.inf)
+    if single:
+        if energies[0] == np.inf:
+            raise DegenerateTranslation(
+                "all per-camera motions have zero translation")
+        return float(energies[0])
+    energies[~(np.abs(rows[:, 0]) < np.pi)] = np.inf
+    return energies
+
+
+def lowest_energy(rows, energies):
+    """Index of the lowest finite energy, ties broken by smallest |yaw|,
+    then smallest arc length, then first row; None if none is finite."""
+    finite = np.flatnonzero(np.isfinite(energies))
+    if not len(finite):
+        return None
+    rows = rows[finite]
+    order = np.lexsort((rows[:, 1], np.abs(rows[:, 0]), energies[finite]))
+    return int(finite[order[0]])

@@ -19,6 +19,10 @@ class EpipoleDegenerate(Exception):
     """A point maps onto the epipole; its residual is undefined."""
 
 
+class NonFiniteMatch(ValueError):
+    """A pixel or bearing array holds NaN or inf."""
+
+
 class MetricKind(enum.Enum):
     GEOLINE = "geoline"
     ANGLEPLANE = "angleplane"
@@ -97,6 +101,10 @@ class MatchSet:
         n = len(p0)
         if not (len(p1) == len(b0) == len(b1) == n):
             raise ValueError("match arrays must have equal length")
+        for name, arr in (("pixels_t0", p0), ("pixels_t1", p1),
+                          ("bearings_t0", b0), ("bearings_t1", b1)):
+            if not np.isfinite(arr).all():
+                raise NonFiniteMatch(f"{name} holds NaN or inf")
         if n and (np.abs(np.linalg.norm(b0, axis=1) - 1.0).max() > 1e-9
                   or np.abs(np.linalg.norm(b1, axis=1) - 1.0).max() > 1e-9):
             raise ValueError("bearings must be unit norm")
@@ -153,15 +161,16 @@ def epipolar_line_distance(f: np.ndarray, x0, x1) -> float:
 
 
 def geoline_residuals(f: np.ndarray, s: MatchSet):
-    """Per-match symmetric line distances (d1, d0) and a validity mask."""
+    """Per-match symmetric line distances (d1, d0) and a validity mask.
+    For stacked matrices f (..., 3, 3) each output has shape (..., n)."""
     h0 = _lift(s.pixels_t0)
     h1 = _lift(s.pixels_t1)
-    line0 = h0 @ f.T          # F x0, per row
-    line1 = h1 @ f            # F^T x1, per row
-    den0 = np.hypot(line0[:, 0], line0[:, 1])
-    den1 = np.hypot(line1[:, 0], line1[:, 1])
+    line0 = h0 @ np.swapaxes(f, -1, -2)   # F x0, per row
+    line1 = h1 @ f                        # F^T x1, per row
+    den0 = np.hypot(line0[..., 0], line0[..., 1])
+    den1 = np.hypot(line1[..., 0], line1[..., 1])
     valid = (den0 >= DEGENERACY_EPS) & (den1 >= DEGENERACY_EPS)
-    num = np.einsum("ij,ij->i", h1, line0)
+    num = np.einsum("...ij,ij->...i", line0, h1)
     d1 = num / np.where(valid, den0, 1.0)
     d0 = num / np.where(valid, den1, 1.0)
     return d1, d0, valid
@@ -188,11 +197,13 @@ def angleplane_residual(e: np.ndarray, b0, b1) -> float:
 
 
 def angleplane_residuals(e: np.ndarray, s: MatchSet):
-    """Per-match signed plane-angle residuals and a validity mask."""
-    normals = s.bearings_t0 @ e.T
-    norms = np.linalg.norm(normals, axis=1)
+    """Per-match signed plane-angle residuals and a validity mask. For
+    stacked matrices e (..., 3, 3) both outputs have shape (..., n)."""
+    normals = s.bearings_t0 @ np.swapaxes(e, -1, -2)
+    norms = np.linalg.norm(normals, axis=-1)
     valid = norms >= DEGENERACY_EPS
-    r = np.einsum("ij,ij->i", s.bearings_t1, normals) / np.where(valid, norms, 1.0)
+    r = (np.einsum("...ij,ij->...i", normals, s.bearings_t1)
+         / np.where(valid, norms, 1.0))
     return r, valid
 
 

@@ -10,11 +10,11 @@ import numpy as np
 
 from .estimator import (EstimateResult, EstimatorOptions, NoMatches,
                         default_cold_start_grid, estimate)
-from .geometry import DegenerateTranslation, Pose
+from .geometry import GeometryError, Pose
 from .io_formats import (FramePairRecord, NoRecords, Scenario,
                          TrajectoryRecord)
 from .manifold import CameraRig, MotionParams, pose_from_params
-from .metrics import MatchSet
+from .metrics import MatchSet, NonFiniteMatch
 from .simulate import NoVisiblePoints, generate_matches, generate_scene
 
 CURVE_YAW_THRESHOLD = 0.01
@@ -64,7 +64,8 @@ def run_sequence(rig: CameraRig, records, scale_source,
                  opts: EstimatorOptions = EstimatorOptions(),
                  prior: MotionParams | None = None):
     """Estimate every frame pair, each initialized from the previous
-    result; failed frames carry the prior motion forward, flagged.
+    result; a frame that fails (no matches, geometry or non-finite data)
+    carries the prior motion forward, flagged with the error.
 
     Returns (TrajectoryRecord, list of FrameOutcome).
     """
@@ -115,7 +116,8 @@ def run_sequence(rig: CameraRig, records, scale_source,
             outcomes.append(FrameOutcome(record.t0, record.t1,
                                          result.params, result, False, None,
                                          runtime))
-        except (NoMatches, DegenerateTranslation, NoVisiblePoints) as exc:
+        except (NoMatches, GeometryError, NoVisiblePoints,
+                NonFiniteMatch) as exc:
             runtime = (time.perf_counter() - start) * 1e3
             outcomes.append(FrameOutcome(record.t0, record.t1, current,
                                          None, True, str(exc), runtime))

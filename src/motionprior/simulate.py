@@ -11,9 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .estimator import GridSpec
 from .geometry import DegenerateTranslation
-from .manifold import (CameraRig, MotionParams, multi_camera_energy,
-                       pose_from_params, unpack_free)
+from .manifold import (CameraRig, MotionParams, free_rows, lowest_energy,
+                       multi_camera_energy, pose_from_params, unpack_free)
 from .metrics import MatchSet, MetricKind, RobustLoss
 
 OUTLIER_MODES = ("uniform_image", "wrong_association")
@@ -139,26 +140,15 @@ def grid_search_oracle(rig, match_sets, bounds: dict, resolution: int,
     free parameters; ties break to smallest |yaw| then smallest arc."""
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
-    axes = []
     for f in template.free:
         lo, hi = bounds[f]
         if not lo <= hi:
             raise ValueError(f"invalid bounds for {f}")
-        axes.append(np.linspace(lo, hi, resolution))
-    grids = np.meshgrid(*axes, indexing="ij") if axes else []
-    rows = (np.stack([g.ravel() for g in grids], axis=1)
-            if axes else np.zeros((1, 0)))
-    best = None
-    best_key = None
-    for row in rows:
-        try:
-            p = unpack_free(row, template)
-            energy = multi_camera_energy(p, rig, match_sets, loss, metric)
-        except (ValueError, DegenerateTranslation):
-            continue
-        key = (energy, abs(p.yaw), p.arc_length)
-        if best_key is None or key < best_key:
-            best, best_key = p, key
+    points = GridSpec({f: (*bounds[f], resolution)
+                       for f in template.free}).points(template)
+    rows = free_rows(points, template)
+    best = lowest_energy(rows, multi_camera_energy(rows, rig, match_sets,
+                                                   loss, metric))
     if best is None:
         raise DegenerateTranslation("every grid point was degenerate")
-    return best
+    return unpack_free(points[best], template)

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from motionprior.cli import (EXIT_DATA, EXIT_OK, EXIT_USAGE, UsageError,
-                             max_threads, run_cli)
+from motionprior.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, run_cli
+from motionprior.geometry import (GenericCamera, PinholeCamera,
+                                  PinholeIntrinsics)
 from motionprior.io_formats import load_scale, load_trajectory
 
 RIG_TEXT = """\
@@ -102,6 +103,38 @@ class TestEstimate:
                     "converged", "condition_note", "runtime_ms", "failed"):
             assert key in rec
         assert rec["failed"] is False
+
+    def test_out_of_domain_pixel_fails_only_its_frame(self, workspace,
+                                                      capsys):
+        simulate(workspace)
+        table = GenericCamera.from_camera(
+            PinholeCamera(PinholeIntrinsics(700.0, 700.0, 640.0, 480.0)),
+            1280, 960).table
+        with open(workspace / "table.txt", "w", encoding="utf-8") as fh:
+            fh.write(f"0 0 8 8 {table.shape[1]} {table.shape[0]}\n")
+            np.savetxt(fh, table.reshape(-1, 3))
+        (workspace / "generic_rig.txt").write_text(RIG_TEXT.replace(
+            "model pinhole\nintrinsics 700.0 700.0 640.0 480.0",
+            f"model generic\ntable {workspace / 'table.txt'}"))
+        # one t1 pixel of frame pair 2 lies past the table's right edge
+        lines = (workspace / "matches.csv").read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if line.startswith("2,"))
+        fields = lines[row].split(",")
+        fields[5] = "1280.5"
+        lines[row] = ",".join(fields)
+        (workspace / "matches.csv").write_text("\n".join(lines) + "\n")
+        code = run_cli(["estimate",
+                        "--rig", str(workspace / "generic_rig.txt"),
+                        "--matches", str(workspace / "matches.csv"),
+                        "--scale", str(workspace / "scale.txt"),
+                        "--out-trajectory", str(workspace / "est.txt"),
+                        "--diagnostics", str(workspace / "diag.jsonl")])
+        assert code == EXIT_OK
+        assert "estimated 7 frame pairs (1 failed)" in capsys.readouterr().out
+        diag = [json.loads(line) for line in
+                (workspace / "diag.jsonl").read_text().splitlines()]
+        assert [d["failed"] for d in diag] == [d["t0"] == 2 for d in diag]
+        assert "tabulated domain" in diag[2]["error"]
 
     def test_free_in_curves(self, workspace):
         simulate(workspace)
@@ -210,17 +243,3 @@ class TestConfigAndEnv:
                         "--metric", "angleplane",
                         "--out-trajectory", str(workspace / "est.txt")])
         assert code == EXIT_OK
-
-    def test_max_threads(self, monkeypatch):
-        monkeypatch.delenv("MOMO_THREADS", raising=False)
-        assert max_threads() == 0
-        monkeypatch.setenv("MOMO_THREADS", "4")
-        assert max_threads() == 4
-        monkeypatch.setenv("MOMO_THREADS", "lots")
-        with pytest.raises(UsageError):
-            max_threads()
-
-    def test_bad_threads_is_usage_error(self, workspace, monkeypatch, capsys):
-        monkeypatch.setenv("MOMO_THREADS", "-2")
-        code = run_cli(["eval", "--est", "x", "--gt", "y"])
-        assert code == EXIT_USAGE

@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motionprior.geometry import (DegenerateTranslation, PinholeCamera,
                                   PinholeIntrinsics, Pose,
                                   essential_from_motion,
-                                  forward_camera_extrinsic, rotation_z)
-from motionprior.manifold import (CameraRig, DimensionMismatch, MotionParams,
-                                  RigCamera, camera_point_transform,
-                                  conjugate_to_camera, multi_camera_energy,
-                                  pack_free, pose_from_params, unpack_free)
+                                  forward_camera_extrinsic, rotation_x,
+                                  rotation_y, rotation_z)
+from motionprior.manifold import (ENERGY_CHUNK, CameraRig, DimensionMismatch,
+                                  MotionParams, RigCamera, camera_essentials,
+                                  camera_point_transform, conjugate_to_camera,
+                                  lowest_energy, motion_arrays,
+                                  multi_camera_energy, pack_free,
+                                  params_rows, pose_from_params, unpack_free)
 from motionprior.metrics import (MatchSet, MetricKind, RobustLoss,
                                  angleplane_energy)
 from motionprior.simulate import (NoiseSpec, SceneSpec, generate_matches,
@@ -257,3 +262,101 @@ def test_geoline_metric_through_multi_camera_energy():
     off = multi_camera_energy(truth.with_values(yaw=0.1), rig, sets, LOSS,
                               MetricKind.GEOLINE)
     assert off > 1.0
+
+
+# Batched kernel against the per-point reference path. Rows are
+# [yaw, arc_length, pitch, roll]; yaws include the series branch.
+KERNEL_RIG = CameraRig((
+    RigCamera(0, PinholeCamera(INTR, (1280, 960)),
+              forward_camera_extrinsic([2.0, 1.0, 0.0])),
+    RigCamera(1, PinholeCamera(INTR, (1280, 960)),
+              Pose(forward_camera_extrinsic([0.0, 0.0, 0.0]).rotation
+                   @ rotation_x(0.1), [1.5, -0.8, 0.3]))))
+KERNEL_SETS = generate_matches(
+    generate_scene(SceneSpec(120, seed=3)), KERNEL_RIG,
+    MotionParams(yaw=0.08, arc_length=1.2, pitch=0.01),
+    NoiseSpec(pixel_sigma=0.5, outlier_fraction=0.1, seed=4))[0]
+CAUCHY = RobustLoss("cauchy", 0.0065)
+
+yaws = st.one_of(st.floats(-0.5, 0.5), st.floats(-2e-6, 2e-6),
+                 st.just(0.0))
+tilts = st.one_of(st.just(0.0), st.floats(-0.05, 0.05))
+kernel_rows = st.tuples(yaws, st.floats(-3.0, 3.0), tilts, tilts)
+
+
+def scalar_energy(row, metric):
+    p = MotionParams(*map(float, row))
+    try:
+        return multi_camera_energy(p, KERNEL_RIG, KERNEL_SETS, CAUCHY,
+                                   metric)
+    except DegenerateTranslation:
+        return np.inf
+
+
+class TestBatchedKernel:
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(kernel_rows, min_size=1, max_size=12))
+    def test_rows_match_scalar_calls(self, rows):
+        # the last row has zero motion, so no camera translates
+        rows = np.array(rows + [(0.0, 0.0, 0.0, 0.0)])
+        for metric in MetricKind:
+            batch = multi_camera_energy(rows, KERNEL_RIG, KERNEL_SETS,
+                                        CAUCHY, metric)
+            scalar = [scalar_energy(row, metric) for row in rows]
+            assert batch[-1] == np.inf
+            assert np.allclose(batch, scalar, rtol=1e-12, atol=0.0)
+
+    def test_more_rows_than_one_chunk(self):
+        matches = sum(len(s) for s in KERNEL_SETS)
+        k = 2 * (ENERGY_CHUNK // matches) + 3
+        rng = np.random.Generator(np.random.PCG64(11))
+        rows = np.stack([rng.uniform(-0.3, 0.3, k), rng.uniform(0.5, 2, k),
+                         np.where(np.arange(k) % 3, 0.0, 0.02),
+                         np.zeros(k)], axis=1)
+        for metric in MetricKind:
+            batch = multi_camera_energy(rows, KERNEL_RIG, KERNEL_SETS,
+                                        CAUCHY, metric)
+            scalar = [scalar_energy(row, metric) for row in rows]
+            assert np.allclose(batch, scalar, rtol=1e-12, atol=0.0)
+
+    def test_motion_arrays_match_closed_form(self):
+        rows = np.array([[0.1, 1.5, 0.0, 0.0], [-0.2, 2.0, 0.03, 0.0],
+                         [0.3, 0.5, 0.0, -0.04], [0.05, 1.0, 0.02, 0.01]])
+        rot, t = motion_arrays(rows)
+        for (g, arc, pitch, roll), r_k, t_k in zip(rows, rot, t):
+            expected = rotation_z(g) @ rotation_y(pitch) @ rotation_x(roll)
+            assert np.allclose(r_k, expected, rtol=0.0, atol=1e-15)
+            chord = arc * np.array([np.sin(g) / g, (1 - np.cos(g)) / g, 0.0])
+            assert np.allclose(t_k, chord, rtol=0.0, atol=1e-15)
+
+    def test_lowest_energy_tie_breaks(self):
+        rows = np.array([[0.1, 0.5, 0, 0], [-0.05, 2.0, 0, 0],
+                         [0.05, 1.0, 0, 0], [0.05, 1.0, 0, 0],
+                         [0.0, 0.1, 0, 0], [0.0, 0.1, 0, 0]])
+        energies = np.array([1.0, 1.0, 1.0, 1.0, 2.0, np.inf])
+        # equal energy: smallest |yaw|, then smallest arc, then first row
+        assert lowest_energy(rows, energies) == 2
+        assert lowest_energy(rows, np.full(6, np.inf)) is None
+
+    def test_out_of_domain_yaw_is_inf(self):
+        rows = np.array([[np.pi, 1.0, 0.0, 0.0], [0.1, 1.0, 0.0, 0.0]])
+        energies = multi_camera_energy(rows, KERNEL_RIG, KERNEL_SETS,
+                                       CAUCHY, MetricKind.ANGLEPLANE)
+        assert energies[0] == np.inf and np.isfinite(energies[1])
+
+    @settings(max_examples=50, deadline=None)
+    @given(kernel_rows)
+    def test_camera_essential_matches_pose_path(self, row):
+        p = MotionParams(*map(float, row))
+        rot, t = motion_arrays(params_rows(p))
+        for cam in KERNEL_RIG.cameras:
+            e, usable = camera_essentials(rot, t, cam.extrinsic)
+            transform = camera_point_transform(pose_from_params(p),
+                                               cam.extrinsic)
+            try:
+                expected = essential_from_motion(transform)
+            except DegenerateTranslation:
+                assert not usable[0]
+                continue
+            assert usable[0]
+            assert np.allclose(e[0], expected, rtol=0.0, atol=1e-12)

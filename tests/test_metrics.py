@@ -6,7 +6,8 @@ from motionprior.geometry import (PinholeCamera, PinholeIntrinsics, Pose,
                                   fundamental_from_essential, rotation_z,
                                   skew)
 from motionprior.metrics import (EpipoleDegenerate, FeatureMatch, MatchSet,
-                                 RobustLoss, angleplane_energy,
+                                 NonFiniteMatch, RobustLoss,
+                                 angleplane_energy,
                                  angleplane_residual, angleplane_residuals,
                                  epipolar_line_distance, geoline_energy,
                                  geoline_residuals, robust_loss_eval)
@@ -247,6 +248,19 @@ class TestMatchSet:
             MatchSet(0, np.zeros((1, 2)), np.zeros((1, 2)),
                      np.array([[0.0, 0.0, 2.0]]), np.array([[0.0, 0.0, 1.0]]))
 
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_rejects_nan_pixel(self, side):
+        pixels = [np.full((3, 2), 100.0), np.full((3, 2), 120.0)]
+        pixels[side][1, 0] = np.nan
+        with pytest.raises(NonFiniteMatch, match=f"pixels_t{side}"):
+            MatchSet.from_pixels(0, CAM, *pixels)
+
+    def test_rejects_infinite_bearing(self):
+        unit = np.array([[0.0, 0.0, 1.0]])
+        with pytest.raises(NonFiniteMatch, match="bearings_t1"):
+            MatchSet(0, np.zeros((1, 2)), np.zeros((1, 2)), unit,
+                     np.array([[0.0, np.inf, 1.0]]))
+
     def test_empty_allowed(self):
         s = MatchSet.from_pixels(0, CAM, np.zeros((0, 2)), np.zeros((0, 2)))
         assert len(s) == 0
@@ -256,3 +270,35 @@ class TestMatchSet:
         sub = s.subset(np.arange(4))
         assert len(sub) == 4
         assert np.array_equal(sub.pixels_t0, s.pixels_t0[:4])
+
+
+class TestStackedResiduals:
+    """Stacked (K, 3, 3) matrices give the per-matrix results row by row."""
+
+    MOTIONS = [Pose(rotation_z(g), [1.0, 0.1 * g, 0.5]) for g in
+               (-0.1, 0.0, 0.04, 0.2)]
+
+    def test_angleplane(self):
+        s = synthetic_set(self.MOTIONS[2], noise=0.5)
+        es = np.stack([essential_from_motion(m) for m in self.MOTIONS])
+        r, valid = angleplane_residuals(es, s)
+        assert r.shape == valid.shape == (len(es), len(s))
+        for k, e in enumerate(es):
+            r_k, valid_k = angleplane_residuals(e, s)
+            assert r_k.shape == (len(s),)
+            assert np.allclose(r[k], r_k, rtol=1e-12, atol=1e-15)
+            assert np.array_equal(valid[k], valid_k)
+
+    def test_geoline(self):
+        s = synthetic_set(self.MOTIONS[2], noise=0.5)
+        fs = np.stack([fundamental_from_essential(essential_from_motion(m),
+                                                  K, K)
+                       for m in self.MOTIONS])
+        d1, d0, valid = geoline_residuals(fs, s)
+        assert d1.shape == d0.shape == valid.shape == (len(fs), len(s))
+        for k, f in enumerate(fs):
+            d1_k, d0_k, valid_k = geoline_residuals(f, s)
+            assert d1_k.shape == (len(s),)
+            assert np.allclose(d1[k], d1_k, rtol=1e-12, atol=1e-12)
+            assert np.allclose(d0[k], d0_k, rtol=1e-12, atol=1e-12)
+            assert np.array_equal(valid[k], valid_k)

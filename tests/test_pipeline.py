@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from motionprior.geometry import (PinholeCamera, PinholeIntrinsics,
-                                  forward_camera_extrinsic)
+from motionprior.geometry import (GenericCamera, PinholeCamera,
+                                  PinholeIntrinsics, forward_camera_extrinsic)
 from motionprior.io_formats import (FramePairRecord, NoRecords, Scenario,
                                     SequenceProfile)
 from motionprior.manifold import (CameraRig, MotionParams, RigCamera,
@@ -117,6 +117,31 @@ class TestRunSequence:
         step1 = traj.poses[0].inverse().compose(traj.poses[1])
         step2 = traj.poses[1].inverse().compose(traj.poses[2])
         assert step1.isclose(step2, atol=1e-12)
+
+    def test_out_of_domain_pixel_fails_only_its_frame(self):
+        records = make_records(RIG1, [0.02] * 5)
+        pin = RIG1.cameras[0].model
+        rig = CameraRig((RigCamera(
+            0, GenericCamera.from_camera(pin, 1280, 960),
+            RIG1.cameras[0].extrinsic),))
+        px0, px1 = records[2].pixels[0]
+        px1 = px1.copy()
+        px1[0, 0] = 1280.5
+        records[2] = FramePairRecord(2, 3, {0: (px0, px1)})
+        _, outcomes = run_sequence(rig, records, FixedScale([1.0] * 5))
+        assert [o.failed for o in outcomes] == [False, False, True, False,
+                                                False]
+        assert "tabulated domain" in outcomes[2].error
+
+    def test_non_finite_frame_fails_only_itself(self):
+        records = make_records(RIG1, [0.02] * 4)
+        px0, px1 = records[1].pixels[0]
+        px0 = px0.copy()
+        px0[3, 1] = np.nan
+        records[1] = FramePairRecord(1, 2, {0: (px0, px1)})
+        _, outcomes = run_sequence(RIG1, records, FixedScale([1.0] * 4))
+        assert [o.failed for o in outcomes] == [False, True, False, False]
+        assert "pixels_t0" in outcomes[1].error
 
     def test_chained_trajectory_matches_truth(self):
         yaws = [0.01, 0.02, 0.03]
