@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from motionprior.geometry import (DegenerateTranslation, PinholeCamera,
-                                  PinholeIntrinsics, Pose,
+from motionprior.geometry import (TRANSLATION_EPS, DegenerateTranslation,
+                                  PinholeCamera, PinholeIntrinsics, Pose,
                                   essential_from_motion,
                                   forward_camera_extrinsic, rotation_x,
                                   rotation_y, rotation_z)
@@ -346,6 +346,9 @@ class TestBatchedKernel:
 
     @settings(max_examples=50, deadline=None)
     @given(kernel_rows)
+    @example((0.0, 0.99e-12, 0.0, 0.0))
+    @example((0.0, 1e-12, 0.0, 0.0))
+    @example((0.0, 1.01e-12, 0.0, 0.0))
     def test_camera_essential_matches_pose_path(self, row):
         p = MotionParams(*map(float, row))
         rot, t = motion_arrays(params_rows(p))
@@ -353,6 +356,16 @@ class TestBatchedKernel:
             e, usable = camera_essentials(rot, t, cam.extrinsic)
             transform = camera_point_transform(pose_from_params(p),
                                                cam.extrinsic)
+            # both paths cancel the lever arm te, so the camera translation
+            # carries an absolute rounding error of a few ulps of |te|;
+            # ||[t]x R||_F = sqrt(2) |t| gives the kernel's magnitude
+            rounding = 8 * np.finfo(float).eps * np.linalg.norm(
+                cam.extrinsic.translation)
+            reference = np.linalg.norm(transform.translation)
+            kernel = np.linalg.norm(e[0]) / np.sqrt(2)
+            assert abs(kernel - reference) <= rounding
+            if abs(reference - TRANSLATION_EPS) <= rounding:
+                continue  # on the threshold either decision is correct
             try:
                 expected = essential_from_motion(transform)
             except DegenerateTranslation:
