@@ -176,6 +176,7 @@ def _cmd_estimate(args):
                     record.update(energy=o.result.final_energy,
                                   iterations=o.result.iterations,
                                   converged=o.result.converged,
+                                  termination=o.result.termination,
                                   condition_note=o.result.condition_note,
                                   skipped_matches=o.result.skipped_matches)
                 fh.write(json.dumps(record) + "\n")

@@ -1,10 +1,15 @@
 """Robust minimization of the multi-camera epipolar energy over the free
 manifold parameters.
 
-The solver is a damped least-squares loop on the robustified residual
-vector z with z_i = sqrt(rho(r_i^2)) * sign(r_i), so that sum(z^2) equals
-the robust energy exactly. Jacobians are central finite differences over
-the (at most four) free parameters.
+The solver is a damped least-squares (Levenberg-Marquardt) loop with
+iteratively reweighted residuals: z = sqrt(rho'(r^2)) r and
+J = sqrt(rho'(r^2)) dr/dx, so 2 J^T z is the exact gradient of the robust
+energy sum(rho(r^2)). The residual derivatives are closed-form and come
+from the same kernel pass as the residuals, so each trial costs one
+kernel call. Trials are accepted on the robust energy itself; the loop
+stops on a small gradient, a small step, a relative energy decrease at
+rounding level, or when no damping gives a descent step, and reports
+which in `EstimateResult.termination`.
 """
 
 from __future__ import annotations
@@ -21,6 +26,12 @@ from .metrics import MetricKind, RobustLoss
 
 FEW_MATCHES_THRESHOLD = 8
 SCALE_CURVATURE_REL_TOL = 1e-9
+# an accepted step lowering the energy by at most this fraction ends the
+# solve: further steps only move the energy's last bits
+ENERGY_DECREASE_REL_TOL = 1e-10
+
+# EstimateResult.termination values that count as converged
+CONVERGED_TERMINATIONS = ("grad_tol", "step_tol", "energy_tol")
 
 
 class NoMatches(Exception):
@@ -58,13 +69,12 @@ class EstimatorOptions:
     step_tolerance: float = 1e-12
     fallback_grid: GridSpec | None = None
     damping_init: float = 1e-4
-    jacobian_step: float = 1e-7
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if min(self.gradient_tolerance, self.step_tolerance,
-               self.damping_init, self.jacobian_step) <= 0:
+               self.damping_init) <= 0:
             raise ValueError("tolerances must be positive")
 
 
@@ -74,57 +84,43 @@ class EstimateResult:
     pose: Pose
     final_energy: float
     iterations: int
-    converged: bool
+    # "grad_tol" | "step_tol" | "energy_tol" | "no_descent" | "max_iter"
+    termination: str
     residuals: np.ndarray          # signed, NaN for skipped matches
     skipped_matches: int
     condition_note: str            # "ok" | "scale_unobservable" | "few_matches"
 
-
-def _weighted(rows, rig, match_sets, loss, metric):
-    """Kernel residuals of K rows, also weighted by sqrt(rho(s) / s) so a
-    match's squared weighted components sum to its robust energy. Raises
-    DegenerateTranslation when no populated camera translates at a row."""
-    components, valid, usable = rig_residuals(rows, rig, match_sets, metric)
-    if not usable.all():
-        raise DegenerateTranslation(
-            "all per-camera motions have zero translation")
-    squared = np.sum(components ** 2, axis=-1)
-    rho, _ = loss.evaluate(squared)
-    weight = np.sqrt(rho / np.maximum(squared, 1e-300))
-    return weight[..., None] * components, components, valid, rho
+    @property
+    def converged(self) -> bool:
+        return self.termination in CONVERGED_TERMINATIONS
 
 
 def _solver_state(p: MotionParams, rig, match_sets, loss, metric):
-    """Residual vector z (sum(z^2) is the robust energy), signed raw
-    residual per match (NaN for skipped), skip count, energy and the
-    validity mask at one manifold point."""
-    weighted, components, valid, rho = _weighted(params_rows(p), rig,
-                                                 match_sets, loss, metric)
+    """IRLS residual vector z = sqrt(rho') r and its Jacobian
+    J = sqrt(rho') dr/dx over the free fields (2 J^T z is the gradient of
+    the robust energy), the signed raw residual per match (NaN for
+    skipped), the skip count and the robust energy at one manifold point.
+    Raises DegenerateTranslation when no populated camera translates."""
+    components, valid, usable, jac = rig_residuals(
+        params_rows(p), rig, match_sets, metric, p.free)
+    if not usable[0]:
+        raise DegenerateTranslation(
+            "all per-camera motions have zero translation")
     mask = valid[0]
-    return (weighted[0, mask].ravel(),
+    kept = components[0, mask]
+    rho, drho = loss.evaluate(np.sum(kept ** 2, axis=-1))
+    weight = np.sqrt(drho)[:, None]
+    return ((weight * kept).ravel(),
+            (weight[..., None] * jac[0, mask]).reshape(kept.size, -1),
             np.where(mask, components[0, :, 0], np.nan),
-            len(mask) - int(np.count_nonzero(mask)),
-            float(np.sum(rho[0], where=mask)), mask)
-
-
-def _jacobian(x, template, rig, match_sets, loss, metric, mask, h):
-    """Central differences of the residual vector, with the validity mask
-    frozen so the stencil keeps its dimension; the 2n stencil points go
-    through the kernel in one call."""
-    n = len(x)
-    steps = h * np.eye(n)
-    rows = free_rows(np.concatenate([x + steps, x - steps]), template)
-    weighted = _weighted(rows, rig, match_sets, loss, metric)[0]
-    z = weighted[:, mask].reshape(2 * n, -1)
-    return (z[:n] - z[n:]).T / (2.0 * h)
+            len(mask) - int(np.count_nonzero(mask)), float(np.sum(rho)))
 
 
 def internal_gradient(rig, match_sets, p: MotionParams, loss: RobustLoss,
-                      metric: MetricKind, h: float = 1e-7) -> np.ndarray:
-    """Gradient of the robust energy implied by the solver's residual
+                      metric: MetricKind) -> np.ndarray:
+    """Gradient of the robust energy from the solver's closed-form
     Jacobian: 2 J^T z."""
-    z, _, _, _, mask = _solver_state(p, rig, match_sets, loss, metric)
-    J = _jacobian(pack_free(p), p, rig, match_sets, loss, metric, mask, h)
+    z, J = _solver_state(p, rig, match_sets, loss, metric)[:2]
     return 2.0 * J.T @ z
 
 
@@ -185,26 +181,24 @@ def estimate(rig: CameraRig, match_sets, prior: MotionParams,
 
     params = start
     x = pack_free(params)
-    z, raw, skipped, energy, mask = _solver_state(params, rig, match_sets,
-                                                   loss, metric)
+    z, J, raw, skipped, energy = _solver_state(params, rig, match_sets,
+                                               loss, metric)
 
-    converged = len(x) == 0
+    termination = None if len(x) else "grad_tol"
     iterations = 0
     lam = opts.damping_init
-    while not converged and iterations < opts.max_iterations:
+    while termination is None and iterations < opts.max_iterations:
         iterations += 1
-        J = _jacobian(x, params, rig, match_sets, loss, metric, mask,
-                      opts.jacobian_step)
-        gradient = 2.0 * J.T @ z
-        if np.abs(gradient).max() <= opts.gradient_tolerance:
-            converged = True
+        JTz = J.T @ z
+        if 2.0 * np.abs(JTz).max() <= opts.gradient_tolerance:
+            termination = "grad_tol"
             break
         JTJ = J.T @ J
-        accepted = False
+        # no downhill step at machine precision unless a trial is accepted
+        termination = "no_descent"
         for _ in range(30):
             try:
-                step = np.linalg.solve(JTJ + lam * np.eye(len(x)),
-                                       -(J.T @ z))
+                step = np.linalg.solve(JTJ + lam * np.eye(len(x)), -JTz)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
@@ -214,22 +208,24 @@ def estimate(rig: CameraRig, match_sets, prior: MotionParams,
             except (ValueError, DegenerateTranslation):
                 lam *= 10.0
                 continue
-            if t_state[3] < energy:
+            if t_state[-1] < energy:
+                small_decrease = (energy - t_state[-1]
+                                  <= ENERGY_DECREASE_REL_TOL * energy)
                 x = x + step
                 params = trial
-                z, raw, skipped, energy, mask = t_state
+                z, J, raw, skipped, energy = t_state
                 lam = max(lam / 3.0, 1e-15)
-                accepted = True
+                termination = None
                 if np.linalg.norm(step) <= opts.step_tolerance:
-                    converged = True
+                    termination = "step_tol"
+                elif small_decrease:
+                    termination = "energy_tol"
                 break
             lam *= 10.0
             if lam > 1e15:
                 break
-        if not accepted:
-            # no downhill step exists at machine precision: local minimum
-            converged = True
-            break
+    if termination is None:
+        termination = "max_iter"
 
     note = "ok"
     valid_matches = total_matches - skipped
@@ -241,7 +237,7 @@ def estimate(rig: CameraRig, match_sets, prior: MotionParams,
 
     return EstimateResult(params=params, pose=pose_from_params(params),
                           final_energy=energy, iterations=iterations,
-                          converged=converged, residuals=raw,
+                          termination=termination, residuals=raw,
                           skipped_matches=skipped, condition_note=note)
 
 

@@ -76,28 +76,62 @@ def free_rows(values, template: MotionParams) -> np.ndarray:
     return rows
 
 
-def motion_arrays(rows):
+# u @ _SKEW, reshaped to (..., 3, 3), is the cross-product matrix of u;
+# _AXIS_SKEW[i] is that of the i-th unit axis
+_SKEW = np.stack([skew(axis).ravel() for axis in np.eye(3)])
+_AXIS_SKEW = _SKEW.reshape(3, 3, 3)
+
+
+def motion_arrays(rows, wrt=None):
     """Rotations (K, 3, 3) and translations (K, 3) of the vehicle frame at
     t1 in the frame at t0, for K rows [yaw, arc_length, pitch, roll]. The
     planar translation is the chord of a circular arc (a series near zero
-    yaw); pitch and roll tilt only the rows where either is non-zero."""
+    yaw); pitch and roll tilt only the rows where either is non-zero.
+    With `wrt`, a tuple of P field names, also the derivatives of both
+    over those fields, (K, P, 3, 3) and (K, P, 3)."""
     rows = np.asarray(rows, dtype=float).reshape(-1, 4)
     g = rows[:, 0]
     closed = np.abs(g) >= YAW_SERIES_SWITCH
-    t = np.zeros((len(rows), 3))
-    np.divide(np.sin(g), g, out=t[:, 0], where=closed)
-    np.divide(1.0 - np.cos(g), g, out=t[:, 1], where=closed)
+    chord = np.zeros((len(rows), 3))
+    np.divide(np.sin(g), g, out=chord[:, 0], where=closed)
+    # 2 sin^2(g/2) keeps full precision where 1 - cos(g) cancels
+    np.divide(2.0 * np.sin(0.5 * g) ** 2, g, out=chord[:, 1], where=closed)
     if np.count_nonzero(closed) < len(g):
         gs = g[~closed]
-        t[~closed, 0] = 1.0 - gs * gs / 6.0 + gs ** 4 / 120.0
-        t[~closed, 1] = gs / 2.0 - gs ** 3 / 24.0
-    t *= rows[:, 1:2]
+        chord[~closed, 0] = 1.0 - gs * gs / 6.0 + gs ** 4 / 120.0
+        chord[~closed, 1] = gs / 2.0 - gs ** 3 / 24.0
+    t = chord * rows[:, 1:2]
     rot = rotation_z(g)
     if np.count_nonzero(rows[:, 2:]):
         tilted = rows[:, 2:].any(axis=1)
         rot[tilted] = (rot[tilted] @ rotation_y(rows[tilted, 2])
                        @ rotation_x(rows[tilted, 3]))
-    return rot, t
+    if wrt is None:
+        return rot, t
+    # R = Rz(yaw) Ry(pitch) Rx(roll): dR/dyaw = [ez]x R, dR/droll = R [ex]x
+    d_rot = np.zeros((len(rows), len(wrt), 3, 3))
+    d_t = np.zeros((len(rows), len(wrt), 3))
+    for k, field in enumerate(wrt):
+        if field == "yaw":
+            d_rot[:, k] = _AXIS_SKEW[2] @ rot
+            d_chord = np.zeros_like(chord)
+            np.divide(np.cos(g) - chord[:, 0], g, out=d_chord[:, 0],
+                      where=closed)
+            np.divide(np.sin(g) - chord[:, 1], g, out=d_chord[:, 1],
+                      where=closed)
+            if np.count_nonzero(closed) < len(g):
+                gs = g[~closed]
+                d_chord[~closed, 0] = -gs / 3.0 + gs ** 3 / 30.0
+                d_chord[~closed, 1] = 0.5 - gs * gs / 8.0
+            d_t[:, k] = d_chord * rows[:, 1:2]
+        elif field == "arc_length":
+            d_t[:, k] = chord
+        elif field == "pitch":
+            d_rot[:, k] = (rotation_z(g) @ rotation_y(rows[:, 2])
+                           @ _AXIS_SKEW[1] @ rotation_x(rows[:, 3]))
+        else:
+            d_rot[:, k] = rot @ _AXIS_SKEW[0]
+    return rot, t, d_rot, d_t
 
 
 def pose_from_params(p: MotionParams) -> Pose:
@@ -144,52 +178,73 @@ def camera_point_transform(motion: Pose, extrinsic: Pose) -> Pose:
     return conjugate_to_camera(motion, extrinsic).inverse()
 
 
-# u @ _SKEW, reshaped to (..., 3, 3), is the cross-product matrix of u
-_SKEW = np.stack([skew(axis).ravel() for axis in np.eye(3)])
-
-
-def camera_essentials(rotations, translations, extrinsic: Pose):
+def camera_essentials(rotations, translations, extrinsic: Pose,
+                      d_rot=None, d_t=None):
     """Essentials (K, 3, 3) of one camera for K vehicle motions, and the
     (K,) mask of rows whose camera translation is at least TRANSLATION_EPS.
     E = Re^T [u]x R^T Re, u = R^T (te - t) - te, is the essential of
     camera_point_transform(motion, extrinsic), whose translation is Re^T u.
-    """
+    Given the motion derivatives d_rot (K, P, 3, 3) and d_t (K, P, 3) of
+    motion_arrays, also dE (K, P, 3, 3) =
+    Re^T ([du]x R^T + [u]x dR^T) Re with du = dR^T (te - t) - R^T dt."""
     re, te = extrinsic.rotation, extrinsic.translation
     rt = np.swapaxes(rotations, -1, -2)
     u = (rt @ (te - translations)[..., None])[..., 0] - te
     usable = np.einsum("...i,...i->...", u, u) >= TRANSLATION_EPS ** 2
     u_cross = (u @ _SKEW).reshape(u.shape[:-1] + (3, 3))
-    return re.T @ u_cross @ rt @ re, usable
+    e = re.T @ u_cross @ rt @ re
+    if d_rot is None:
+        return e, usable
+    d_rt = np.swapaxes(d_rot, -1, -2)
+    du = (np.einsum("kpij,kj->kpi", d_rt, te - translations)
+          - np.einsum("kij,kpj->kpi", rt, d_t))
+    du_cross = (du @ _SKEW).reshape(du.shape[:-1] + (3, 3))
+    d_e = re.T @ (du_cross @ rt[:, None] + u_cross[:, None] @ d_rt) @ re
+    return e, usable, d_e
 
 
-def rig_residuals(rows, rig: CameraRig, match_sets, metric: MetricKind):
+def rig_residuals(rows, rig: CameraRig, match_sets, metric: MetricKind,
+                  wrt=None):
     """The batched residual kernel at K manifold points (rows [yaw,
     arc_length, pitch, roll]) over the N matches of all match sets, in
     order. Returns components (K, N, c), the signed plane sine (c = 1) or
     line distances d1, d0 (c = 2); valid (K, N), False on epipole-degenerate
     matches and on cameras without translation at a row; and usable (K,),
-    False on rows where no populated camera translates."""
-    rot, t = motion_arrays(rows)
+    False on rows where no populated camera translates. With `wrt`, a
+    tuple of P field names, also the components' derivatives over those
+    fields, (K, N, c, P), from the same pass."""
+    motion = motion_arrays(rows, wrt)
+    k_rows = len(motion[0])
     c = 2 if metric is MetricKind.GEOLINE else 1
-    parts = [np.zeros((len(rot), 0, c))]
-    valid = [np.zeros((len(rot), 0), dtype=bool)]
-    usable = np.full(len(rot), not any(len(s) for s in match_sets))
+    parts = [np.zeros((k_rows, 0, c))]
+    derivs = [np.zeros((k_rows, 0, c, len(wrt or ())))]
+    valid = [np.zeros((k_rows, 0), dtype=bool)]
+    usable = np.full(k_rows, not any(len(s) for s in match_sets))
     for s in match_sets:
         if len(s) == 0:
             continue
         cam = rig.camera(s.camera_id)
-        e, cam_usable = camera_essentials(rot, t, cam.extrinsic)
+        e, cam_usable, *d_e = camera_essentials(motion[0], motion[1],
+                                                cam.extrinsic, *motion[2:])
         if metric is MetricKind.GEOLINE:
             k = cam.model.intrinsics
-            d1, d0, ok = geoline_residuals(
-                fundamental_from_essential(e, k, k), s)
+            f, *d_f = (fundamental_from_essential(m, k, k)
+                       for m in [e] + d_e)
+            d1, d0, ok, *d_d = geoline_residuals(f, s, *d_f)
             parts.append(np.stack([d1, d0], axis=-1))
         else:
-            r, ok = angleplane_residuals(e, s)
+            r, ok, *d_d = angleplane_residuals(e, s, *d_e)
             parts.append(r[..., None])
+        if wrt is not None:
+            # (K, P, n) per component -> (K, n, c, P)
+            derivs.append(np.stack(d_d, axis=-1).transpose(0, 2, 3, 1))
         valid.append(ok & cam_usable[:, None])
         usable |= cam_usable
-    return np.concatenate(parts, axis=1), np.concatenate(valid, axis=1), usable
+    out = (np.concatenate(parts, axis=1), np.concatenate(valid, axis=1),
+           usable)
+    if wrt is None:
+        return out
+    return out + (np.concatenate(derivs, axis=1),)
 
 
 def multi_camera_energy(p, rig: CameraRig, match_sets, loss: RobustLoss,

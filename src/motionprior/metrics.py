@@ -160,9 +160,11 @@ def epipolar_line_distance(f: np.ndarray, x0, x1) -> float:
     return float(h1 @ line / den)
 
 
-def geoline_residuals(f: np.ndarray, s: MatchSet):
+def geoline_residuals(f: np.ndarray, s: MatchSet, d_f=None):
     """Per-match symmetric line distances (d1, d0) and a validity mask.
-    For stacked matrices f (..., 3, 3) each output has shape (..., n)."""
+    For stacked matrices f (..., 3, 3) each output has shape (..., n).
+    Given derivatives d_f (..., P, 3, 3) of f, also those of d1 and d0,
+    each (..., P, n)."""
     h0 = _lift(s.pixels_t0)
     h1 = _lift(s.pixels_t1)
     line0 = h0 @ np.swapaxes(f, -1, -2)   # F x0, per row
@@ -171,9 +173,26 @@ def geoline_residuals(f: np.ndarray, s: MatchSet):
     den1 = np.hypot(line1[..., 0], line1[..., 1])
     valid = (den0 >= DEGENERACY_EPS) & (den1 >= DEGENERACY_EPS)
     num = np.einsum("...ij,ij->...i", line0, h1)
-    d1 = num / np.where(valid, den0, 1.0)
-    d0 = num / np.where(valid, den1, 1.0)
-    return d1, d0, valid
+    den0 = np.where(valid, den0, 1.0)
+    den1 = np.where(valid, den1, 1.0)
+    d1 = num / den0
+    d0 = num / den1
+    if d_f is None:
+        return d1, d0, valid
+    d_line0 = h0 @ np.swapaxes(d_f, -1, -2)
+    d_line1 = h1 @ d_f
+    d_num = np.einsum("...ij,ij->...i", d_line0, h1)
+    # d(num / den) = (d_num - (num / den) d_den) / den, d_den = l . dl / den
+    dd1 = (d_num - d1[..., None, :] * _planar_dot(line0, d_line0)
+           / den0[..., None, :]) / den0[..., None, :]
+    dd0 = (d_num - d0[..., None, :] * _planar_dot(line1, d_line1)
+           / den1[..., None, :]) / den1[..., None, :]
+    return d1, d0, valid, dd1, dd0
+
+
+def _planar_dot(lines, d_lines):
+    """(a da + b db) of lines (..., n, 3) with d_lines (..., P, n, 3)."""
+    return np.einsum("...ij,...pij->...pi", lines[..., :2], d_lines[..., :2])
 
 
 def geoline_energy(f: np.ndarray, s: MatchSet, loss: RobustLoss) -> float:
@@ -196,15 +215,25 @@ def angleplane_residual(e: np.ndarray, b0, b1) -> float:
     return float(b1 @ normal / norm)
 
 
-def angleplane_residuals(e: np.ndarray, s: MatchSet):
+def angleplane_residuals(e: np.ndarray, s: MatchSet, d_e=None):
     """Per-match signed plane-angle residuals and a validity mask. For
-    stacked matrices e (..., 3, 3) both outputs have shape (..., n)."""
+    stacked matrices e (..., 3, 3) both outputs have shape (..., n). Given
+    derivatives d_e (..., P, 3, 3) of e, also those of the residuals,
+    (..., P, n)."""
     normals = s.bearings_t0 @ np.swapaxes(e, -1, -2)
     norms = np.linalg.norm(normals, axis=-1)
     valid = norms >= DEGENERACY_EPS
-    r = (np.einsum("...ij,ij->...i", normals, s.bearings_t1)
-         / np.where(valid, norms, 1.0))
-    return r, valid
+    norms = np.where(valid, norms, 1.0)
+    r = np.einsum("...ij,ij->...i", normals, s.bearings_t1) / norms
+    if d_e is None:
+        return r, valid
+    # dr = (b1 . dn - r (n . dn) / |n|) / |n|, dn = dE b0
+    d_normals = s.bearings_t0 @ np.swapaxes(d_e, -1, -2)
+    unit = normals / norms[..., None]
+    d_r = (np.einsum("...pij,ij->...pi", d_normals, s.bearings_t1)
+           - r[..., None, :] * np.einsum("...ij,...pij->...pi", unit,
+                                         d_normals)) / norms[..., None, :]
+    return r, valid, d_r
 
 
 def angleplane_energy(e: np.ndarray, s: MatchSet, loss: RobustLoss) -> float:

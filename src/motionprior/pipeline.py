@@ -34,7 +34,9 @@ class FixedScale:
 @dataclass(frozen=True)
 class FreeInCurves:
     """Arc length optimized only while the prior yaw exceeds the curve
-    threshold; held at the last known value on straights."""
+    threshold; held at the last known value on straights. A frame whose
+    free-arc solve lands below the threshold is solved again with the arc
+    held, and only frames that stay in the curve update the held value."""
 
     initial: float
     curve_threshold: float = CURVE_YAW_THRESHOLD
@@ -105,14 +107,19 @@ def run_sequence(rig: CameraRig, records, scale_source,
         frame_opts = first_opts if index == 0 else opts
         start = time.perf_counter()
         try:
-            result = estimate(rig, match_sets_from_record(record, rig),
-                              current, frame_opts)
+            sets = match_sets_from_record(record, rig)
+            result = estimate(rig, sets, current, frame_opts)
+            if (isinstance(scale_source, FreeInCurves)
+                    and "arc_length" in current.free):
+                if abs(result.params.yaw) < scale_source.curve_threshold:
+                    # left the curve: the arc is unobservable on a straight
+                    current = replace(current, free=tuple(
+                        f for f in current.free if f != "arc_length"))
+                    result = estimate(rig, sets, current, frame_opts)
+                elif result.condition_note != "scale_unobservable":
+                    held_arc = result.params.arc_length
             runtime = (time.perf_counter() - start) * 1e3
             current = result.params
-            if (isinstance(scale_source, FreeInCurves)
-                    and "arc_length" in result.params.free
-                    and result.condition_note != "scale_unobservable"):
-                held_arc = result.params.arc_length
             outcomes.append(FrameOutcome(record.t0, record.t1,
                                          result.params, result, False, None,
                                          runtime))

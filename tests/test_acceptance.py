@@ -186,13 +186,13 @@ def test_criterion_6_gradient_correctness(capsys):
                          pitch=rng.uniform(-0.02, 0.02),
                          roll=rng.uniform(-0.02, 0.02),
                          free=("yaw", "arc_length", "pitch", "roll"))
-        g_int = internal_gradient(RIG2, sets, p, CAUCHY, ANGLE)
+        g_analytic = internal_gradient(RIG2, sets, p, CAUCHY, ANGLE)
         g_num = numeric_gradient(RIG2, sets, p, CAUCHY, ANGLE, 1e-6)
         tol = np.maximum(1e-6, 1e-4 * np.abs(g_num))
-        worst = max(worst, float(np.max(np.abs(g_int - g_num) / tol)))
+        worst = max(worst, float(np.max(np.abs(g_analytic - g_num) / tol)))
     ok = worst <= 1.0
     report(capsys, 6, "gradient correctness", ok,
-           f"worst |internal-numeric|/tol = {worst:.3f} over 100 points")
+           f"worst |analytic-numeric|/tol = {worst:.3f} over 100 points")
 
 
 def test_criterion_7_geometry_invariants(capsys):
@@ -248,9 +248,11 @@ def test_criterion_8_end_to_end_sequence(capsys):
     report_eval = evaluate(est, gt, lengths=[100.0])
     elapsed = time.perf_counter() - start
     rot = report_eval.mean_rotation(100.0)
+    trans = report_eval.mean_translation(100.0)
     failed = sum(o.failed for o in outcomes)
-    ok = rot < 0.005 and elapsed < 30.0 and failed == 0
+    ok = rot < 0.005 and trans < 5.0 and elapsed < 30.0 and failed == 0
     report(capsys, 8, "end-to-end sequence", ok,
-           f"rotation error {rot:.5f} deg/m on 100 m segments "
+           f"rotation error {rot:.5f} deg/m, translation error "
+           f"{trans:.2f}% on 100 m segments "
            f"({report_eval.length_buckets[100.0].count} segments), "
            f"{failed} failed frames, {elapsed:.1f} s total")

@@ -100,7 +100,8 @@ class TestEstimate:
         assert len(lines) == 7
         rec = json.loads(lines[0])
         for key in ("t0", "t1", "yaw", "arc_length", "energy", "iterations",
-                    "converged", "condition_note", "runtime_ms", "failed"):
+                    "converged", "termination", "condition_note",
+                    "runtime_ms", "failed"):
             assert key in rec
         assert rec["failed"] is False
 

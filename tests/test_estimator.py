@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from motionprior.estimator import (EstimateResult, EstimatorOptions,
-                                   GridSpec, LandscapeGrid, NoMatches,
-                                   classify_inliers, energy_landscape,
-                                   estimate, internal_gradient,
-                                   numeric_gradient)
+from motionprior.estimator import (CONVERGED_TERMINATIONS,
+                                   ENERGY_DECREASE_REL_TOL, EstimateResult,
+                                   EstimatorOptions, GridSpec, LandscapeGrid,
+                                   NoMatches, classify_inliers,
+                                   energy_landscape, estimate,
+                                   internal_gradient, numeric_gradient)
 from motionprior.geometry import (PinholeCamera, PinholeIntrinsics,
                                   forward_camera_extrinsic)
 from motionprior.manifold import (CameraRig, MotionParams, RigCamera,
@@ -151,6 +152,49 @@ class TestEstimate:
         result = estimate(RIG1, sets, prior, opts)
         assert abs(result.params.yaw - truth.yaw) < 1e-6
 
+    def test_termination_reason(self):
+        truth = MotionParams(yaw=0.1, arc_length=1.0,
+                             free=("yaw", "arc_length"))
+        sets, _ = simulated(RIG2, truth, seed=9, sigma=0.5)
+        prior = truth.with_values(yaw=0.08, arc_length=1.3)
+        result = estimate(RIG2, sets, prior, EstimatorOptions())
+        assert result.termination in CONVERGED_TERMINATIONS
+        assert result.converged
+        cut = estimate(RIG2, sets, prior, EstimatorOptions(max_iterations=1))
+        assert (cut.termination, cut.converged) == ("max_iter", False)
+        held = estimate(RIG2, sets, prior.with_values(free=()))
+        assert (held.termination, held.iterations) == ("grad_tol", 0)
+        assert held.converged
+
+    def test_stops_at_rounding_level_decrease(self):
+        truth = MotionParams(yaw=0.05, arc_length=1.0, free=("yaw",))
+        sets, _ = simulated(RIG1, truth, seed=4, sigma=1.0)
+        prior = truth.with_values(yaw=0.09)
+        result = estimate(RIG1, sets, prior, EstimatorOptions())
+        shorter = estimate(RIG1, sets, prior, EstimatorOptions(
+            max_iterations=result.iterations - 1))
+        assert result.termination == "energy_tol"
+        decrease = shorter.final_energy - result.final_energy
+        assert 0.0 <= decrease <= (ENERGY_DECREASE_REL_TOL
+                                   * shorter.final_energy)
+
+    def test_geoline_matches_reference_minimum(self):
+        # the default loss width carried to pixels at the focal length;
+        # pinned values: the minimum located to ~1e-10 rad by Gauss-Newton
+        # on sqrt(rho)-weighted residuals with a central-difference Jacobian
+        truth = MotionParams(yaw=0.1, arc_length=1.0,
+                             free=("yaw", "arc_length"))
+        sets, _ = simulated(RIG2, truth, seed=40, sigma=0.5)
+        opts = EstimatorOptions(metric=MetricKind.GEOLINE,
+                                loss=RobustLoss("cauchy", 0.0065 * INTR.fx))
+        result = estimate(RIG2, sets, truth.with_values(yaw=0.09,
+                                                        arc_length=1.1), opts)
+        assert result.converged
+        assert abs(result.params.yaw - 0.0999654494809861) <= 1e-8
+        assert abs(result.params.arc_length - 0.9900788159032858) <= 1e-6
+        assert result.final_energy == pytest.approx(353.5029509041608,
+                                                     rel=1e-9, abs=0.0)
+
 
 class TestGradients:
     def test_numeric_gradient_zero_at_minimum(self):
@@ -171,6 +215,21 @@ class TestGradients:
             gn = numeric_gradient(RIG2, sets, p, CAUCHY, ANGLE, h=1e-7)
             tol = np.maximum(1e-6, 1e-4 * np.abs(gn))
             assert np.all(np.abs(gi - gn) <= tol)
+
+    def test_internal_matches_numeric_geoline(self):
+        truth = MotionParams(yaw=0.06, arc_length=1.0, pitch=0.01,
+                             free=("yaw", "arc_length", "pitch", "roll"))
+        sets, _ = simulated(RIG2, truth, seed=25, sigma=0.5, outliers=0.1)
+        loss = RobustLoss("cauchy", 2.0)
+        rng = np.random.Generator(np.random.PCG64(26))
+        for _ in range(10):
+            p = truth.with_values(yaw=rng.uniform(-0.2, 0.2),
+                                  arc_length=rng.uniform(0.5, 2.0),
+                                  roll=rng.uniform(-0.02, 0.02))
+            gi = internal_gradient(RIG2, sets, p, loss, MetricKind.GEOLINE)
+            gn = numeric_gradient(RIG2, sets, p, loss, MetricKind.GEOLINE,
+                                  h=1e-7)
+            assert np.allclose(gi, gn, rtol=1e-4, atol=1e-3)
 
     def test_step_halving_consistency(self):
         truth = MotionParams(yaw=0.06, arc_length=1.0, free=("yaw",))
@@ -229,7 +288,8 @@ class TestClassifyInliers:
     def make_result(self, residuals):
         truth = MotionParams(yaw=0.0, arc_length=1.0)
         from motionprior.manifold import pose_from_params
-        return EstimateResult(truth, pose_from_params(truth), 0.0, 0, True,
+        return EstimateResult(truth, pose_from_params(truth), 0.0, 0,
+                              "grad_tol",
                               np.asarray(residuals, dtype=float), 0, "ok")
 
     def test_infinite_threshold(self):

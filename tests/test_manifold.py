@@ -8,12 +8,14 @@ from motionprior.geometry import (TRANSLATION_EPS, DegenerateTranslation,
                                   essential_from_motion,
                                   forward_camera_extrinsic, rotation_x,
                                   rotation_y, rotation_z)
-from motionprior.manifold import (ENERGY_CHUNK, CameraRig, DimensionMismatch,
-                                  MotionParams, RigCamera, camera_essentials,
+from motionprior.manifold import (ENERGY_CHUNK, PARAM_FIELDS, CameraRig,
+                                  DimensionMismatch, MotionParams, RigCamera,
+                                  camera_essentials,
                                   camera_point_transform, conjugate_to_camera,
                                   lowest_energy, motion_arrays,
                                   multi_camera_energy, pack_free,
-                                  params_rows, pose_from_params, unpack_free)
+                                  params_rows, pose_from_params,
+                                  rig_residuals, unpack_free)
 from motionprior.metrics import (MatchSet, MetricKind, RobustLoss,
                                  angleplane_energy)
 from motionprior.simulate import (NoiseSpec, SceneSpec, generate_matches,
@@ -329,6 +331,14 @@ class TestBatchedKernel:
             chord = arc * np.array([np.sin(g) / g, (1 - np.cos(g)) / g, 0.0])
             assert np.allclose(t_k, chord, rtol=0.0, atol=1e-15)
 
+    def test_chord_full_precision_at_small_yaw(self):
+        # just above the series switch the series is still exact to eps
+        g = np.array([1.5e-6, 1e-5, 1e-4])
+        rows = np.stack([g, np.ones(3), np.zeros(3), np.zeros(3)], axis=1)
+        _, t = motion_arrays(rows)
+        assert np.allclose(t[:, 1], g / 2 - g ** 3 / 24 + g ** 5 / 720,
+                           rtol=4 * np.finfo(float).eps, atol=0.0)
+
     def test_lowest_energy_tie_breaks(self):
         rows = np.array([[0.1, 0.5, 0, 0], [-0.05, 2.0, 0, 0],
                          [0.05, 1.0, 0, 0], [0.05, 1.0, 0, 0],
@@ -373,3 +383,69 @@ class TestBatchedKernel:
                 continue
             assert usable[0]
             assert np.allclose(e[0], expected, rtol=0.0, atol=1e-12)
+
+
+# Closed-form Jacobian against central differences of the residual vector.
+# The rig adds a camera at the motion centre, which has no lever arm. Both
+# chord branches are exact to rounding at the series switch, so a stencil
+# may straddle it.
+JAC_RIG = CameraRig(KERNEL_RIG.cameras + (
+    RigCamera(2, PinholeCamera(INTR, (1280, 960)),
+              forward_camera_extrinsic([0.0, 0.0, 0.0])),))
+JAC_SETS = generate_matches(
+    generate_scene(SceneSpec(90, seed=5)), JAC_RIG,
+    MotionParams(yaw=0.08, arc_length=1.2, pitch=0.01),
+    NoiseSpec(pixel_sigma=0.5, outlier_fraction=0.1, seed=6))[0]
+JAC_STEP = 1e-6
+
+jac_rows = st.tuples(
+    yaws, st.one_of(st.floats(0.2, 3.0), st.floats(-3.0, -0.2)), tilts,
+    tilts)
+
+
+class TestJacobian:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(jac_rows, min_size=1, max_size=6))
+    @example([(5e-7, 1.0, 0.0, 0.0), (0.0, -1.5, 0.02, -0.03),
+              (1.5e-6, 0.8, 0.0, 0.01), (-1e-4, 2.0, 0.0, 0.0),
+              (0.0, 2.375, -0.015625, -0.01171875),
+              (0.0, 0.203125, 0.021484375, 0.0),
+              (0.0, -2.34375, -0.05, 0.0)])
+    def test_matches_central_differences(self, rows):
+        rows = np.array(rows)
+        assert {s.camera_id for s in JAC_SETS} == {0, 1, 2}
+        for metric in MetricKind:
+            components, valid, _, jac = rig_residuals(
+                rows, JAC_RIG, JAC_SETS, metric, PARAM_FIELDS)
+
+            def central(k, h):
+                step = np.zeros(4)
+                step[k] = h
+                plus = rig_residuals(rows + step, JAC_RIG, JAC_SETS, metric)
+                minus = rig_residuals(rows - step, JAC_RIG, JAC_SETS, metric)
+                return ((plus[0] - minus[0]) / (2 * h))[valid]
+
+            # pixel residuals round at ~eps x pixel coordinates, which the
+            # difference quotient amplifies by 1 / JAC_STEP: their scale is
+            # floored at the image width
+            floor = 1280.0 if metric is MetricKind.GEOLINE else 1.0
+            for k in range(4):
+                # Richardson step: matches near the epipole vary fast, and
+                # this cancels the quotient's O(JAC_STEP^2) error
+                reference = (4 * central(k, JAC_STEP / 2)
+                             - central(k, JAC_STEP)) / 3
+                scale = max(np.abs(reference).max(), floor)
+                assert np.allclose(jac[..., k][valid], reference, rtol=1e-5,
+                                   atol=1e-5 * scale), (metric, k)
+
+    def test_subset_of_fields_in_order(self):
+        rows = np.array([[0.1, 1.2, 0.01, 0.0], [-4e-7, 0.8, 0.0, 0.02]])
+        full = rig_residuals(rows, JAC_RIG, JAC_SETS, MetricKind.GEOLINE,
+                             PARAM_FIELDS)
+        part = rig_residuals(rows, JAC_RIG, JAC_SETS, MetricKind.GEOLINE,
+                             ("arc_length", "roll"))
+        for a, b in zip(full[:3], part[:3]):
+            assert np.array_equal(a, b)
+        assert np.array_equal(part[3], full[3][..., [1, 3]])
+        assert rig_residuals(rows, JAC_RIG, JAC_SETS, MetricKind.GEOLINE,
+                             ())[3].shape == full[0].shape + (0,)
