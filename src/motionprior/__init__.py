@@ -11,9 +11,9 @@ from .estimator import (EstimateResult, EstimatorOptions, GridSpec,
 from .evaluation import EvalReport, TrajectoryTooShort, evaluate
 from .geometry import (BehindCamera, DegenerateTranslation, GenericCamera,
                        GeometryError, OutOfDomain, PinholeCamera,
-                       PinholeIntrinsics, Pose, bearing_from_pixel, compose,
-                       essential_from_motion, forward_camera_extrinsic,
-                       fundamental_from_essential, inverse, project, skew)
+                       PinholeIntrinsics, Pose, essential_from_motion,
+                       forward_camera_extrinsic, fundamental_from_essential,
+                       skew)
 from .io_formats import (CalibrationInvalid, FramePairRecord,
                          NonMonotoneFrames, NoRecords, ParseError, Scenario,
                          TrajectoryRecord, load_matches, load_rig,
@@ -24,11 +24,8 @@ from .manifold import (CameraRig, DimensionMismatch, MotionParams, RigCamera,
                        camera_point_transform, conjugate_to_camera,
                        multi_camera_energy, pack_free, pose_from_params,
                        unpack_free)
-from .metrics import (EpipoleDegenerate, FeatureMatch, MatchSet, MetricKind,
-                      NonFiniteMatch, RobustLoss, angleplane_energy,
-                      angleplane_residual, angleplane_residuals,
-                      epipolar_line_distance, geoline_energy,
-                      geoline_residuals, robust_loss_eval)
+from .metrics import (MatchSet, MetricKind, NonFiniteMatch, RobustLoss,
+                      angleplane_residuals, geoline_residuals)
 from .pipeline import (FixedScale, FrameOutcome, FreeInCurves,
                        match_sets_from_record, run_sequence,
                        simulate_sequence)

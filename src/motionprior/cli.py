@@ -19,8 +19,8 @@ from .evaluation import TrajectoryTooShort, evaluate
 from .geometry import DegenerateTranslation, GeometryError
 from .io_formats import (CalibrationInvalid, NonMonotoneFrames, NoRecords,
                          ParseError, load_matches, load_rig, load_scale,
-                         load_scenario, load_trajectory, write_matches,
-                         write_scale, write_trajectory)
+                         load_scenario, load_trajectory, parse_keyvalues,
+                         write_matches, write_scale, write_trajectory)
 from .manifold import MotionParams
 from .metrics import MetricKind, RobustLoss
 from .pipeline import (FixedScale, FreeInCurves, match_sets_from_record,
@@ -108,18 +108,8 @@ def _apply_config(parser, argv):
     idx = argv.index("--config")
     if idx + 1 >= len(argv):
         raise UsageError("--config needs a file argument")
-    path = argv[idx + 1]
-    defaults = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError(path, 0, "expected key = value")
-            key, _, val = line.partition("=")
-            defaults[key.strip().replace("-", "_")] = val.strip()
-    parser.set_defaults(**defaults)
+    parser.set_defaults(**{key.replace("-", "_"): val for key, (val, _)
+                           in parse_keyvalues(argv[idx + 1]).items()})
     return argv[:idx] + argv[idx + 2:]
 
 

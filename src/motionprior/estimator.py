@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DegenerateTranslation, Pose
+from .geometry import DegenerateTranslation
 from .manifold import (CameraRig, MotionParams, free_rows, lowest_energy,
                        multi_camera_energy, pack_free, params_rows,
-                       pose_from_params, rig_residuals, unpack_free)
+                       rig_residuals, unpack_free)
 from .metrics import MetricKind, RobustLoss
 
 FEW_MATCHES_THRESHOLD = 8
@@ -29,6 +29,9 @@ SCALE_CURVATURE_REL_TOL = 1e-9
 # an accepted step lowering the energy by at most this fraction ends the
 # solve: further steps only move the energy's last bits
 ENERGY_DECREASE_REL_TOL = 1e-10
+GRADIENT_TOL = 1e-10        # max |gradient| of the robust energy
+STEP_TOL = 1e-12            # norm of an accepted step
+DAMPING_INIT = 1e-4
 
 # EstimateResult.termination values that count as converged
 CONVERGED_TERMINATIONS = ("grad_tol", "step_tol", "energy_tol")
@@ -65,23 +68,16 @@ class EstimatorOptions:
     metric: MetricKind = MetricKind.ANGLEPLANE
     loss: RobustLoss = RobustLoss("cauchy", 0.0065)
     max_iterations: int = 100
-    gradient_tolerance: float = 1e-10
-    step_tolerance: float = 1e-12
     fallback_grid: GridSpec | None = None
-    damping_init: float = 1e-4
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if min(self.gradient_tolerance, self.step_tolerance,
-               self.damping_init) <= 0:
-            raise ValueError("tolerances must be positive")
 
 
 @dataclass(frozen=True)
 class EstimateResult:
     params: MotionParams
-    pose: Pose
     final_energy: float
     iterations: int
     # "grad_tol" | "step_tol" | "energy_tol" | "no_descent" | "max_iter"
@@ -186,11 +182,11 @@ def estimate(rig: CameraRig, match_sets, prior: MotionParams,
 
     termination = None if len(x) else "grad_tol"
     iterations = 0
-    lam = opts.damping_init
+    lam = DAMPING_INIT
     while termination is None and iterations < opts.max_iterations:
         iterations += 1
         JTz = J.T @ z
-        if 2.0 * np.abs(JTz).max() <= opts.gradient_tolerance:
+        if 2.0 * np.abs(JTz).max() <= GRADIENT_TOL:
             termination = "grad_tol"
             break
         JTJ = J.T @ J
@@ -216,7 +212,7 @@ def estimate(rig: CameraRig, match_sets, prior: MotionParams,
                 z, J, raw, skipped, energy = t_state
                 lam = max(lam / 3.0, 1e-15)
                 termination = None
-                if np.linalg.norm(step) <= opts.step_tolerance:
+                if np.linalg.norm(step) <= STEP_TOL:
                     termination = "step_tol"
                 elif small_decrease:
                     termination = "energy_tol"
@@ -235,10 +231,10 @@ def estimate(rig: CameraRig, match_sets, prior: MotionParams,
             params, rig, match_sets, loss, metric):
         note = "scale_unobservable"
 
-    return EstimateResult(params=params, pose=pose_from_params(params),
-                          final_energy=energy, iterations=iterations,
-                          termination=termination, residuals=raw,
-                          skipped_matches=skipped, condition_note=note)
+    return EstimateResult(params=params, final_energy=energy,
+                          iterations=iterations, termination=termination,
+                          residuals=raw, skipped_matches=skipped,
+                          condition_note=note)
 
 
 @dataclass(frozen=True)
@@ -257,9 +253,14 @@ class Landscape:
     degenerate: np.ndarray        # boolean mask, same shape
 
     def argmin(self):
-        flat = np.where(self.degenerate, np.inf, self.energies)
-        i, j = np.unravel_index(int(np.argmin(flat)), flat.shape)
-        return i, j
+        """(i, j) of the lowest non-degenerate cell, as lowest_energy."""
+        gg, ll = np.meshgrid(self.yaw_values, self.arc_values, indexing="ij")
+        best = lowest_energy(np.stack([gg.ravel(), ll.ravel()], axis=1),
+                             np.where(self.degenerate, np.inf,
+                                      self.energies).ravel())
+        if best is None:
+            raise DegenerateTranslation("every landscape cell is degenerate")
+        return divmod(best, len(self.arc_values))
 
 
 def energy_landscape(rig, match_sets, grid: LandscapeGrid,

@@ -39,7 +39,6 @@ class ErrorBucket:
 class EvalReport:
     length_buckets: dict       # segment length -> ErrorBucket
     speed_buckets: dict        # speed bin lower edge (m/s) -> ErrorBucket
-    runtime_ms: list = field(default_factory=list)
 
     def mean_rotation(self, length):
         return self.length_buckets[length].mean_rotation

@@ -38,6 +38,8 @@ class Pose:
     def __post_init__(self):
         R = np.array(self.rotation, dtype=float).reshape(3, 3)
         t = np.array(self.translation, dtype=float).reshape(3)
+        if not (np.isfinite(R).all() and np.isfinite(t).all()):
+            raise ValueError("pose holds NaN or inf")
         if np.abs(R.T @ R - np.eye(3)).max() >= ORTHONORMALITY_TOL:
             raise ValueError("rotation is not orthonormal")
         if abs(np.linalg.det(R) - 1.0) >= ORTHONORMALITY_TOL:
@@ -70,14 +72,6 @@ class Pose:
         return (np.allclose(self.rotation, other.rotation, atol=atol, rtol=0.0)
                 and np.allclose(self.translation, other.translation,
                                 atol=atol, rtol=0.0))
-
-
-def compose(a: Pose, b: Pose) -> Pose:
-    return a.compose(b)
-
-
-def inverse(p: Pose) -> Pose:
-    return p.inverse()
 
 
 def skew(t) -> np.ndarray:
@@ -269,14 +263,6 @@ class GenericCamera:
             ok &= ((pixels[:, 0] >= 0) & (pixels[:, 0] <= w - 1)
                    & (pixels[:, 1] >= 0) & (pixels[:, 1] <= h - 1))
         return ok
-
-
-def bearing_from_pixel(model, pixel) -> np.ndarray:
-    return model.pixel_to_bearing(pixel)
-
-
-def project(model, point) -> np.ndarray:
-    return model.project(point)
 
 
 def _axis_rotation(angle, i: int, j: int) -> np.ndarray:

@@ -33,6 +33,18 @@ class NoRecords(Exception):
     pass
 
 
+def _reals(path, line, fields):
+    """The fields as floats; ParseError naming the line on a field that
+    is not a finite number."""
+    try:
+        values = [float(v) for v in fields]
+    except ValueError as exc:
+        raise ParseError(path, line, str(exc))
+    if not np.isfinite(values).all():
+        raise ParseError(path, line, "value is NaN or inf")
+    return values
+
+
 def _fmt(x: float) -> str:
     """Shortest decimal that round-trips the float exactly."""
     return repr(float(x))
@@ -54,23 +66,24 @@ def load_rig(path) -> CameraRig:
                     blocks.append({})
                 continue
             parts = line.split()
-            blocks[-1][parts[0]] = (parts[1:], lineno)
+            blocks[-1][parts[0]] = (lineno, parts[1:])
     blocks = [b for b in blocks if b]
     if not blocks:
         raise ParseError(path, 0, "rig file defines no cameras")
     cameras = []
     for block in blocks:
         try:
-            cam_id = int(block["id"][0][0])
-            kind = block["model"][0][0]
-            ext_vals = [float(v) for v in block["extrinsic"][0]]
+            id_line, (cam_id, *_) = block["id"]
+            kind = block["model"][1][0]
+            ext_line, ext_fields = block["extrinsic"]
+            cam_id = int(cam_id)
         except KeyError as exc:
             raise ParseError(path, 0, f"camera block missing key {exc}")
         except ValueError as exc:
-            raise ParseError(path, 0, f"bad numeric field: {exc}")
+            raise ParseError(path, id_line, f"bad camera id: {exc}")
+        ext_vals = _reals(path, ext_line, ext_fields)
         if len(ext_vals) != 12:
-            raise ParseError(path, block["extrinsic"][1],
-                             "extrinsic needs 12 values")
+            raise ParseError(path, ext_line, "extrinsic needs 12 values")
         mat = np.array(ext_vals).reshape(3, 4)
         try:
             extrinsic = Pose(mat[:, :3], mat[:, 3])
@@ -78,18 +91,18 @@ def load_rig(path) -> CameraRig:
             raise CalibrationInvalid(str(exc))
         image_size = None
         if "image_size" in block:
-            image_size = tuple(float(v) for v in block["image_size"][0])
+            image_size = tuple(_reals(path, *block["image_size"]))
         if kind == "pinhole":
-            vals = [float(v) for v in block["intrinsics"][0]]
+            vals = _reals(path, *block["intrinsics"])
             if len(vals) not in (4, 5):
-                raise ParseError(path, block["intrinsics"][1],
+                raise ParseError(path, block["intrinsics"][0],
                                  "intrinsics needs fx fy cx cy [skew]")
             model = PinholeCamera(PinholeIntrinsics(*vals), image_size)
         elif kind == "generic":
-            table_path = block["table"][0][0]
+            table_path = block["table"][1][0]
             model = load_bearing_table(table_path, image_size)
         else:
-            raise ParseError(path, block["model"][1],
+            raise ParseError(path, block["model"][0],
                              f"unknown camera model {kind!r}")
         cameras.append(RigCamera(cam_id, model, extrinsic))
     try:
@@ -126,11 +139,14 @@ def load_bearing_table(path, image_size=None) -> GenericCamera:
         header = fh.readline().split()
         if len(header) != 6:
             raise ParseError(path, 1, "header needs u0 v0 du dv nu nv")
-        u0, v0, du, dv = map(float, header[:4])
+        u0, v0, du, dv = _reals(path, 1, header[:4])
         nu, nv = int(header[4]), int(header[5])
         data = np.loadtxt(fh)
     if data.shape != (nu * nv, 3):
         raise ParseError(path, 2, f"expected {nu * nv} bearing rows")
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if len(bad):
+        raise ParseError(path, 2 + int(bad[0]), "value is NaN or inf")
     return GenericCamera(u0, v0, du, dv, data.reshape(nv, nu, 3), image_size)
 
 
@@ -151,8 +167,7 @@ class FramePairRecord:
 def load_matches(path):
     """Match CSV with header t0,t1,camera_id,u0,v0,u1,v1; one line per
     match, records grouped by (t0, t1) in strictly increasing t0 order."""
-    rows = {}
-    order = []
+    rows = {}     # (t0, t1) -> camera_id -> quads, in order of appearance
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -168,14 +183,11 @@ def load_matches(path):
                 u0, v0, u1, v1 = map(float, row[3:])
             except ValueError as exc:
                 raise ParseError(path, lineno, str(exc))
-            key = (t0, t1)
-            if key not in rows:
-                rows[key] = {}
-                order.append(key)
-            rows[key].setdefault(cam, []).append((u0, v0, u1, v1))
+            rows.setdefault((t0, t1), {}).setdefault(cam, []).append(
+                (u0, v0, u1, v1))
     records = []
     last_t0 = None
-    for t0, t1 in order:
+    for t0, t1 in rows:
         if last_t0 is not None and t0 <= last_t0:
             raise NonMonotoneFrames(
                 f"frame index {t0} does not increase past {last_t0}")
@@ -183,6 +195,11 @@ def load_matches(path):
         pixels = {}
         for cam, quads in rows[(t0, t1)].items():
             arr = np.array(quads)
+            if not np.isfinite(arr).all():
+                # rare: parse again row by row to name the first such line
+                with open(path, newline="", encoding="utf-8") as fh:
+                    for lineno, row in enumerate(list(csv.reader(fh))[1:], 2):
+                        _reals(path, lineno, row[3:])
             pixels[cam] = (arr[:, :2], arr[:, 2:])
         records.append(FramePairRecord(t0, t1, pixels))
     return records
@@ -257,12 +274,8 @@ def load_scale(path):
     values = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                values.append(float(line))
-            except ValueError as exc:
-                raise ParseError(path, lineno, str(exc))
+            if line.strip():
+                values.extend(_reals(path, lineno, [line]))
     return values
 
 
@@ -297,7 +310,8 @@ class Scenario:
     sequence: SequenceProfile | None = None
 
 
-def _parse_keyvalues(path):
+def parse_keyvalues(path):
+    """`key = value` lines ('#' starts a comment) -> {key: (value, line)}."""
     values = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, rawline in enumerate(fh, 1):
@@ -316,16 +330,18 @@ def load_scenario(path) -> Scenario:
     file), seed, scene.*, noise.*, truth.*, sequence.segments."""
     import os
 
-    raw = _parse_keyvalues(path)
+    raw = parse_keyvalues(path)
 
     def take(key, default=None, cast=float):
-        if key in raw:
-            val, lineno = raw[key]
-            try:
-                return cast(val)
-            except ValueError as exc:
-                raise ParseError(path, lineno, str(exc))
-        return default
+        if key not in raw:
+            return default
+        val, lineno = raw[key]
+        if cast is float:
+            return _reals(path, lineno, [val])[0]
+        try:
+            return cast(val)
+        except ValueError as exc:
+            raise ParseError(path, lineno, str(exc))
 
     seed = take("seed", 0, int)
     scene = SceneSpec(
@@ -360,7 +376,7 @@ def load_scenario(path) -> Scenario:
         for item in val.split(","):
             try:
                 count, yaw = item.split(":")
-                segments.append((int(count), float(yaw)))
+                segments.append((int(count), _reals(path, lineno, [yaw])[0]))
             except ValueError as exc:
                 raise ParseError(path, lineno, str(exc))
         sequence = SequenceProfile(tuple(segments))

@@ -15,10 +15,6 @@ import numpy as np
 DEGENERACY_EPS = 1e-12
 
 
-class EpipoleDegenerate(Exception):
-    """A point maps onto the epipole; its residual is undefined."""
-
-
 class NonFiniteMatch(ValueError):
     """A pixel or bearing array holds NaN or inf."""
 
@@ -66,23 +62,6 @@ class RobustLoss:
         return value, deriv
 
 
-def robust_loss_eval(loss: RobustLoss, squared_residual: float):
-    if squared_residual < 0:
-        raise ValueError("squared residual must be nonnegative")
-    value, deriv = loss.evaluate(np.float64(squared_residual))
-    return float(value), float(deriv)
-
-
-@dataclass(frozen=True)
-class FeatureMatch:
-    """One feature tracked between the two frames of a pair."""
-
-    pixel_t0: np.ndarray
-    pixel_t1: np.ndarray
-    bearing_t0: np.ndarray
-    bearing_t1: np.ndarray
-
-
 @dataclass(frozen=True)
 class MatchSet:
     """All matches of one camera for a frame pair, stored columnar."""
@@ -94,39 +73,25 @@ class MatchSet:
     bearings_t1: np.ndarray
 
     def __post_init__(self):
-        p0 = np.atleast_2d(np.asarray(self.pixels_t0, dtype=float))
-        p1 = np.atleast_2d(np.asarray(self.pixels_t1, dtype=float))
-        b0 = np.atleast_2d(np.asarray(self.bearings_t0, dtype=float))
-        b1 = np.atleast_2d(np.asarray(self.bearings_t1, dtype=float))
+        arrays = {name: np.atleast_2d(np.asarray(getattr(self, name), float))
+                  for name in ("pixels_t0", "pixels_t1", "bearings_t0",
+                               "bearings_t1")}
+        p0, p1, b0, b1 = arrays.values()
         n = len(p0)
         if not (len(p1) == len(b0) == len(b1) == n):
             raise ValueError("match arrays must have equal length")
-        for name, arr in (("pixels_t0", p0), ("pixels_t1", p1),
-                          ("bearings_t0", b0), ("bearings_t1", b1)):
+        for name, arr in arrays.items():
             if not np.isfinite(arr).all():
                 raise NonFiniteMatch(f"{name} holds NaN or inf")
         if n and (np.abs(np.linalg.norm(b0, axis=1) - 1.0).max() > 1e-9
                   or np.abs(np.linalg.norm(b1, axis=1) - 1.0).max() > 1e-9):
             raise ValueError("bearings must be unit norm")
-        for name, arr in (("pixels_t0", p0), ("pixels_t1", p1),
-                          ("bearings_t0", b0), ("bearings_t1", b1)):
+        for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     def __len__(self):
         return len(self.pixels_t0)
-
-    @classmethod
-    def from_matches(cls, camera_id: int, matches, model=None) -> "MatchSet":
-        p0 = np.array([m.pixel_t0 for m in matches], dtype=float).reshape(-1, 2)
-        p1 = np.array([m.pixel_t1 for m in matches], dtype=float).reshape(-1, 2)
-        b0 = np.array([m.bearing_t0 for m in matches], dtype=float).reshape(-1, 3)
-        b1 = np.array([m.bearing_t1 for m in matches], dtype=float).reshape(-1, 3)
-        if model is not None and len(matches):
-            if (np.abs(model.pixel_to_bearing(p0) - b0).max() > 1e-9
-                    or np.abs(model.pixel_to_bearing(p1) - b1).max() > 1e-9):
-                raise ValueError("bearings do not match the camera model")
-        return cls(camera_id, p0, p1, b0, b1)
 
     @classmethod
     def from_pixels(cls, camera_id: int, model, pixels_t0, pixels_t1) -> "MatchSet":
@@ -147,17 +112,6 @@ class MatchSet:
 def _lift(pixels: np.ndarray) -> np.ndarray:
     pixels = np.atleast_2d(np.asarray(pixels, dtype=float))
     return np.hstack([pixels, np.ones((len(pixels), 1))])
-
-
-def epipolar_line_distance(f: np.ndarray, x0, x1) -> float:
-    """Signed pixel distance of x1 to the epipolar line of x0."""
-    h0 = _lift(x0)[0]
-    h1 = _lift(x1)[0]
-    line = f @ h0
-    den = np.hypot(line[0], line[1])
-    if den < DEGENERACY_EPS:
-        raise EpipoleDegenerate("point maps to the epipole")
-    return float(h1 @ line / den)
 
 
 def geoline_residuals(f: np.ndarray, s: MatchSet, d_f=None):
@@ -195,26 +149,6 @@ def _planar_dot(lines, d_lines):
     return np.einsum("...ij,...pij->...pi", lines[..., :2], d_lines[..., :2])
 
 
-def geoline_energy(f: np.ndarray, s: MatchSet, loss: RobustLoss) -> float:
-    """Robustified symmetric epipolar line energy; degenerate matches are
-    skipped."""
-    d1, d0, valid = geoline_residuals(f, s)
-    squared = d1[valid] ** 2 + d0[valid] ** 2
-    value, _ = loss.evaluate(squared)
-    return float(np.sum(value))
-
-
-def angleplane_residual(e: np.ndarray, b0, b1) -> float:
-    """Signed sine of the angle between b1 and the epipolar plane of b0."""
-    b0 = np.asarray(b0, dtype=float).reshape(3)
-    b1 = np.asarray(b1, dtype=float).reshape(3)
-    normal = e @ b0
-    norm = np.linalg.norm(normal)
-    if norm < DEGENERACY_EPS:
-        raise EpipoleDegenerate("bearing maps to the epipole")
-    return float(b1 @ normal / norm)
-
-
 def angleplane_residuals(e: np.ndarray, s: MatchSet, d_e=None):
     """Per-match signed plane-angle residuals and a validity mask. For
     stacked matrices e (..., 3, 3) both outputs have shape (..., n). Given
@@ -234,9 +168,3 @@ def angleplane_residuals(e: np.ndarray, s: MatchSet, d_e=None):
            - r[..., None, :] * np.einsum("...ij,...pij->...pi", unit,
                                          d_normals)) / norms[..., None, :]
     return r, valid, d_r
-
-
-def angleplane_energy(e: np.ndarray, s: MatchSet, loss: RobustLoss) -> float:
-    r, valid = angleplane_residuals(e, s)
-    value, _ = loss.evaluate(r[valid] ** 2)
-    return float(np.sum(value))

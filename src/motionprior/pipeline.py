@@ -27,8 +27,10 @@ class FixedScale:
     values: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "values",
-                           tuple(float(v) for v in self.values))
+        values = tuple(float(v) for v in self.values)
+        if not np.isfinite(values).all():
+            raise ValueError("scale values must be finite")
+        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)

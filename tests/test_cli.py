@@ -171,6 +171,42 @@ class TestEstimate:
         assert capsys.readouterr().err
 
 
+class TestNonFiniteInput:
+    def estimate(self, ws):
+        return run_cli(["estimate", "--rig", str(ws / "rig.txt"),
+                        "--matches", str(ws / "matches.csv"),
+                        "--scale", str(ws / "scale.txt"),
+                        "--out-trajectory", str(ws / "est.txt")])
+
+    def test_nan_in_scale_file(self, workspace, capsys):
+        simulate(workspace)
+        scale = workspace / "scale.txt"
+        lines = scale.read_text().splitlines()
+        lines[1] = "nan"
+        scale.write_text("\n".join(lines) + "\n")
+        assert self.estimate(workspace) == EXIT_DATA
+        assert f"{scale}:2:" in capsys.readouterr().err
+        assert not (workspace / "est.txt").exists()
+
+    def test_nan_in_rig_extrinsic(self, workspace, capsys):
+        simulate(workspace)
+        rig = workspace / "rig.txt"
+        rig.write_text(RIG_TEXT.replace("-0.8", "nan"))
+        assert self.estimate(workspace) == EXIT_DATA
+        assert f"{rig}:11:" in capsys.readouterr().err
+
+    def test_nan_in_trajectory(self, workspace, capsys):
+        simulate(workspace)
+        gt = workspace / "gt.txt"
+        lines = gt.read_text().splitlines()
+        lines[3] = " ".join(["nan"] + lines[3].split()[1:])
+        (workspace / "est.txt").write_text("\n".join(lines) + "\n")
+        code = run_cli(["eval", "--est", str(workspace / "est.txt"),
+                        "--gt", str(gt), "--lengths", "1"])
+        assert code == EXIT_DATA
+        assert "est.txt:4:" in capsys.readouterr().err
+
+
 class TestLandscape:
     def test_scenario_grid(self, workspace):
         code = run_cli(["landscape", "--scenario",
@@ -232,6 +268,14 @@ class TestConfigAndEnv:
                         "--scale", str(workspace / "scale.txt"),
                         "--out-trajectory", str(workspace / "est.txt")])
         assert code == EXIT_OK
+
+    def test_bad_config_line_names_its_line(self, workspace, capsys):
+        cfg = workspace / "flags.cfg"
+        cfg.write_text("loss = huber\nbogus line\n")
+        code = run_cli(["--config", str(cfg), "eval", "--est", "a.txt",
+                        "--gt", "b.txt"])
+        assert code == EXIT_DATA
+        assert f"{cfg}:2: expected key = value" in capsys.readouterr().err
 
     def test_explicit_flag_beats_config(self, workspace):
         simulate(workspace)

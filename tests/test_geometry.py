@@ -3,11 +3,11 @@ import pytest
 
 from motionprior.geometry import (BehindCamera, DegenerateTranslation,
                                   GenericCamera, OutOfDomain, PinholeCamera,
-                                  PinholeIntrinsics, Pose, compose,
+                                  PinholeIntrinsics, Pose,
                                   essential_from_motion,
                                   forward_camera_extrinsic,
-                                  fundamental_from_essential, inverse,
-                                  project, rotation_z, skew)
+                                  fundamental_from_essential, rotation_z,
+                                  skew)
 
 
 def random_pose(rng):
@@ -23,35 +23,44 @@ class TestPose:
     def test_identity_compose(self):
         rng = np.random.Generator(np.random.PCG64(1))
         p = random_pose(rng)
-        assert compose(Pose.identity(), p).isclose(p)
-        assert compose(p, Pose.identity()).isclose(p)
+        assert Pose.identity().compose(p).isclose(p)
+        assert p.compose(Pose.identity()).isclose(p)
 
     def test_compose_inverse_is_identity(self):
         rng = np.random.Generator(np.random.PCG64(2))
         for _ in range(50):
             p = random_pose(rng)
-            assert compose(p, inverse(p)).isclose(Pose.identity(), atol=1e-12)
+            assert p.compose(p.inverse()).isclose(Pose.identity(), atol=1e-12)
 
     def test_rotation_group(self):
         quarter = Pose(rotation_z(np.pi / 2), np.zeros(3))
-        half = compose(quarter, quarter)
+        half = quarter.compose(quarter)
         assert half.isclose(Pose(rotation_z(np.pi), np.zeros(3)), atol=1e-15)
 
     def test_inverse_examples(self):
-        assert inverse(Pose.identity()).isclose(Pose.identity())
+        assert Pose.identity().inverse().isclose(Pose.identity())
         p = Pose(np.eye(3), [1, 2, 3])
-        assert np.allclose(inverse(p).translation, [-1, -2, -3])
+        assert np.allclose(p.inverse().translation, [-1, -2, -3])
 
     def test_inverse_involution(self):
         rng = np.random.Generator(np.random.PCG64(3))
         p = random_pose(rng)
-        assert inverse(inverse(p)).isclose(p, atol=1e-12)
+        assert p.inverse().inverse().isclose(p, atol=1e-12)
 
     def test_compose_applies_right_first(self):
         rng = np.random.Generator(np.random.PCG64(4))
         a, b = random_pose(rng), random_pose(rng)
         point = rng.normal(size=3)
-        assert np.allclose(compose(a, b).apply(point), a.apply(b.apply(point)))
+        assert np.allclose(a.compose(b).apply(point), a.apply(b.apply(point)))
+
+    @pytest.mark.parametrize("rotation, translation", [
+        (np.where(np.eye(3) == 1, np.nan, 0.0), np.zeros(3)),
+        (np.eye(3), [0.0, np.nan, 0.0]),
+        (np.eye(3), [np.inf, 0.0, 0.0]),
+    ])
+    def test_rejects_non_finite(self, rotation, translation):
+        with pytest.raises(ValueError, match="NaN or inf"):
+            Pose(rotation, translation)
 
     def test_rejects_bad_rotation(self):
         with pytest.raises(ValueError):
@@ -213,9 +222,3 @@ def test_forward_camera_extrinsic_axes():
     # camera y (image down) points along vehicle -z
     assert np.allclose(ext.rotation @ [0, 1, 0], [0, 0, -1])
 
-
-def test_module_level_helpers():
-    cam = PinholeCamera(PinholeIntrinsics(1, 1, 0, 0))
-    from motionprior.geometry import bearing_from_pixel
-    assert np.allclose(bearing_from_pixel(cam, [0.0, 0.0]), [0, 0, 1])
-    assert np.allclose(project(cam, [0.0, 0.0, 2.0]), [0, 0])

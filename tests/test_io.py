@@ -6,7 +6,8 @@ from motionprior.geometry import (PinholeCamera, PinholeIntrinsics, Pose,
 from motionprior.io_formats import (CalibrationInvalid, FramePairRecord,
                                     NonMonotoneFrames, ParseError,
                                     SequenceProfile, TrajectoryRecord,
-                                    load_matches, load_rig, load_scale,
+                                    load_bearing_table, load_matches,
+                                    load_rig, load_scale,
                                     load_scenario, load_trajectory,
                                     write_matches, write_rig, write_scale,
                                     write_trajectory)
@@ -69,6 +70,39 @@ class TestRigFiles:
         with pytest.raises(CalibrationInvalid):
             load_rig(p)
 
+    @pytest.mark.parametrize("text, line", [
+        ("id 0\nmodel pinhole\nintrinsics 1 1 0 0\n"
+         "extrinsic 1 0 0 nan 0 1 0 0 0 0 1 0\n", 4),
+        ("id 0\nmodel pinhole\nintrinsics 1 1 0 0\n"
+         "extrinsic 1 0 0 0 0 1 0 -inf 0 0 1 0\n", 4),
+        ("id 0\nmodel pinhole\nintrinsics 1 inf 0 0\n"
+         "extrinsic 1 0 0 0 0 1 0 0 0 0 1 0\n", 3),
+        ("id 0\nmodel pinhole\nintrinsics 1 1 0 0\nimage_size nan 10\n"
+         "extrinsic 1 0 0 0 0 1 0 0 0 0 1 0\n", 4),
+        ("id 0\nmodel pinhole\nintrinsics 1 1 0 0\n"
+         "extrinsic 1 0 0 0 0 1 0 0 0 0 1 oops\n", 4),
+        ("model pinhole\nid zero\nintrinsics 1 1 0 0\n"
+         "extrinsic 1 0 0 0 0 1 0 0 0 0 1 0\n", 2),
+    ], ids=["extrinsic-nan", "extrinsic-inf", "intrinsics-inf",
+            "image-size-nan", "extrinsic-word", "id-word"])
+    def test_bad_number_reports_line(self, tmp_path, text, line):
+        p = tmp_path / "rig.txt"
+        p.write_text(text)
+        with pytest.raises(ParseError) as err:
+            load_rig(p)
+        assert err.value.line == line
+
+    def test_non_finite_bearing_table_reports_line(self, tmp_path):
+        p = tmp_path / "table.txt"
+        p.write_text("0 0 1 1 2 1\n0 0 1\n0.1 0 nan\n")
+        with pytest.raises(ParseError) as err:
+            load_bearing_table(p)
+        assert err.value.line == 3
+        p.write_text("0 inf 1 1 2 1\n0 0 1\n0.1 0 1\n")
+        with pytest.raises(ParseError) as err:
+            load_bearing_table(p)
+        assert err.value.line == 1
+
     def test_duplicate_ids(self, tmp_path):
         block = ("id 0\nmodel pinhole\nintrinsics 1 1 0 0\n"
                  "extrinsic 1 0 0 0 0 1 0 0 0 0 1 0\n")
@@ -130,6 +164,17 @@ class TestMatchFiles:
             load_matches(p)
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_reports_line(self, tmp_path, value):
+        p = tmp_path / "matches.csv"
+        p.write_text("t0,t1,camera_id,u0,v0,u1,v1\n"
+                     "0,1,0,1,2,3,4\n"
+                     "1,2,0,1,2,3,4\n"
+                     f"1,2,0,1,2,{value},4\n")
+        with pytest.raises(ParseError) as err:
+            load_matches(p)
+        assert err.value.line == 4
+
     def test_match_count(self):
         rec = self.make_records()[0]
         assert rec.match_count() == 10
@@ -169,6 +214,15 @@ class TestTrajectoryFiles:
         with pytest.raises(ParseError):
             load_trajectory(p)
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_value_reports_line(self, tmp_path, value):
+        p = tmp_path / "traj.txt"
+        p.write_text("1 0 0 0 0 1 0 0 0 0 1 0\n"
+                     f"1 0 0 {value} 0 1 0 0 0 0 1 0\n")
+        with pytest.raises(ParseError) as err:
+            load_trajectory(p)
+        assert err.value.line == 2
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "traj.txt"
         p.write_text("")
@@ -188,6 +242,14 @@ class TestScaleFiles:
         p.write_text("1.0\nnope\n")
         with pytest.raises(ParseError):
             load_scale(p)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_value_reports_line(self, tmp_path, value):
+        p = tmp_path / "scale.txt"
+        p.write_text(f"1.0\n{value}\n1.0\n")
+        with pytest.raises(ParseError) as err:
+            load_scale(p)
+        assert err.value.line == 2
 
 
 class TestScenarioFiles:
@@ -239,6 +301,13 @@ class TestScenarioFiles:
         p.write_text("rig = rig.txt\nthis is not key value\n")
         with pytest.raises(ParseError):
             load_scenario(p)
+
+    @pytest.mark.parametrize("extra", ["truth.arc_length = nan\n",
+                                       "sequence.segments = 3:0.0, 4:inf\n"])
+    def test_non_finite_value_reports_line(self, tmp_path, extra):
+        with pytest.raises(ParseError) as err:
+            load_scenario(self.write_scenario(tmp_path, extra))
+        assert err.value.line == 11
 
 
 def test_sequence_profile_yaw_per_frame():

@@ -73,6 +73,11 @@ class TestRunSequence:
         with pytest.raises(ValueError):
             run_sequence(RIG1, records, FixedScale([1.0]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_fixed_scale_rejects_non_finite(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            FixedScale([1.0, value])
+
     def test_empty_records(self):
         with pytest.raises(NoRecords):
             run_sequence(RIG1, [], FixedScale([]))
