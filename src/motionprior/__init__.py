@@ -7,12 +7,11 @@ for one or many rigidly mounted cameras without overlapping fields of view.
 from .estimator import (EstimateResult, EstimatorOptions, GridSpec,
                         Landscape, LandscapeGrid, NoMatches,
                         classify_inliers, energy_landscape, estimate,
-                        internal_gradient, numeric_gradient)
+                        internal_gradient)
 from .evaluation import EvalReport, TrajectoryTooShort, evaluate
 from .geometry import (BehindCamera, DegenerateTranslation, GenericCamera,
                        GeometryError, OutOfDomain, PinholeCamera,
-                       PinholeIntrinsics, Pose, essential_from_motion,
-                       forward_camera_extrinsic, fundamental_from_essential,
+                       PinholeIntrinsics, Pose, forward_camera_extrinsic,
                        skew)
 from .io_formats import (CalibrationInvalid, FramePairRecord,
                          NonMonotoneFrames, NoRecords, ParseError, Scenario,
@@ -21,11 +20,10 @@ from .io_formats import (CalibrationInvalid, FramePairRecord,
                          write_matches, write_rig, write_scale,
                          write_trajectory)
 from .manifold import (CameraRig, DimensionMismatch, MotionParams, RigCamera,
-                       camera_point_transform, conjugate_to_camera,
                        multi_camera_energy, pack_free, pose_from_params,
                        unpack_free)
-from .metrics import (MatchSet, MetricKind, NonFiniteMatch, RobustLoss,
-                      angleplane_residuals, geoline_residuals)
+from .metrics import (MatchSet, MetricKind, NonFiniteMatch, RigFrame,
+                      RobustLoss, angleplane_residuals, geoline_residuals)
 from .pipeline import (FixedScale, FrameOutcome, FreeInCurves,
                        match_sets_from_record, run_sequence,
                        simulate_sequence)

@@ -22,7 +22,7 @@ from .geometry import DegenerateTranslation
 from .manifold import (CameraRig, MotionParams, free_rows, lowest_energy,
                        multi_camera_energy, pack_free, params_rows,
                        rig_residuals, unpack_free)
-from .metrics import MetricKind, RobustLoss
+from .metrics import MetricKind, RigFrame, RobustLoss
 
 FEW_MATCHES_THRESHOLD = 8
 SCALE_CURVATURE_REL_TOL = 1e-9
@@ -91,14 +91,14 @@ class EstimateResult:
         return self.termination in CONVERGED_TERMINATIONS
 
 
-def _solver_state(p: MotionParams, rig, match_sets, loss, metric):
+def _solver_state(p: MotionParams, frame: RigFrame, loss):
     """IRLS residual vector z = sqrt(rho') r and its Jacobian
     J = sqrt(rho') dr/dx over the free fields (2 J^T z is the gradient of
     the robust energy), the signed raw residual per match (NaN for
     skipped), the skip count and the robust energy at one manifold point.
     Raises DegenerateTranslation when no populated camera translates."""
-    components, valid, usable, jac = rig_residuals(
-        params_rows(p), rig, match_sets, metric, p.free)
+    components, valid, usable, jac = rig_residuals(params_rows(p), frame,
+                                                   p.free)
     if not usable[0]:
         raise DegenerateTranslation(
             "all per-camera motions have zero translation")
@@ -116,26 +116,9 @@ def internal_gradient(rig, match_sets, p: MotionParams, loss: RobustLoss,
                       metric: MetricKind) -> np.ndarray:
     """Gradient of the robust energy from the solver's closed-form
     Jacobian: 2 J^T z."""
-    z, J = _solver_state(p, rig, match_sets, loss, metric)[:2]
+    frame = RigFrame.from_matches(rig, match_sets, metric)
+    z, J = _solver_state(p, frame, loss)[:2]
     return 2.0 * J.T @ z
-
-
-def numeric_gradient(rig, match_sets, p: MotionParams, loss: RobustLoss,
-                     metric: MetricKind, h: float) -> np.ndarray:
-    """Central differences of the multi-camera energy over free params."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    x = pack_free(p)
-    grad = np.zeros(len(x))
-    for k in range(len(x)):
-        dx = np.zeros(len(x))
-        dx[k] = h
-        ep = multi_camera_energy(unpack_free(x + dx, p), rig, match_sets,
-                                 loss, metric)
-        em = multi_camera_energy(unpack_free(x - dx, p), rig, match_sets,
-                                 loss, metric)
-        grad[k] = (ep - em) / (2.0 * h)
-    return grad
 
 
 def _scale_observable(params, rig, match_sets, loss, metric):
@@ -164,6 +147,7 @@ def estimate(rig: CameraRig, match_sets, prior: MotionParams,
     if total_matches == 0:
         raise NoMatches("estimation needs at least one match")
     loss, metric = opts.loss, opts.metric
+    frame = RigFrame.from_matches(rig, match_sets, metric)
 
     start = prior
     if opts.fallback_grid is not None:
@@ -177,8 +161,7 @@ def estimate(rig: CameraRig, match_sets, prior: MotionParams,
 
     params = start
     x = pack_free(params)
-    z, J, raw, skipped, energy = _solver_state(params, rig, match_sets,
-                                               loss, metric)
+    z, J, raw, skipped, energy = _solver_state(params, frame, loss)
 
     termination = None if len(x) else "grad_tol"
     iterations = 0
@@ -200,7 +183,7 @@ def estimate(rig: CameraRig, match_sets, prior: MotionParams,
                 continue
             try:
                 trial = unpack_free(x + step, params)
-                t_state = _solver_state(trial, rig, match_sets, loss, metric)
+                t_state = _solver_state(trial, frame, loss)
             except (ValueError, DegenerateTranslation):
                 lam *= 10.0
                 continue

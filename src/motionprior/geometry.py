@@ -1,8 +1,9 @@
-"""Rigid transforms, camera models and epipolar matrix construction."""
+"""Rigid transforms and camera models."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,15 +83,6 @@ def skew(t) -> np.ndarray:
                      [-t[1], t[0], 0.0]])
 
 
-def essential_from_motion(m: Pose) -> np.ndarray:
-    """Essential matrix of the point transform carrying coordinates from
-    the first camera frame into the second: b1^T E b0 = 0."""
-    if np.linalg.norm(m.translation) < TRANSLATION_EPS:
-        raise DegenerateTranslation(
-            f"translation magnitude below {TRANSLATION_EPS}")
-    return skew(m.translation) @ m.rotation
-
-
 @dataclass(frozen=True)
 class PinholeIntrinsics:
     fx: float
@@ -109,15 +101,12 @@ class PinholeIntrinsics:
                          [0.0, self.fy, self.cy],
                          [0.0, 0.0, 1.0]])
 
-    @property
+    @cached_property
     def matrix_inv(self) -> np.ndarray:
-        return np.linalg.inv(self.matrix)
-
-
-def fundamental_from_essential(e: np.ndarray, k0: PinholeIntrinsics,
-                               k1: PinholeIntrinsics) -> np.ndarray:
-    """F = K1^-T E K0^-1, for pixel correspondences x1^T F x0 = 0."""
-    return k1.matrix_inv.T @ e @ k0.matrix_inv
+        """K^-1, computed once per instance (read-only)."""
+        inv = np.linalg.inv(self.matrix)
+        inv.setflags(write=False)
+        return inv
 
 
 class PinholeCamera:

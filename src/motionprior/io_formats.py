@@ -8,11 +8,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (GenericCamera, PinholeCamera, PinholeIntrinsics, Pose)
+from .geometry import (ORTHONORMALITY_TOL, GenericCamera, PinholeCamera,
+                       PinholeIntrinsics, Pose)
 from .manifold import CameraRig, MotionParams, RigCamera
 from .simulate import NoiseSpec, SceneSpec
 
 MATCH_HEADER = ["t0", "t1", "camera_id", "u0", "v0", "u1", "v1"]
+
+# Trajectory rotations with max|R^T R - I| in [ORTHONORMALITY_TOL, this]
+# are projected onto SO(3) on load: KITTI's %e poses (7 significant
+# digits) miss by a few 1e-7
+ROTATION_PROJECTION_TOL = 1e-5
 
 
 class ParseError(Exception):
@@ -66,6 +72,8 @@ def load_rig(path) -> CameraRig:
                     blocks.append({})
                 continue
             parts = line.split()
+            if len(parts) < 2:
+                raise ParseError(path, lineno, f"{parts[0]} needs a value")
             blocks[-1][parts[0]] = (lineno, parts[1:])
     blocks = [b for b in blocks if b]
     if not blocks:
@@ -92,6 +100,9 @@ def load_rig(path) -> CameraRig:
         image_size = None
         if "image_size" in block:
             image_size = tuple(_reals(path, *block["image_size"]))
+            if len(image_size) != 2:
+                raise ParseError(path, block["image_size"][0],
+                                 "image_size needs w h")
         if kind == "pinhole":
             vals = _reals(path, *block["intrinsics"])
             if len(vals) not in (4, 5):
@@ -99,6 +110,9 @@ def load_rig(path) -> CameraRig:
                                  "intrinsics needs fx fy cx cy [skew]")
             model = PinholeCamera(PinholeIntrinsics(*vals), image_size)
         elif kind == "generic":
+            if "table" not in block:
+                raise ParseError(path, block["model"][0],
+                                 "generic camera needs a table line")
             table_path = block["table"][1][0]
             model = load_bearing_table(table_path, image_size)
         else:
@@ -250,6 +264,18 @@ def write_trajectory(trajectory: TrajectoryRecord, path):
             fh.write("\n")
 
 
+def _rotation_on_load(rot: np.ndarray) -> np.ndarray:
+    """A read rotation, projected onto SO(3) by SVD when det > 0 and its
+    orthonormality error lies in [ORTHONORMALITY_TOL,
+    ROTATION_PROJECTION_TOL]; otherwise as read, for Pose to check."""
+    error = np.abs(rot.T @ rot - np.eye(3)).max()
+    if ORTHONORMALITY_TOL <= error <= ROTATION_PROJECTION_TOL and \
+            np.linalg.det(rot) > 0:
+        u, _, vt = np.linalg.svd(rot)
+        return u @ vt
+    return rot
+
+
 def load_trajectory(path) -> TrajectoryRecord:
     poses = []
     with open(path, encoding="utf-8") as fh:
@@ -261,7 +287,7 @@ def load_trajectory(path) -> TrajectoryRecord:
                 raise ParseError(path, lineno, "expected 12 values per line")
             try:
                 mat = np.array([float(v) for v in vals]).reshape(3, 4)
-                poses.append(Pose(mat[:, :3], mat[:, 3]))
+                poses.append(Pose(_rotation_on_load(mat[:, :3]), mat[:, 3]))
             except ValueError as exc:
                 raise ParseError(path, lineno, str(exc))
     if not poses:

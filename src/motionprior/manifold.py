@@ -1,5 +1,7 @@
-"""Single-track motion manifold, camera-frame conjugation and the
-multi-camera energy."""
+"""Single-track motion manifold, the rig-frame residual kernel and the
+multi-camera energy. All cameras share one vehicle motion (R, t); in the
+vehicle frame a camera with lever arm te sees it only through
+M = [u]x R^T, u = R^T (te - t) - te, computed for all cameras at once."""
 
 from __future__ import annotations
 
@@ -8,9 +10,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geometry import (TRANSLATION_EPS, DegenerateTranslation, Pose,
-                       fundamental_from_essential, rotation_x, rotation_y,
-                       rotation_z, skew)
-from .metrics import (MetricKind, RobustLoss, angleplane_residuals,
+                       rotation_x, rotation_y, rotation_z, skew)
+from .metrics import (MetricKind, RigFrame, RobustLoss, angleplane_residuals,
                       geoline_residuals)
 
 PARAM_FIELDS = ("yaw", "arc_length", "pitch", "roll")
@@ -140,11 +141,6 @@ def pose_from_params(p: MotionParams) -> Pose:
     return Pose(rot[0], t[0])
 
 
-def conjugate_to_camera(motion: Pose, extrinsic: Pose) -> Pose:
-    """Propagate a motion-center motion to a camera mounted at `extrinsic`."""
-    return extrinsic.inverse().compose(motion).compose(extrinsic)
-
-
 @dataclass(frozen=True)
 class RigCamera:
     camera_id: int
@@ -172,79 +168,46 @@ class CameraRig:
         raise KeyError(f"no camera with id {camera_id}")
 
 
-def camera_point_transform(motion: Pose, extrinsic: Pose) -> Pose:
-    """Point transform (t0 camera coords -> t1 camera coords) feeding the
-    essential matrix for one camera."""
-    return conjugate_to_camera(motion, extrinsic).inverse()
+def _cross(u):
+    """Cross-product matrices (..., 3, 3) of vectors u (..., 3)."""
+    return (u @ _SKEW).reshape(u.shape[:-1] + (3, 3))
 
 
-def camera_essentials(rotations, translations, extrinsic: Pose,
-                      d_rot=None, d_t=None):
-    """Essentials (K, 3, 3) of one camera for K vehicle motions, and the
-    (K,) mask of rows whose camera translation is at least TRANSLATION_EPS.
-    E = Re^T [u]x R^T Re, u = R^T (te - t) - te, is the essential of
-    camera_point_transform(motion, extrinsic), whose translation is Re^T u.
-    Given the motion derivatives d_rot (K, P, 3, 3) and d_t (K, P, 3) of
-    motion_arrays, also dE (K, P, 3, 3) =
-    Re^T ([du]x R^T + [u]x dR^T) Re with du = dR^T (te - t) - R^T dt."""
-    re, te = extrinsic.rotation, extrinsic.translation
-    rt = np.swapaxes(rotations, -1, -2)
-    u = (rt @ (te - translations)[..., None])[..., 0] - te
-    usable = np.einsum("...i,...i->...", u, u) >= TRANSLATION_EPS ** 2
-    u_cross = (u @ _SKEW).reshape(u.shape[:-1] + (3, 3))
-    e = re.T @ u_cross @ rt @ re
-    if d_rot is None:
-        return e, usable
-    d_rt = np.swapaxes(d_rot, -1, -2)
-    du = (np.einsum("kpij,kj->kpi", d_rt, te - translations)
-          - np.einsum("kij,kpj->kpi", rt, d_t))
-    du_cross = (du @ _SKEW).reshape(du.shape[:-1] + (3, 3))
-    d_e = re.T @ (du_cross @ rt[:, None] + u_cross[:, None] @ d_rt) @ re
-    return e, usable, d_e
-
-
-def rig_residuals(rows, rig: CameraRig, match_sets, metric: MetricKind,
-                  wrt=None):
+def rig_residuals(rows, frame: RigFrame, wrt=None):
     """The batched residual kernel at K manifold points (rows [yaw,
-    arc_length, pitch, roll]) over the N matches of all match sets, in
-    order. Returns components (K, N, c), the signed plane sine (c = 1) or
-    line distances d1, d0 (c = 2); valid (K, N), False on epipole-degenerate
-    matches and on cameras without translation at a row; and usable (K,),
-    False on rows where no populated camera translates. With `wrt`, a
-    tuple of P field names, also the components' derivatives over those
-    fields, (K, N, c, P), from the same pass."""
-    motion = motion_arrays(rows, wrt)
-    k_rows = len(motion[0])
-    c = 2 if metric is MetricKind.GEOLINE else 1
-    parts = [np.zeros((k_rows, 0, c))]
-    derivs = [np.zeros((k_rows, 0, c, len(wrt or ())))]
-    valid = [np.zeros((k_rows, 0), dtype=bool)]
-    usable = np.full(k_rows, not any(len(s) for s in match_sets))
-    for s in match_sets:
-        if len(s) == 0:
-            continue
-        cam = rig.camera(s.camera_id)
-        e, cam_usable, *d_e = camera_essentials(motion[0], motion[1],
-                                                cam.extrinsic, *motion[2:])
-        if metric is MetricKind.GEOLINE:
-            k = cam.model.intrinsics
-            f, *d_f = (fundamental_from_essential(m, k, k)
-                       for m in [e] + d_e)
-            d1, d0, ok, *d_d = geoline_residuals(f, s, *d_f)
-            parts.append(np.stack([d1, d0], axis=-1))
-        else:
-            r, ok, *d_d = angleplane_residuals(e, s, *d_e)
-            parts.append(r[..., None])
-        if wrt is not None:
-            # (K, P, n) per component -> (K, n, c, P)
-            derivs.append(np.stack(d_d, axis=-1).transpose(0, 2, 3, 1))
-        valid.append(ok & cam_usable[:, None])
-        usable |= cam_usable
-    out = (np.concatenate(parts, axis=1), np.concatenate(valid, axis=1),
-           usable)
+    arc_length, pitch, roll]) over the frame's N matches. Returns
+    components (K, N, c), the signed plane sine (c = 1) or line distances
+    d1, d0 (c = 2); valid (K, N), False on epipole-degenerate matches and
+    on cameras with |u| < TRANSLATION_EPS; and usable (K,), False on rows
+    where no camera translates. With `wrt`, a tuple of P field names, also
+    the components' derivatives (K, N, c, P), from
+    dM = [du]x R^T + [u]x dR^T, du = dR^T (te - t) - R^T dt."""
+    rot, t, *d_motion = motion_arrays(rows, wrt)
+    k_rows, cams = len(rot), len(frame.lever_arms)
+    arm = frame.lever_arms - t[:, None]                 # (K, C, 3)
+    u = arm @ rot - frame.lever_arms                     # R^T (te - t) - te
+    cam_usable = np.einsum("kci,kci->kc", u, u) >= TRANSLATION_EPS ** 2
+    rt = np.swapaxes(rot, -1, -2)[:, None]
+    m = (_cross(u) @ rt).reshape(k_rows, 9 * cams)
+    d_m = None
+    if wrt is not None:
+        d_rot, d_t = d_motion
+        du = arm[:, None] @ d_rot - (d_t @ rot)[:, :, None]
+        d_m = (_cross(du) @ rt[:, None] + _cross(u)[:, None]
+               @ np.swapaxes(d_rot, -1, -2)[:, :, None]).reshape(
+                   k_rows, len(wrt), 9 * cams)
+    if frame.metric is MetricKind.GEOLINE:
+        d1, d0, ok, *d_d = geoline_residuals(m, frame, d_m)
+        components = np.stack([d1, d0], axis=-1)
+    else:
+        r, ok, *d_d = angleplane_residuals(m, frame, d_m)
+        components = r[..., None]
+    out = (components, ok & cam_usable[:, frame.camera_index],
+           cam_usable.any(axis=1) | (cams == 0))
     if wrt is None:
         return out
-    return out + (np.concatenate(derivs, axis=1),)
+    # (K, P, N) per component -> (K, N, c, P)
+    return out + (np.stack(d_d, axis=-1).transpose(0, 2, 3, 1),)
 
 
 def multi_camera_energy(p, rig: CameraRig, match_sets, loss: RobustLoss,
@@ -256,11 +219,11 @@ def multi_camera_energy(p, rig: CameraRig, match_sets, loss: RobustLoss,
     translates; evaluated ENERGY_CHUNK matches at a time."""
     single = isinstance(p, MotionParams)
     rows = params_rows(p) if single else np.asarray(p, float).reshape(-1, 4)
-    step = max(1, ENERGY_CHUNK // max(1, sum(len(s) for s in match_sets)))
+    frame = RigFrame.from_matches(rig, match_sets, metric)
+    step = max(1, ENERGY_CHUNK // max(1, len(frame)))
     energies = np.empty(len(rows))
     for i in range(0, len(rows), step):
-        components, valid, usable = rig_residuals(rows[i:i + step], rig,
-                                                  match_sets, metric)
+        components, valid, usable = rig_residuals(rows[i:i + step], frame)
         rho, _ = loss.evaluate(np.sum(components ** 2, axis=-1))
         energies[i:i + step] = np.where(
             usable, np.sum(rho, axis=-1, where=valid), np.inf)

@@ -3,6 +3,11 @@
 Two metrics are provided: the symmetric pixel distance to epipolar lines
 (pinhole only) and the sine of the angle between a line of sight and its
 epipolar plane (any central camera model).
+
+Both are num / |vec| on rays in the vehicle frame, v = Re b (plane) or
+v = Re K^-1 x (line): v1^T M v0 over |M v0|, or over |(K^-T Re^T M v0)[:2]|
+and |(K^-T Re^T M^T v1)[:2]|, all linear in a camera's M (see manifold).
+A RigFrame holds these linear maps for all cameras of a frame pair.
 """
 
 from __future__ import annotations
@@ -12,7 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import PinholeCamera
+
 DEGENERACY_EPS = 1e-12
+
+# Design rows per match: row 0 holds the numerator, each slice the
+# divisor vector of one residual
+_PLANE_ROWS = (slice(1, 4),)                   # M v0
+_LINE_ROWS = (slice(1, 3), slice(3, 5))        # d1, then d0
 
 
 class NonFiniteMatch(ValueError):
@@ -103,68 +115,94 @@ class MatchSet:
         return cls(camera_id, p0, p1,
                    model.pixel_to_bearing(p0), model.pixel_to_bearing(p1))
 
-    def subset(self, index) -> "MatchSet":
-        return MatchSet(self.camera_id, self.pixels_t0[index],
-                        self.pixels_t1[index], self.bearings_t0[index],
-                        self.bearings_t1[index])
+
+@dataclass(frozen=True)
+class RigFrame:
+    """The N matches of the non-empty match sets, in order, for one
+    metric: design (9C, q N) maps the stacked vec M of their C cameras to
+    the q rows of each match (row j of match n is column j N + n);
+    camera_index (N,) holds a match's camera slot, lever_arms (C, 3) its te."""
+
+    metric: MetricKind
+    lever_arms: np.ndarray
+    camera_index: np.ndarray
+    design: np.ndarray
+
+    def __len__(self):
+        return len(self.camera_index)
+
+    @classmethod
+    def from_matches(cls, rig, match_sets, metric: MetricKind) -> "RigFrame":
+        """Raises ValueError for the line metric on a non-pinhole camera."""
+        sets = [s for s in match_sets if len(s)]
+        rows = _LINE_ROWS if metric is MetricKind.GEOLINE else _PLANE_ROWS
+        cams = [rig.camera(s.camera_id) for s in sets]
+        sizes = [len(s) for s in sets]
+        design = np.zeros((len(sets), 3, 3, rows[-1].stop, sum(sizes)))
+        end = 0
+        for c, (s, cam) in enumerate(zip(sets, cams)):
+            start, end = end, end + len(s)
+            block = design[c, ..., start:end]    # [i, j, row, match]: M_ij
+            if metric is MetricKind.GEOLINE:
+                if not isinstance(cam.model, PinholeCamera):
+                    raise ValueError(f"camera {s.camera_id}: the geoline "
+                                     "metric needs a pinhole camera")
+                lift = cam.extrinsic.rotation @ cam.model.intrinsics.matrix_inv
+                v0, v1 = (lift @ np.vstack([p.T, np.ones(len(s))])
+                          for p in (s.pixels_t0, s.pixels_t1))
+                image = lift[:, :2, None]          # [i, a]: (K^-T Re^T)_ai
+                # d1: image_ai v0_j; d0: image_aj v1_i
+                block[:, :, rows[0]] = image[:, None] * v0[None, :, None]
+                block[:, :, rows[1]] = v1[:, None, None] * image[None]
+            else:
+                v0, v1 = (cam.extrinsic.rotation @ b.T
+                          for b in (s.bearings_t0, s.bearings_t1))
+                for a in range(3):                    # (M v0)_a: M_aj v0_j
+                    block[a, :, rows[0].start + a] = v0
+            block[:, :, 0] = v1[:, None] * v0[None]    # v1^T M v0: v1_i v0_j
+        return cls(metric, np.reshape([c.extrinsic.translation
+                                       for c in cams], (-1, 3)),
+                   np.repeat(np.arange(len(sets)), sizes),
+                   design.reshape(9 * len(sets), rows[-1].stop * sum(sizes)))
 
 
-def _lift(pixels: np.ndarray) -> np.ndarray:
-    pixels = np.atleast_2d(np.asarray(pixels, dtype=float))
-    return np.hstack([pixels, np.ones((len(pixels), 1))])
+def _ratios(m, frame: RigFrame, d_m, rows):
+    """num / |vec| for each slice of divisor rows, at stacked vec M m
+    (..., 9C), and valid where |vec| >= DEGENERACY_EPS; with d_m
+    (..., P, 9C) also the ratio's derivatives (..., P, N)."""
+    shape = (rows[-1].stop, len(frame))
+    values = (m @ frame.design).reshape(m.shape[:-1] + shape)
+    if d_m is not None:
+        derivs = (d_m @ frame.design).reshape(d_m.shape[:-1] + shape)
+    out = []
+    for r in rows:
+        vec = values[..., r, :]
+        norm = np.sqrt(np.einsum("...in,...in->...n", vec, vec))
+        valid = norm >= DEGENERACY_EPS
+        norm = np.where(valid, norm, 1.0)
+        ratio = values[..., 0, :] / norm
+        if d_m is None:
+            out.append((ratio, valid))
+            continue
+        # d(num / |v|) = (d_num - (num / |v|) (v . dv) / |v|) / |v|
+        norm = norm[..., None, :]
+        out.append((ratio, valid, (derivs[..., 0, :] - ratio[..., None, :]
+                                   * np.einsum("...in,...pin->...pn", vec,
+                                               derivs[..., r, :])
+                                   / norm) / norm))
+    return out
 
 
-def geoline_residuals(f: np.ndarray, s: MatchSet, d_f=None):
-    """Per-match symmetric line distances (d1, d0) and a validity mask.
-    For stacked matrices f (..., 3, 3) each output has shape (..., n).
-    Given derivatives d_f (..., P, 3, 3) of f, also those of d1 and d0,
-    each (..., P, n)."""
-    h0 = _lift(s.pixels_t0)
-    h1 = _lift(s.pixels_t1)
-    line0 = h0 @ np.swapaxes(f, -1, -2)   # F x0, per row
-    line1 = h1 @ f                        # F^T x1, per row
-    den0 = np.hypot(line0[..., 0], line0[..., 1])
-    den1 = np.hypot(line1[..., 0], line1[..., 1])
-    valid = (den0 >= DEGENERACY_EPS) & (den1 >= DEGENERACY_EPS)
-    num = np.einsum("...ij,ij->...i", line0, h1)
-    den0 = np.where(valid, den0, 1.0)
-    den1 = np.where(valid, den1, 1.0)
-    d1 = num / den0
-    d0 = num / den1
-    if d_f is None:
-        return d1, d0, valid
-    d_line0 = h0 @ np.swapaxes(d_f, -1, -2)
-    d_line1 = h1 @ d_f
-    d_num = np.einsum("...ij,ij->...i", d_line0, h1)
-    # d(num / den) = (d_num - (num / den) d_den) / den, d_den = l . dl / den
-    dd1 = (d_num - d1[..., None, :] * _planar_dot(line0, d_line0)
-           / den0[..., None, :]) / den0[..., None, :]
-    dd0 = (d_num - d0[..., None, :] * _planar_dot(line1, d_line1)
-           / den1[..., None, :]) / den1[..., None, :]
-    return d1, d0, valid, dd1, dd0
+def geoline_residuals(m: np.ndarray, frame: RigFrame, d_m=None):
+    """Per-match symmetric line distances (d1, d0) and a validity mask at
+    stacked vec M m (..., 9C) of the frame's cameras, each (..., N). Given
+    derivatives d_m (..., P, 9C), also those of d1 and d0, (..., P, N)."""
+    (d1, ok1, *dd1), (d0, ok0, *dd0) = _ratios(m, frame, d_m, _LINE_ROWS)
+    return (d1, d0, ok1 & ok0, *dd1, *dd0)
 
 
-def _planar_dot(lines, d_lines):
-    """(a da + b db) of lines (..., n, 3) with d_lines (..., P, n, 3)."""
-    return np.einsum("...ij,...pij->...pi", lines[..., :2], d_lines[..., :2])
-
-
-def angleplane_residuals(e: np.ndarray, s: MatchSet, d_e=None):
-    """Per-match signed plane-angle residuals and a validity mask. For
-    stacked matrices e (..., 3, 3) both outputs have shape (..., n). Given
-    derivatives d_e (..., P, 3, 3) of e, also those of the residuals,
-    (..., P, n)."""
-    normals = s.bearings_t0 @ np.swapaxes(e, -1, -2)
-    norms = np.linalg.norm(normals, axis=-1)
-    valid = norms >= DEGENERACY_EPS
-    norms = np.where(valid, norms, 1.0)
-    r = np.einsum("...ij,ij->...i", normals, s.bearings_t1) / norms
-    if d_e is None:
-        return r, valid
-    # dr = (b1 . dn - r (n . dn) / |n|) / |n|, dn = dE b0
-    d_normals = s.bearings_t0 @ np.swapaxes(d_e, -1, -2)
-    unit = normals / norms[..., None]
-    d_r = (np.einsum("...pij,ij->...pi", d_normals, s.bearings_t1)
-           - r[..., None, :] * np.einsum("...ij,...pij->...pi", unit,
-                                         d_normals)) / norms[..., None, :]
-    return r, valid, d_r
+def angleplane_residuals(m: np.ndarray, frame: RigFrame, d_m=None):
+    """Per-match signed plane-angle residuals and a validity mask at
+    stacked vec M m (..., 9C) of the frame's cameras, each (..., N). Given
+    derivatives d_m (..., P, 9C), also those of the residuals, (..., P, N)."""
+    return _ratios(m, frame, d_m, _PLANE_ROWS)[0]

@@ -6,11 +6,9 @@ import time
 import numpy as np
 
 from motionprior.estimator import (EstimatorOptions, default_cold_start_grid,
-                                   estimate, internal_gradient,
-                                   numeric_gradient)
+                                   estimate, internal_gradient)
 from motionprior.evaluation import evaluate
 from motionprior.geometry import (PinholeCamera, PinholeIntrinsics, Pose,
-                                  essential_from_motion,
                                   forward_camera_extrinsic, skew)
 from motionprior.io_formats import Scenario, SequenceProfile
 from motionprior.manifold import (CameraRig, MotionParams, RigCamera,
@@ -19,6 +17,7 @@ from motionprior.metrics import MetricKind, RobustLoss
 from motionprior.pipeline import FreeInCurves, run_sequence, simulate_sequence
 from motionprior.simulate import (NoiseSpec, SceneSpec, generate_matches,
                                   generate_scene, grid_search_oracle)
+from oracles import essential_from_motion, numeric_gradient
 
 INTR = PinholeIntrinsics(700.0, 700.0, 640.0, 480.0)
 CAUCHY = RobustLoss("cauchy", 0.0065)

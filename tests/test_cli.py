@@ -105,9 +105,8 @@ class TestEstimate:
             assert key in rec
         assert rec["failed"] is False
 
-    def test_out_of_domain_pixel_fails_only_its_frame(self, workspace,
-                                                      capsys):
-        simulate(workspace)
+    def write_generic_rig(self, workspace):
+        """generic_rig.txt: rig.txt with camera 0 tabulated."""
         table = GenericCamera.from_camera(
             PinholeCamera(PinholeIntrinsics(700.0, 700.0, 640.0, 480.0)),
             1280, 960).table
@@ -117,6 +116,11 @@ class TestEstimate:
         (workspace / "generic_rig.txt").write_text(RIG_TEXT.replace(
             "model pinhole\nintrinsics 700.0 700.0 640.0 480.0",
             f"model generic\ntable {workspace / 'table.txt'}"))
+
+    def test_out_of_domain_pixel_fails_only_its_frame(self, workspace,
+                                                      capsys):
+        simulate(workspace)
+        self.write_generic_rig(workspace)
         # one t1 pixel of frame pair 2 lies past the table's right edge
         lines = (workspace / "matches.csv").read_text().splitlines()
         row = next(i for i, line in enumerate(lines) if line.startswith("2,"))
@@ -136,6 +140,19 @@ class TestEstimate:
                 (workspace / "diag.jsonl").read_text().splitlines()]
         assert [d["failed"] for d in diag] == [d["t0"] == 2 for d in diag]
         assert "tabulated domain" in diag[2]["error"]
+
+    def test_geoline_on_generic_camera_is_data_error(self, workspace,
+                                                     capsys):
+        simulate(workspace)
+        self.write_generic_rig(workspace)
+        code = run_cli(["estimate",
+                        "--rig", str(workspace / "generic_rig.txt"),
+                        "--matches", str(workspace / "matches.csv"),
+                        "--scale", str(workspace / "scale.txt"),
+                        "--metric", "geoline",
+                        "--out-trajectory", str(workspace / "est.txt")])
+        assert code == EXIT_DATA
+        assert "camera 0" in capsys.readouterr().err
 
     def test_free_in_curves(self, workspace):
         simulate(workspace)

@@ -6,7 +6,7 @@ from motionprior.estimator import (CONVERGED_TERMINATIONS,
                                    EstimatorOptions, GridSpec, Landscape,
                                    LandscapeGrid, NoMatches, classify_inliers,
                                    energy_landscape, estimate,
-                                   internal_gradient, numeric_gradient)
+                                   internal_gradient)
 from motionprior.geometry import (DegenerateTranslation, PinholeCamera,
                                   PinholeIntrinsics, forward_camera_extrinsic)
 from motionprior.manifold import (CameraRig, MotionParams, RigCamera,
@@ -14,6 +14,7 @@ from motionprior.manifold import (CameraRig, MotionParams, RigCamera,
 from motionprior.metrics import MetricKind, RobustLoss
 from motionprior.simulate import (NoiseSpec, SceneSpec, generate_matches,
                                   generate_scene)
+from oracles import numeric_gradient, subset
 
 INTR = PinholeIntrinsics(700.0, 700.0, 640.0, 480.0)
 ANGLE = MetricKind.ANGLEPLANE
@@ -132,7 +133,7 @@ class TestEstimate:
     def test_few_matches_note(self):
         truth = MotionParams(yaw=0.05, arc_length=1.0, free=("yaw",))
         sets, _ = simulated(RIG1, truth, seed=11)
-        small = [sets[0].subset(np.arange(4))]
+        small = [subset(sets[0], np.arange(4))]
         result = estimate(RIG1, small, truth, EstimatorOptions())
         assert result.condition_note == "few_matches"
 

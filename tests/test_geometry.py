@@ -4,10 +4,8 @@ import pytest
 from motionprior.geometry import (BehindCamera, DegenerateTranslation,
                                   GenericCamera, OutOfDomain, PinholeCamera,
                                   PinholeIntrinsics, Pose,
-                                  essential_from_motion,
-                                  forward_camera_extrinsic,
-                                  fundamental_from_essential, rotation_z,
-                                  skew)
+                                  forward_camera_extrinsic, rotation_z, skew)
+from oracles import essential_from_motion, fundamental_from_essential
 
 
 def random_pose(rng):
@@ -145,6 +143,14 @@ class TestFundamental:
 
 
 class TestPinholeCamera:
+    def test_inverse_intrinsics_computed_once(self):
+        k = PinholeIntrinsics(700.0, 710.0, 640.0, 480.0, 0.5)
+        assert k.matrix_inv is k.matrix_inv
+        assert not k.matrix_inv.flags.writeable
+        assert np.allclose(k.matrix_inv @ k.matrix, np.eye(3), rtol=0.0,
+                           atol=1e-15)
+        assert k == PinholeIntrinsics(700.0, 710.0, 640.0, 480.0, 0.5)
+
     def test_principal_point(self):
         cam = PinholeCamera(PinholeIntrinsics(1, 1, 0, 0))
         assert np.allclose(cam.pixel_to_bearing([0.0, 0.0]), [0, 0, 1])

@@ -83,8 +83,17 @@ class TestRigFiles:
          "extrinsic 1 0 0 0 0 1 0 0 0 0 1 oops\n", 4),
         ("model pinhole\nid zero\nintrinsics 1 1 0 0\n"
          "extrinsic 1 0 0 0 0 1 0 0 0 0 1 0\n", 2),
+        ("id 0\nmodel\nintrinsics 1 1 0 0\n"
+         "extrinsic 1 0 0 0 0 1 0 0 0 0 1 0\n", 2),
+        ("id 0\nmodel generic\ntable\n"
+         "extrinsic 1 0 0 0 0 1 0 0 0 0 1 0\n", 3),
+        ("id 0\nmodel generic\n"
+         "extrinsic 1 0 0 0 0 1 0 0 0 0 1 0\n", 2),
+        ("id 0\nmodel pinhole\nintrinsics 1 1 0 0\nimage_size 1280\n"
+         "extrinsic 1 0 0 0 0 1 0 0 0 0 1 0\n", 4),
     ], ids=["extrinsic-nan", "extrinsic-inf", "intrinsics-inf",
-            "image-size-nan", "extrinsic-word", "id-word"])
+            "image-size-nan", "extrinsic-word", "id-word", "model-bare",
+            "table-bare", "table-missing", "image-size-one-value"])
     def test_bad_number_reports_line(self, tmp_path, text, line):
         p = tmp_path / "rig.txt"
         p.write_text(text)
@@ -196,6 +205,27 @@ class TestTrajectoryFiles:
         assert len(back) == len(traj)
         for a, b in zip(traj.poses, back.poses):
             assert np.array_equal(a.matrix34(), b.matrix34())
+
+    def test_percent_e_round_trip(self, tmp_path):
+        # KITTI ground truth prints %e: 7 significant digits, so its
+        # rotations miss orthonormality by a few 1e-7
+        traj = self.make_trajectory()
+        p = tmp_path / "traj.txt"
+        np.savetxt(p, [pose.matrix34().ravel() for pose in traj.poses],
+                   fmt="%e")
+        back = load_trajectory(p)
+        assert len(back) == len(traj)
+        for a, b in zip(traj.poses, back.poses):
+            assert np.allclose(a.matrix34(), b.matrix34(), rtol=0.0,
+                               atol=1e-5)
+
+    def test_rotation_beyond_projection_bound(self, tmp_path):
+        p = tmp_path / "traj.txt"
+        p.write_text("1 0 0 0 0 1 0 0 0 0 1 0\n"
+                     "1.0001 0 0 0 0 1 0 0 0 0 1 0\n")
+        with pytest.raises(ParseError, match="orthonormal") as err:
+            load_trajectory(p)
+        assert err.value.line == 2
 
     def test_line_format(self, tmp_path):
         p = tmp_path / "traj.txt"

@@ -5,21 +5,20 @@ from hypothesis import strategies as st
 
 from motionprior.geometry import (TRANSLATION_EPS, DegenerateTranslation,
                                   PinholeCamera, PinholeIntrinsics, Pose,
-                                  essential_from_motion,
                                   forward_camera_extrinsic, rotation_x,
                                   rotation_y, rotation_z)
 from motionprior.manifold import (ENERGY_CHUNK, PARAM_FIELDS, CameraRig,
                                   DimensionMismatch, MotionParams, RigCamera,
-                                  camera_essentials,
-                                  camera_point_transform, conjugate_to_camera,
                                   lowest_energy, motion_arrays,
                                   multi_camera_energy, pack_free,
                                   params_rows, pose_from_params,
                                   rig_residuals, unpack_free)
-from motionprior.metrics import (MatchSet, MetricKind, RobustLoss,
-                                 angleplane_residuals)
+from motionprior.metrics import MatchSet, MetricKind, RigFrame, RobustLoss
 from motionprior.simulate import (NoiseSpec, SceneSpec, generate_matches,
                                   generate_scene)
+from oracles import (camera_point_transform, conjugate_to_camera,
+                     essential_from_motion, plane_residuals,
+                     pose_path_residuals, subset)
 
 LOSS = RobustLoss("none")
 INTR = PinholeIntrinsics(700.0, 700.0, 640.0, 480.0)
@@ -171,7 +170,7 @@ class TestMultiCameraEnergy:
         b1 = moved / np.linalg.norm(moved, axis=1, keepdims=True)
         s = MatchSet(0, np.zeros((50, 2)), np.zeros((50, 2)), b0, b1)
         e = essential_from_motion(camera_point_transform(pose, Pose.identity()))
-        r, valid = angleplane_residuals(e, s)
+        r, valid = plane_residuals(e, b0, b1)
         direct = np.sum(LOSS.evaluate(r[valid] ** 2)[0])
         assert multi_camera_energy(truth, rig, [s], LOSS,
                                    MetricKind.ANGLEPLANE) == pytest.approx(direct)
@@ -189,7 +188,7 @@ class TestMultiCameraEnergy:
         sets = noise_free_sets(rig, truth, seed=3)
         s = sets[0]
         half = len(s) // 2
-        split = [s.subset(np.arange(half)), s.subset(np.arange(half, len(s)))]
+        split = [subset(s, np.arange(half)), subset(s, np.arange(half, len(s)))]
         whole = multi_camera_energy(truth, rig, sets, LOSS, MetricKind.ANGLEPLANE)
         parts = multi_camera_energy(truth, rig, split, LOSS, MetricKind.ANGLEPLANE)
         assert whole == pytest.approx(parts, rel=1e-12)
@@ -360,30 +359,40 @@ class TestBatchedKernel:
     @example((0.0, 0.99e-12, 0.0, 0.0))
     @example((0.0, 1e-12, 0.0, 0.0))
     @example((0.0, 1.01e-12, 0.0, 0.0))
-    def test_camera_essential_matches_pose_path(self, row):
+    def test_rig_frame_matches_pose_path(self, row):
         p = MotionParams(*map(float, row))
-        rot, t = motion_arrays(params_rows(p))
-        for cam in KERNEL_RIG.cameras:
-            e, usable = camera_essentials(rot, t, cam.extrinsic)
-            transform = camera_point_transform(pose_from_params(p),
-                                               cam.extrinsic)
-            # both paths cancel the lever arm te, so the camera translation
-            # carries an absolute rounding error of a few ulps of |te|;
-            # ||[t]x R||_F = sqrt(2) |t| gives the kernel's magnitude
-            rounding = 8 * np.finfo(float).eps * np.linalg.norm(
-                cam.extrinsic.translation)
-            reference = np.linalg.norm(transform.translation)
-            kernel = np.linalg.norm(e[0]) / np.sqrt(2)
-            assert abs(kernel - reference) <= rounding
-            if abs(reference - TRANSLATION_EPS) <= rounding:
-                continue  # on the threshold either decision is correct
-            try:
-                expected = essential_from_motion(transform)
-            except DegenerateTranslation:
-                assert not usable[0]
-                continue
-            assert usable[0]
-            assert np.allclose(e[0], expected, rtol=0.0, atol=1e-12)
+        motion = pose_from_params(p)
+        for metric in MetricKind:
+            frame = RigFrame.from_matches(KERNEL_RIG, KERNEL_SETS, metric)
+            components, valid, usable = rig_residuals(params_rows(p), frame)
+            translates = []
+            for c, s in enumerate(KERNEL_SETS):
+                cam = KERNEL_RIG.camera(s.camera_id)
+                own = frame.camera_index == c
+                # both paths cancel the lever arm te, so the camera
+                # translation carries an absolute rounding error of a few
+                # ulps of |te|
+                rounding = 8 * np.finfo(float).eps * np.linalg.norm(
+                    cam.extrinsic.translation)
+                reference = np.linalg.norm(camera_point_transform(
+                    motion, cam.extrinsic).translation)
+                if abs(reference - TRANSLATION_EPS) <= rounding:
+                    translates.append(None)
+                    continue  # on the threshold either decision is correct
+                translates.append(reference >= TRANSLATION_EPS)
+                try:
+                    expected, ok = pose_path_residuals(motion, cam, s, metric)
+                except DegenerateTranslation:
+                    assert not valid[0, own].any()
+                    continue
+                assert np.array_equal(valid[0, own], ok)
+                if reference < 1e-3:
+                    continue  # the direction of t rounds at |te| eps / |t|
+                kernel = components[0, own][ok]
+                assert np.allclose(kernel, expected[ok], rtol=0.0,
+                                   atol=1e-12 * np.abs(expected).max())
+            if None not in translates:
+                assert usable[0] == any(translates)
 
 
 # Closed-form Jacobian against central differences of the residual vector.
@@ -416,14 +425,15 @@ class TestJacobian:
         rows = np.array(rows)
         assert {s.camera_id for s in JAC_SETS} == {0, 1, 2}
         for metric in MetricKind:
-            components, valid, _, jac = rig_residuals(
-                rows, JAC_RIG, JAC_SETS, metric, PARAM_FIELDS)
+            frame = RigFrame.from_matches(JAC_RIG, JAC_SETS, metric)
+            components, valid, _, jac = rig_residuals(rows, frame,
+                                                      PARAM_FIELDS)
 
             def central(k, h):
                 step = np.zeros(4)
                 step[k] = h
-                plus = rig_residuals(rows + step, JAC_RIG, JAC_SETS, metric)
-                minus = rig_residuals(rows - step, JAC_RIG, JAC_SETS, metric)
+                plus = rig_residuals(rows + step, frame)
+                minus = rig_residuals(rows - step, frame)
                 return ((plus[0] - minus[0]) / (2 * h))[valid]
 
             # pixel residuals round at ~eps x pixel coordinates, which the
@@ -441,12 +451,59 @@ class TestJacobian:
 
     def test_subset_of_fields_in_order(self):
         rows = np.array([[0.1, 1.2, 0.01, 0.0], [-4e-7, 0.8, 0.0, 0.02]])
-        full = rig_residuals(rows, JAC_RIG, JAC_SETS, MetricKind.GEOLINE,
-                             PARAM_FIELDS)
-        part = rig_residuals(rows, JAC_RIG, JAC_SETS, MetricKind.GEOLINE,
-                             ("arc_length", "roll"))
+        frame = RigFrame.from_matches(JAC_RIG, JAC_SETS, MetricKind.GEOLINE)
+        full = rig_residuals(rows, frame, PARAM_FIELDS)
+        part = rig_residuals(rows, frame, ("arc_length", "roll"))
         for a, b in zip(full[:3], part[:3]):
             assert np.array_equal(a, b)
         assert np.array_equal(part[3], full[3][..., [1, 3]])
-        assert rig_residuals(rows, JAC_RIG, JAC_SETS, MetricKind.GEOLINE,
-                             ())[3].shape == full[0].shape + (0,)
+        assert rig_residuals(rows, frame, ())[3].shape == full[0].shape + (0,)
+
+
+def kernel_at(row, match_sets, metric):
+    """rig_residuals at one row, and the energy, for these match sets."""
+    frame = RigFrame.from_matches(JAC_RIG, match_sets, metric)
+    out = rig_residuals(np.array([row]), frame)
+    return out, multi_camera_energy(np.array([row]), JAC_RIG, match_sets,
+                                    CAUCHY, metric)[0]
+
+
+def assert_same_kernel(a, b, order):
+    """b equals a with its matches taken in `order`, to 1e-12 relative."""
+    (components, valid, usable), energy = a
+    (components_b, valid_b, usable_b), energy_b = b
+    assert np.array_equal(valid[:, order], valid_b)
+    assert np.array_equal(usable, usable_b)
+    scale = np.abs(components).max()
+    assert np.allclose(components[:, order], components_b, rtol=1e-12,
+                       atol=1e-12 * scale)
+    assert energy_b == pytest.approx(energy, rel=1e-12, abs=0.0)
+
+
+class TestInvariance:
+    """The one-pass kernel concatenates every camera's matches: neither
+    the order of matches within a set nor the order of the sets (the
+    cameras) may change a residual or the energy."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(jac_rows, st.tuples(*[st.permutations(range(len(s)))
+                                 for s in JAC_SETS]))
+    def test_match_order_within_sets(self, row, orders):
+        permuted = [subset(s, list(o)) for s, o in zip(JAC_SETS, orders)]
+        starts = np.cumsum([0] + [len(s) for s in JAC_SETS])
+        order = np.concatenate([start + np.array(o)
+                                for start, o in zip(starts, orders)])
+        for metric in MetricKind:
+            assert_same_kernel(kernel_at(row, JAC_SETS, metric),
+                               kernel_at(row, permuted, metric), order)
+
+    @settings(max_examples=20, deadline=None)
+    @given(jac_rows, st.permutations(range(len(JAC_SETS))))
+    def test_camera_order(self, row, cameras):
+        permuted = [JAC_SETS[c] for c in cameras]
+        starts = np.cumsum([0] + [len(s) for s in JAC_SETS])
+        order = np.concatenate([np.arange(starts[c], starts[c + 1])
+                                for c in cameras])
+        for metric in MetricKind:
+            assert_same_kernel(kernel_at(row, JAC_SETS, metric),
+                               kernel_at(row, permuted, metric), order)

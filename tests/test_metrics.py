@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
-from motionprior.geometry import (PinholeCamera, PinholeIntrinsics, Pose,
-                                  essential_from_motion,
-                                  fundamental_from_essential, rotation_z,
-                                  skew)
-from motionprior.metrics import (MatchSet, NonFiniteMatch, RobustLoss,
-                                 angleplane_residuals, geoline_residuals)
+from motionprior.geometry import (GenericCamera, PinholeCamera,
+                                  PinholeIntrinsics, Pose, rotation_z, skew)
+from motionprior.manifold import CameraRig, RigCamera
+from motionprior.metrics import (MatchSet, MetricKind, NonFiniteMatch,
+                                 RigFrame, RobustLoss, angleplane_residuals,
+                                 geoline_residuals)
+from oracles import (UNIT_CAM, essential_from_motion,
+                     fundamental_from_essential, identity_frame,
+                     line_residuals, plane_residuals, subset)
 
 K = PinholeIntrinsics(700.0, 700.0, 640.0, 480.0)
 CAM = PinholeCamera(K)
-UNIT_CAM = PinholeCamera(PinholeIntrinsics(1.0, 1.0, 0.0, 0.0))
 
 
 def synthetic_set(motion, n=100, seed=0, noise=0.0):
@@ -33,16 +35,35 @@ def bearing_match(b0, b1):
                     np.asarray(b1, dtype=float)[None])
 
 
+def vec(m):
+    """vec M of one or stacked (..., 3, 3) matrices."""
+    m = np.asarray(m, dtype=float)
+    return m.reshape(m.shape[:-2] + (9,))
+
+
+def geoline(f, s):
+    """(d1, d0, valid) of fundamental(s) f through a unit-intrinsics
+    camera at the vehicle origin, where M = F."""
+    return geoline_residuals(vec(f), identity_frame(s, MetricKind.GEOLINE))
+
+
+def angleplane(e, s):
+    """(r, valid) of essential(s) e through a camera at the vehicle
+    origin, where M = E."""
+    return angleplane_residuals(vec(e),
+                                identity_frame(s, MetricKind.ANGLEPLANE))
+
+
 def geoline_energy(f, s, loss):
     """Robust energy of one fundamental: rho summed over valid matches."""
-    d1, d0, valid = geoline_residuals(f, s)
+    d1, d0, valid = geoline(f, s)
     value, _ = loss.evaluate(d1[valid] ** 2 + d0[valid] ** 2)
     return float(np.sum(value))
 
 
 def angleplane_energy(e, s, loss):
     """Robust energy of one essential: rho summed over valid matches."""
-    r, valid = angleplane_residuals(e, s)
+    r, valid = angleplane(e, s)
     value, _ = loss.evaluate(r[valid] ** 2)
     return float(np.sum(value))
 
@@ -103,7 +124,7 @@ class TestEpipolarLineDistance:
     def distance(self, f, x0, x1):
         """d1 (x1 to the epipolar line of x0) and validity of one match."""
         s = MatchSet.from_pixels(0, UNIT_CAM, [x0], [x1])
-        d1, _, valid = geoline_residuals(f, s)
+        d1, _, valid = geoline(f, s)
         return d1[0], valid[0]
 
     def test_point_on_line_is_zero(self):
@@ -173,18 +194,18 @@ class TestAnglePlane:
         b0 = np.array([0.0, 0.0, 1.0])
         # epipolar plane of b0 has normal E b0 = (0, -1, 0); x-z plane
         b1 = np.array([1.0, 0.0, 1.0]) / np.sqrt(2)
-        r, valid = angleplane_residuals(e, bearing_match(b0, b1))
+        r, valid = angleplane(e, bearing_match(b0, b1))
         assert valid[0]
         assert r[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_orthogonal_bearing(self):
         e = skew([1.0, 0.0, 0.0])
-        r, _ = angleplane_residuals(e, bearing_match([0.0, 0.0, 1.0],
-                                                     [0.0, 1.0, 0.0]))
+        r, _ = angleplane(e, bearing_match([0.0, 0.0, 1.0],
+                                           [0.0, 1.0, 0.0]))
         assert r[0] == pytest.approx(-1.0)
 
     def test_epipole_degenerate(self):
-        _, valid = angleplane_residuals(
+        _, valid = angleplane(
             skew([1.0, 0.0, 0.0]),
             bearing_match([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]))
         assert not valid[0]
@@ -194,8 +215,8 @@ class TestAnglePlane:
         s = synthetic_set(motion, n=200, seed=4, noise=1.0)
         e = essential_from_motion(motion)
         f = fundamental_from_essential(e, K, K)
-        r, valid = angleplane_residuals(e, s)
-        d1, _, _ = geoline_residuals(f, s)
+        r, valid = angleplane(e, s)
+        d1, _, _ = geoline(f, s)
         # the small-angle identity needs near-axis rays and nonzero residuals
         center = np.array([K.cx, K.cy])
         near_axis = np.linalg.norm(s.pixels_t1 - center, axis=1) < 120.0
@@ -207,8 +228,8 @@ class TestAnglePlane:
     def test_scale_invariance(self):
         e = essential_from_motion(Pose(rotation_z(0.1), [1.0, 0.2, 0.1]))
         s = synthetic_set(Pose(rotation_z(0.1), [1.0, 0.2, 0.1]), seed=5)
-        r1, _ = angleplane_residuals(e, s)
-        r2, _ = angleplane_residuals(-3.7 * e, s)
+        r1, _ = angleplane(e, s)
+        r2, _ = angleplane(-3.7 * e, s)
         assert np.abs(np.abs(r1) - np.abs(r2)).max() < 1e-12
 
     def test_noise_free_energy(self):
@@ -225,7 +246,7 @@ class TestAnglePlane:
         outlier = np.array([0.0, -0.5, np.sqrt(0.75)])  # unit, y = -0.5
         s = MatchSet(0, np.zeros((2, 2)), np.zeros((2, 2)), b0,
                      np.stack([inlier, outlier]))
-        r, _ = angleplane_residuals(e, s)
+        r, _ = angleplane(e, s)
         assert abs(abs(r[1]) - 0.5) < 1e-15
         c = 0.0065
         energy = angleplane_energy(e, s, RobustLoss("cauchy", c))
@@ -267,13 +288,14 @@ class TestMatchSet:
 
     def test_subset(self):
         s = synthetic_set(Pose(rotation_z(0.01), [1.0, 0.0, 0.0]), n=10)
-        sub = s.subset(np.arange(4))
+        sub = subset(s, np.arange(4))
         assert len(sub) == 4
         assert np.array_equal(sub.pixels_t0, s.pixels_t0[:4])
 
 
 class TestStackedResiduals:
-    """Stacked (K, 3, 3) matrices give the per-matrix results row by row."""
+    """Stacked (K, 3, 3) matrices give the per-matrix results row by row,
+    and those match the reference formulas on explicit E and F."""
 
     MOTIONS = [Pose(rotation_z(g), [1.0, 0.1 * g, 0.5]) for g in
                (-0.1, 0.0, 0.04, 0.2)]
@@ -281,24 +303,56 @@ class TestStackedResiduals:
     def test_angleplane(self):
         s = synthetic_set(self.MOTIONS[2], noise=0.5)
         es = np.stack([essential_from_motion(m) for m in self.MOTIONS])
-        r, valid = angleplane_residuals(es, s)
+        r, valid = angleplane(es, s)
         assert r.shape == valid.shape == (len(es), len(s))
         for k, e in enumerate(es):
-            r_k, valid_k = angleplane_residuals(e, s)
+            r_k, valid_k = angleplane(e, s)
             assert r_k.shape == (len(s),)
             assert np.allclose(r[k], r_k, rtol=1e-12, atol=1e-15)
             assert np.array_equal(valid[k], valid_k)
+            r_ref, valid_ref = plane_residuals(e, s.bearings_t0,
+                                               s.bearings_t1)
+            assert np.allclose(r_k, r_ref, rtol=1e-12, atol=1e-15)
+            assert np.array_equal(valid_k, valid_ref)
 
     def test_geoline(self):
         s = synthetic_set(self.MOTIONS[2], noise=0.5)
         fs = np.stack([fundamental_from_essential(essential_from_motion(m),
                                                   K, K)
                        for m in self.MOTIONS])
-        d1, d0, valid = geoline_residuals(fs, s)
+        d1, d0, valid = geoline(fs, s)
         assert d1.shape == d0.shape == valid.shape == (len(fs), len(s))
         for k, f in enumerate(fs):
-            d1_k, d0_k, valid_k = geoline_residuals(f, s)
+            d1_k, d0_k, valid_k = geoline(f, s)
             assert d1_k.shape == (len(s),)
             assert np.allclose(d1[k], d1_k, rtol=1e-12, atol=1e-12)
             assert np.allclose(d0[k], d0_k, rtol=1e-12, atol=1e-12)
             assert np.array_equal(valid[k], valid_k)
+            d1_ref, d0_ref, valid_ref = line_residuals(f, s.pixels_t0,
+                                                       s.pixels_t1)
+            assert np.allclose(d1_k, d1_ref, rtol=1e-12, atol=1e-12)
+            assert np.allclose(d0_k, d0_ref, rtol=1e-12, atol=1e-12)
+            assert np.array_equal(valid_k, valid_ref)
+
+
+class TestRigFrame:
+    def test_length_is_match_count(self):
+        s = synthetic_set(Pose(rotation_z(0.01), [1.0, 0.0, 0.0]), n=10)
+        empty = MatchSet.from_pixels(1, CAM, np.zeros((0, 2)),
+                                     np.zeros((0, 2)))
+        rig = CameraRig((RigCamera(0, CAM, Pose.identity()),
+                         RigCamera(1, CAM, Pose.identity())))
+        for metric in MetricKind:
+            frame = RigFrame.from_matches(rig, [s, empty, s], metric)
+            assert len(frame) == 20
+            assert np.array_equal(frame.camera_index, np.repeat([0, 1], 10))
+
+    def test_geoline_needs_pinhole(self):
+        table = GenericCamera.from_camera(CAM, 1280, 960, step=160.0)
+        rig = CameraRig((RigCamera(0, CAM, Pose.identity()),
+                         RigCamera(7, table, Pose.identity())))
+        s = synthetic_set(Pose(rotation_z(0.01), [1.0, 0.0, 0.0]), n=10)
+        moved = MatchSet.from_pixels(7, table, s.pixels_t0, s.pixels_t1)
+        RigFrame.from_matches(rig, [s, moved], MetricKind.ANGLEPLANE)
+        with pytest.raises(ValueError, match="camera 7"):
+            RigFrame.from_matches(rig, [s, moved], MetricKind.GEOLINE)

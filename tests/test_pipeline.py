@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from motionprior.estimator import EstimatorOptions
 from motionprior.geometry import (GenericCamera, PinholeCamera,
                                   PinholeIntrinsics, forward_camera_extrinsic)
 from motionprior.io_formats import (FramePairRecord, NoRecords, Scenario,
                                     SequenceProfile)
 from motionprior.manifold import (CameraRig, MotionParams, RigCamera,
                                   pose_from_params)
+from motionprior.metrics import MetricKind
 from motionprior.pipeline import (FixedScale, FreeInCurves,
                                   match_sets_from_record, run_sequence,
                                   simulate_sequence)
@@ -137,6 +139,17 @@ class TestRunSequence:
         assert [o.failed for o in outcomes] == [False, False, True, False,
                                                 False]
         assert "tabulated domain" in outcomes[2].error
+
+    def test_geoline_on_generic_camera_is_rejected(self):
+        # the line metric is pinhole-only: a configuration error, not a
+        # frame-local failure
+        records = make_records(RIG1, [0.02] * 3)
+        rig = CameraRig((RigCamera(
+            0, GenericCamera.from_camera(RIG1.cameras[0].model, 1280, 960),
+            RIG1.cameras[0].extrinsic),))
+        opts = EstimatorOptions(metric=MetricKind.GEOLINE)
+        with pytest.raises(ValueError, match="camera 0"):
+            run_sequence(rig, records, FixedScale([1.0] * 3), opts)
 
     def test_non_finite_frame_fails_only_itself(self):
         records = make_records(RIG1, [0.02] * 4)

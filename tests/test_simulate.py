@@ -3,14 +3,15 @@ import pytest
 
 from motionprior.estimator import EstimatorOptions, estimate
 from motionprior.geometry import (PinholeCamera, PinholeIntrinsics,
-                                  essential_from_motion,
                                   forward_camera_extrinsic)
 from motionprior.manifold import (CameraRig, MotionParams, RigCamera,
-                                  camera_point_transform, pose_from_params)
-from motionprior.metrics import MetricKind, RobustLoss, angleplane_residuals
+                                  pose_from_params)
+from motionprior.metrics import MetricKind, RobustLoss
 from motionprior.simulate import (NoiseSpec, NoVisiblePoints, SceneSpec,
                                   generate_matches, generate_scene,
                                   grid_search_oracle)
+from oracles import (camera_point_transform, essential_from_motion,
+                     plane_residuals)
 
 INTR = PinholeIntrinsics(700.0, 700.0, 640.0, 480.0)
 
@@ -74,7 +75,7 @@ class TestGenerateMatches:
             cam = RIG1.camera(s.camera_id)
             e = essential_from_motion(camera_point_transform(pose,
                                                              cam.extrinsic))
-            r, valid = angleplane_residuals(e, s)
+            r, valid = plane_residuals(e, s.bearings_t0, s.bearings_t1)
             assert valid.all()
             assert np.abs(r).max() < 1e-10
         assert all(lbl.all() for lbl in labels)
@@ -113,7 +114,7 @@ class TestGenerateMatches:
         pose = pose_from_params(self.truth)
         cam = RIG1.camera(sets[0].camera_id)
         e = essential_from_motion(camera_point_transform(pose, cam.extrinsic))
-        r, _ = angleplane_residuals(e, sets[0])
+        r, _ = plane_residuals(e, sets[0].bearings_t0, sets[0].bearings_t1)
         mean_abs = np.abs(r).mean()
         expected = sigma / INTR.fx
         assert expected / 2 < mean_abs < expected * 2
