@@ -79,7 +79,8 @@ def _build_parser():
     land.add_argument("--scenario")
     land.add_argument("--rig")
     land.add_argument("--matches")
-    land.add_argument("--pair-index", type=int, default=0)
+    land.add_argument("--pair-index", type=int, default=0,
+                      help="frame pair to evaluate, from 0")
     land.add_argument("--out", required=True)
     land.add_argument("--yaw-min", type=float, default=-0.3)
     land.add_argument("--yaw-max", type=float, default=0.3)
@@ -180,18 +181,20 @@ def _cmd_landscape(args):
         scenario = load_scenario(args.scenario)
         records, _, _ = simulate_sequence(scenario)
         rig = scenario.rig
-        record = records[0]
         fixed = scenario.truth
     elif args.rig and args.matches:
         rig = load_rig(args.rig)
         records = load_matches(args.matches)
         if not records:
             raise NoRecords("match file holds no frame pairs")
-        record = records[min(args.pair_index, len(records) - 1)]
         fixed = MotionParams(yaw=0.0, arc_length=1.0)
     else:
         raise UsageError("landscape needs --scenario or --rig/--matches")
-    match_sets = match_sets_from_record(record, rig)
+    if not 0 <= args.pair_index < len(records):
+        raise UsageError(f"--pair-index {args.pair_index} is outside "
+                         f"[0, {len(records)}): the input holds "
+                         f"{len(records)} frame pairs")
+    match_sets = match_sets_from_record(records[args.pair_index], rig)
     grid = LandscapeGrid((args.yaw_min, args.yaw_max), args.yaw_steps,
                          (args.arc_min, args.arc_max), args.arc_steps)
     loss = RobustLoss("cauchy", 0.0065)

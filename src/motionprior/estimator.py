@@ -121,14 +121,14 @@ def internal_gradient(rig, match_sets, p: MotionParams, loss: RobustLoss,
     return 2.0 * J.T @ z
 
 
-def _scale_observable(params, rig, match_sets, loss, metric):
+def _scale_observable(params, frame: RigFrame, loss):
     """Probe the energy's sensitivity to arc length at the solution."""
     l0 = params.arc_length if abs(params.arc_length) > 1e-3 else 1.0
     yaw_ref = params.yaw + (0.05 if params.yaw < np.pi - 0.1 else -0.05)
     rows = np.repeat(params_rows(params), 6, axis=0)
     rows[:5, 1] = l0 * np.array([0.5, 0.75, 1.0, 1.5, 2.0])
     rows[5, :2] = yaw_ref, l0
-    energies = multi_camera_energy(rows, rig, match_sets, loss, metric)
+    energies = multi_camera_energy(rows, frame, loss)
     sweep = energies[:5][np.isfinite(energies[:5])]
     if len(sweep) < 2:
         return False
@@ -146,22 +146,21 @@ def estimate(rig: CameraRig, match_sets, prior: MotionParams,
     total_matches = sum(len(s) for s in match_sets)
     if total_matches == 0:
         raise NoMatches("estimation needs at least one match")
-    loss, metric = opts.loss, opts.metric
-    frame = RigFrame.from_matches(rig, match_sets, metric)
+    frame = RigFrame.from_matches(rig, match_sets, opts.metric)
 
     start = prior
     if opts.fallback_grid is not None:
         # grid cells, then the prior: the best cell must be at least as low
         points = opts.fallback_grid.points(prior)
         rows = np.concatenate([free_rows(points, prior), params_rows(prior)])
-        energies = multi_camera_energy(rows, rig, match_sets, loss, metric)
+        energies = multi_camera_energy(rows, frame, opts.loss)
         best = lowest_energy(rows[:-1], energies[:-1])
         if best is not None and energies[best] <= energies[-1]:
             start = unpack_free(points[best], prior)
 
     params = start
     x = pack_free(params)
-    z, J, raw, skipped, energy = _solver_state(params, frame, loss)
+    z, J, raw, skipped, energy = _solver_state(params, frame, opts.loss)
 
     termination = None if len(x) else "grad_tol"
     iterations = 0
@@ -183,7 +182,7 @@ def estimate(rig: CameraRig, match_sets, prior: MotionParams,
                 continue
             try:
                 trial = unpack_free(x + step, params)
-                t_state = _solver_state(trial, frame, loss)
+                t_state = _solver_state(trial, frame, opts.loss)
             except (ValueError, DegenerateTranslation):
                 lam *= 10.0
                 continue
@@ -211,7 +210,7 @@ def estimate(rig: CameraRig, match_sets, prior: MotionParams,
     if valid_matches < FEW_MATCHES_THRESHOLD:
         note = "few_matches"
     elif "arc_length" in params.free and not _scale_observable(
-            params, rig, match_sets, loss, metric):
+            params, frame, opts.loss):
         note = "scale_unobservable"
 
     return EstimateResult(params=params, final_energy=energy,
@@ -257,8 +256,8 @@ def energy_landscape(rig, match_sets, grid: LandscapeGrid,
     gg, ll = np.meshgrid(yaws, arcs, indexing="ij")
     rows = np.repeat(params_rows(fixed), gg.size, axis=0)
     rows[:, 0], rows[:, 1] = gg.ravel(), ll.ravel()
-    energies = multi_camera_energy(rows, rig, match_sets, loss,
-                                   metric).reshape(gg.shape)
+    frame = RigFrame.from_matches(rig, match_sets, metric)
+    energies = multi_camera_energy(rows, frame, loss).reshape(gg.shape)
     degenerate = ~np.isfinite(energies)
     energies[degenerate] = 0.0
     if normalize:

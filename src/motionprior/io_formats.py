@@ -82,11 +82,12 @@ def load_rig(path) -> CameraRig:
     for block in blocks:
         try:
             id_line, (cam_id, *_) = block["id"]
-            kind = block["model"][1][0]
+            model_line, (kind, *_) = block["model"]
             ext_line, ext_fields = block["extrinsic"]
             cam_id = int(cam_id)
         except KeyError as exc:
-            raise ParseError(path, 0, f"camera block missing key {exc}")
+            first = min(lineno for lineno, _ in block.values())
+            raise ParseError(path, first, f"camera block missing key {exc}")
         except ValueError as exc:
             raise ParseError(path, id_line, f"bad camera id: {exc}")
         ext_vals = _reals(path, ext_line, ext_fields)
@@ -104,19 +105,27 @@ def load_rig(path) -> CameraRig:
                 raise ParseError(path, block["image_size"][0],
                                  "image_size needs w h")
         if kind == "pinhole":
-            vals = _reals(path, *block["intrinsics"])
+            if "intrinsics" not in block:
+                raise ParseError(path, model_line,
+                                 "pinhole camera needs an intrinsics line")
+            k_line, k_fields = block["intrinsics"]
+            vals = _reals(path, k_line, k_fields)
             if len(vals) not in (4, 5):
-                raise ParseError(path, block["intrinsics"][0],
+                raise ParseError(path, k_line,
                                  "intrinsics needs fx fy cx cy [skew]")
-            model = PinholeCamera(PinholeIntrinsics(*vals), image_size)
+            try:
+                intrinsics = PinholeIntrinsics(*vals)
+            except ValueError as exc:
+                raise ParseError(path, k_line, str(exc))
+            model = PinholeCamera(intrinsics, image_size)
         elif kind == "generic":
             if "table" not in block:
-                raise ParseError(path, block["model"][0],
+                raise ParseError(path, model_line,
                                  "generic camera needs a table line")
             table_path = block["table"][1][0]
             model = load_bearing_table(table_path, image_size)
         else:
-            raise ParseError(path, block["model"][0],
+            raise ParseError(path, model_line,
                              f"unknown camera model {kind!r}")
         cameras.append(RigCamera(cam_id, model, extrinsic))
     try:
@@ -147,21 +156,43 @@ def write_rig(rig: CameraRig, path):
 
 
 def load_bearing_table(path, image_size=None) -> GenericCamera:
-    """Bearing table: header `u0 v0 du dv nu nv` then nu*nv unit bearings
-    (three reals per line), row-major over v then u."""
+    """Bearing table: header `u0 v0 du dv nu nv` (du, dv > 0; nu, nv
+    integers >= 2) then nu*nv unit bearings (three reals per line),
+    row-major over v then u."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 6:
             raise ParseError(path, 1, "header needs u0 v0 du dv nu nv")
         u0, v0, du, dv = _reals(path, 1, header[:4])
-        nu, nv = int(header[4]), int(header[5])
-        data = np.loadtxt(fh)
-    if data.shape != (nu * nv, 3):
+        try:
+            nu, nv = int(header[4]), int(header[5])
+        except ValueError as exc:
+            raise ParseError(path, 1, f"bad table size: {exc}")
+        if not (du > 0 and dv > 0 and nu >= 2 and nv >= 2):
+            raise ParseError(path, 1, "header needs du, dv > 0, nu, nv >= 2")
+        try:
+            data = np.loadtxt(fh, ndmin=2)
+        except ValueError:
+            data = None
+    if data is None or data.shape[1:] != (3,) or not np.isfinite(data).all():
+        data = _table_rows(path)
+    if len(data) != nu * nv:
         raise ParseError(path, 2, f"expected {nu * nv} bearing rows")
-    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
-    if len(bad):
-        raise ParseError(path, 2 + int(bad[0]), "value is NaN or inf")
     return GenericCamera(u0, v0, du, dv, data.reshape(nv, nu, 3), image_size)
+
+
+def _table_rows(path):
+    """A bearing table's rows parsed line by line, the slow path that
+    names the first line that is not three finite reals."""
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            fields = line.split("#", 1)[0].split()
+            if lineno > 1 and fields:
+                if len(fields) != 3:
+                    raise ParseError(path, lineno, "bearing needs 3 values")
+                rows.append(_reals(path, lineno, fields))
+    return np.array(rows).reshape(-1, 3)
 
 
 # -------------------------------------------------------------- match files

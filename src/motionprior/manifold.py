@@ -1,7 +1,10 @@
 """Single-track motion manifold, the rig-frame residual kernel and the
 multi-camera energy. All cameras share one vehicle motion (R, t); in the
 vehicle frame a camera with lever arm te sees it only through
-M = [u]x R^T, u = R^T (te - t) - te, computed for all cameras at once."""
+M = [u]x R^T, u = R^T (te - t) - te, computed for all cameras at once.
+The public entry points build one `RigFrame` per frame pair; below them,
+code takes that frame and (K, 4) rows: `rig_residuals(rows, frame, wrt)`
+and `multi_camera_energy(rows, frame, loss)`."""
 
 from __future__ import annotations
 
@@ -9,8 +12,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import (TRANSLATION_EPS, DegenerateTranslation, Pose,
-                       rotation_x, rotation_y, rotation_z, skew)
+from .geometry import (TRANSLATION_EPS, Pose, rotation_x, rotation_y,
+                       rotation_z, skew)
 from .metrics import (MetricKind, RigFrame, RobustLoss, angleplane_residuals,
                       geoline_residuals)
 
@@ -210,16 +213,12 @@ def rig_residuals(rows, frame: RigFrame, wrt=None):
     return out + (np.stack(d_d, axis=-1).transpose(0, 2, 3, 1),)
 
 
-def multi_camera_energy(p, rig: CameraRig, match_sets, loss: RobustLoss,
-                        metric: MetricKind):
-    """Total epipolar energy over all cameras. For a MotionParams, a float;
-    raises DegenerateTranslation when no populated camera translates. For
-    a (K, 4) array of rows [yaw, arc_length, pitch, roll], (K,) energies,
-    inf on rows outside the yaw domain or where no populated camera
-    translates; evaluated ENERGY_CHUNK matches at a time."""
-    single = isinstance(p, MotionParams)
-    rows = params_rows(p) if single else np.asarray(p, float).reshape(-1, 4)
-    frame = RigFrame.from_matches(rig, match_sets, metric)
+def multi_camera_energy(rows, frame: RigFrame, loss: RobustLoss):
+    """Robust epipolar energy over all cameras of a caller's frame at K
+    rows [yaw, arc_length, pitch, roll]: (K,) energies, inf on rows
+    outside the yaw domain or where no populated camera translates;
+    evaluated ENERGY_CHUNK matches at a time."""
+    rows = np.asarray(rows, float).reshape(-1, 4)
     step = max(1, ENERGY_CHUNK // max(1, len(frame)))
     energies = np.empty(len(rows))
     for i in range(0, len(rows), step):
@@ -227,11 +226,6 @@ def multi_camera_energy(p, rig: CameraRig, match_sets, loss: RobustLoss,
         rho, _ = loss.evaluate(np.sum(components ** 2, axis=-1))
         energies[i:i + step] = np.where(
             usable, np.sum(rho, axis=-1, where=valid), np.inf)
-    if single:
-        if energies[0] == np.inf:
-            raise DegenerateTranslation(
-                "all per-camera motions have zero translation")
-        return float(energies[0])
     energies[~(np.abs(rows[:, 0]) < np.pi)] = np.inf
     return energies
 

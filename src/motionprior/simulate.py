@@ -15,7 +15,7 @@ from .estimator import GridSpec
 from .geometry import DegenerateTranslation
 from .manifold import (CameraRig, MotionParams, free_rows, lowest_energy,
                        multi_camera_energy, pose_from_params, unpack_free)
-from .metrics import MatchSet, MetricKind, RobustLoss
+from .metrics import MatchSet, MetricKind, RigFrame, RobustLoss
 
 OUTLIER_MODES = ("uniform_image", "wrong_association")
 
@@ -147,8 +147,8 @@ def grid_search_oracle(rig, match_sets, bounds: dict, resolution: int,
     points = GridSpec({f: (*bounds[f], resolution)
                        for f in template.free}).points(template)
     rows = free_rows(points, template)
-    best = lowest_energy(rows, multi_camera_energy(rows, rig, match_sets,
-                                                   loss, metric))
+    frame = RigFrame.from_matches(rig, match_sets, metric)
+    best = lowest_energy(rows, multi_camera_energy(rows, frame, loss))
     if best is None:
         raise DegenerateTranslation("every grid point was degenerate")
     return unpack_free(points[best], template)

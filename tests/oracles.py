@@ -12,7 +12,7 @@ from motionprior.geometry import (TRANSLATION_EPS, DegenerateTranslation,
                                   PinholeCamera, PinholeIntrinsics, Pose,
                                   skew)
 from motionprior.manifold import (CameraRig, RigCamera, multi_camera_energy,
-                                  pack_free, unpack_free)
+                                  pack_free, params_rows, unpack_free)
 from motionprior.metrics import DEGENERACY_EPS, MatchSet, MetricKind, RigFrame
 
 UNIT_CAM = PinholeCamera(PinholeIntrinsics(1.0, 1.0, 0.0, 0.0))
@@ -80,6 +80,13 @@ def identity_frame(s: MatchSet, metric) -> RigFrame:
     return RigFrame.from_matches(rig, [s], metric)
 
 
+def energy_at(p, rig, match_sets, loss, metric) -> float:
+    """The multi-camera energy at one manifold point; inf where no
+    populated camera translates."""
+    frame = RigFrame.from_matches(rig, match_sets, metric)
+    return float(multi_camera_energy(params_rows(p), frame, loss)[0])
+
+
 def numeric_gradient(rig, match_sets, p, loss, metric, h) -> np.ndarray:
     """Central differences of the multi-camera energy over free params."""
     if h <= 0:
@@ -89,10 +96,8 @@ def numeric_gradient(rig, match_sets, p, loss, metric, h) -> np.ndarray:
     for k in range(len(x)):
         dx = np.zeros(len(x))
         dx[k] = h
-        ep = multi_camera_energy(unpack_free(x + dx, p), rig, match_sets,
-                                 loss, metric)
-        em = multi_camera_energy(unpack_free(x - dx, p), rig, match_sets,
-                                 loss, metric)
+        ep = energy_at(unpack_free(x + dx, p), rig, match_sets, loss, metric)
+        em = energy_at(unpack_free(x - dx, p), rig, match_sets, loss, metric)
         grad[k] = (ep - em) / (2.0 * h)
     return grad
 

@@ -12,12 +12,12 @@ from motionprior.geometry import (PinholeCamera, PinholeIntrinsics, Pose,
                                   forward_camera_extrinsic, skew)
 from motionprior.io_formats import Scenario, SequenceProfile
 from motionprior.manifold import (CameraRig, MotionParams, RigCamera,
-                                  multi_camera_energy, pose_from_params)
+                                  pose_from_params)
 from motionprior.metrics import MetricKind, RobustLoss
 from motionprior.pipeline import FreeInCurves, run_sequence, simulate_sequence
 from motionprior.simulate import (NoiseSpec, SceneSpec, generate_matches,
                                   generate_scene, grid_search_oracle)
-from oracles import essential_from_motion, numeric_gradient
+from oracles import energy_at, essential_from_motion, numeric_gradient
 
 INTR = PinholeIntrinsics(700.0, 700.0, 640.0, 480.0)
 CAUCHY = RobustLoss("cauchy", 0.0065)
@@ -135,12 +135,12 @@ def test_criterion_4_scale_observability(capsys):
 
     mono_sets, _ = generate_matches(points, RIG_CENTER, truth,
                                     NoiseSpec(seed=72))
-    energies = [multi_camera_energy(truth.with_values(arc_length=l),
-                                    RIG_CENTER, mono_sets, CAUCHY, ANGLE)
+    energies = [energy_at(truth.with_values(arc_length=l), RIG_CENTER,
+                          mono_sets, CAUCHY, ANGLE)
                 for l in np.linspace(0.5 * truth.arc_length,
                                      2.0 * truth.arc_length, 9)]
-    scale = multi_camera_energy(truth.with_values(yaw=truth.yaw + 0.05),
-                                RIG_CENTER, mono_sets, CAUCHY, ANGLE)
+    scale = energy_at(truth.with_values(yaw=truth.yaw + 0.05), RIG_CENTER,
+                      mono_sets, CAUCHY, ANGLE)
     variation = (max(energies) - min(energies)) / scale
     mono = estimate(RIG_CENTER, mono_sets, prior, EstimatorOptions())
     ok = (rel_err < 0.02 and variation < 1e-12

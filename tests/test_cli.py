@@ -250,6 +250,21 @@ class TestLandscape:
         code = run_cli(["landscape", "--out", str(workspace / "land.csv")])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("source", ["files", "scenario"])
+    @pytest.mark.parametrize("index", ["-1", "7"])
+    def test_pair_index_out_of_range(self, workspace, capsys, source, index):
+        simulate(workspace)      # 7 frame pairs
+        inputs = (["--scenario", str(workspace / "scenario.txt")]
+                  if source == "scenario" else
+                  ["--rig", str(workspace / "rig.txt"),
+                   "--matches", str(workspace / "matches.csv")])
+        code = run_cli(["landscape", *inputs, "--pair-index", index,
+                        "--out", str(workspace / "land.csv"),
+                        "--yaw-steps", "3", "--arc-steps", "2"])
+        assert code == EXIT_USAGE
+        assert "7 frame pairs" in capsys.readouterr().err
+        assert not (workspace / "land.csv").exists()
+
 
 class TestEval:
     def test_report(self, workspace, capsys):

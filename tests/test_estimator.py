@@ -9,12 +9,11 @@ from motionprior.estimator import (CONVERGED_TERMINATIONS,
                                    internal_gradient)
 from motionprior.geometry import (DegenerateTranslation, PinholeCamera,
                                   PinholeIntrinsics, forward_camera_extrinsic)
-from motionprior.manifold import (CameraRig, MotionParams, RigCamera,
-                                  multi_camera_energy)
-from motionprior.metrics import MetricKind, RobustLoss
+from motionprior.manifold import CameraRig, MotionParams, RigCamera
+from motionprior.metrics import MetricKind, RigFrame, RobustLoss
 from motionprior.simulate import (NoiseSpec, SceneSpec, generate_matches,
                                   generate_scene)
-from oracles import numeric_gradient, subset
+from oracles import energy_at, numeric_gradient, subset
 
 INTR = PinholeIntrinsics(700.0, 700.0, 640.0, 480.0)
 ANGLE = MetricKind.ANGLEPLANE
@@ -80,8 +79,7 @@ class TestEstimate:
         prior = truth.with_values(yaw=0.09)
         opts = EstimatorOptions()
         result = estimate(RIG1, sets, prior, opts)
-        prior_energy = multi_camera_energy(prior, RIG1, sets, opts.loss,
-                                           opts.metric)
+        prior_energy = energy_at(prior, RIG1, sets, opts.loss, opts.metric)
         assert result.final_energy <= prior_energy
 
     def test_deterministic_bit_identical(self):
@@ -145,6 +143,25 @@ class TestEstimate:
         opts = EstimatorOptions(fallback_grid=GridSpec({"yaw": (-0.3, 0.3, 41)}))
         result = estimate(RIG1, sets, prior, opts)
         assert abs(result.params.yaw - truth.yaw) < 1e-6
+
+    def test_one_frame_per_solve(self, monkeypatch):
+        # the grid fallback, the LM loop and the scale probe share a frame
+        truth = MotionParams(yaw=0.1, arc_length=1.0,
+                             free=("yaw", "arc_length"))
+        sets, _ = simulated(RIG2, truth, seed=9)
+        built = []
+        from_matches = RigFrame.from_matches
+
+        def counted(cls, *args):
+            built.append(args)
+            return from_matches(*args)
+        monkeypatch.setattr(RigFrame, "from_matches", classmethod(counted))
+        grid = GridSpec({"yaw": (-0.3, 0.3, 41)})
+        result = estimate(RIG2, sets, truth.with_values(yaw=0.0),
+                          EstimatorOptions(fallback_grid=grid))
+        # not "few_matches", so the scale probe ran
+        assert result.condition_note == "ok"
+        assert len(built) == 1
 
     def test_termination_reason(self):
         truth = MotionParams(yaw=0.1, arc_length=1.0,

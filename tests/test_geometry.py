@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motionprior.geometry import (BehindCamera, DegenerateTranslation,
                                   GenericCamera, OutOfDomain, PinholeCamera,
                                   PinholeIntrinsics, Pose,
-                                  forward_camera_extrinsic, rotation_z, skew)
+                                  forward_camera_extrinsic, rotation_x,
+                                  rotation_y, rotation_z, skew)
 from oracles import essential_from_motion, fundamental_from_essential
 
 
@@ -17,7 +20,27 @@ def random_pose(rng):
     return Pose(R, rng.normal(size=3))
 
 
+angles = st.floats(-np.pi, np.pi)
+vectors = st.tuples(*[st.floats(-10.0, 10.0)] * 3).map(np.array)
+poses = st.builds(
+    lambda yaw, pitch, roll, t: Pose(
+        rotation_z(yaw) @ rotation_y(pitch) @ rotation_x(roll), t),
+    angles, angles, angles, vectors)
+
+
 class TestPose:
+    @settings(max_examples=100, deadline=None)
+    @given(poses, poses, poses, vectors)
+    def test_group_laws(self, a, b, c, point):
+        identity = Pose.identity()
+        assert a.compose(b).compose(c).isclose(a.compose(b.compose(c)),
+                                               atol=1e-12)
+        assert a.compose(identity).isclose(a, atol=1e-12)
+        assert identity.compose(a).isclose(a, atol=1e-12)
+        assert a.compose(a.inverse()).isclose(identity, atol=1e-12)
+        assert np.allclose(a.compose(b).apply(point),
+                           a.apply(b.apply(point)), rtol=0.0, atol=1e-12)
+
     def test_identity_compose(self):
         rng = np.random.Generator(np.random.PCG64(1))
         p = random_pose(rng)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motionprior.geometry import (PinholeCamera, PinholeIntrinsics, Pose,
                                   forward_camera_extrinsic, rotation_z)
@@ -26,6 +28,8 @@ model pinhole
 intrinsics 650.0 660.0 320.0 240.0 0.1
 extrinsic 0 0 -1 -0.5 1 0 0 0.0 0 -1 0 0.0
 """
+
+TABLE_ROWS = "0 0 1\n0.1 0 1\n0 0.1 1\n0.1 0.1 1\n"
 
 
 class TestRigFiles:
@@ -91,9 +95,24 @@ class TestRigFiles:
          "extrinsic 1 0 0 0 0 1 0 0 0 0 1 0\n", 2),
         ("id 0\nmodel pinhole\nintrinsics 1 1 0 0\nimage_size 1280\n"
          "extrinsic 1 0 0 0 0 1 0 0 0 0 1 0\n", 4),
+        ("id 0\nmodel pinhole\n"
+         "extrinsic 1 0 0 0 0 1 0 0 0 0 1 0\n", 2),
+        ("id 0\nmodel pinhole\nintrinsics 0 1 0 0\n"
+         "extrinsic 1 0 0 0 0 1 0 0 0 0 1 0\n", 3),
+        ("id 0\nmodel pinhole\nintrinsics 1 -1 0 0\n"
+         "extrinsic 1 0 0 0 0 1 0 0 0 0 1 0\n", 3),
+        ("id 0\nmodel pinhole\nintrinsics 1 1 0 0\n"
+         "extrinsic 1 0 0 0 0 1 0 0 0 0 1 0\n\n# second camera\n"
+         "model pinhole\nintrinsics 1 1 0 0\n"
+         "extrinsic 1 0 0 0 0 1 0 0 0 0 1 0\n", 7),
+        ("id 0\nintrinsics 1 1 0 0\n"
+         "extrinsic 1 0 0 0 0 1 0 0 0 0 1 0\n", 1),
+        ("\nid 0\nmodel pinhole\nintrinsics 1 1 0 0\n", 2),
     ], ids=["extrinsic-nan", "extrinsic-inf", "intrinsics-inf",
             "image-size-nan", "extrinsic-word", "id-word", "model-bare",
-            "table-bare", "table-missing", "image-size-one-value"])
+            "table-bare", "table-missing", "image-size-one-value",
+            "intrinsics-missing", "focal-zero", "focal-negative",
+            "id-missing", "model-missing", "extrinsic-missing"])
     def test_bad_number_reports_line(self, tmp_path, text, line):
         p = tmp_path / "rig.txt"
         p.write_text(text)
@@ -103,14 +122,35 @@ class TestRigFiles:
 
     def test_non_finite_bearing_table_reports_line(self, tmp_path):
         p = tmp_path / "table.txt"
-        p.write_text("0 0 1 1 2 1\n0 0 1\n0.1 0 nan\n")
+        p.write_text("0 0 1 1 2 2\n"
+                     + TABLE_ROWS.replace("0.1 0 1", "0.1 0 nan"))
         with pytest.raises(ParseError) as err:
             load_bearing_table(p)
         assert err.value.line == 3
-        p.write_text("0 inf 1 1 2 1\n0 0 1\n0.1 0 1\n")
+        p.write_text("0 inf 1 1 2 2\n" + TABLE_ROWS)
         with pytest.raises(ParseError) as err:
             load_bearing_table(p)
         assert err.value.line == 1
+
+    @pytest.mark.parametrize("header, rows, line", [
+        ("0 0 0 1 2 2", TABLE_ROWS, 1),
+        ("0 0 1 0 2 2", TABLE_ROWS, 1),
+        ("0 0 -1 1 2 2", TABLE_ROWS, 1),
+        ("0 0 1 1 2.5 2", TABLE_ROWS, 1),
+        ("0 0 1 1 2 x", TABLE_ROWS, 1),
+        ("0 0 1 1 1 4", TABLE_ROWS, 1),
+        ("0 0 1 1 2 2", TABLE_ROWS.replace("0 0.1 1", "0 0.1"), 4),
+        ("0 0 1 1 2 2", TABLE_ROWS.replace("0 0.1 1", "0 0.1 1 1"), 4),
+        ("0 0 1 1 2 2", TABLE_ROWS.replace("0.1 0.1 1", "0.1 oops 1"), 5),
+    ], ids=["du-zero", "dv-zero", "du-negative", "nu-fraction", "nv-word",
+            "nu-one", "row-two-values", "row-four-values", "row-word"])
+    def test_bad_bearing_table_reports_line(self, tmp_path, header, rows,
+                                            line):
+        p = tmp_path / "table.txt"
+        p.write_text(header + "\n" + rows)
+        with pytest.raises(ParseError) as err:
+            load_bearing_table(p)
+        assert err.value.line == line
 
     def test_duplicate_ids(self, tmp_path):
         block = ("id 0\nmodel pinhole\nintrinsics 1 1 0 0\n"
@@ -343,3 +383,88 @@ class TestScenarioFiles:
 def test_sequence_profile_yaw_per_frame():
     profile = SequenceProfile(((2, 0.1), (3, -0.2)))
     assert profile.yaw_per_frame() == [0.1, 0.1, -0.2, -0.2, -0.2]
+
+
+# Parser fuzzing: a valid file with one line corrupted must fail with a
+# ParseError naming that line.
+RIG_KEYS = ("id", "model", "intrinsics", "image_size", "extrinsic")
+REQUIRED_KEYS = ("id", "model", "intrinsics", "extrinsic")
+REPLACEMENTS = {"word": "oops", "nan": "nan", "inf": "-inf"}
+
+
+def rig_lines(cameras, order):
+    """A valid pinhole rig file as (block, key, text) lines, keys in
+    `order`, blank lines between blocks."""
+    lines = []
+    for c in range(cameras):
+        extrinsic = forward_camera_extrinsic([2.0, c - 1.0, 0.5])
+        values = {"id": str(c), "model": "pinhole",
+                  "intrinsics": "700.0 710.0 640.0 480.0",
+                  "image_size": "1280 960",
+                  "extrinsic": " ".join(repr(float(v)) for v in
+                                        extrinsic.matrix34().ravel())}
+        if c:
+            lines.append((c, None, ""))
+        lines += [(c, key, f"{key} {values[key]}") for key in order]
+    return lines
+
+
+def corrupt(fields, first, kind, data):
+    """The fields with one value from index `first` on dropped or
+    replaced."""
+    fields = list(fields)
+    i = data.draw(st.integers(first, len(fields) - 1))
+    if kind == "drop":
+        del fields[i]
+    else:
+        fields[i] = REPLACEMENTS[kind]
+    return " ".join(fields)
+
+
+class TestParserFuzz:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 3), st.permutations(RIG_KEYS), st.data())
+    def test_rig_line_corruption(self, tmp_path_factory, cameras, order,
+                                 data):
+        path = tmp_path_factory.mktemp("fuzz") / "rig.txt"
+        lines = rig_lines(cameras, order)
+        path.write_text("\n".join(text for *_, text in lines) + "\n")
+        assert len(load_rig(path).cameras) == cameras
+        i = data.draw(st.sampled_from(
+            [n for n, (_, key, _) in enumerate(lines) if key]))
+        block, key, text = lines[i]
+        kinds = ["drop"] + (list(REPLACEMENTS) if key != "model" else []) \
+            + (["delete"] if key in REQUIRED_KEYS else [])
+        kind = data.draw(st.sampled_from(kinds))
+        if kind == "delete":
+            del lines[i]
+            # a missing pinhole intrinsics line is reported on the model
+            # line, any other missing key on the block's first line
+            expected = next(n for n, (b, k, _) in enumerate(lines, 1)
+                            if b == block and k is not None
+                            and (key != "intrinsics" or k == "model"))
+        else:
+            lines[i] = (block, key, corrupt(text.split(), 1, kind, data))
+            expected = i + 1
+        path.write_text("\n".join(text for *_, text in lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_rig(path)
+        assert err.value.line == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 4), st.integers(2, 4), st.data())
+    def test_bearing_table_line_corruption(self, tmp_path_factory, nu, nv,
+                                           data):
+        path = tmp_path_factory.mktemp("fuzz") / "table.txt"
+        lines = [f"-16.0 -16.0 8.0 8.0 {nu} {nv}"] + [
+            f"{0.01 * u!r} {0.01 * v!r} 1.0"
+            for v in range(nv) for u in range(nu)]
+        path.write_text("\n".join(lines) + "\n")
+        assert load_bearing_table(path).table.shape == (nv, nu, 3)
+        i = data.draw(st.integers(0, len(lines) - 1))
+        kind = data.draw(st.sampled_from(["drop", *REPLACEMENTS]))
+        lines[i] = corrupt(lines[i].split(), 0, kind, data)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_bearing_table(path)
+        assert err.value.line == i + 1
