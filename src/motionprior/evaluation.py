@@ -10,7 +10,6 @@ from .io_formats import TrajectoryRecord
 
 DEFAULT_LENGTHS = [100.0, 200.0, 300.0, 400.0, 500.0, 600.0, 700.0, 800.0]
 START_STEP = 10
-SPEED_BIN_WIDTH = 2.0
 
 
 class TrajectoryTooShort(Exception):
@@ -38,7 +37,6 @@ class ErrorBucket:
 @dataclass
 class EvalReport:
     length_buckets: dict       # segment length -> ErrorBucket
-    speed_buckets: dict        # speed bin lower edge (m/s) -> ErrorBucket
 
     def mean_rotation(self, length):
         return self.length_buckets[length].mean_rotation
@@ -71,13 +69,12 @@ def evaluate(est: TrajectoryRecord, gt: TrajectoryRecord,
              lengths=None) -> EvalReport:
     """Relative-pose error between estimate and ground truth over fixed
     segment lengths: rotation in deg/m, translation in percent. Segments
-    start every START_STEP frames; speed buckets need gt timestamps."""
+    start every START_STEP frames."""
     if len(est) != len(gt):
         raise ValueError("trajectories must have the same frame count")
     lengths = list(DEFAULT_LENGTHS if lengths is None else lengths)
     dist = _cumulative_distance(gt.poses)
     length_buckets = {l: ErrorBucket() for l in lengths}
-    speed_buckets = {}
     any_segment = False
     for first in range(0, len(gt), START_STEP):
         for length in lengths:
@@ -92,16 +89,7 @@ def evaluate(est: TrajectoryRecord, gt: TrajectoryRecord,
             trans = float(np.linalg.norm(error.translation)) / length * 100.0
             length_buckets[length].rotation_deg_per_m.append(rot)
             length_buckets[length].translation_percent.append(trans)
-            if gt.timestamps is not None:
-                dt = gt.timestamps[last] - gt.timestamps[first]
-                if dt > 0:
-                    speed = length / dt
-                    bin_edge = float(np.floor(speed / SPEED_BIN_WIDTH)
-                                     * SPEED_BIN_WIDTH)
-                    bucket = speed_buckets.setdefault(bin_edge, ErrorBucket())
-                    bucket.rotation_deg_per_m.append(rot)
-                    bucket.translation_percent.append(trans)
     if not any_segment:
         raise TrajectoryTooShort(
             "trajectory shorter than every requested segment length")
-    return EvalReport(length_buckets, speed_buckets)
+    return EvalReport(length_buckets)

@@ -4,14 +4,15 @@ per-frame scale files and declarative simulation scenarios."""
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import (ORTHONORMALITY_TOL, GenericCamera, PinholeCamera,
                        PinholeIntrinsics, Pose)
-from .manifold import CameraRig, MotionParams, RigCamera
-from .simulate import NoiseSpec, SceneSpec
+from .manifold import PARAM_FIELDS, CameraRig, MotionParams, RigCamera
+from .simulate import OUTLIER_MODES, NoiseSpec, SceneSpec
 
 MATCH_HEADER = ["t0", "t1", "camera_id", "u0", "v0", "u1", "v1"]
 
@@ -51,6 +52,12 @@ def _reals(path, line, fields):
     return values
 
 
+def _beside(path, other):
+    """`other` resolved against the directory of the file `path`, unless
+    it is absolute."""
+    return os.path.join(os.path.dirname(os.path.abspath(path)), other)
+
+
 def _fmt(x: float) -> str:
     """Shortest decimal that round-trips the float exactly."""
     return repr(float(x))
@@ -61,8 +68,8 @@ def _fmt(x: float) -> str:
 def load_rig(path) -> CameraRig:
     """Rig file: one key-value block per camera, blocks separated by blank
     lines. Keys: id, model (pinhole|generic), intrinsics (fx fy cx cy
-    [skew]), image_size (w h, optional), table (path, generic only),
-    extrinsic (12 reals, row-major 3x4)."""
+    [skew]), image_size (w h, optional), table (path relative to the rig
+    file, generic only), extrinsic (12 reals, row-major 3x4)."""
     blocks = [{}]
     with open(path, encoding="utf-8") as fh:
         for lineno, rawline in enumerate(fh, 1):
@@ -122,8 +129,8 @@ def load_rig(path) -> CameraRig:
             if "table" not in block:
                 raise ParseError(path, model_line,
                                  "generic camera needs a table line")
-            table_path = block["table"][1][0]
-            model = load_bearing_table(table_path, image_size)
+            model = load_bearing_table(_beside(path, block["table"][1][0]),
+                                       image_size)
         else:
             raise ParseError(path, model_line,
                              f"unknown camera model {kind!r}")
@@ -267,7 +274,6 @@ def write_matches(records, path):
 @dataclass(frozen=True)
 class TrajectoryRecord:
     poses: tuple
-    timestamps: tuple | None = None
 
     def __post_init__(self):
         poses = tuple(self.poses)
@@ -276,11 +282,6 @@ class TrajectoryRecord:
         if not poses[0].isclose(Pose.identity(), atol=1e-12):
             raise ValueError("first trajectory pose must be identity")
         object.__setattr__(self, "poses", poses)
-        if self.timestamps is not None:
-            ts = tuple(float(t) for t in self.timestamps)
-            if len(ts) != len(poses):
-                raise ValueError("one timestamp per pose required")
-            object.__setattr__(self, "timestamps", ts)
 
     def __len__(self):
         return len(self.poses)
@@ -316,8 +317,8 @@ def load_trajectory(path) -> TrajectoryRecord:
             vals = line.split()
             if len(vals) != 12:
                 raise ParseError(path, lineno, "expected 12 values per line")
+            mat = np.array(_reals(path, lineno, vals)).reshape(3, 4)
             try:
-                mat = np.array([float(v) for v in vals]).reshape(3, 4)
                 poses.append(Pose(_rotation_on_load(mat[:, :3]), mat[:, 3]))
             except ValueError as exc:
                 raise ParseError(path, lineno, str(exc))
@@ -382,59 +383,75 @@ def parse_keyvalues(path):
     return values
 
 
+def _segments(value):
+    """`count:yaw, ...` -> ((count, yaw), ...); ValueError if malformed."""
+    return tuple((int(count), float(yaw)) for count, yaw in
+                 (item.split(":") for item in value.split(",")))
+
+
 def load_scenario(path) -> Scenario:
     """Scenario key-value file. Keys: rig (path, relative to the scenario
-    file), seed, scene.*, noise.*, truth.*, sequence.segments."""
-    import os
-
+    file), seed, scene.*, noise.*, truth.*, sequence.segments. A value
+    that does not parse or is out of range is a ParseError on its line."""
     raw = parse_keyvalues(path)
 
-    def take(key, default=None, cast=float):
+    def take(key, default=None, cast=float, ok=None, need=""):
         if key not in raw:
             return default
         val, lineno = raw[key]
-        if cast is float:
-            return _reals(path, lineno, [val])[0]
         try:
-            return cast(val)
+            value = (_reals(path, lineno, [val])[0] if cast is float
+                     else cast(val))
         except ValueError as exc:
             raise ParseError(path, lineno, str(exc))
+        if ok is not None and not ok(value):
+            raise ParseError(path, lineno, f"{key} {need}")
+        return value
 
-    seed = take("seed", 0, int)
+    def seed_at(key, default):
+        return take(key, default, int, lambda v: v >= 0, "must be >= 0")
+
+    seed = seed_at("seed", 0)
+    depth_min = take("scene.depth_min", 5.0, float, lambda d: d > 0,
+                     "must be > 0")
+    depth_max = take("scene.depth_max", 40.0, float,
+                     lambda d: d >= depth_min, "must be >= scene.depth_min")
+    if depth_max < depth_min:       # only with the default depth_max
+        raise ParseError(path, raw["scene.depth_min"][1],
+                         f"scene.depth_min must be <= {depth_max}")
     scene = SceneSpec(
-        num_points=take("scene.num_points", 200, int),
-        depth_range=(take("scene.depth_min", 5.0),
-                     take("scene.depth_max", 40.0)),
+        num_points=take("scene.num_points", 200, int, lambda n: n >= 1,
+                        "must be >= 1"),
+        depth_range=(depth_min, depth_max),
         lateral_spread=take("scene.lateral_spread", 8.0),
-        seed=take("scene.seed", seed, int))
+        seed=seed_at("scene.seed", seed))
     noise = NoiseSpec(
-        pixel_sigma=take("noise.pixel_sigma", 0.0),
-        outlier_fraction=take("noise.outlier_fraction", 0.0),
-        outlier_mode=take("noise.outlier_mode", "uniform_image", str),
-        seed=take("noise.seed", seed + 1, int))
-    free = tuple(f.strip() for f in
-                 take("truth.free", "yaw", str).split(",") if f.strip())
-    truth = MotionParams(yaw=take("truth.yaw", 0.0),
-                         arc_length=take("truth.arc_length", 1.0),
-                         pitch=take("truth.pitch", 0.0),
-                         roll=take("truth.roll", 0.0),
-                         free=free)
-    if "rig" not in raw:
+        pixel_sigma=take("noise.pixel_sigma", 0.0, float, lambda s: s >= 0,
+                         "must be >= 0"),
+        outlier_fraction=take("noise.outlier_fraction", 0.0, float,
+                              lambda f: 0 <= f <= 1, "must lie in [0, 1]"),
+        outlier_mode=take("noise.outlier_mode", "uniform_image", str,
+                          lambda m: m in OUTLIER_MODES,
+                          f"must be one of {', '.join(OUTLIER_MODES)}"),
+        seed=seed_at("noise.seed", seed + 1))
+    truth = MotionParams(
+        yaw=take("truth.yaw", 0.0, float, lambda g: abs(g) < np.pi,
+                 "must lie in (-pi, pi)"),
+        arc_length=take("truth.arc_length", 1.0),
+        pitch=take("truth.pitch", 0.0),
+        roll=take("truth.roll", 0.0),
+        free=take("truth.free", ("yaw",),
+                  lambda v: tuple(f.strip() for f in v.split(",")
+                                  if f.strip()),
+                  lambda free: set(free) <= set(PARAM_FIELDS),
+                  f"fields must be among {', '.join(PARAM_FIELDS)}"))
+    rig_path = take("rig", None, str, bool, "needs a path")
+    if rig_path is None:
         raise ParseError(path, 0, "scenario needs a rig entry")
-    rig_path = raw["rig"][0]
-    if not os.path.isabs(rig_path):
-        rig_path = os.path.join(os.path.dirname(os.path.abspath(path)),
-                                rig_path)
-    rig = load_rig(rig_path)
-    sequence = None
-    if "sequence.segments" in raw:
-        val, lineno = raw["sequence.segments"]
-        segments = []
-        for item in val.split(","):
-            try:
-                count, yaw = item.split(":")
-                segments.append((int(count), _reals(path, lineno, [yaw])[0]))
-            except ValueError as exc:
-                raise ParseError(path, lineno, str(exc))
-        sequence = SequenceProfile(tuple(segments))
+    rig = load_rig(_beside(path, rig_path))
+    segments = take("sequence.segments", None, _segments,
+                    lambda segs: all(n >= 1 and abs(g) < np.pi
+                                     for n, g in segs),
+                    "needs count >= 1 and |yaw| < pi in every count:yaw")
+    sequence = None if segments is None else SequenceProfile(segments)
     return Scenario(scene, noise, truth, rig, sequence)

@@ -8,6 +8,7 @@ and `multi_camera_energy(rows, frame, loss)`."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,6 +45,10 @@ class MotionParams:
     def __post_init__(self):
         if not abs(self.yaw) < np.pi:
             raise ValueError("per-frame yaw must lie in (-pi, pi)")
+        # scalar checks: a MotionParams is built on every solver trial
+        if not (math.isfinite(self.arc_length) and math.isfinite(self.pitch)
+                and math.isfinite(self.roll)):
+            raise ValueError("arc_length, pitch and roll must be finite")
         unknown = set(self.free) - set(PARAM_FIELDS)
         if unknown:
             raise ValueError(f"unknown free fields: {sorted(unknown)}")

@@ -15,8 +15,9 @@ from .io_formats import (FramePairRecord, NoRecords, Scenario,
                          TrajectoryRecord)
 from .manifold import CameraRig, MotionParams, pose_from_params
 from .metrics import MatchSet, NonFiniteMatch
-from .simulate import NoVisiblePoints, generate_matches, generate_scene
+from .simulate import generate_matches, generate_scene
 
+# |yaw| of the previous frame at and above which FreeInCurves frees the arc
 CURVE_YAW_THRESHOLD = 0.01
 
 
@@ -35,13 +36,19 @@ class FixedScale:
 
 @dataclass(frozen=True)
 class FreeInCurves:
-    """Arc length optimized only while the prior yaw exceeds the curve
-    threshold; held at the last known value on straights. A frame whose
-    free-arc solve lands below the threshold is solved again with the arc
-    held, and only frames that stay in the curve update the held value."""
+    """Arc length optimized only while the prior yaw reaches
+    CURVE_YAW_THRESHOLD; held at the last known value on straights. A
+    frame whose free-arc solve lands below the threshold is solved again
+    with the arc held, and only frames that stay in the curve update the
+    held value."""
 
     initial: float
-    curve_threshold: float = CURVE_YAW_THRESHOLD
+
+    def __post_init__(self):
+        initial = float(self.initial)
+        if not np.isfinite(initial):
+            raise ValueError("initial scale must be finite")
+        object.__setattr__(self, "initial", initial)
 
 
 @dataclass(frozen=True)
@@ -50,9 +57,12 @@ class FrameOutcome:
     t1: int
     params: MotionParams
     result: EstimateResult | None
-    failed: bool
     error: str | None
     runtime_ms: float
+
+    @property
+    def failed(self) -> bool:
+        return self.result is None
 
 
 def match_sets_from_record(record: FramePairRecord, rig: CameraRig):
@@ -65,71 +75,51 @@ def match_sets_from_record(record: FramePairRecord, rig: CameraRig):
 
 
 def run_sequence(rig: CameraRig, records, scale_source,
-                 opts: EstimatorOptions = EstimatorOptions(),
-                 prior: MotionParams | None = None):
+                 opts: EstimatorOptions = EstimatorOptions()):
     """Estimate every frame pair, each initialized from the previous
-    result; a frame that fails (no matches, geometry or non-finite data)
-    carries the prior motion forward, flagged with the error.
+    result, the first after a cold-start grid; a frame that fails (no
+    matches, geometry or non-finite data) carries the prior motion
+    forward, flagged with the error.
 
     Returns (TrajectoryRecord, list of FrameOutcome).
     """
     records = list(records)
     if not records:
         raise NoRecords("no frame pair records")
-    if isinstance(scale_source, FixedScale) and \
-            len(scale_source.values) < len(records):
+    fixed = isinstance(scale_source, FixedScale)
+    if fixed and len(scale_source.values) < len(records):
         raise ValueError("scale file shorter than the record list")
 
-    held_arc = (scale_source.initial if isinstance(scale_source, FreeInCurves)
-                else scale_source.values[0])
-    if prior is None:
-        prior = MotionParams(yaw=0.0, arc_length=held_arc, free=("yaw",))
-        first_opts = replace(opts, fallback_grid=opts.fallback_grid
-                             or default_cold_start_grid(prior))
-    else:
-        first_opts = opts
-
+    held_arc = scale_source.values[0] if fixed else scale_source.initial
+    current = MotionParams(yaw=0.0, arc_length=held_arc)
+    first_opts = replace(opts, fallback_grid=opts.fallback_grid
+                         or default_cold_start_grid(current))
     poses = [Pose.identity()]
     outcomes = []
-    current = prior
     for index, record in enumerate(records):
-        if isinstance(scale_source, FixedScale):
-            arc = scale_source.values[index]
-            free = tuple(f for f in current.free if f != "arc_length")
-            current = replace(current, arc_length=arc, free=free or ("yaw",))
-        else:
-            in_curve = abs(current.yaw) >= scale_source.curve_threshold
-            free = set(current.free) | {"yaw"}
-            if in_curve:
-                free.add("arc_length")
-            else:
-                free.discard("arc_length")
-            current = replace(current, arc_length=held_arc,
-                              free=tuple(free))
+        if fixed:
+            held_arc = scale_source.values[index]
+        in_curve = not fixed and abs(current.yaw) >= CURVE_YAW_THRESHOLD
+        current = replace(current, arc_length=held_arc, free=(
+            ("yaw", "arc_length") if in_curve else ("yaw",)))
         frame_opts = first_opts if index == 0 else opts
         start = time.perf_counter()
         try:
             sets = match_sets_from_record(record, rig)
             result = estimate(rig, sets, current, frame_opts)
-            if (isinstance(scale_source, FreeInCurves)
-                    and "arc_length" in current.free):
-                if abs(result.params.yaw) < scale_source.curve_threshold:
+            if in_curve:
+                if abs(result.params.yaw) < CURVE_YAW_THRESHOLD:
                     # left the curve: the arc is unobservable on a straight
-                    current = replace(current, free=tuple(
-                        f for f in current.free if f != "arc_length"))
+                    current = replace(current, free=("yaw",))
                     result = estimate(rig, sets, current, frame_opts)
                 elif result.condition_note != "scale_unobservable":
                     held_arc = result.params.arc_length
-            runtime = (time.perf_counter() - start) * 1e3
-            current = result.params
-            outcomes.append(FrameOutcome(record.t0, record.t1,
-                                         result.params, result, False, None,
-                                         runtime))
-        except (NoMatches, GeometryError, NoVisiblePoints,
-                NonFiniteMatch) as exc:
-            runtime = (time.perf_counter() - start) * 1e3
-            outcomes.append(FrameOutcome(record.t0, record.t1, current,
-                                         None, True, str(exc), runtime))
+            current, error = result.params, None
+        except (NoMatches, GeometryError, NonFiniteMatch) as exc:
+            result, error = None, str(exc)
+        runtime = (time.perf_counter() - start) * 1e3
+        outcomes.append(FrameOutcome(record.t0, record.t1, current, result,
+                                     error, runtime))
         poses.append(poses[-1].compose(pose_from_params(current)))
     return TrajectoryRecord(tuple(poses)), outcomes
 

@@ -205,6 +205,15 @@ class TestNonFiniteInput:
         assert f"{scale}:2:" in capsys.readouterr().err
         assert not (workspace / "est.txt").exists()
 
+    def test_nan_initial_scale(self, workspace, capsys):
+        simulate(workspace)
+        code = run_cli(["estimate", "--rig", str(workspace / "rig.txt"),
+                        "--matches", str(workspace / "matches.csv"),
+                        "--free-in-curves", "--initial-scale", "nan",
+                        "--out-trajectory", str(workspace / "est.txt")])
+        assert code == EXIT_DATA
+        assert "initial scale must be finite" in capsys.readouterr().err
+
     def test_nan_in_rig_extrinsic(self, workspace, capsys):
         simulate(workspace)
         rig = workspace / "rig.txt"

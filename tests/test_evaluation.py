@@ -82,20 +82,3 @@ class TestEvaluate:
         b = TrajectoryRecord(tuple(straight_line(11)))
         with pytest.raises(ValueError):
             evaluate(a, b)
-
-    def test_speed_buckets(self):
-        # 1 m frames at 0.1 s: a nominal 100 m segment spans 101 frames,
-        # so speed = 100 / 10.1 = 9.90 m/s, landing in the [8, 10) bin
-        n = 150
-        poses = tuple(straight_line(n))
-        gt = TrajectoryRecord(poses, timestamps=np.arange(n + 1) * 0.1)
-        est = TrajectoryRecord(poses)
-        report = evaluate(est, gt, lengths=[100.0])
-        assert set(report.speed_buckets) == {8.0}
-        assert (report.speed_buckets[8.0].count
-                == report.length_buckets[100.0].count)
-
-    def test_no_timestamps_no_speed_buckets(self):
-        gt = TrajectoryRecord(tuple(straight_line(150)))
-        report = evaluate(gt, gt, lengths=[100.0])
-        assert report.speed_buckets == {}

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,9 @@ from hypothesis import strategies as st
 
 from motionprior.geometry import (PinholeCamera, PinholeIntrinsics, Pose,
                                   forward_camera_extrinsic, rotation_z)
-from motionprior.io_formats import (CalibrationInvalid, FramePairRecord,
-                                    NonMonotoneFrames, ParseError,
+from motionprior.io_formats import (MATCH_HEADER, CalibrationInvalid,
+                                    FramePairRecord, NonMonotoneFrames,
+                                    ParseError,
                                     SequenceProfile, TrajectoryRecord,
                                     load_bearing_table, load_matches,
                                     load_rig, load_scale,
@@ -151,6 +154,20 @@ class TestRigFiles:
         with pytest.raises(ParseError) as err:
             load_bearing_table(p)
         assert err.value.line == line
+
+    def test_relative_table_resolves_against_rig_file(self, tmp_path,
+                                                      monkeypatch):
+        cal = tmp_path / "cal"
+        cal.mkdir()
+        (cal / "bearings.txt").write_text("0 0 1 1 2 2\n" + TABLE_ROWS)
+        extrinsic = "extrinsic 1 0 0 0 0 1 0 0 0 0 1 0\n"
+        (cal / "rig.txt").write_text(
+            "id 0\nmodel generic\ntable bearings.txt\n" + extrinsic
+            + f"\nid 1\nmodel generic\ntable {cal / 'bearings.txt'}\n"
+            + extrinsic)
+        monkeypatch.chdir(tmp_path)
+        rig = load_rig("cal/rig.txt")
+        assert [c.model.kind for c in rig.cameras] == ["generic"] * 2
 
     def test_duplicate_ids(self, tmp_path):
         block = ("id 0\nmodel pinhole\nintrinsics 1 1 0 0\n"
@@ -379,6 +396,33 @@ class TestScenarioFiles:
             load_scenario(self.write_scenario(tmp_path, extra))
         assert err.value.line == 11
 
+    @pytest.mark.parametrize("extra", [
+        "truth.free = yaw,bogus\n", "truth.yaw = 4\n",
+        "scene.num_points = 0\n", "scene.depth_min = -1\n",
+        "scene.depth_max = 3.0\n", "noise.pixel_sigma = -1\n",
+        "noise.outlier_fraction = 2\n", "noise.outlier_mode = foo\n",
+        "seed = -1\n", "scene.seed = -2\n", "noise.seed = -1\n", "rig =\n",
+        "sequence.segments = -3:0.1\n", "sequence.segments = 5:4.0\n",
+        "sequence.segments = 3:0.0, 0:0.1\n"],
+        ids=["free-unknown", "yaw-beyond-pi", "no-points",
+             "depth-min-negative", "depth-max-below-min",
+             "sigma-negative", "outlier-fraction-above-one",
+             "outlier-mode-unknown", "seed-negative", "scene-seed-negative",
+             "noise-seed-negative", "rig-empty", "segment-count-negative",
+             "segment-yaw-beyond-pi", "segment-count-zero"])
+    def test_out_of_range_value_reports_line(self, tmp_path, extra):
+        with pytest.raises(ParseError) as err:
+            load_scenario(self.write_scenario(tmp_path, extra))
+        assert err.value.line == 11
+
+    def test_depth_min_above_default_max_reports_line(self, tmp_path):
+        (tmp_path / "rig.txt").write_text(RIG_TEXT)
+        p = tmp_path / "scenario.txt"
+        p.write_text("rig = rig.txt\nscene.depth_min = 50\n")
+        with pytest.raises(ParseError) as err:
+            load_scenario(p)
+        assert err.value.line == 2
+
 
 def test_sequence_profile_yaw_per_frame():
     profile = SequenceProfile(((2, 0.1), (3, -0.2)))
@@ -390,6 +434,17 @@ def test_sequence_profile_yaw_per_frame():
 RIG_KEYS = ("id", "model", "intrinsics", "image_size", "extrinsic")
 REQUIRED_KEYS = ("id", "model", "intrinsics", "extrinsic")
 REPLACEMENTS = {"word": "oops", "nan": "nan", "inf": "-inf"}
+
+
+SCENARIO_VALUES = {
+    "rig": "rig.txt", "seed": "5", "scene.num_points": "120",
+    "scene.depth_min": "4.0", "scene.depth_max": "30.0",
+    "scene.lateral_spread": "8.0", "scene.seed": "3",
+    "noise.pixel_sigma": "0.5", "noise.outlier_fraction": "0.1",
+    "noise.outlier_mode": "wrong_association", "noise.seed": "4",
+    "truth.yaw": "0.02", "truth.arc_length": "1.3", "truth.pitch": "0.01",
+    "truth.roll": "-0.01", "truth.free": "yaw, arc_length",
+    "sequence.segments": "3:0.0, 4:0.02"}
 
 
 def rig_lines(cameras, order):
@@ -409,16 +464,16 @@ def rig_lines(cameras, order):
     return lines
 
 
-def corrupt(fields, first, kind, data):
-    """The fields with one value from index `first` on dropped or
-    replaced."""
+def corrupt(fields, first, kind, data, sep=" "):
+    """The fields, joined by `sep`, with one value from index `first` on
+    dropped or replaced."""
     fields = list(fields)
     i = data.draw(st.integers(first, len(fields) - 1))
     if kind == "drop":
         del fields[i]
     else:
         fields[i] = REPLACEMENTS[kind]
-    return " ".join(fields)
+    return sep.join(fields)
 
 
 class TestParserFuzz:
@@ -467,4 +522,71 @@ class TestParserFuzz:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError) as err:
             load_bearing_table(path)
+        assert err.value.line == i + 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.data())
+    def test_match_line_corruption(self, tmp_path_factory, pairs, per_camera,
+                                   data):
+        path = tmp_path_factory.mktemp("fuzz") / "matches.csv"
+        lines = [",".join(MATCH_HEADER)] + [
+            f"{t},{t + 1},{cam},{100.0 + k!r},{200.5 + t!r},"
+            f"{101.25 + k!r},{199.0 - cam!r}"
+            for t in range(pairs) for cam in (0, 1)
+            for k in range(per_camera)]
+        path.write_text("\n".join(lines) + "\n")
+        assert len(load_matches(path)) == pairs
+        i = data.draw(st.integers(0, len(lines) - 1))
+        kind = data.draw(st.sampled_from(["drop", *REPLACEMENTS]))
+        lines[i] = corrupt(lines[i].split(","), 0, kind, data, ",")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_matches(path)
+        assert err.value.line == i + 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 5), st.data())
+    def test_trajectory_line_corruption(self, tmp_path_factory, steps, data):
+        path = tmp_path_factory.mktemp("fuzz") / "trajectory.txt"
+        poses = [Pose.identity()]
+        for k in range(steps):
+            poses.append(poses[-1].compose(
+                Pose(rotation_z(0.01 * k), [1.0, 0.002 * k, 0.0])))
+        lines = [" ".join(repr(float(v)) for v in pose.matrix34().ravel())
+                 for pose in poses]
+        path.write_text("\n".join(lines) + "\n")
+        assert len(load_trajectory(path)) == steps + 1
+        i = data.draw(st.integers(0, len(lines) - 1))
+        kind = data.draw(st.sampled_from(["drop", *REPLACEMENTS]))
+        lines[i] = corrupt(lines[i].split(), 0, kind, data)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_trajectory(path)
+        assert err.value.line == i + 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.permutations(list(SCENARIO_VALUES)), st.data())
+    def test_scenario_line_corruption(self, tmp_path_factory, keys, data):
+        directory = tmp_path_factory.mktemp("fuzz")
+        (directory / "rig.txt").write_text(RIG_TEXT)
+        path = directory / "scenario.txt"
+        lines = [f"{key} = {SCENARIO_VALUES[key]}" for key in keys]
+        path.write_text("\n".join(lines) + "\n")
+        assert load_scenario(path).sequence.segments == ((3, 0.0), (4, 0.02))
+        i = data.draw(st.integers(0, len(lines) - 1))
+        key = keys[i]
+        # any other path names a file; dropping a free field leaves a
+        # valid list
+        kinds = {"rig": ["drop"], "truth.free": list(REPLACEMENTS)}.get(
+            key, ["drop", *REPLACEMENTS])
+        kind = data.draw(st.sampled_from(kinds))
+        # values split at ':' and ',' into tokens (even indices) and
+        # separators; a dropped token leaves its separators in place
+        parts = re.split(r"(\s*[:,]\s*)", SCENARIO_VALUES[key])
+        token = 2 * data.draw(st.integers(0, len(parts) // 2))
+        parts[token] = REPLACEMENTS.get(kind, "")
+        lines[i] = f"{key} = {''.join(parts)}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_scenario(path)
         assert err.value.line == i + 1

@@ -42,6 +42,12 @@ class TestMotionParams:
         with pytest.raises(ValueError):
             MotionParams(yaw=np.pi)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["arc_length", "pitch", "roll"])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            MotionParams(**{field: value})
+
     def test_free_normalized_to_declaration_order(self):
         p = MotionParams(free=("arc_length", "yaw"))
         assert p.free == ("yaw", "arc_length")
@@ -502,3 +508,61 @@ class TestInvariance:
         for metric in MetricKind:
             assert_same_kernel(kernel_at(row, JAC_SETS, metric),
                                kernel_at(row, permuted, metric), order)
+
+
+def rig_energies(rig, match_sets, rows, metric):
+    frame = RigFrame.from_matches(rig, match_sets, metric)
+    return multi_camera_energy(np.array(rows), frame, CAUCHY)
+
+
+def with_extrinsic(rig, camera_id, extrinsic):
+    return CameraRig(tuple(
+        RigCamera(c.camera_id, c.model, extrinsic)
+        if c.camera_id == camera_id else c for c in rig.cameras))
+
+
+untilted_rows = st.tuples(
+    yaws, st.one_of(st.floats(0.2, 3.0), st.floats(-3.0, -0.2)),
+    st.just(0.0), st.just(0.0))
+angles = st.floats(-np.pi, np.pi)
+
+
+class TestRigFrameInvariance:
+    """Changes of the rig frame that the motion cannot see leave the
+    energy unchanged, to 1e-12 relative."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(untilted_rows, min_size=1, max_size=6),
+           st.floats(-2.0, 2.0))
+    def test_common_vertical_lever_arm_offset(self, rows, offset):
+        # a motion without pitch or roll turns about the vertical axis and
+        # moves horizontally, so every mounting height sees it alike; with
+        # pitch or roll it does not
+        shifted = JAC_RIG
+        for c in JAC_RIG.cameras:
+            shifted = with_extrinsic(shifted, c.camera_id, Pose(
+                c.extrinsic.rotation,
+                c.extrinsic.translation + [0.0, 0.0, offset]))
+        for metric in MetricKind:
+            before = rig_energies(JAC_RIG, JAC_SETS, rows, metric)
+            after = rig_energies(shifted, JAC_SETS, rows, metric)
+            assert np.isfinite(before).all()
+            assert after == pytest.approx(before, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(jac_rows, min_size=1, max_size=6),
+           st.sampled_from(JAC_SETS), st.tuples(angles, angles, angles))
+    def test_camera_frame_rotation(self, rows, s, zyx):
+        # extrinsic rotation R_e Q^T and bearings Q b: the same rays in
+        # the vehicle frame
+        q = rotation_z(zyx[0]) @ rotation_y(zyx[1]) @ rotation_x(zyx[2])
+        extrinsic = JAC_RIG.camera(s.camera_id).extrinsic
+        rig = with_extrinsic(JAC_RIG, s.camera_id, Pose(
+            extrinsic.rotation @ q.T, extrinsic.translation))
+        sets = [MatchSet(s.camera_id, s.pixels_t0, s.pixels_t1,
+                         s.bearings_t0 @ q.T, s.bearings_t1 @ q.T)
+                if t is s else t for t in JAC_SETS]
+        before = rig_energies(JAC_RIG, JAC_SETS, rows, MetricKind.ANGLEPLANE)
+        after = rig_energies(rig, sets, rows, MetricKind.ANGLEPLANE)
+        assert np.isfinite(before).all()
+        assert after == pytest.approx(before, rel=1e-12, abs=0.0)

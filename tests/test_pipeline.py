@@ -80,6 +80,11 @@ class TestRunSequence:
         with pytest.raises(ValueError, match="finite"):
             FixedScale([1.0, value])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_free_in_curves_rejects_non_finite(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            FreeInCurves(value)
+
     def test_empty_records(self):
         with pytest.raises(NoRecords):
             run_sequence(RIG1, [], FixedScale([]))
