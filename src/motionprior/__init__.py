@@ -19,9 +19,8 @@ from .io_formats import (CalibrationInvalid, FramePairRecord,
                          load_scale, load_scenario, load_trajectory,
                          write_matches, write_rig, write_scale,
                          write_trajectory)
-from .manifold import (CameraRig, DimensionMismatch, MotionParams, RigCamera,
-                       multi_camera_energy, pack_free, pose_from_params,
-                       unpack_free)
+from .manifold import (CameraRig, MotionParams, RigCamera,
+                       multi_camera_energy, pose_from_params)
 from .metrics import (MatchSet, MetricKind, NonFiniteMatch, RigFrame,
                       RobustLoss, angleplane_residuals, geoline_residuals)
 from .pipeline import (FixedScale, FrameOutcome, FreeInCurves,

@@ -122,6 +122,8 @@ def _options_from_args(args) -> EstimatorOptions:
 
 
 def _cmd_simulate(args):
+    if args.seed is not None and args.seed < 0:
+        raise UsageError(f"--seed {args.seed} must be non-negative")
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
         from dataclasses import replace

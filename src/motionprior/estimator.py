@@ -9,7 +9,9 @@ from the same kernel pass as the residuals, so each trial costs one
 kernel call. Trials are accepted on the robust energy itself; the loop
 stops on a small gradient, a small step, a relative energy decrease at
 rounding level, or when no damping gives a descent step, and reports
-which in `EstimateResult.termination`.
+which in `EstimateResult.termination`. Below the public entry points a
+manifold point is the (1, 4) row [yaw, arc_length, pitch, roll] that the
+kernel takes; a MotionParams is built only for the result.
 """
 
 from __future__ import annotations
@@ -19,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import DegenerateTranslation
-from .manifold import (CameraRig, MotionParams, free_rows, lowest_energy,
-                       multi_camera_energy, pack_free, params_rows,
-                       rig_residuals, unpack_free)
+from .manifold import (PARAM_FIELDS, CameraRig, MotionParams, lowest_energy,
+                       multi_camera_energy, params_rows, rig_residuals)
 from .metrics import MetricKind, RigFrame, RobustLoss
 
 FEW_MATCHES_THRESHOLD = 8
@@ -48,14 +49,16 @@ class GridSpec:
 
     axes: dict
 
-    def points(self, template: MotionParams):
-        axes = [np.linspace(*self.axes[f]) if f in self.axes
-                else np.array([getattr(template, f)])
-                for f in template.free]
-        if not axes:
-            return np.zeros((1, 0))
-        grids = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1)
+    def points(self, template: MotionParams) -> np.ndarray:
+        """(K, 4) rows of the template with each free field that has an
+        axis swept over it, the last such field fastest."""
+        rows = params_rows(template)
+        for f in template.free:
+            if f in self.axes:
+                values = np.linspace(*self.axes[f])
+                rows = np.repeat(rows, len(values), axis=0)
+                rows[:, PARAM_FIELDS.index(f)] = np.resize(values, len(rows))
+        return rows
 
 
 def default_cold_start_grid(prior: MotionParams) -> GridSpec:
@@ -81,6 +84,7 @@ class EstimateResult:
     final_energy: float
     iterations: int
     # "grad_tol" | "step_tol" | "energy_tol" | "no_descent" | "max_iter"
+    # | "non_finite" (the energy at the start point is NaN or inf)
     termination: str
     residuals: np.ndarray          # signed, NaN for skipped matches
     skipped_matches: int
@@ -91,14 +95,17 @@ class EstimateResult:
         return self.termination in CONVERGED_TERMINATIONS
 
 
-def _solver_state(p: MotionParams, frame: RigFrame, loss):
+def _solver_state(row, free, frame: RigFrame, loss):
     """IRLS residual vector z = sqrt(rho') r and its Jacobian
-    J = sqrt(rho') dr/dx over the free fields (2 J^T z is the gradient of
-    the robust energy), the signed raw residual per match (NaN for
-    skipped), the skip count and the robust energy at one manifold point.
-    Raises DegenerateTranslation when no populated camera translates."""
-    components, valid, usable, jac = rig_residuals(params_rows(p), frame,
-                                                   p.free)
+    J = sqrt(rho') dr/dx over the `free` fields (2 J^T z is the gradient
+    of the robust energy), the signed raw residual per match (NaN for
+    skipped), the skip count and the robust energy at one (1, 4) row.
+    Raises ValueError outside the domain of MotionParams (|yaw| < pi,
+    every value finite) and DegenerateTranslation when no populated
+    camera translates."""
+    if not (abs(row[0, 0]) < np.pi and np.isfinite(row).all()):
+        raise ValueError("row outside the motion manifold")
+    components, valid, usable, jac = rig_residuals(row, frame, free)
     if not usable[0]:
         raise DegenerateTranslation(
             "all per-camera motions have zero translation")
@@ -117,15 +124,16 @@ def internal_gradient(rig, match_sets, p: MotionParams, loss: RobustLoss,
     """Gradient of the robust energy from the solver's closed-form
     Jacobian: 2 J^T z."""
     frame = RigFrame.from_matches(rig, match_sets, metric)
-    z, J = _solver_state(p, frame, loss)[:2]
+    z, J = _solver_state(params_rows(p), p.free, frame, loss)[:2]
     return 2.0 * J.T @ z
 
 
-def _scale_observable(params, frame: RigFrame, loss):
-    """Probe the energy's sensitivity to arc length at the solution."""
-    l0 = params.arc_length if abs(params.arc_length) > 1e-3 else 1.0
-    yaw_ref = params.yaw + (0.05 if params.yaw < np.pi - 0.1 else -0.05)
-    rows = np.repeat(params_rows(params), 6, axis=0)
+def _scale_observable(row, frame: RigFrame, loss):
+    """Probe the energy's sensitivity to arc length at the solution row."""
+    yaw, arc = row[0, :2]
+    l0 = arc if abs(arc) > 1e-3 else 1.0
+    yaw_ref = yaw + (0.05 if yaw < np.pi - 0.1 else -0.05)
+    rows = np.repeat(row, 6, axis=0)
     rows[:5, 1] = l0 * np.array([0.5, 0.75, 1.0, 1.5, 2.0])
     rows[5, :2] = yaw_ref, l0
     energies = multi_camera_energy(rows, frame, loss)
@@ -148,21 +156,23 @@ def estimate(rig: CameraRig, match_sets, prior: MotionParams,
         raise NoMatches("estimation needs at least one match")
     frame = RigFrame.from_matches(rig, match_sets, opts.metric)
 
-    start = prior
+    cols = [PARAM_FIELDS.index(f) for f in prior.free]
+    row = params_rows(prior)
     if opts.fallback_grid is not None:
         # grid cells, then the prior: the best cell must be at least as low
-        points = opts.fallback_grid.points(prior)
-        rows = np.concatenate([free_rows(points, prior), params_rows(prior)])
+        rows = np.concatenate([opts.fallback_grid.points(prior), row])
         energies = multi_camera_energy(rows, frame, opts.loss)
         best = lowest_energy(rows[:-1], energies[:-1])
         if best is not None and energies[best] <= energies[-1]:
-            start = unpack_free(points[best], prior)
+            row = rows[best:best + 1]
 
-    params = start
-    x = pack_free(params)
-    z, J, raw, skipped, energy = _solver_state(params, frame, opts.loss)
-
-    termination = None if len(x) else "grad_tol"
+    z, J, raw, skipped, energy = _solver_state(row, prior.free, frame,
+                                               opts.loss)
+    termination = None if cols else "grad_tol"
+    if not np.isfinite(energy):
+        # the loop accepts only strictly lower energies; none is below NaN
+        # or inf
+        termination = "non_finite"
     iterations = 0
     lam = DAMPING_INIT
     while termination is None and iterations < opts.max_iterations:
@@ -176,21 +186,21 @@ def estimate(rig: CameraRig, match_sets, prior: MotionParams,
         termination = "no_descent"
         for _ in range(30):
             try:
-                step = np.linalg.solve(JTJ + lam * np.eye(len(x)), -JTz)
+                step = np.linalg.solve(JTJ + lam * np.eye(len(cols)), -JTz)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
+            trial = row.copy()
+            trial[0, cols] += step
             try:
-                trial = unpack_free(x + step, params)
-                t_state = _solver_state(trial, frame, opts.loss)
+                t_state = _solver_state(trial, prior.free, frame, opts.loss)
             except (ValueError, DegenerateTranslation):
                 lam *= 10.0
                 continue
             if t_state[-1] < energy:
                 small_decrease = (energy - t_state[-1]
                                   <= ENERGY_DECREASE_REL_TOL * energy)
-                x = x + step
-                params = trial
+                row = trial
                 z, J, raw, skipped, energy = t_state
                 lam = max(lam / 3.0, 1e-15)
                 termination = None
@@ -209,10 +219,12 @@ def estimate(rig: CameraRig, match_sets, prior: MotionParams,
     valid_matches = total_matches - skipped
     if valid_matches < FEW_MATCHES_THRESHOLD:
         note = "few_matches"
-    elif "arc_length" in params.free and not _scale_observable(
-            params, frame, opts.loss):
+    elif "arc_length" in prior.free and not _scale_observable(
+            row, frame, opts.loss):
         note = "scale_unobservable"
 
+    params = prior.with_values(**{f: float(row[0, PARAM_FIELDS.index(f)])
+                                  for f in prior.free})
     return EstimateResult(params=params, final_energy=energy,
                           iterations=iterations, termination=termination,
                           residuals=raw, skipped_matches=skipped,
@@ -249,15 +261,15 @@ def energy_landscape(rig, match_sets, grid: LandscapeGrid,
                      fixed: MotionParams, loss: RobustLoss,
                      metric: MetricKind, normalize: bool = False) -> Landscape:
     """Dense energy evaluation over a yaw x arc-length grid."""
-    yaws = np.linspace(grid.yaw_range[0], grid.yaw_range[1], grid.yaw_steps)
-    arcs = np.linspace(grid.arc_range[0], grid.arc_range[1], grid.arc_steps)
+    axes = {"yaw": (*grid.yaw_range, grid.yaw_steps),
+            "arc_length": (*grid.arc_range, grid.arc_steps)}
+    yaws, arcs = (np.linspace(*axis) for axis in axes.values())
     if len(yaws) == 0 or len(arcs) == 0:
         raise ValueError("grid must be nonempty")
-    gg, ll = np.meshgrid(yaws, arcs, indexing="ij")
-    rows = np.repeat(params_rows(fixed), gg.size, axis=0)
-    rows[:, 0], rows[:, 1] = gg.ravel(), ll.ravel()
+    rows = GridSpec(axes).points(fixed.with_values(free=tuple(axes)))
     frame = RigFrame.from_matches(rig, match_sets, metric)
-    energies = multi_camera_energy(rows, frame, loss).reshape(gg.shape)
+    energies = multi_camera_energy(rows, frame, loss).reshape(len(yaws),
+                                                              len(arcs))
     degenerate = ~np.isfinite(energies)
     energies[degenerate] = 0.0
     if normalize:

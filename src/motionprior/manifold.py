@@ -26,10 +26,6 @@ YAW_SERIES_SWITCH = 1e-6
 ENERGY_CHUNK = 16384
 
 
-class DimensionMismatch(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class MotionParams:
     """Coordinates on the motion manifold: one frame-to-frame step is an
@@ -45,14 +41,13 @@ class MotionParams:
     def __post_init__(self):
         if not abs(self.yaw) < np.pi:
             raise ValueError("per-frame yaw must lie in (-pi, pi)")
-        # scalar checks: a MotionParams is built on every solver trial
         if not (math.isfinite(self.arc_length) and math.isfinite(self.pitch)
                 and math.isfinite(self.roll)):
             raise ValueError("arc_length, pitch and roll must be finite")
         unknown = set(self.free) - set(PARAM_FIELDS)
         if unknown:
             raise ValueError(f"unknown free fields: {sorted(unknown)}")
-        # canonical declaration order, so pack/unpack are unambiguous
+        # canonical declaration order, the order of the solver's columns
         ordered = tuple(f for f in PARAM_FIELDS if f in self.free)
         object.__setattr__(self, "free", ordered)
 
@@ -60,29 +55,9 @@ class MotionParams:
         return replace(self, **kwargs)
 
 
-def pack_free(p: MotionParams) -> np.ndarray:
-    return np.array([getattr(p, f) for f in p.free], dtype=float)
-
-
-def unpack_free(vector, template: MotionParams) -> MotionParams:
-    vector = np.asarray(vector, dtype=float).reshape(-1)
-    if len(vector) != len(template.free):
-        raise DimensionMismatch(
-            f"expected {len(template.free)} values, got {len(vector)}")
-    return replace(template, **dict(zip(template.free, map(float, vector))))
-
-
 def params_rows(p: MotionParams) -> np.ndarray:
     """The (1, 4) row [yaw, arc_length, pitch, roll] of a manifold point."""
     return np.array([[p.yaw, p.arc_length, p.pitch, p.roll]])
-
-
-def free_rows(values, template: MotionParams) -> np.ndarray:
-    """(K, 4) rows of `template`, free fields from the K rows of values."""
-    values = np.atleast_2d(np.asarray(values, dtype=float))
-    rows = np.repeat(params_rows(template), len(values), axis=0)
-    rows[:, [PARAM_FIELDS.index(f) for f in template.free]] = values
-    return rows
 
 
 # u @ _SKEW, reshaped to (..., 3, 3), is the cross-product matrix of u;

@@ -49,8 +49,11 @@ class RobustLoss:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}")
-        if not self.width > 0:
-            raise ValueError("loss width must be positive")
+        # the losses divide by width^2, which must be non-zero and finite
+        w = float(self.width)
+        if not (w > 0 and 0.0 < w * w < np.inf):
+            raise ValueError(f"loss width {self.width!r} must be positive "
+                             "with a finite, non-zero square")
 
     def evaluate(self, squared: np.ndarray):
         """Return (rho(s), drho/ds) elementwise for squared residuals s."""

@@ -13,8 +13,8 @@ import numpy as np
 
 from .estimator import GridSpec
 from .geometry import DegenerateTranslation
-from .manifold import (CameraRig, MotionParams, free_rows, lowest_energy,
-                       multi_camera_energy, pose_from_params, unpack_free)
+from .manifold import (PARAM_FIELDS, CameraRig, MotionParams, lowest_energy,
+                       multi_camera_energy, pose_from_params)
 from .metrics import MatchSet, MetricKind, RigFrame, RobustLoss
 
 OUTLIER_MODES = ("uniform_image", "wrong_association")
@@ -144,11 +144,11 @@ def grid_search_oracle(rig, match_sets, bounds: dict, resolution: int,
         lo, hi = bounds[f]
         if not lo <= hi:
             raise ValueError(f"invalid bounds for {f}")
-    points = GridSpec({f: (*bounds[f], resolution)
-                       for f in template.free}).points(template)
-    rows = free_rows(points, template)
+    rows = GridSpec({f: (*bounds[f], resolution)
+                     for f in template.free}).points(template)
     frame = RigFrame.from_matches(rig, match_sets, metric)
     best = lowest_energy(rows, multi_camera_energy(rows, frame, loss))
     if best is None:
         raise DegenerateTranslation("every grid point was degenerate")
-    return unpack_free(points[best], template)
+    return template.with_values(**{f: float(rows[best, PARAM_FIELDS.index(f)])
+                                   for f in template.free})

@@ -12,7 +12,7 @@ from motionprior.geometry import (TRANSLATION_EPS, DegenerateTranslation,
                                   PinholeCamera, PinholeIntrinsics, Pose,
                                   skew)
 from motionprior.manifold import (CameraRig, RigCamera, multi_camera_energy,
-                                  pack_free, params_rows, unpack_free)
+                                  params_rows)
 from motionprior.metrics import DEGENERACY_EPS, MatchSet, MetricKind, RigFrame
 
 UNIT_CAM = PinholeCamera(PinholeIntrinsics(1.0, 1.0, 0.0, 0.0))
@@ -91,13 +91,13 @@ def numeric_gradient(rig, match_sets, p, loss, metric, h) -> np.ndarray:
     """Central differences of the multi-camera energy over free params."""
     if h <= 0:
         raise ValueError("h must be positive")
-    x = pack_free(p)
-    grad = np.zeros(len(x))
-    for k in range(len(x)):
-        dx = np.zeros(len(x))
-        dx[k] = h
-        ep = energy_at(unpack_free(x + dx, p), rig, match_sets, loss, metric)
-        em = energy_at(unpack_free(x - dx, p), rig, match_sets, loss, metric)
+    grad = np.zeros(len(p.free))
+    for k, field in enumerate(p.free):
+        x = getattr(p, field)
+        ep = energy_at(p.with_values(**{field: x + h}), rig, match_sets,
+                       loss, metric)
+        em = energy_at(p.with_values(**{field: x - h}), rig, match_sets,
+                       loss, metric)
         grad[k] = (ep - em) / (2.0 * h)
     return grad
 

@@ -66,6 +66,16 @@ class TestSimulate:
         assert code == EXIT_OK
         assert (workspace / "matches.csv").read_text() != first
 
+    def test_negative_seed_is_usage_error(self, workspace, capsys):
+        code = run_cli(["simulate", "--scenario",
+                        str(workspace / "scenario.txt"),
+                        "--out-matches", str(workspace / "matches.csv"),
+                        "--out-truth", str(workspace / "gt.txt"),
+                        "--seed", "-5"])
+        assert code == EXIT_USAGE
+        assert "--seed -5" in capsys.readouterr().err
+        assert not (workspace / "matches.csv").exists()
+
     def test_missing_scenario(self, workspace, capsys):
         code = run_cli(["simulate", "--scenario", str(workspace / "nope.txt"),
                         "--out-matches", str(workspace / "m.csv"),
@@ -213,6 +223,16 @@ class TestNonFiniteInput:
                         "--out-trajectory", str(workspace / "est.txt")])
         assert code == EXIT_DATA
         assert "initial scale must be finite" in capsys.readouterr().err
+
+    def test_infinite_loss_width(self, workspace, capsys):
+        simulate(workspace)
+        code = run_cli(["estimate", "--rig", str(workspace / "rig.txt"),
+                        "--matches", str(workspace / "matches.csv"),
+                        "--loss-width", "inf",
+                        "--out-trajectory", str(workspace / "est.txt")])
+        assert code == EXIT_DATA
+        assert "loss width inf" in capsys.readouterr().err
+        assert not (workspace / "est.txt").exists()
 
     def test_nan_in_rig_extrinsic(self, workspace, capsys):
         simulate(workspace)

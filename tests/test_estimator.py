@@ -30,6 +30,7 @@ def make_rig(offsets):
 
 RIG1 = make_rig([[2.0, 0.0, 0.0]])
 RIG2 = make_rig([[2.0, 1.0, 0.0], [2.0, -1.0, 0.0]])
+YAW_GRID = GridSpec({"yaw": (-0.3, 0.3, 41)})
 
 
 def simulated(rig, truth, seed=0, sigma=0.0, outliers=0.0, num_points=200):
@@ -162,6 +163,58 @@ class TestEstimate:
         # not "few_matches", so the scale probe ran
         assert result.condition_note == "ok"
         assert len(built) == 1
+
+    def test_one_motion_params_per_solve(self, monkeypatch):
+        # the grid fallback, the LM trials and the scale probe take rows;
+        # only the result is a MotionParams
+        truth = MotionParams(yaw=0.1, arc_length=1.0,
+                             free=("yaw", "arc_length"))
+        sets, _ = simulated(RIG2, truth, seed=9)
+        prior = truth.with_values(yaw=0.0)
+        opts = EstimatorOptions(fallback_grid=YAW_GRID)
+        built = []
+        post_init = MotionParams.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+        monkeypatch.setattr(MotionParams, "__post_init__", counted)
+        result = estimate(RIG2, sets, prior, opts)
+        assert result.iterations > 1 and result.condition_note == "ok"
+        assert built == [result.params]
+
+    def test_no_free_fields_with_fallback_grid_returns_prior(self):
+        truth = MotionParams(yaw=0.1, arc_length=1.0, free=())
+        sets, _ = simulated(RIG2, truth, seed=9)
+        prior = truth.with_values(yaw=0.05)
+        opts = EstimatorOptions(fallback_grid=YAW_GRID)
+        result = estimate(RIG2, sets, prior, opts)
+        assert result.params == prior
+        assert (result.termination, result.iterations) == ("grad_tol", 0)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_prior_next_to_yaw_limit(self, sign):
+        # steps past |yaw| = pi are rejected trials, not errors
+        truth = MotionParams(yaw=0.1, arc_length=1.0,
+                             free=("yaw", "arc_length"))
+        sets, _ = simulated(RIG2, truth, seed=9)
+        prior = truth.with_values(yaw=sign * (np.pi - 1e-3))
+        result = estimate(RIG2, sets, prior, EstimatorOptions())
+        assert abs(result.params.yaw) < np.pi
+        assert result.termination in CONVERGED_TERMINATIONS
+
+    def test_non_finite_start_energy_is_not_converged(self):
+        # width^2 = 2.25e-308: r^2 / width^2 overflows, so the energy is inf
+        truth = MotionParams(yaw=0.1, arc_length=1.0,
+                             free=("yaw", "arc_length"))
+        sets, _ = simulated(RIG2, truth, seed=9)
+        opts = EstimatorOptions(metric=MetricKind.GEOLINE,
+                                loss=RobustLoss("cauchy", 1.5e-154))
+        with np.errstate(over="ignore"):
+            result = estimate(RIG2, sets, truth.with_values(yaw=0.09), opts)
+        assert result.final_energy == np.inf
+        assert (result.termination, result.iterations) == ("non_finite", 0)
+        assert not result.converged
 
     def test_termination_reason(self):
         truth = MotionParams(yaw=0.1, arc_length=1.0,

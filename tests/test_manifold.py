@@ -8,11 +8,10 @@ from motionprior.geometry import (TRANSLATION_EPS, DegenerateTranslation,
                                   forward_camera_extrinsic, rotation_x,
                                   rotation_y, rotation_z)
 from motionprior.manifold import (ENERGY_CHUNK, PARAM_FIELDS, CameraRig,
-                                  DimensionMismatch, MotionParams, RigCamera,
-                                  lowest_energy, motion_arrays,
-                                  multi_camera_energy, pack_free,
+                                  MotionParams, RigCamera, lowest_energy,
+                                  motion_arrays, multi_camera_energy,
                                   params_rows, pose_from_params,
-                                  rig_residuals, unpack_free)
+                                  rig_residuals)
 from motionprior.metrics import MatchSet, MetricKind, RigFrame, RobustLoss
 from motionprior.simulate import (NoiseSpec, SceneSpec, generate_matches,
                                   generate_scene)
@@ -55,28 +54,6 @@ class TestMotionParams:
     def test_unknown_free_field(self):
         with pytest.raises(ValueError):
             MotionParams(free=("speed",))
-
-    def test_pack_single(self):
-        p = MotionParams(yaw=0.1, free=("yaw",))
-        assert np.array_equal(pack_free(p), [0.1])
-
-    def test_pack_two_in_order(self):
-        p = MotionParams(yaw=0.1, arc_length=2.0, free=("yaw", "arc_length"))
-        assert np.array_equal(pack_free(p), [0.1, 2.0])
-
-    def test_round_trip(self):
-        p = MotionParams(yaw=0.2, arc_length=3.0, pitch=0.01,
-                         free=("yaw", "pitch"))
-        assert unpack_free(pack_free(p), p) == p
-
-    def test_fixed_fields_preserved(self):
-        p = MotionParams(yaw=0.2, arc_length=3.0, free=("yaw",))
-        q = unpack_free([0.5], p)
-        assert q.yaw == 0.5 and q.arc_length == 3.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            unpack_free([1.0, 2.0], MotionParams(free=("yaw",)))
 
 
 class TestPoseFromParams:

@@ -111,6 +111,12 @@ class TestRobustLoss:
         with pytest.raises(ValueError):
             RobustLoss("cauchy", 0.0)
 
+    @pytest.mark.parametrize("width", [np.inf, 1e-200, 1e200])
+    def test_width_square_must_be_finite_and_non_zero(self, width):
+        # each of these widths made every energy NaN
+        with pytest.raises(ValueError, match="loss width"):
+            RobustLoss("cauchy", width)
+
 
 def line_distance_oracle(line, pixel):
     """Plain point-to-line distance for the homogeneous line (a, b, c)."""
