@@ -13,8 +13,7 @@ from .geometry import (BehindCamera, DegenerateTranslation, GenericCamera,
                        GeometryError, OutOfDomain, PinholeCamera,
                        PinholeIntrinsics, Pose, forward_camera_extrinsic,
                        skew)
-from .io_formats import (CalibrationInvalid, FramePairRecord,
-                         NonMonotoneFrames, NoRecords, ParseError, Scenario,
+from .io_formats import (FramePairRecord, NoRecords, ParseError, Scenario,
                          TrajectoryRecord, load_matches, load_rig,
                          load_scale, load_scenario, load_trajectory,
                          write_matches, write_rig, write_scale,

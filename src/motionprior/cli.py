@@ -17,10 +17,10 @@ import sys
 from .estimator import EstimatorOptions, LandscapeGrid, energy_landscape
 from .evaluation import TrajectoryTooShort, evaluate
 from .geometry import DegenerateTranslation, GeometryError
-from .io_formats import (CalibrationInvalid, NonMonotoneFrames, NoRecords,
-                         ParseError, load_matches, load_rig, load_scale,
-                         load_scenario, load_trajectory, parse_keyvalues,
-                         write_matches, write_scale, write_trajectory)
+from .io_formats import (NoRecords, ParseError, load_matches, load_rig,
+                         load_scale, load_scenario, load_trajectory,
+                         parse_keyvalues, write_matches, write_scale,
+                         write_trajectory)
 from .manifold import MotionParams
 from .metrics import MetricKind, RobustLoss
 from .pipeline import (FixedScale, FreeInCurves, match_sets_from_record,
@@ -32,9 +32,9 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-DATA_ERRORS = (ParseError, CalibrationInvalid, NonMonotoneFrames, NoRecords,
-               NoVisiblePoints, TrajectoryTooShort, FileNotFoundError,
-               IsADirectoryError, PermissionError, ValueError, KeyError)
+DATA_ERRORS = (ParseError, NoRecords, NoVisiblePoints, TrajectoryTooShort,
+               FileNotFoundError, IsADirectoryError, PermissionError,
+               ValueError, KeyError)
 
 
 class UsageError(Exception):
@@ -98,19 +98,50 @@ def _build_parser():
     ev.add_argument("--gt", required=True)
     ev.add_argument("--lengths", default="100,200,300,400,500,600,700,800")
     ev.add_argument("--out", help="CSV report path")
-    return parser
+    return parser, sub.choices
 
 
-def _apply_config(parser, argv):
-    """Pre-scan --config and install its keys as parser defaults; explicit
-    flags win because they are parsed afterwards."""
+def _config_value(action, value, path, lineno):
+    """A config file's value for the flag `action`, converted as argparse
+    would convert it on the command line."""
+    if action.nargs == 0:           # store_true
+        if value not in ("true", "false"):
+            raise ParseError(path, lineno,
+                             f"{action.dest} takes true or false")
+        return action.const if value == "true" else action.default
+    try:
+        value = value if action.type is None else action.type(value)
+    except ValueError as exc:
+        raise ParseError(path, lineno, str(exc))
+    if action.choices is not None and value not in action.choices:
+        raise ParseError(path, lineno, f"{action.dest} must be one of "
+                         f"{', '.join(action.choices)}")
+    return value
+
+
+def _apply_config(commands, argv):
+    """Pre-scan --config and install each key as a default of the
+    subcommands that have that flag; explicit flags win because they are
+    parsed afterwards."""
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
     if idx + 1 >= len(argv):
         raise UsageError("--config needs a file argument")
-    parser.set_defaults(**{key.replace("-", "_"): val for key, (val, _)
-                           in parse_keyvalues(argv[idx + 1]).items()})
+    path = argv[idx + 1]
+    for key, (value, lineno) in parse_keyvalues(path).items():
+        dest = key.replace("-", "_")
+        flags = [(command, action) for command in commands.values()
+                 for action in command._actions
+                 if action.dest == dest and action.option_strings
+                 and action.default is not argparse.SUPPRESS]
+        if not flags:
+            raise ParseError(path, lineno,
+                             f"{key} is a flag of no subcommand")
+        for command, action in flags:
+            action.required = False     # the config supplies it
+            command.set_defaults(
+                **{dest: _config_value(action, value, path, lineno)})
     return argv[:idx] + argv[idx + 2:]
 
 
@@ -143,8 +174,6 @@ def _cmd_simulate(args):
 def _cmd_estimate(args):
     rig = load_rig(args.rig)
     records = load_matches(args.matches)
-    if not records:
-        raise NoRecords("match file holds no frame pairs")
     if args.scale:
         scale_source = FixedScale(load_scale(args.scale))
     elif args.free_in_curves:
@@ -187,8 +216,6 @@ def _cmd_landscape(args):
     elif args.rig and args.matches:
         rig = load_rig(args.rig)
         records = load_matches(args.matches)
-        if not records:
-            raise NoRecords("match file holds no frame pairs")
         fixed = MotionParams(yaw=0.0, arc_length=1.0)
     else:
         raise UsageError("landscape needs --scenario or --rig/--matches")
@@ -238,9 +265,9 @@ COMMANDS = {"simulate": _cmd_simulate, "estimate": _cmd_estimate,
 
 
 def run_cli(argv) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
-        argv = _apply_config(parser, list(argv))
+        argv = _apply_config(commands, list(argv))
         args = parser.parse_args(argv)
         return COMMANDS[args.command](args)
     except UsageError as exc:

@@ -219,8 +219,8 @@ def estimate(rig: CameraRig, match_sets, prior: MotionParams,
     valid_matches = total_matches - skipped
     if valid_matches < FEW_MATCHES_THRESHOLD:
         note = "few_matches"
-    elif "arc_length" in prior.free and not _scale_observable(
-            row, frame, opts.loss):
+    elif "arc_length" in prior.free and np.isfinite(energy) and \
+            not _scale_observable(row, frame, opts.loss):
         note = "scale_unobservable"
 
     params = prior.with_values(**{f: float(row[0, PARAM_FIELDS.index(f)])

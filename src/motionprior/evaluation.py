@@ -73,6 +73,10 @@ def evaluate(est: TrajectoryRecord, gt: TrajectoryRecord,
     if len(est) != len(gt):
         raise ValueError("trajectories must have the same frame count")
     lengths = list(DEFAULT_LENGTHS if lengths is None else lengths)
+    for length in lengths:
+        if not 0 < length < np.inf:
+            raise ValueError(f"segment length {length!r} must be finite "
+                             "and positive")
     dist = _cumulative_distance(gt.poses)
     length_buckets = {l: ErrorBucket() for l in lengths}
     any_segment = False

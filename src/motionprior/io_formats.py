@@ -1,11 +1,14 @@
 """File formats: rig calibration, match CSV, KITTI-style trajectories,
-per-frame scale files and declarative simulation scenarios."""
+per-frame scale files and declarative simulation scenarios. In every file
+'#' starts a comment and blank lines are skipped; a malformed file is a
+ParseError naming its line."""
 
 from __future__ import annotations
 
-import csv
 import os
+import warnings
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 import numpy as np
 
@@ -28,14 +31,6 @@ class ParseError(Exception):
         self.path, self.line = path, line
 
 
-class CalibrationInvalid(Exception):
-    pass
-
-
-class NonMonotoneFrames(Exception):
-    pass
-
-
 class NoRecords(Exception):
     pass
 
@@ -52,37 +47,83 @@ def _reals(path, line, fields):
     return values
 
 
+def _lines(fh):
+    """(line number, text) of each line of the open file that has content
+    once its '#' comment is stripped."""
+    for lineno, line in enumerate(fh, 1):
+        text = line.split("#", 1)[0].strip()
+        if text:
+            yield lineno, text
+
+
+def _line_at(fh, index):
+    """The line number of the open file's content line `index` (from 0)."""
+    fh.seek(0)
+    return next(islice(_lines(fh), index, None))[0]
+
+
+def _numbers(path, fh, row, skip=0, delimiter=None):
+    """The open file's content lines after its first `skip` ones, which the
+    caller has read, parsed by np.loadtxt into an array of the structured
+    dtype `row`. Every value is finite; on any failure, ParseError naming
+    the first bad line."""
+    def parse(texts):
+        rows = np.loadtxt(texts, row, comments=None, delimiter=delimiter,
+                          ndmin=1)
+        if not all(np.isfinite(rows[name]).all() for name in rows.dtype.names):
+            raise ValueError("value is NaN or inf")
+        return rows
+
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")     # loadtxt warns on no lines
+            return parse(text for _, text in _lines(fh))
+    except (ValueError, UserWarning):
+        fh.seek(0)
+    for lineno, text in islice(_lines(fh), skip, None):
+        try:
+            parse([text])
+        except ValueError as exc:
+            raise ParseError(path, lineno, str(exc).split(" at row")[0])
+    return np.empty(0, row)
+
+
 def _beside(path, other):
     """`other` resolved against the directory of the file `path`, unless
     it is absolute."""
     return os.path.join(os.path.dirname(os.path.abspath(path)), other)
 
 
-def _fmt(x: float) -> str:
-    """Shortest decimal that round-trips the float exactly."""
-    return repr(float(x))
+def _cell(x) -> str:
+    """A string or an integer (Python or numpy) as it is, any other number
+    as the shortest decimal that round-trips its float exactly."""
+    return str(x) if isinstance(x, (str, int, np.integer)) else repr(float(x))
+
+
+def _write_rows(path, rows, sep=" "):
+    """One line per row, its cells joined by `sep`."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write(sep.join(map(_cell, row)) + "\n")
 
 
 # ---------------------------------------------------------------- rig files
 
 def load_rig(path) -> CameraRig:
     """Rig file: one key-value block per camera, blocks separated by blank
-    lines. Keys: id, model (pinhole|generic), intrinsics (fx fy cx cy
-    [skew]), image_size (w h, optional), table (path relative to the rig
-    file, generic only), extrinsic (12 reals, row-major 3x4)."""
-    blocks = [{}]
+    or comment lines. Keys: id, model (pinhole|generic), intrinsics (fx fy
+    cx cy [skew]), image_size (w h, optional), table (path relative to the
+    rig file, generic only), extrinsic (12 reals, row-major 3x4)."""
+    blocks, last = [], None
     with open(path, encoding="utf-8") as fh:
-        for lineno, rawline in enumerate(fh, 1):
-            line = rawline.split("#", 1)[0].strip()
-            if not line:
-                if blocks[-1]:
-                    blocks.append({})
-                continue
-            parts = line.split()
-            if len(parts) < 2:
-                raise ParseError(path, lineno, f"{parts[0]} needs a value")
-            blocks[-1][parts[0]] = (lineno, parts[1:])
-    blocks = [b for b in blocks if b]
+        for lineno, text in _lines(fh):
+            if lineno - 1 != last:      # a skipped line ends a block
+                blocks.append({})
+            last = lineno
+            key, *values = text.split()
+            if not values:
+                raise ParseError(path, lineno, f"{key} needs a value")
+            blocks[-1][key] = (lineno, values)
     if not blocks:
         raise ParseError(path, 0, "rig file defines no cameras")
     cameras = []
@@ -97,6 +138,8 @@ def load_rig(path) -> CameraRig:
             raise ParseError(path, first, f"camera block missing key {exc}")
         except ValueError as exc:
             raise ParseError(path, id_line, f"bad camera id: {exc}")
+        if any(cam.camera_id == cam_id for cam in cameras):
+            raise ParseError(path, id_line, f"camera id {cam_id} repeats")
         ext_vals = _reals(path, ext_line, ext_fields)
         if len(ext_vals) != 12:
             raise ParseError(path, ext_line, "extrinsic needs 12 values")
@@ -104,7 +147,7 @@ def load_rig(path) -> CameraRig:
         try:
             extrinsic = Pose(mat[:, :3], mat[:, 3])
         except ValueError as exc:
-            raise CalibrationInvalid(str(exc))
+            raise ParseError(path, ext_line, str(exc))
         image_size = None
         if "image_size" in block:
             image_size = tuple(_reals(path, *block["image_size"]))
@@ -135,31 +178,21 @@ def load_rig(path) -> CameraRig:
             raise ParseError(path, model_line,
                              f"unknown camera model {kind!r}")
         cameras.append(RigCamera(cam_id, model, extrinsic))
-    try:
-        return CameraRig(tuple(cameras))
-    except ValueError as exc:
-        raise CalibrationInvalid(str(exc))
+    return CameraRig(tuple(cameras))
 
 
 def write_rig(rig: CameraRig, path):
-    lines = []
+    rows = []
     for cam in rig.cameras:
-        lines.append(f"id {cam.camera_id}")
-        lines.append(f"model {cam.model.kind}")
-        if cam.model.kind == "pinhole":
-            k = cam.model.intrinsics
-            lines.append("intrinsics " + " ".join(
-                _fmt(v) for v in (k.fx, k.fy, k.cx, k.cy, k.skew)))
-        else:
+        if cam.model.kind != "pinhole":
             raise ValueError("writing generic cameras is not supported")
-        if cam.model.image_size is not None:
-            lines.append("image_size " + " ".join(
-                _fmt(v) for v in cam.model.image_size))
-        lines.append("extrinsic " + " ".join(
-            _fmt(v) for v in cam.extrinsic.matrix34().ravel()))
-        lines.append("")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines))
+        k, size = cam.model.intrinsics, cam.model.image_size
+        rows += [[], ["id", cam.camera_id], ["model", "pinhole"],
+                 ["intrinsics", *map(float, (k.fx, k.fy, k.cx, k.cy, k.skew))]]
+        if size is not None:
+            rows.append(["image_size", *map(float, size)])
+        rows.append(["extrinsic", *cam.extrinsic.matrix34().ravel()])
+    _write_rows(path, rows[1:])     # blank rows between blocks
 
 
 def load_bearing_table(path, image_size=None) -> GenericCamera:
@@ -167,39 +200,23 @@ def load_bearing_table(path, image_size=None) -> GenericCamera:
     integers >= 2) then nu*nv unit bearings (three reals per line),
     row-major over v then u."""
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
+        lineno, text = next(_lines(fh), (1, ""))
+        header = text.split()
         if len(header) != 6:
-            raise ParseError(path, 1, "header needs u0 v0 du dv nu nv")
-        u0, v0, du, dv = _reals(path, 1, header[:4])
+            raise ParseError(path, lineno, "header needs u0 v0 du dv nu nv")
+        u0, v0, du, dv = _reals(path, lineno, header[:4])
         try:
             nu, nv = int(header[4]), int(header[5])
         except ValueError as exc:
-            raise ParseError(path, 1, f"bad table size: {exc}")
+            raise ParseError(path, lineno, f"bad table size: {exc}")
         if not (du > 0 and dv > 0 and nu >= 2 and nv >= 2):
-            raise ParseError(path, 1, "header needs du, dv > 0, nu, nv >= 2")
-        try:
-            data = np.loadtxt(fh, ndmin=2)
-        except ValueError:
-            data = None
-    if data is None or data.shape[1:] != (3,) or not np.isfinite(data).all():
-        data = _table_rows(path)
-    if len(data) != nu * nv:
-        raise ParseError(path, 2, f"expected {nu * nv} bearing rows")
-    return GenericCamera(u0, v0, du, dv, data.reshape(nv, nu, 3), image_size)
-
-
-def _table_rows(path):
-    """A bearing table's rows parsed line by line, the slow path that
-    names the first line that is not three finite reals."""
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            fields = line.split("#", 1)[0].split()
-            if lineno > 1 and fields:
-                if len(fields) != 3:
-                    raise ParseError(path, lineno, "bearing needs 3 values")
-                rows.append(_reals(path, lineno, fields))
-    return np.array(rows).reshape(-1, 3)
+            raise ParseError(path, lineno,
+                             "header needs du, dv > 0, nu, nv >= 2")
+        rays = _numbers(path, fh, [("ray", float, 3)], skip=1)["ray"]
+    if len(rays) != nu * nv:
+        raise ParseError(path, lineno, f"header declares {nu * nv} bearing "
+                         f"rows, the file holds {len(rays)}")
+    return GenericCamera(u0, v0, du, dv, rays.reshape(nv, nu, 3), image_size)
 
 
 # -------------------------------------------------------------- match files
@@ -218,55 +235,37 @@ class FramePairRecord:
 
 def load_matches(path):
     """Match CSV with header t0,t1,camera_id,u0,v0,u1,v1; one line per
-    match, records grouped by (t0, t1) in strictly increasing t0 order."""
-    rows = {}     # (t0, t1) -> camera_id -> quads, in order of appearance
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != MATCH_HEADER:
-            raise ParseError(path, 1, f"expected header {','.join(MATCH_HEADER)}")
-        for lineno, row in enumerate(reader, 2):
-            if not row:
-                continue
-            if len(row) != 7:
-                raise ParseError(path, lineno, "expected 7 fields")
-            try:
-                t0, t1, cam = int(row[0]), int(row[1]), int(row[2])
-                u0, v0, u1, v1 = map(float, row[3:])
-            except ValueError as exc:
-                raise ParseError(path, lineno, str(exc))
-            rows.setdefault((t0, t1), {}).setdefault(cam, []).append(
-                (u0, v0, u1, v1))
-    records = []
-    last_t0 = None
-    for t0, t1 in rows:
-        if last_t0 is not None and t0 <= last_t0:
-            raise NonMonotoneFrames(
-                f"frame index {t0} does not increase past {last_t0}")
-        last_t0 = t0
-        pixels = {}
-        for cam, quads in rows[(t0, t1)].items():
-            arr = np.array(quads)
-            if not np.isfinite(arr).all():
-                # rare: parse again row by row to name the first such line
-                with open(path, newline="", encoding="utf-8") as fh:
-                    for lineno, row in enumerate(list(csv.reader(fh))[1:], 2):
-                        _reals(path, lineno, row[3:])
-            pixels[cam] = (arr[:, :2], arr[:, 2:])
-        records.append(FramePairRecord(t0, t1, pixels))
-    return records
+    match. A frame pair's lines are contiguous, and pairs come in strictly
+    increasing t0 order."""
+    with open(path, encoding="utf-8") as fh:
+        lineno, text = next(_lines(fh), (1, ""))
+        if [h.strip() for h in text.split(",")] != MATCH_HEADER:
+            raise ParseError(path, lineno,
+                             f"expected header {','.join(MATCH_HEADER)}")
+        rows = _numbers(path, fh, [("ids", np.int64, 3), ("pixels", float, 4)],
+                        skip=1, delimiter=",")
+        if not len(rows):
+            raise ParseError(path, lineno, "no match lines after the header")
+        t0, t1, cams = rows["ids"].T
+        starts = np.flatnonzero((t0[1:] != t0[:-1]) | (t1[1:] != t1[:-1])) + 1
+        back = starts[t0[starts] <= t0[starts - 1]]
+        if back.size:
+            i = back[0]
+            raise ParseError(path, _line_at(fh, 1 + i),
+                             f"frame pair ({t0[i]}, {t1[i]}) after "
+                             f"({t0[i - 1]}, {t1[i - 1]}): t0 must increase")
+    quads = rows["pixels"]
+    return [FramePairRecord(int(t0[a]), int(t1[a]), {
+        cam: tuple(np.hsplit(quads[a:b][cams[a:b] == cam], 2))
+        for cam in dict.fromkeys(cams[a:b].tolist())})
+        for a, b in zip([0, *starts], [*starts, len(rows)])]
 
 
 def write_matches(records, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(MATCH_HEADER)
-        for rec in records:
-            for cam in sorted(rec.pixels):
-                px0, px1 = rec.pixels[cam]
-                for (u0, v0), (u1, v1) in zip(px0, px1):
-                    writer.writerow([rec.t0, rec.t1, cam, _fmt(u0), _fmt(v0),
-                                     _fmt(u1), _fmt(v1)])
+    _write_rows(path, chain([MATCH_HEADER], (
+        (rec.t0, rec.t1, cam, *quad) for rec in records
+        for cam in sorted(rec.pixels)
+        for quad in np.hstack(rec.pixels[cam], dtype=float).tolist())), ",")
 
 
 # --------------------------------------------------------- trajectory files
@@ -290,10 +289,8 @@ class TrajectoryRecord:
 def write_trajectory(trajectory: TrajectoryRecord, path):
     """One line per frame: the 12 row-major values of [R|t], printed with
     shortest round-trip formatting."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for pose in trajectory.poses:
-            fh.write(" ".join(_fmt(v) for v in pose.matrix34().ravel()))
-            fh.write("\n")
+    _write_rows(path, (pose.matrix34().ravel().tolist()
+                       for pose in trajectory.poses))
 
 
 def _rotation_on_load(rot: np.ndarray) -> np.ndarray:
@@ -309,19 +306,15 @@ def _rotation_on_load(rot: np.ndarray) -> np.ndarray:
 
 
 def load_trajectory(path) -> TrajectoryRecord:
-    poses = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            vals = line.split()
-            if len(vals) != 12:
-                raise ParseError(path, lineno, "expected 12 values per line")
-            mat = np.array(_reals(path, lineno, vals)).reshape(3, 4)
+        poses = []
+        for i, mat in enumerate(
+                _numbers(path, fh, [("pose", float, 12)])["pose"]
+                .reshape(-1, 3, 4)):
             try:
                 poses.append(Pose(_rotation_on_load(mat[:, :3]), mat[:, 3]))
             except ValueError as exc:
-                raise ParseError(path, lineno, str(exc))
+                raise ParseError(path, _line_at(fh, i), str(exc))
     if not poses:
         raise ParseError(path, 0, "empty trajectory file")
     return TrajectoryRecord(tuple(poses))
@@ -329,18 +322,12 @@ def load_trajectory(path) -> TrajectoryRecord:
 
 def load_scale(path):
     """Per-frame-pair arc lengths, one real per line."""
-    values = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if line.strip():
-                values.extend(_reals(path, lineno, [line]))
-    return values
+        return _numbers(path, fh, [("arc", float)])["arc"].tolist()
 
 
 def write_scale(values, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for v in values:
-            fh.write(_fmt(v) + "\n")
+    _write_rows(path, ([float(v)] for v in values))
 
 
 # ------------------------------------------------------------ scenario files
@@ -372,13 +359,10 @@ def parse_keyvalues(path):
     """`key = value` lines ('#' starts a comment) -> {key: (value, line)}."""
     values = {}
     with open(path, encoding="utf-8") as fh:
-        for lineno, rawline in enumerate(fh, 1):
-            line = rawline.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
+        for lineno, text in _lines(fh):
+            key, eq, val = text.partition("=")
+            if not eq:
                 raise ParseError(path, lineno, "expected key = value")
-            key, _, val = line.partition("=")
             values[key.strip()] = (val.strip(), lineno)
     return values
 

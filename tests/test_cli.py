@@ -310,6 +310,15 @@ class TestEval:
         assert lines[0].startswith("length_m,")
         assert len(lines) == 2
 
+    def test_zero_length_is_data_error(self, workspace, capsys):
+        simulate(workspace)
+        code = run_cli(["eval", "--est", str(workspace / "gt.txt"),
+                        "--gt", str(workspace / "gt.txt"),
+                        "--lengths", "3,0"])
+        assert code == EXIT_DATA
+        assert "segment length 0.0 must be finite and positive" in \
+            capsys.readouterr().err
+
     def test_too_short_is_data_error(self, workspace, capsys):
         simulate(workspace)
         code = run_cli(["eval", "--est", str(workspace / "gt.txt"),
@@ -318,17 +327,25 @@ class TestEval:
         assert code == EXIT_DATA
 
 
+def estimate_iterations(ws, cfg, *flags):
+    """Per-frame LM iterations of `estimate` run with the config file."""
+    code = run_cli(["--config", str(cfg),
+                    "estimate", "--rig", str(ws / "rig.txt"),
+                    "--matches", str(ws / "matches.csv"),
+                    "--scale", str(ws / "scale.txt"),
+                    "--out-trajectory", str(ws / "est.txt"),
+                    "--diagnostics", str(ws / "diag.jsonl"), *flags])
+    assert code == EXIT_OK
+    return [json.loads(line)["iterations"]
+            for line in (ws / "diag.jsonl").read_text().splitlines()]
+
+
 class TestConfigAndEnv:
     def test_config_file_defaults(self, workspace):
         simulate(workspace)
         cfg = workspace / "flags.cfg"
-        cfg.write_text("loss = huber\nloss-width = 2.0\n")
-        code = run_cli(["--config", str(cfg),
-                        "estimate", "--rig", str(workspace / "rig.txt"),
-                        "--matches", str(workspace / "matches.csv"),
-                        "--scale", str(workspace / "scale.txt"),
-                        "--out-trajectory", str(workspace / "est.txt")])
-        assert code == EXIT_OK
+        cfg.write_text("loss = huber\nmax-iterations = 1\n")
+        assert max(estimate_iterations(workspace, cfg)) == 1
 
     def test_bad_config_line_names_its_line(self, workspace, capsys):
         cfg = workspace / "flags.cfg"
@@ -341,11 +358,40 @@ class TestConfigAndEnv:
     def test_explicit_flag_beats_config(self, workspace):
         simulate(workspace)
         cfg = workspace / "flags.cfg"
-        cfg.write_text("metric = geoline\n")
-        code = run_cli(["--config", str(cfg),
-                        "estimate", "--rig", str(workspace / "rig.txt"),
+        cfg.write_text("max_iterations = 1\n")
+        iterations = estimate_iterations(workspace, cfg,
+                                         "--max-iterations", "3")
+        assert max(iterations) > 1 and max(iterations) <= 3
+
+    @pytest.mark.parametrize("text, message", [
+        ("loss = huber\nloss_widht = 5\n", "loss_widht is a flag of no"),
+        ("config = other.cfg\n", "config is a flag of no subcommand"),
+        ("percent = yes\n", "percent takes true or false"),
+        ("max-iterations = many\n", "invalid literal"),
+        ("metric = planar\n", "metric must be one of")],
+        ids=["misspelled", "top-level", "store-true-word", "int-word",
+             "choice-unknown"])
+    def test_bad_config_value_names_its_line(self, workspace, capsys, text,
+                                             message):
+        cfg = workspace / "flags.cfg"
+        cfg.write_text("# flags\n" + text)
+        code = run_cli(["--config", str(cfg), "eval", "--est", "a.txt",
+                        "--gt", "b.txt"])
+        assert code == EXIT_DATA
+        line = text.count("\n") + 1
+        assert f"{cfg}:{line}: {message}" in capsys.readouterr().err
+
+    def test_store_true_flag_reads_false_and_rig_from_config(self, workspace):
+        simulate(workspace)
+        cfg = workspace / "flags.cfg"
+        # a config key may supply a required flag
+        cfg.write_text(f"percent = false\nrig = {workspace / 'rig.txt'}\n")
+        code = run_cli(["--config", str(cfg), "landscape",
                         "--matches", str(workspace / "matches.csv"),
-                        "--scale", str(workspace / "scale.txt"),
-                        "--metric", "angleplane",
-                        "--out-trajectory", str(workspace / "est.txt")])
+                        "--yaw-steps", "3", "--arc-steps", "3",
+                        "--out", str(workspace / "land.csv")])
         assert code == EXIT_OK
+        energies = [float(line.split(",")[2]) for line in
+                    (workspace / "land.csv").read_text().splitlines()[1:]]
+        # percent of the maximum would put the largest cell at 100
+        assert max(energies) < 1.0

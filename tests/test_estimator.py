@@ -215,6 +215,7 @@ class TestEstimate:
         assert result.final_energy == np.inf
         assert (result.termination, result.iterations) == ("non_finite", 0)
         assert not result.converged
+        assert result.condition_note == "ok"
 
     def test_termination_reason(self):
         truth = MotionParams(yaw=0.1, arc_length=1.0,

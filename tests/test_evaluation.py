@@ -77,6 +77,12 @@ class TestEvaluate:
         assert report.length_buckets[800.0].count == 0
         assert np.isnan(report.mean_rotation(800.0))
 
+    @pytest.mark.parametrize("length", [0.0, -5.0, np.nan, np.inf])
+    def test_length_must_be_finite_and_positive(self, length):
+        gt = TrajectoryRecord(tuple(straight_line(150)))
+        with pytest.raises(ValueError, match="finite and positive"):
+            evaluate(gt, gt, lengths=[100.0, length])
+
     def test_length_mismatch(self):
         a = TrajectoryRecord(tuple(straight_line(10)))
         b = TrajectoryRecord(tuple(straight_line(11)))

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motionprior.geometry import (PinholeCamera, PinholeIntrinsics, Pose,
-                                  forward_camera_extrinsic, rotation_z)
-from motionprior.io_formats import (MATCH_HEADER, CalibrationInvalid,
-                                    FramePairRecord, NonMonotoneFrames,
-                                    ParseError,
-                                    SequenceProfile, TrajectoryRecord,
+                                  forward_camera_extrinsic, rotation_x,
+                                  rotation_y, rotation_z)
+from motionprior.io_formats import (MATCH_HEADER, FramePairRecord,
+                                    ParseError, SequenceProfile,
+                                    TrajectoryRecord,
                                     load_bearing_table, load_matches,
                                     load_rig, load_scale,
                                     load_scenario, load_trajectory,
@@ -74,8 +74,9 @@ class TestRigFiles:
         p = tmp_path / "rig.txt"
         p.write_text("id 0\nmodel pinhole\nintrinsics 1 1 0 0\n"
                      "extrinsic 2 0 0 0 0 1 0 0 0 0 1 0\n")
-        with pytest.raises(CalibrationInvalid):
+        with pytest.raises(ParseError, match="orthonormal") as err:
             load_rig(p)
+        assert err.value.line == 4
 
     @pytest.mark.parametrize("text, line", [
         ("id 0\nmodel pinhole\nintrinsics 1 1 0 0\n"
@@ -174,8 +175,9 @@ class TestRigFiles:
                  "extrinsic 1 0 0 0 0 1 0 0 0 0 1 0\n")
         p = tmp_path / "rig.txt"
         p.write_text(block + "\n" + block)
-        with pytest.raises(CalibrationInvalid):
+        with pytest.raises(ParseError, match="camera id 0 repeats") as err:
             load_rig(p)
+        assert err.value.line == 6
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "rig.txt"
@@ -218,8 +220,9 @@ class TestMatchFiles:
         p.write_text("t0,t1,camera_id,u0,v0,u1,v1\n"
                      "1,2,0,1,2,3,4\n"
                      "0,1,0,1,2,3,4\n")
-        with pytest.raises(NonMonotoneFrames):
+        with pytest.raises(ParseError) as err:
             load_matches(p)
+        assert err.value.line == 3
 
     def test_bad_field_reports_line(self, tmp_path):
         p = tmp_path / "matches.csv"
@@ -244,6 +247,49 @@ class TestMatchFiles:
     def test_match_count(self):
         rec = self.make_records()[0]
         assert rec.match_count() == 10
+
+    def test_split_frame_pair_reports_first_line_out_of_order(self,
+                                                             tmp_path):
+        p = tmp_path / "matches.csv"
+        p.write_text("t0,t1,camera_id,u0,v0,u1,v1\n"
+                     "0,1,0,1,2,3,4\n"
+                     "1,2,0,1,2,3,4\n"
+                     "1,2,1,1,2,3,4\n"
+                     "0,1,1,1,2,3,4\n"
+                     "2,3,0,1,2,3,4\n")
+        with pytest.raises(ParseError) as err:
+            load_matches(p)
+        assert err.value.line == 5
+
+    def test_repeated_t0_with_another_t1_reports_line(self, tmp_path):
+        p = tmp_path / "matches.csv"
+        p.write_text("t0,t1,camera_id,u0,v0,u1,v1\n"
+                     "0,1,0,1,2,3,4\n"
+                     "# comment\n"
+                     "0,2,0,1,2,3,4\n")
+        with pytest.raises(ParseError) as err:
+            load_matches(p)
+        assert err.value.line == 4
+
+    @pytest.mark.parametrize("row", ["0.5,1,0", "0,1.0,0", "0,1,x",
+                                     "0,1,99999999999999999999"],
+                             ids=["t0-fraction", "t1-real", "camera-word",
+                                  "camera-beyond-int64"])
+    def test_non_integer_index_reports_line(self, tmp_path, row):
+        p = tmp_path / "matches.csv"
+        p.write_text("t0,t1,camera_id,u0,v0,u1,v1\n"
+                     "0,1,0,1,2,3,4\n"
+                     f"{row},1,2,3,4\n")
+        with pytest.raises(ParseError) as err:
+            load_matches(p)
+        assert err.value.line == 3
+
+    def test_no_match_lines(self, tmp_path):
+        p = tmp_path / "matches.csv"
+        p.write_text("t0,t1,camera_id,u0,v0,u1,v1\n# no matches\n")
+        with pytest.raises(ParseError, match="no match lines") as err:
+            load_matches(p)
+        assert err.value.line == 1
 
 
 class TestTrajectoryFiles:
@@ -337,6 +383,104 @@ class TestScaleFiles:
         with pytest.raises(ParseError) as err:
             load_scale(p)
         assert err.value.line == 2
+
+
+# one valid file of each numeric format: (its values as loaded, the file,
+# the same file with comments and blank lines)
+COMMENTED_FILES = {
+    "matches": (
+        lambda p: [(r.t0, r.t1, {cam: np.hstack(px).tolist()
+                                 for cam, px in r.pixels.items()})
+                   for r in load_matches(p)],
+        "t0,t1,camera_id,u0,v0,u1,v1\n0,1,0,1,2,3,4\n1,2,0,5,6,7,8\n",
+        "# matches\nt0,t1,camera_id,u0,v0,u1,v1  # header\n\n"
+        "0,1,0,1,2,3,4\n   \n# next pair\n1,2,0,5,6,7,8 # last\n"),
+    "trajectory": (
+        lambda p: [pose.matrix34().tolist()
+                   for pose in load_trajectory(p).poses],
+        "1 0 0 0 0 1 0 0 0 0 1 0\n1 0 0 1 0 1 0 0 0 0 1 0\n",
+        "# poses\n1 0 0 0 0 1 0 0 0 0 1 0\n\n"
+        "1 0 0 1 0 1 0 0 0 0 1 0  # second\n\n"),
+    "scale": (load_scale, "1.0\n1.5\n",
+              "\n# arc lengths\n1.0 # m\n\n1.5\n"),
+    "bearing-table": (
+        lambda p: load_bearing_table(p).table.tolist(),
+        "0 0 1 1 2 2\n" + TABLE_ROWS,
+        "# table\n0 0 1 1 2 2 # header\n\n"
+        + TABLE_ROWS.replace("\n", " # ray\n\n")),
+}
+
+
+@pytest.mark.parametrize("kind", list(COMMENTED_FILES))
+def test_comments_and_blank_lines_are_skipped(tmp_path, kind):
+    values, plain, commented = COMMENTED_FILES[kind]
+    a, b = tmp_path / "plain.txt", tmp_path / "commented.txt"
+    a.write_text(plain)
+    b.write_text(commented)
+    assert values(a) == values(b)
+
+
+# write then load gives back every value bit for bit
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+INDEX = st.integers(-2**63, 2**63 - 1)
+AS_INTEGER = st.sampled_from([int, np.int64])
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+@st.composite
+def match_records(draw):
+    starts = draw(st.lists(st.integers(-2**62, 2**62), min_size=1,
+                           max_size=3, unique=True))
+    records = []
+    for t0 in sorted(starts):
+        pixels = {}
+        for cam in draw(st.lists(INDEX, min_size=1, max_size=2, unique=True)):
+            quads = np.array(draw(st.lists(st.tuples(*[FINITE] * 4),
+                                           min_size=1, max_size=3)))
+            pixels[draw(AS_INTEGER)(cam)] = (quads[:, :2], quads[:, 2:])
+        records.append(FramePairRecord(draw(AS_INTEGER)(t0),
+                                       draw(AS_INTEGER)(draw(INDEX)), pixels))
+    return records
+
+
+class TestRoundTripProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(match_records())
+    def test_matches(self, tmp_path_factory, records):
+        p = tmp_path_factory.mktemp("prop") / "matches.csv"
+        write_matches(records, p)
+        back = load_matches(p)
+        assert [(r.t0, r.t1) for r in back] == \
+            [(int(r.t0), int(r.t1)) for r in records]
+        for a, b in zip(records, back):
+            assert list(b.pixels) == sorted(int(cam) for cam in a.pixels)
+            for cam, (px0, px1) in a.pixels.items():
+                assert bits(b.pixels[cam][0]) == bits(px0)
+                assert bits(b.pixels[cam][1]) == bits(px1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(*[st.floats(-np.pi, np.pi)] * 3,
+                              *[st.floats(-1e4, 1e4)] * 3), max_size=8))
+    def test_trajectory(self, tmp_path_factory, steps):
+        poses = [Pose.identity()]
+        for yaw, pitch, roll, *t in steps:
+            poses.append(poses[-1].compose(Pose(
+                rotation_z(yaw) @ rotation_y(pitch) @ rotation_x(roll), t)))
+        p = tmp_path_factory.mktemp("prop") / "trajectory.txt"
+        write_trajectory(TrajectoryRecord(tuple(poses)), p)
+        back = load_trajectory(p)
+        assert [bits(pose.matrix34()) for pose in back.poses] == \
+            [bits(pose.matrix34()) for pose in poses]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(FINITE, st.integers(-2**53, 2**53))))
+    def test_scale(self, tmp_path_factory, values):
+        p = tmp_path_factory.mktemp("prop") / "scale.txt"
+        write_scale(values, p)
+        assert bits(load_scale(p)) == bits([float(v) for v in values])
 
 
 class TestScenarioFiles:
