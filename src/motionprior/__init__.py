@@ -6,8 +6,7 @@ for one or many rigidly mounted cameras without overlapping fields of view.
 
 from .estimator import (EstimateResult, EstimatorOptions, GridSpec,
                         Landscape, LandscapeGrid, NoMatches,
-                        classify_inliers, energy_landscape, estimate,
-                        internal_gradient)
+                        classify_inliers, energy_landscape, estimate)
 from .evaluation import EvalReport, TrajectoryTooShort, evaluate
 from .geometry import (BehindCamera, DegenerateTranslation, GenericCamera,
                        GeometryError, OutOfDomain, PinholeCamera,

@@ -223,7 +223,7 @@ def _cmd_landscape(args):
         raise UsageError(f"--pair-index {args.pair_index} is outside "
                          f"[0, {len(records)}): the input holds "
                          f"{len(records)} frame pairs")
-    match_sets = match_sets_from_record(records[args.pair_index], rig)
+    match_sets = match_sets_from_record(records[args.pair_index])
     grid = LandscapeGrid((args.yaw_min, args.yaw_max), args.yaw_steps,
                          (args.arc_min, args.arc_max), args.arc_steps)
     loss = RobustLoss("cauchy", 0.0065)

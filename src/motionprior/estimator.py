@@ -119,15 +119,6 @@ def _solver_state(row, free, frame: RigFrame, loss):
             len(mask) - int(np.count_nonzero(mask)), float(np.sum(rho)))
 
 
-def internal_gradient(rig, match_sets, p: MotionParams, loss: RobustLoss,
-                      metric: MetricKind) -> np.ndarray:
-    """Gradient of the robust energy from the solver's closed-form
-    Jacobian: 2 J^T z."""
-    frame = RigFrame.from_matches(rig, match_sets, metric)
-    z, J = _solver_state(params_rows(p), p.free, frame, loss)[:2]
-    return 2.0 * J.T @ z
-
-
 def _scale_observable(row, frame: RigFrame, loss):
     """Probe the energy's sensitivity to arc length at the solution row."""
     yaw, arc = row[0, :2]

@@ -90,8 +90,9 @@ def _numbers(path, fh, row, skip=0, delimiter=None):
 
 def _beside(path, other):
     """`other` resolved against the directory of the file `path`, unless
-    it is absolute."""
-    return os.path.join(os.path.dirname(os.path.abspath(path)), other)
+    it is absolute, and normalized."""
+    return os.path.normpath(
+        os.path.join(os.path.dirname(os.path.abspath(path)), other))
 
 
 def _cell(x) -> str:
@@ -113,7 +114,8 @@ def load_rig(path) -> CameraRig:
     """Rig file: one key-value block per camera, blocks separated by blank
     or comment lines. Keys: id, model (pinhole|generic), intrinsics (fx fy
     cx cy [skew]), image_size (w h, optional), table (path relative to the
-    rig file, generic only), extrinsic (12 reals, row-major 3x4)."""
+    rig file, generic only), extrinsic (12 reals, row-major 3x4). Cameras
+    naming one table file with one image_size share one GenericCamera."""
     blocks, last = [], None
     with open(path, encoding="utf-8") as fh:
         for lineno, text in _lines(fh):
@@ -126,7 +128,7 @@ def load_rig(path) -> CameraRig:
             blocks[-1][key] = (lineno, values)
     if not blocks:
         raise ParseError(path, 0, "rig file defines no cameras")
-    cameras = []
+    cameras, tables = [], {}    # (table path, image_size) -> its camera
     for block in blocks:
         try:
             id_line, (cam_id, *_) = block["id"]
@@ -172,8 +174,10 @@ def load_rig(path) -> CameraRig:
             if "table" not in block:
                 raise ParseError(path, model_line,
                                  "generic camera needs a table line")
-            model = load_bearing_table(_beside(path, block["table"][1][0]),
-                                       image_size)
+            key = (_beside(path, block["table"][1][0]), image_size)
+            if key not in tables:
+                tables[key] = load_bearing_table(*key)
+            model = tables[key]
         else:
             raise ParseError(path, model_line,
                              f"unknown camera model {kind!r}")

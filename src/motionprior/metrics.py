@@ -4,8 +4,9 @@ Two metrics are provided: the symmetric pixel distance to epipolar lines
 (pinhole only) and the sine of the angle between a line of sight and its
 epipolar plane (any central camera model).
 
-Both are num / |vec| on rays in the vehicle frame, v = Re b (plane) or
-v = Re K^-1 x (line): v1^T M v0 over |M v0|, or over |(K^-T Re^T M v0)[:2]|
+Both are num / |vec| on rays in the vehicle frame, v = Re b (plane, b
+the unit bearing) or v = Re K^-1 x (line), lifted from pixels x only in
+RigFrame.from_matches: v1^T M v0 over |M v0|, or over |(K^-T Re^T M v0)[:2]|
 and |(K^-T Re^T M^T v1)[:2]|, all linear in a camera's M (see manifold).
 A RigFrame holds these linear maps for all cameras of a frame pair.
 """
@@ -28,7 +29,7 @@ _LINE_ROWS = (slice(1, 3), slice(3, 5))        # d1, then d0
 
 
 class NonFiniteMatch(ValueError):
-    """A pixel or bearing array holds NaN or inf."""
+    """A pixel array, or the ray a pixel lifts to, holds NaN or inf."""
 
 
 class MetricKind(enum.Enum):
@@ -79,44 +80,26 @@ class RobustLoss:
 
 @dataclass(frozen=True)
 class MatchSet:
-    """All matches of one camera for a frame pair, stored columnar."""
+    """One camera's pixel matches for a frame pair: read-only (n, 2)."""
 
     camera_id: int
     pixels_t0: np.ndarray
     pixels_t1: np.ndarray
-    bearings_t0: np.ndarray
-    bearings_t1: np.ndarray
 
     def __post_init__(self):
-        arrays = {name: np.atleast_2d(np.asarray(getattr(self, name), float))
-                  for name in ("pixels_t0", "pixels_t1", "bearings_t0",
-                               "bearings_t1")}
-        p0, p1, b0, b1 = arrays.values()
-        n = len(p0)
-        if not (len(p1) == len(b0) == len(b1) == n):
-            raise ValueError("match arrays must have equal length")
-        for name, arr in arrays.items():
+        for name in ("pixels_t0", "pixels_t1"):
+            arr = np.asarray(getattr(self, name), float)
+            if arr.ndim != 2 or arr.shape[1] != 2:
+                raise ValueError(f"{name} has shape {arr.shape}, not (n, 2)")
             if not np.isfinite(arr).all():
                 raise NonFiniteMatch(f"{name} holds NaN or inf")
-        if n and (np.abs(np.linalg.norm(b0, axis=1) - 1.0).max() > 1e-9
-                  or np.abs(np.linalg.norm(b1, axis=1) - 1.0).max() > 1e-9):
-            raise ValueError("bearings must be unit norm")
-        for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        if len(self.pixels_t0) != len(self.pixels_t1):
+            raise ValueError("match arrays must have equal length")
 
     def __len__(self):
         return len(self.pixels_t0)
-
-    @classmethod
-    def from_pixels(cls, camera_id: int, model, pixels_t0, pixels_t1) -> "MatchSet":
-        p0 = np.atleast_2d(np.asarray(pixels_t0, dtype=float))
-        p1 = np.atleast_2d(np.asarray(pixels_t1, dtype=float))
-        if len(p0) == 0:
-            empty = np.empty((0, 3))
-            return cls(camera_id, p0.reshape(0, 2), p1.reshape(0, 2), empty, empty)
-        return cls(camera_id, p0, p1,
-                   model.pixel_to_bearing(p0), model.pixel_to_bearing(p1))
 
 
 @dataclass(frozen=True)
@@ -135,8 +118,12 @@ class RigFrame:
         return len(self.camera_index)
 
     @classmethod
+    @np.errstate(invalid="ignore", divide="ignore")   # NonFiniteMatch instead
     def from_matches(cls, rig, match_sets, metric: MetricKind) -> "RigFrame":
-        """Raises ValueError for the line metric on a non-pinhole camera."""
+        """Lift each non-empty set's pixels to rays (see the module).
+        Raises KeyError for a camera not in the rig, ValueError for the
+        line metric on a non-pinhole camera, NonFiniteMatch naming a camera
+        whose ray is not finite, and the model's errors (OutOfDomain)."""
         sets = [s for s in match_sets if len(s)]
         rows = _LINE_ROWS if metric is MetricKind.GEOLINE else _PLANE_ROWS
         cams = [rig.camera(s.camera_id) for s in sets]
@@ -158,10 +145,13 @@ class RigFrame:
                 block[:, :, rows[0]] = image[:, None] * v0[None, :, None]
                 block[:, :, rows[1]] = v1[:, None, None] * image[None]
             else:
-                v0, v1 = (cam.extrinsic.rotation @ b.T
-                          for b in (s.bearings_t0, s.bearings_t1))
+                rays = cam.extrinsic.rotation @ cam.model.pixel_to_bearing(
+                    np.concatenate([s.pixels_t0, s.pixels_t1])).T
+                v0, v1 = rays[:, :len(s)], rays[:, len(s):]
                 for a in range(3):                    # (M v0)_a: M_aj v0_j
                     block[a, :, rows[0].start + a] = v0
+            if not (np.isfinite(v0).all() and np.isfinite(v1).all()):
+                raise NonFiniteMatch(f"camera {s.camera_id}: non-finite ray")
             block[:, :, 0] = v1[:, None] * v0[None]    # v1^T M v0: v1_i v0_j
         return cls(metric, np.reshape([c.extrinsic.translation
                                        for c in cams], (-1, 3)),

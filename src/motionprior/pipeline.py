@@ -65,13 +65,9 @@ class FrameOutcome:
         return self.result is None
 
 
-def match_sets_from_record(record: FramePairRecord, rig: CameraRig):
-    sets = []
-    for cam_id in sorted(record.pixels):
-        px0, px1 = record.pixels[cam_id]
-        cam = rig.camera(cam_id)
-        sets.append(MatchSet.from_pixels(cam_id, cam.model, px0, px1))
-    return sets
+def match_sets_from_record(record: FramePairRecord):
+    return [MatchSet(cam_id, *record.pixels[cam_id])
+            for cam_id in sorted(record.pixels)]
 
 
 def run_sequence(rig: CameraRig, records, scale_source,
@@ -87,8 +83,9 @@ def run_sequence(rig: CameraRig, records, scale_source,
     if not records:
         raise NoRecords("no frame pair records")
     fixed = isinstance(scale_source, FixedScale)
-    if fixed and len(scale_source.values) < len(records):
-        raise ValueError("scale file shorter than the record list")
+    if fixed and len(scale_source.values) != len(records):
+        raise ValueError(f"{len(scale_source.values)} scale values for "
+                         f"{len(records)} frame pairs: one per pair needed")
 
     held_arc = scale_source.values[0] if fixed else scale_source.initial
     current = MotionParams(yaw=0.0, arc_length=held_arc)
@@ -105,7 +102,7 @@ def run_sequence(rig: CameraRig, records, scale_source,
         frame_opts = first_opts if index == 0 else opts
         start = time.perf_counter()
         try:
-            sets = match_sets_from_record(record, rig)
+            sets = match_sets_from_record(record)
             result = estimate(rig, sets, current, frame_opts)
             if in_curve:
                 if abs(result.params.yaw) < CURVE_YAW_THRESHOLD:

@@ -125,8 +125,7 @@ def generate_matches(points, rig: CameraRig, truth: MotionParams,
                 # a single wrong association needs a partner to steal from
                 other = (chosen[0] + 1) % n
                 px1[chosen[0]] = px1[other]
-        match_sets.append(MatchSet.from_pixels(cam.camera_id, cam.model,
-                                               px0, px1))
+        match_sets.append(MatchSet(cam.camera_id, px0, px1))
         labels.append(inlier)
     if not match_sets:
         raise NoVisiblePoints("no point visible in any camera at both times")

@@ -8,6 +8,7 @@ package's solve path.
 
 import numpy as np
 
+from motionprior.estimator import _solver_state
 from motionprior.geometry import (TRANSLATION_EPS, DegenerateTranslation,
                                   PinholeCamera, PinholeIntrinsics, Pose,
                                   skew)
@@ -16,6 +17,13 @@ from motionprior.manifold import (CameraRig, RigCamera, multi_camera_energy,
 from motionprior.metrics import DEGENERACY_EPS, MatchSet, MetricKind, RigFrame
 
 UNIT_CAM = PinholeCamera(PinholeIntrinsics(1.0, 1.0, 0.0, 0.0))
+
+
+def bearing_set(b0, b1) -> MatchSet:
+    """Matches of bearings (n, 3) or (3,), each with positive z, as the
+    UNIT_CAM pixels b[:2] / b[2] that lift back to them."""
+    b0, b1 = (np.atleast_2d(np.asarray(b, dtype=float)) for b in (b0, b1))
+    return MatchSet(0, b0[:, :2] / b0[:, 2:], b1[:, :2] / b1[:, 2:])
 
 
 def essential_from_motion(m: Pose) -> np.ndarray:
@@ -45,8 +53,7 @@ def camera_point_transform(motion: Pose, extrinsic: Pose) -> Pose:
 
 
 def subset(s: MatchSet, index) -> MatchSet:
-    return MatchSet(s.camera_id, s.pixels_t0[index], s.pixels_t1[index],
-                    s.bearings_t0[index], s.bearings_t1[index])
+    return MatchSet(s.camera_id, s.pixels_t0[index], s.pixels_t1[index])
 
 
 def plane_residuals(e, b0, b1):
@@ -72,11 +79,13 @@ def line_residuals(f, x0, x1):
             num / np.where(valid, den1, 1.0), valid)
 
 
-def identity_frame(s: MatchSet, metric) -> RigFrame:
-    """Frame of one unit-intrinsics camera at the vehicle origin, where M
-    is the camera's essential (plane metric) or fundamental matrix (line
-    metric)."""
-    rig = CameraRig((RigCamera(s.camera_id, UNIT_CAM, Pose.identity()),))
+def identity_frame(s: MatchSet, metric, model=UNIT_CAM) -> RigFrame:
+    """Frame of one camera `model` at the vehicle origin. Through the set's
+    own camera M is that camera's essential matrix; through UNIT_CAM a
+    pixel is its own ray, so M is the fundamental matrix of the pixels
+    (line metric) or the essential matrix of bearing_set's bearings
+    (plane metric)."""
+    rig = CameraRig((RigCamera(s.camera_id, model, Pose.identity()),))
     return RigFrame.from_matches(rig, [s], metric)
 
 
@@ -85,6 +94,14 @@ def energy_at(p, rig, match_sets, loss, metric) -> float:
     populated camera translates."""
     frame = RigFrame.from_matches(rig, match_sets, metric)
     return float(multi_camera_energy(params_rows(p), frame, loss)[0])
+
+
+def internal_gradient(rig, match_sets, p, loss, metric) -> np.ndarray:
+    """Gradient of the robust energy from the solver's closed-form
+    Jacobian: 2 J^T z."""
+    frame = RigFrame.from_matches(rig, match_sets, metric)
+    z, J = _solver_state(params_rows(p), p.free, frame, loss)[:2]
+    return 2.0 * J.T @ z
 
 
 def numeric_gradient(rig, match_sets, p, loss, metric, h) -> np.ndarray:
@@ -113,5 +130,6 @@ def pose_path_residuals(motion: Pose, cam, s: MatchSet, metric):
         d1, d0, valid = line_residuals(fundamental_from_essential(e, k, k),
                                        s.pixels_t0, s.pixels_t1)
         return np.stack([d1, d0], axis=1), valid
-    r, valid = plane_residuals(e, s.bearings_t0, s.bearings_t1)
+    r, valid = plane_residuals(e, cam.model.pixel_to_bearing(s.pixels_t0),
+                               cam.model.pixel_to_bearing(s.pixels_t1))
     return r[:, None], valid

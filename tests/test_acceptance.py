@@ -6,7 +6,7 @@ import time
 import numpy as np
 
 from motionprior.estimator import (EstimatorOptions, default_cold_start_grid,
-                                   estimate, internal_gradient)
+                                   estimate)
 from motionprior.evaluation import evaluate
 from motionprior.geometry import (PinholeCamera, PinholeIntrinsics, Pose,
                                   forward_camera_extrinsic, skew)
@@ -17,7 +17,8 @@ from motionprior.metrics import MetricKind, RobustLoss
 from motionprior.pipeline import FreeInCurves, run_sequence, simulate_sequence
 from motionprior.simulate import (NoiseSpec, SceneSpec, generate_matches,
                                   generate_scene, grid_search_oracle)
-from oracles import energy_at, essential_from_motion, numeric_gradient
+from oracles import (energy_at, essential_from_motion, internal_gradient,
+                     numeric_gradient)
 
 INTR = PinholeIntrinsics(700.0, 700.0, 640.0, 480.0)
 CAUCHY = RobustLoss("cauchy", 0.0065)

@@ -4,15 +4,22 @@ A deletion or signature change that would break the benchmark fails here,
 in the test suite, rather than as a failed benchmark run.
 """
 
+import json
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "benchmarks"))
 
+import run  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
+
+GATED = [m["name"] for m in
+         json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
 
 
 def test_tracer_resolves_and_restores_every_name():
@@ -62,3 +69,24 @@ def test_grid_unit_records_kernel_spans(tmp_path):
         expected = matches[estimates.index(owner)] if owner >= 0 else \
             matches[0]
         assert table.sizes[span] == expected
+
+
+@pytest.mark.parametrize("name", list(workloads.WORKLOADS))
+def test_traced_unit_measures_every_gated_metric(name, tmp_path):
+    # a traced benchmark run fails when any gated per-layer metric reads
+    # None, as when the package stops calling a traced name; set-up and
+    # the first unit run traced, as in the benchmark's traced loop
+    workload = workloads.WORKLOADS[name]
+    tracer = tracing.Tracer()
+    tally = workloads.Tally()
+    tracer.install()
+    try:
+        with tracer.span("bench.setup"):
+            inputs = workload.setup(run.DEFAULT_SEED, str(tmp_path))
+        run._unit(workload, inputs, 0, tally, tracer.span)
+    finally:
+        assert tracer.restore()
+    layer, _ = run._per_layer(tracer.arrays(), tally, [(0.0, 1.0, 1)])
+    assert [m for m in GATED if layer.get(m) is None] == []
+    assert tally.attempted > 0
+    assert tally.failed == 0

@@ -215,6 +215,14 @@ class TestNonFiniteInput:
         assert f"{scale}:2:" in capsys.readouterr().err
         assert not (workspace / "est.txt").exists()
 
+    def test_scale_file_longer_than_matches(self, workspace, capsys):
+        simulate(workspace)
+        scale = workspace / "scale.txt"
+        scale.write_text(scale.read_text() + "1.0\n")
+        assert self.estimate(workspace) == EXIT_DATA
+        assert "8 scale values for 7 frame pairs" in capsys.readouterr().err
+        assert not (workspace / "est.txt").exists()
+
     def test_nan_initial_scale(self, workspace, capsys):
         simulate(workspace)
         code = run_cli(["estimate", "--rig", str(workspace / "rig.txt"),

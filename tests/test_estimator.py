@@ -5,15 +5,14 @@ from motionprior.estimator import (CONVERGED_TERMINATIONS,
                                    ENERGY_DECREASE_REL_TOL, EstimateResult,
                                    EstimatorOptions, GridSpec, Landscape,
                                    LandscapeGrid, NoMatches, classify_inliers,
-                                   energy_landscape, estimate,
-                                   internal_gradient)
+                                   energy_landscape, estimate)
 from motionprior.geometry import (DegenerateTranslation, PinholeCamera,
                                   PinholeIntrinsics, forward_camera_extrinsic)
 from motionprior.manifold import CameraRig, MotionParams, RigCamera
 from motionprior.metrics import MetricKind, RigFrame, RobustLoss
 from motionprior.simulate import (NoiseSpec, SceneSpec, generate_matches,
                                   generate_scene)
-from oracles import energy_at, numeric_gradient, subset
+from oracles import energy_at, internal_gradient, numeric_gradient, subset
 
 INTR = PinholeIntrinsics(700.0, 700.0, 640.0, 480.0)
 ANGLE = MetricKind.ANGLEPLANE

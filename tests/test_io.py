@@ -16,6 +16,7 @@ from motionprior.io_formats import (MATCH_HEADER, FramePairRecord,
                                     load_scenario, load_trajectory,
                                     write_matches, write_rig, write_scale,
                                     write_trajectory)
+from motionprior import io_formats
 from motionprior.manifold import CameraRig, RigCamera
 
 RIG_TEXT = """\
@@ -169,6 +170,25 @@ class TestRigFiles:
         monkeypatch.chdir(tmp_path)
         rig = load_rig("cal/rig.txt")
         assert [c.model.kind for c in rig.cameras] == ["generic"] * 2
+
+    def test_cameras_on_one_table_share_one_parse(self, tmp_path,
+                                                  monkeypatch):
+        (tmp_path / "bearings.txt").write_text("0 0 1 1 2 2\n" + TABLE_ROWS)
+        extrinsic = "extrinsic 1 0 0 0 0 1 0 0 0 0 1 0\n"
+        (tmp_path / "rig.txt").write_text("\n".join(
+            f"id {i}\nmodel generic\nimage_size 2 2\ntable {name}\n"
+            + extrinsic
+            for i, name in enumerate(["bearings.txt", "./bearings.txt"])))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return load_bearing_table(*args)
+
+        monkeypatch.setattr(io_formats, "load_bearing_table", counted)
+        rig = load_rig(tmp_path / "rig.txt")
+        assert len(calls) == 1
+        assert rig.cameras[0].model is rig.cameras[1].model
 
     def test_duplicate_ids(self, tmp_path):
         block = ("id 0\nmodel pinhole\nintrinsics 1 1 0 0\n"

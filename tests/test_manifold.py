@@ -15,9 +15,9 @@ from motionprior.manifold import (ENERGY_CHUNK, PARAM_FIELDS, CameraRig,
 from motionprior.metrics import MatchSet, MetricKind, RigFrame, RobustLoss
 from motionprior.simulate import (NoiseSpec, SceneSpec, generate_matches,
                                   generate_scene)
-from oracles import (camera_point_transform, conjugate_to_camera,
-                     energy_at, essential_from_motion, plane_residuals,
-                     pose_path_residuals, subset)
+from oracles import (UNIT_CAM, bearing_set, camera_point_transform,
+                     conjugate_to_camera, energy_at, essential_from_motion,
+                     plane_residuals, pose_path_residuals, subset)
 
 LOSS = RobustLoss("none")
 INTR = PinholeIntrinsics(700.0, 700.0, 640.0, 480.0)
@@ -142,21 +142,24 @@ class TestCameraRig:
 
 class TestMultiCameraEnergy:
     def test_single_identity_camera_reduces_to_plain_energy(self):
-        # bearings constructed directly in the motion-center frame
-        rig = CameraRig((RigCamera(0, PinholeCamera(INTR), Pose.identity()),))
+        # bearings constructed directly in the motion-center frame, above
+        # it so that the unit camera sees them
+        rig = CameraRig((RigCamera(0, UNIT_CAM, Pose.identity()),))
         truth = MotionParams(yaw=0.05, arc_length=1.0)
         pose = pose_from_params(truth)
         rng = np.random.Generator(np.random.PCG64(1))
-        points = rng.uniform(-5, 5, size=(50, 3)) + [10, 0, 0]
+        points = rng.uniform(-5, 5, size=(50, 3)) + [0, 0, 10]
         b0 = points / np.linalg.norm(points, axis=1, keepdims=True)
         moved = pose.inverse().apply(points)
         b1 = moved / np.linalg.norm(moved, axis=1, keepdims=True)
-        s = MatchSet(0, np.zeros((50, 2)), np.zeros((50, 2)), b0, b1)
-        e = essential_from_motion(camera_point_transform(pose, Pose.identity()))
-        r, valid = plane_residuals(e, b0, b1)
-        direct = np.sum(LOSS.evaluate(r[valid] ** 2)[0])
-        assert energy_at(truth, rig, [s], LOSS,
-                         MetricKind.ANGLEPLANE) == pytest.approx(direct)
+        s = bearing_set(b0, b1)
+        for p in (truth, truth.with_values(yaw=0.08, arc_length=1.5)):
+            e = essential_from_motion(camera_point_transform(
+                pose_from_params(p), Pose.identity()))
+            r, valid = plane_residuals(e, b0, b1)
+            direct = np.sum(LOSS.evaluate(r[valid] ** 2)[0])
+            assert energy_at(p, rig, [s], LOSS, MetricKind.ANGLEPLANE) == \
+                pytest.approx(direct, rel=1e-12)
 
     def test_noise_free_two_cameras(self):
         rig = make_rig([[2.0, 1.0, 0.0], [2.0, -1.0, 0.0]])
@@ -180,8 +183,7 @@ class TestMultiCameraEnergy:
         rig = make_rig([[2.0, 1.0, 0.0], [2.0, -1.0, 0.0]])
         truth = MotionParams(yaw=0.1, arc_length=1.0)
         sets = noise_free_sets(rig, truth, seed=4)
-        empty = MatchSet.from_pixels(1, rig.camera(1).model,
-                                     np.zeros((0, 2)), np.zeros((0, 2)))
+        empty = MatchSet(1, np.zeros((0, 2)), np.zeros((0, 2)))
         full = energy_at(truth, rig, sets, LOSS, MetricKind.ANGLEPLANE)
         with_empty = energy_at(truth, rig, [sets[0], empty], LOSS,
                                MetricKind.ANGLEPLANE)
@@ -193,9 +195,7 @@ class TestMultiCameraEnergy:
     def test_degenerate_when_stationary(self):
         rig = CameraRig((RigCamera(0, PinholeCamera(INTR), Pose.identity()),))
         truth = MotionParams(yaw=0.05, arc_length=1.0)
-        sets = [MatchSet(0, np.zeros((1, 2)), np.zeros((1, 2)),
-                         np.array([[0.0, 0.0, 1.0]]),
-                         np.array([[0.0, 0.0, 1.0]]))]
+        sets = [MatchSet(0, np.zeros((1, 2)), np.zeros((1, 2)))]
         assert energy_at(MotionParams(yaw=0.0, arc_length=0.0), rig, sets,
                          LOSS, MetricKind.ANGLEPLANE) == np.inf
 
@@ -492,6 +492,16 @@ def rig_energies(rig, match_sets, rows, metric):
     return multi_camera_energy(np.array(rows), frame, CAUCHY)
 
 
+class RotatedModel:
+    """A camera model whose bearings are those of `model` rotated by q."""
+
+    def __init__(self, model, q):
+        self.model, self.q = model, q
+
+    def pixel_to_bearing(self, pixels):
+        return self.model.pixel_to_bearing(pixels) @ self.q.T
+
+
 def with_extrinsic(rig, camera_id, extrinsic):
     return CameraRig(tuple(
         RigCamera(c.camera_id, c.model, extrinsic)
@@ -530,16 +540,15 @@ class TestRigFrameInvariance:
     @given(st.lists(jac_rows, min_size=1, max_size=6),
            st.sampled_from(JAC_SETS), st.tuples(angles, angles, angles))
     def test_camera_frame_rotation(self, rows, s, zyx):
-        # extrinsic rotation R_e Q^T and bearings Q b: the same rays in
-        # the vehicle frame
+        # extrinsic rotation R_e Q^T and a model lifting to bearings Q b:
+        # the same rays in the vehicle frame
         q = rotation_z(zyx[0]) @ rotation_y(zyx[1]) @ rotation_x(zyx[2])
-        extrinsic = JAC_RIG.camera(s.camera_id).extrinsic
-        rig = with_extrinsic(JAC_RIG, s.camera_id, Pose(
-            extrinsic.rotation @ q.T, extrinsic.translation))
-        sets = [MatchSet(s.camera_id, s.pixels_t0, s.pixels_t1,
-                         s.bearings_t0 @ q.T, s.bearings_t1 @ q.T)
-                if t is s else t for t in JAC_SETS]
+        cam = JAC_RIG.camera(s.camera_id)
+        rig = CameraRig(tuple(
+            RigCamera(c.camera_id, RotatedModel(c.model, q), Pose(
+                c.extrinsic.rotation @ q.T, c.extrinsic.translation))
+            if c is cam else c for c in JAC_RIG.cameras))
         before = rig_energies(JAC_RIG, JAC_SETS, rows, MetricKind.ANGLEPLANE)
-        after = rig_energies(rig, sets, rows, MetricKind.ANGLEPLANE)
+        after = rig_energies(rig, JAC_SETS, rows, MetricKind.ANGLEPLANE)
         assert np.isfinite(before).all()
         assert after == pytest.approx(before, rel=1e-12, abs=0.0)

@@ -7,7 +7,7 @@ from motionprior.manifold import CameraRig, RigCamera
 from motionprior.metrics import (MatchSet, MetricKind, NonFiniteMatch,
                                  RigFrame, RobustLoss, angleplane_residuals,
                                  geoline_residuals)
-from oracles import (UNIT_CAM, essential_from_motion,
+from oracles import (UNIT_CAM, bearing_set, essential_from_motion,
                      fundamental_from_essential, identity_frame,
                      line_residuals, plane_residuals, subset)
 
@@ -25,14 +25,7 @@ def synthetic_set(motion, n=100, seed=0, noise=0.0):
     if noise:
         px0 = px0 + rng.normal(0, noise, px0.shape)
         px1 = px1 + rng.normal(0, noise, px1.shape)
-    return MatchSet.from_pixels(0, CAM, px0, px1)
-
-
-def bearing_match(b0, b1):
-    """One-match set from two bearings (pixels unused)."""
-    return MatchSet(0, np.zeros((1, 2)), np.zeros((1, 2)),
-                    np.asarray(b0, dtype=float)[None],
-                    np.asarray(b1, dtype=float)[None])
+    return MatchSet(0, px0, px1)
 
 
 def vec(m):
@@ -47,11 +40,11 @@ def geoline(f, s):
     return geoline_residuals(vec(f), identity_frame(s, MetricKind.GEOLINE))
 
 
-def angleplane(e, s):
-    """(r, valid) of essential(s) e through a camera at the vehicle
-    origin, where M = E."""
-    return angleplane_residuals(vec(e),
-                                identity_frame(s, MetricKind.ANGLEPLANE))
+def angleplane(e, s, model=CAM):
+    """(r, valid) of essential(s) e through the set's camera `model` at
+    the vehicle origin, where M = E."""
+    return angleplane_residuals(
+        vec(e), identity_frame(s, MetricKind.ANGLEPLANE, model))
 
 
 def geoline_energy(f, s, loss):
@@ -61,9 +54,9 @@ def geoline_energy(f, s, loss):
     return float(np.sum(value))
 
 
-def angleplane_energy(e, s, loss):
+def angleplane_energy(e, s, loss, model=CAM):
     """Robust energy of one essential: rho summed over valid matches."""
-    r, valid = angleplane(e, s)
+    r, valid = angleplane(e, s, model)
     value, _ = loss.evaluate(r[valid] ** 2)
     return float(np.sum(value))
 
@@ -129,7 +122,7 @@ class TestEpipolarLineDistance:
 
     def distance(self, f, x0, x1):
         """d1 (x1 to the epipolar line of x0) and validity of one match."""
-        s = MatchSet.from_pixels(0, UNIT_CAM, [x0], [x1])
+        s = MatchSet(0, [x0], [x1])
         d1, _, valid = geoline(f, s)
         return d1[0], valid[0]
 
@@ -179,7 +172,7 @@ class TestGeoLine:
         d1 = line_distance_oracle(line0, x1)
         d0 = line_distance_oracle(f.T @ np.array([*x1, 1.0]), x0)
         assert abs(d1) == pytest.approx(3.0, abs=1e-9)
-        s = MatchSet.from_pixels(0, CAM, x0[None, :], x1[None, :])
+        s = MatchSet(0, x0[None, :], x1[None, :])
         energy = geoline_energy(f, s, RobustLoss("none"))
         assert energy == pytest.approx(d1 ** 2 + d0 ** 2, rel=1e-12)
 
@@ -200,20 +193,22 @@ class TestAnglePlane:
         b0 = np.array([0.0, 0.0, 1.0])
         # epipolar plane of b0 has normal E b0 = (0, -1, 0); x-z plane
         b1 = np.array([1.0, 0.0, 1.0]) / np.sqrt(2)
-        r, valid = angleplane(e, bearing_match(b0, b1))
+        r, valid = angleplane(e, bearing_set(b0, b1), UNIT_CAM)
         assert valid[0]
         assert r[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_orthogonal_bearing(self):
+        # b1 lies along the normal E b0 = (0, -1, -1) of b0's plane
         e = skew([1.0, 0.0, 0.0])
-        r, _ = angleplane(e, bearing_match([0.0, 0.0, 1.0],
-                                           [0.0, 1.0, 0.0]))
+        r, _ = angleplane(e, bearing_set([0.0, -1.0, 1.0], [0.0, 1.0, 1.0]),
+                          UNIT_CAM)
         assert r[0] == pytest.approx(-1.0)
 
     def test_epipole_degenerate(self):
+        # b0 along the translation: E b0 = 0
         _, valid = angleplane(
-            skew([1.0, 0.0, 0.0]),
-            bearing_match([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]))
+            skew([0.0, 0.0, 1.0]),
+            bearing_set([0.0, 0.0, 1.0], [0.0, 1.0, 1.0]), UNIT_CAM)
         assert not valid[0]
 
     def test_small_angle_matches_geoline_over_focal(self):
@@ -250,12 +245,11 @@ class TestAnglePlane:
         b0 = np.tile([0.0, 0.0, 1.0], (2, 1))
         inlier = np.array([1.0, 0.0, 1.0]) / np.sqrt(2)
         outlier = np.array([0.0, -0.5, np.sqrt(0.75)])  # unit, y = -0.5
-        s = MatchSet(0, np.zeros((2, 2)), np.zeros((2, 2)), b0,
-                     np.stack([inlier, outlier]))
-        r, _ = angleplane(e, s)
+        s = bearing_set(b0, np.stack([inlier, outlier]))
+        r, _ = angleplane(e, s, UNIT_CAM)
         assert abs(abs(r[1]) - 0.5) < 1e-15
         c = 0.0065
-        energy = angleplane_energy(e, s, RobustLoss("cauchy", c))
+        energy = angleplane_energy(e, s, RobustLoss("cauchy", c), UNIT_CAM)
         expected = c * c * np.log1p(0.25 / (c * c))
         assert energy == pytest.approx(expected, rel=1e-12)
         assert energy == pytest.approx(3.6697e-4, rel=1e-3)
@@ -270,26 +264,30 @@ class TestAnglePlane:
 
 
 class TestMatchSet:
-    def test_rejects_non_unit_bearings(self):
-        with pytest.raises(ValueError):
-            MatchSet(0, np.zeros((1, 2)), np.zeros((1, 2)),
-                     np.array([[0.0, 0.0, 2.0]]), np.array([[0.0, 0.0, 1.0]]))
-
     @pytest.mark.parametrize("side", [0, 1])
     def test_rejects_nan_pixel(self, side):
         pixels = [np.full((3, 2), 100.0), np.full((3, 2), 120.0)]
         pixels[side][1, 0] = np.nan
         with pytest.raises(NonFiniteMatch, match=f"pixels_t{side}"):
-            MatchSet.from_pixels(0, CAM, *pixels)
+            MatchSet(0, *pixels)
 
-    def test_rejects_infinite_bearing(self):
-        unit = np.array([[0.0, 0.0, 1.0]])
-        with pytest.raises(NonFiniteMatch, match="bearings_t1"):
-            MatchSet(0, np.zeros((1, 2)), np.zeros((1, 2)), unit,
-                     np.array([[0.0, np.inf, 1.0]]))
+    @pytest.mark.parametrize("shape", [(3, 3), (6,), (3, 2, 1), (2, 0)])
+    def test_rejects_arrays_not_n_by_2(self, shape):
+        # a (k, 3) array holds 3k/2 pixels only by accident of its size
+        with pytest.raises(ValueError, match=r"pixels_t1 has shape"):
+            MatchSet(0, np.zeros((3, 2)), np.zeros(shape))
+
+    def test_rejects_unequal_lengths(self):
+        with pytest.raises(ValueError, match="equal length"):
+            MatchSet(0, np.zeros((3, 2)), np.zeros((2, 2)))
+
+    def test_pixels_are_read_only(self):
+        s = MatchSet(0, np.zeros((3, 2)), np.zeros((3, 2)))
+        with pytest.raises(ValueError):
+            s.pixels_t0[0, 0] = 1.0
 
     def test_empty_allowed(self):
-        s = MatchSet.from_pixels(0, CAM, np.zeros((0, 2)), np.zeros((0, 2)))
+        s = MatchSet(0, np.zeros((0, 2)), np.zeros((0, 2)))
         assert len(s) == 0
 
     def test_subset(self):
@@ -316,8 +314,9 @@ class TestStackedResiduals:
             assert r_k.shape == (len(s),)
             assert np.allclose(r[k], r_k, rtol=1e-12, atol=1e-15)
             assert np.array_equal(valid[k], valid_k)
-            r_ref, valid_ref = plane_residuals(e, s.bearings_t0,
-                                               s.bearings_t1)
+            r_ref, valid_ref = plane_residuals(
+                e, CAM.pixel_to_bearing(s.pixels_t0),
+                CAM.pixel_to_bearing(s.pixels_t1))
             assert np.allclose(r_k, r_ref, rtol=1e-12, atol=1e-15)
             assert np.array_equal(valid_k, valid_ref)
 
@@ -344,8 +343,7 @@ class TestStackedResiduals:
 class TestRigFrame:
     def test_length_is_match_count(self):
         s = synthetic_set(Pose(rotation_z(0.01), [1.0, 0.0, 0.0]), n=10)
-        empty = MatchSet.from_pixels(1, CAM, np.zeros((0, 2)),
-                                     np.zeros((0, 2)))
+        empty = MatchSet(1, np.zeros((0, 2)), np.zeros((0, 2)))
         rig = CameraRig((RigCamera(0, CAM, Pose.identity()),
                          RigCamera(1, CAM, Pose.identity())))
         for metric in MetricKind:
@@ -358,7 +356,7 @@ class TestRigFrame:
         rig = CameraRig((RigCamera(0, CAM, Pose.identity()),
                          RigCamera(7, table, Pose.identity())))
         s = synthetic_set(Pose(rotation_z(0.01), [1.0, 0.0, 0.0]), n=10)
-        moved = MatchSet.from_pixels(7, table, s.pixels_t0, s.pixels_t1)
+        moved = MatchSet(7, s.pixels_t0, s.pixels_t1)
         RigFrame.from_matches(rig, [s, moved], MetricKind.ANGLEPLANE)
         with pytest.raises(ValueError, match="camera 7"):
             RigFrame.from_matches(rig, [s, moved], MetricKind.GEOLINE)

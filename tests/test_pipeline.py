@@ -8,7 +8,7 @@ from motionprior.io_formats import (FramePairRecord, NoRecords, Scenario,
                                     SequenceProfile)
 from motionprior.manifold import (CameraRig, MotionParams, RigCamera,
                                   pose_from_params)
-from motionprior.metrics import MetricKind
+from motionprior.metrics import MetricKind, RigFrame
 from motionprior.pipeline import (FixedScale, FreeInCurves,
                                   match_sets_from_record, run_sequence,
                                   simulate_sequence)
@@ -42,13 +42,21 @@ def make_records(rig, yaws, arc=1.0, seed=0, noise=NoiseSpec(seed=1)):
 
 
 class TestMatchSetsFromRecord:
-    def test_bearings_match_camera_model(self):
+    def test_frame_lifts_pixels_through_camera_model(self):
         records = make_records(RIG2, [0.02])
-        sets = match_sets_from_record(records[0], RIG2)
+        sets = match_sets_from_record(records[0])
         assert [s.camera_id for s in sets] == [0, 1]
+        for s in sets:
+            assert np.array_equal(s.pixels_t0,
+                                  records[0].pixels[s.camera_id][0])
+        frame = RigFrame.from_matches(RIG2, sets, MetricKind.ANGLEPLANE)
         cam = RIG2.camera(1)
-        expected = cam.model.pixel_to_bearing(sets[1].pixels_t0)
-        assert np.allclose(sets[1].bearings_t0, expected)
+        expected = (cam.extrinsic.rotation
+                    @ cam.model.pixel_to_bearing(sets[1].pixels_t0).T)
+        # camera slot 1's M_0j rows, at each of its matches' (M v0)_0
+        # row, hold the rays Re b0
+        n0, n = len(sets[0]), len(frame)
+        assert np.array_equal(frame.design[9:12, n + n0:2 * n], expected)
 
 
 class TestRunSequence:
@@ -74,6 +82,13 @@ class TestRunSequence:
         records = make_records(RIG1, [0.02, 0.02])
         with pytest.raises(ValueError):
             run_sequence(RIG1, records, FixedScale([1.0]))
+
+    def test_scale_file_too_long(self):
+        # a longer file belongs to other records: no frame pair is solved
+        records = make_records(RIG1, [0.02, 0.02])
+        with pytest.raises(ValueError,
+                           match="3 scale values for 2 frame pairs"):
+            run_sequence(RIG1, records, FixedScale([1.0] * 3))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_fixed_scale_rejects_non_finite(self, value):
@@ -165,6 +180,24 @@ class TestRunSequence:
         _, outcomes = run_sequence(RIG1, records, FixedScale([1.0] * 4))
         assert [o.failed for o in outcomes] == [False, True, False, False]
         assert "pixels_t0" in outcomes[1].error
+
+    def test_zero_ray_fails_only_the_frame_that_hits_it(self):
+        # a table node holding a zero ray lifts the pixel on it to NaN
+        records = make_records(RIG1, [0.02] * 4)
+        cam = RIG1.cameras[0]
+        table = GenericCamera.from_camera(cam.model, 1280, 960)
+        rays = table.table.copy()
+        rays[30, 20] = 0.0
+        rig = CameraRig((RigCamera(0, GenericCamera(
+            table.u0, table.v0, table.du, table.dv, rays, table.image_size),
+            cam.extrinsic),))
+        px0, px1 = records[1].pixels[0]
+        px0 = px0.copy()
+        px0[3] = [20 * table.du, 30 * table.dv]
+        records[1] = FramePairRecord(1, 2, {0: (px0, px1)})
+        _, outcomes = run_sequence(rig, records, FixedScale([1.0] * 4))
+        assert [o.failed for o in outcomes] == [False, True, False, False]
+        assert "camera 0: non-finite ray" in outcomes[1].error
 
     def test_chained_trajectory_matches_truth(self):
         yaws = [0.01, 0.02, 0.03]

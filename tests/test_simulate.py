@@ -75,7 +75,9 @@ class TestGenerateMatches:
             cam = RIG1.camera(s.camera_id)
             e = essential_from_motion(camera_point_transform(pose,
                                                              cam.extrinsic))
-            r, valid = plane_residuals(e, s.bearings_t0, s.bearings_t1)
+            r, valid = plane_residuals(
+                e, cam.model.pixel_to_bearing(s.pixels_t0),
+                cam.model.pixel_to_bearing(s.pixels_t1))
             assert valid.all()
             assert np.abs(r).max() < 1e-10
         assert all(lbl.all() for lbl in labels)
@@ -114,7 +116,8 @@ class TestGenerateMatches:
         pose = pose_from_params(self.truth)
         cam = RIG1.camera(sets[0].camera_id)
         e = essential_from_motion(camera_point_transform(pose, cam.extrinsic))
-        r, _ = plane_residuals(e, sets[0].bearings_t0, sets[0].bearings_t1)
+        r, _ = plane_residuals(e, cam.model.pixel_to_bearing(sets[0].pixels_t0),
+                               cam.model.pixel_to_bearing(sets[0].pixels_t1))
         mean_abs = np.abs(r).mean()
         expected = sigma / INTR.fx
         assert expected / 2 < mean_abs < expected * 2
