@@ -254,6 +254,9 @@ def energy_landscape(rig, match_sets, grid: LandscapeGrid,
     """Dense energy evaluation over a yaw x arc-length grid."""
     axes = {"yaw": (*grid.yaw_range, grid.yaw_steps),
             "arc_length": (*grid.arc_range, grid.arc_steps)}
+    for field, (lo, hi, _) in axes.items():
+        if not np.isfinite([lo, hi]).all():
+            raise ValueError(f"{field} range {lo!r}, {hi!r} must be finite")
     yaws, arcs = (np.linspace(*axis) for axis in axes.values())
     if len(yaws) == 0 or len(arcs) == 0:
         raise ValueError("grid must be nonempty")

@@ -45,31 +45,18 @@ class EvalReport:
         return self.length_buckets[length].mean_translation
 
 
-def _cumulative_distance(poses):
-    dist = [0.0]
-    for prev, cur in zip(poses, poses[1:]):
-        dist.append(dist[-1] + float(np.linalg.norm(
-            cur.translation - prev.translation)))
-    return dist
-
-
-def _last_frame_for_length(dist, first, length):
-    for i in range(first, len(dist)):
-        if dist[i] > dist[first] + length:
-            return i
-    return -1
-
-
-def _rotation_angle(matrix):
-    d = 0.5 * (np.trace(matrix) - 1.0)
-    return float(np.arccos(np.clip(d, -1.0, 1.0)))
+def _between(rot_a, t_a, rot_b, t_b):
+    """inverse(a) . b over stacks, as Pose.inverse and Pose.compose do."""
+    inv = np.swapaxes(rot_a, -1, -2)
+    return inv @ rot_b, (inv @ t_b[..., None] + -inv @ t_a[..., None])[..., 0]
 
 
 def evaluate(est: TrajectoryRecord, gt: TrajectoryRecord,
              lengths=None) -> EvalReport:
     """Relative-pose error between estimate and ground truth over fixed
     segment lengths: rotation in deg/m, translation in percent. Segments
-    start every START_STEP frames."""
+    start every START_STEP frames and end at the first frame farther along
+    the ground truth than their length."""
     if len(est) != len(gt):
         raise ValueError("trajectories must have the same frame count")
     lengths = list(DEFAULT_LENGTHS if lengths is None else lengths)
@@ -77,23 +64,29 @@ def evaluate(est: TrajectoryRecord, gt: TrajectoryRecord,
         if not 0 < length < np.inf:
             raise ValueError(f"segment length {length!r} must be finite "
                              "and positive")
-    dist = _cumulative_distance(gt.poses)
-    length_buckets = {l: ErrorBucket() for l in lengths}
-    any_segment = False
-    for first in range(0, len(gt), START_STEP):
-        for length in lengths:
-            last = _last_frame_for_length(dist, first, length)
-            if last < 0:
-                continue
-            any_segment = True
-            delta_gt = gt.poses[first].inverse().compose(gt.poses[last])
-            delta_est = est.poses[first].inverse().compose(est.poses[last])
-            error = delta_est.inverse().compose(delta_gt)
-            rot = np.degrees(_rotation_angle(error.rotation)) / length
-            trans = float(np.linalg.norm(error.translation)) / length * 100.0
-            length_buckets[length].rotation_deg_per_m.append(rot)
-            length_buckets[length].translation_percent.append(trans)
-    if not any_segment:
+    # rotations (2, F, 3, 3) and translations (2, F, 3): estimate, truth
+    rot, t = (np.array([[getattr(p, name) for p in traj.poses]
+                        for traj in (est, gt)])
+              for name in ("rotation", "translation"))
+    dist = np.cumsum(np.append(0.0, np.linalg.norm(np.diff(t[1], axis=0),
+                                                   axis=1)))
+    starts = np.arange(0, len(gt), START_STEP)
+    ends = np.searchsorted(dist, dist[starts, None] + np.array(lengths),
+                           side="right")
+    start_index, length_index = np.nonzero(ends < len(dist))  # start-major
+    if not len(start_index):
         raise TrajectoryTooShort(
             "trajectory shorter than every requested segment length")
+    first, last = starts[start_index], ends[start_index, length_index]
+    d_rot, d_t = _between(rot[:, first], t[:, first], rot[:, last], t[:, last])
+    err_rot, err_t = _between(d_rot[0], d_t[0], d_rot[1], d_t[1])
+    cos = 0.5 * (np.trace(err_rot, axis1=1, axis2=2) - 1.0)
+    seg = np.array(lengths, dtype=float)[length_index]
+    rotation = np.degrees(np.arccos(np.clip(cos, -1.0, 1.0))) / seg
+    translation = np.linalg.norm(err_t, axis=1) / seg * 100.0
+    length_buckets = {l: ErrorBucket() for l in lengths}
+    for j, rot, trans in zip(length_index.tolist(), rotation.tolist(),
+                             translation.tolist()):
+        length_buckets[lengths[j]].rotation_deg_per_m.append(rot)
+        length_buckets[lengths[j]].translation_percent.append(trans)
     return EvalReport(length_buckets)

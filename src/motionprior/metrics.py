@@ -80,7 +80,8 @@ class RobustLoss:
 
 @dataclass(frozen=True)
 class MatchSet:
-    """One camera's pixel matches for a frame pair: read-only (n, 2)."""
+    """One camera's pixel matches for a frame pair: read-only (n, 2)
+    copies, so the caller's arrays stay writeable."""
 
     camera_id: int
     pixels_t0: np.ndarray
@@ -88,7 +89,7 @@ class MatchSet:
 
     def __post_init__(self):
         for name in ("pixels_t0", "pixels_t1"):
-            arr = np.asarray(getattr(self, name), float)
+            arr = np.array(getattr(self, name), float)
             if arr.ndim != 2 or arr.shape[1] != 2:
                 raise ValueError(f"{name} has shape {arr.shape}, not (n, 2)")
             if not np.isfinite(arr).all():

@@ -10,15 +10,23 @@ import numpy as np
 
 from .estimator import (EstimateResult, EstimatorOptions, NoMatches,
                         default_cold_start_grid, estimate)
-from .geometry import GeometryError, Pose
+from .geometry import TRANSLATION_EPS, GeometryError, Pose
 from .io_formats import (FramePairRecord, NoRecords, Scenario,
                          TrajectoryRecord)
-from .manifold import CameraRig, MotionParams, pose_from_params
+from .manifold import CameraRig, MotionParams, motion_arrays, params_rows
 from .metrics import MatchSet, NonFiniteMatch
 from .simulate import generate_matches, generate_scene
 
 # |yaw| of the previous frame at and above which FreeInCurves frees the arc
 CURVE_YAW_THRESHOLD = 0.01
+
+
+def _check_arc(value, name):
+    """An arc length of (nearly) zero is a turn on the spot, which the
+    epipolar energy sees only through the cameras' lever arms."""
+    if abs(value) < TRANSLATION_EPS:
+        raise ValueError(f"{name} is {value!r}: |arc length| must be at "
+                         f"least {TRANSLATION_EPS}")
 
 
 @dataclass(frozen=True)
@@ -31,6 +39,8 @@ class FixedScale:
         values = tuple(float(v) for v in self.values)
         if not np.isfinite(values).all():
             raise ValueError("scale values must be finite")
+        for index, value in enumerate(values):
+            _check_arc(value, f"scale value {index}")
         object.__setattr__(self, "values", values)
 
 
@@ -48,6 +58,7 @@ class FreeInCurves:
         initial = float(self.initial)
         if not np.isfinite(initial):
             raise ValueError("initial scale must be finite")
+        _check_arc(initial, "initial scale")
         object.__setattr__(self, "initial", initial)
 
 
@@ -65,6 +76,17 @@ class FrameOutcome:
         return self.result is None
 
 
+def _trajectory(motions) -> TrajectoryRecord:
+    """The frames' motions chained on arrays, as Pose.compose chains them."""
+    rots, ts = motion_arrays(np.vstack([params_rows(p) for p in motions]))
+    R, T = np.eye(3), np.zeros(3)
+    poses = [Pose(R, T)]
+    for r, t in zip(rots, ts):
+        R, T = R @ r, R @ t + T
+        poses.append(Pose(R, T))
+    return TrajectoryRecord(tuple(poses))
+
+
 def match_sets_from_record(record: FramePairRecord):
     return [MatchSet(cam_id, *record.pixels[cam_id])
             for cam_id in sorted(record.pixels)]
@@ -75,13 +97,21 @@ def run_sequence(rig: CameraRig, records, scale_source,
     """Estimate every frame pair, each initialized from the previous
     result, the first after a cold-start grid; a frame that fails (no
     matches, geometry or non-finite data) carries the prior motion
-    forward, flagged with the error.
+    forward, flagged with the error. The pairs must chain: (0, 1), (1, 2)
+    and so on, any step size; a gap or an overlap is a ValueError.
 
     Returns (TrajectoryRecord, list of FrameOutcome).
     """
     records = list(records)
     if not records:
         raise NoRecords("no frame pair records")
+    pairs = [(int(r.t0), int(r.t1)) for r in records]
+    for prev, (t0, t1) in zip([None, *pairs], pairs):
+        if t1 <= t0 or prev and t0 != prev[1]:
+            after = f" after {prev}" if prev else ""
+            raise ValueError(f"frame pair {(t0, t1)}{after}: pairs must "
+                             "chain, each t1 after its t0 and each t0 the "
+                             "previous pair's t1")
     fixed = isinstance(scale_source, FixedScale)
     if fixed and len(scale_source.values) != len(records):
         raise ValueError(f"{len(scale_source.values)} scale values for "
@@ -91,7 +121,6 @@ def run_sequence(rig: CameraRig, records, scale_source,
     current = MotionParams(yaw=0.0, arc_length=held_arc)
     first_opts = replace(opts, fallback_grid=opts.fallback_grid
                          or default_cold_start_grid(current))
-    poses = [Pose.identity()]
     outcomes = []
     for index, record in enumerate(records):
         if fixed:
@@ -117,8 +146,7 @@ def run_sequence(rig: CameraRig, records, scale_source,
         runtime = (time.perf_counter() - start) * 1e3
         outcomes.append(FrameOutcome(record.t0, record.t1, current, result,
                                      error, runtime))
-        poses.append(poses[-1].compose(pose_from_params(current)))
-    return TrajectoryRecord(tuple(poses)), outcomes
+    return _trajectory([o.params for o in outcomes]), outcomes
 
 
 def simulate_sequence(scenario: Scenario):
@@ -131,19 +159,15 @@ def simulate_sequence(scenario: Scenario):
         yaws = scenario.sequence.yaw_per_frame()
     else:
         yaws = [scenario.truth.yaw]
-    records = []
-    poses = [Pose.identity()]
-    scales = []
+    records, truths = [], []
     for k, yaw in enumerate(yaws):
         truth = replace(scenario.truth, yaw=yaw)
         scene = replace(scenario.scene, seed=scenario.scene.seed + 1000 * k)
         noise = replace(scenario.noise, seed=scenario.noise.seed + 1000 * k)
         points = generate_scene(scene)
         match_sets, _ = generate_matches(points, scenario.rig, truth, noise)
-        pixels = {s.camera_id: (np.asarray(s.pixels_t0),
-                                np.asarray(s.pixels_t1))
-                  for s in match_sets}
-        records.append(FramePairRecord(k, k + 1, pixels))
-        poses.append(poses[-1].compose(pose_from_params(truth)))
-        scales.append(truth.arc_length)
-    return records, TrajectoryRecord(tuple(poses)), scales
+        records.append(FramePairRecord(k, k + 1, {
+            s.camera_id: (s.pixels_t0, s.pixels_t1) for s in match_sets}))
+        truths.append(truth)
+    return (records, _trajectory(truths),
+            [truth.arc_length for truth in truths])

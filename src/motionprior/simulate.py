@@ -141,8 +141,9 @@ def grid_search_oracle(rig, match_sets, bounds: dict, resolution: int,
         raise ValueError("resolution must be >= 2")
     for f in template.free:
         lo, hi = bounds[f]
-        if not lo <= hi:
-            raise ValueError(f"invalid bounds for {f}")
+        if not -np.inf < lo <= hi < np.inf:
+            raise ValueError(f"invalid bounds for {f}: {lo!r}, {hi!r} must "
+                             "be finite with lo <= hi")
     rows = GridSpec({f: (*bounds[f], resolution)
                      for f in template.free}).points(template)
     frame = RigFrame.from_matches(rig, match_sets, metric)

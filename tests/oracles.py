@@ -2,13 +2,14 @@
 
 They follow the per-camera pose path: conjugate the vehicle motion to a
 camera, form its essential (and, for pixels, fundamental) matrix, and
-evaluate each metric on it match by match. None of this is on the
-package's solve path.
+evaluate each metric on it match by match; and the per-segment Pose path
+of the trajectory evaluation. None of this is on the package's paths.
 """
 
 import numpy as np
 
 from motionprior.estimator import _solver_state
+from motionprior.evaluation import START_STEP, ErrorBucket, EvalReport
 from motionprior.geometry import (TRANSLATION_EPS, DegenerateTranslation,
                                   PinholeCamera, PinholeIntrinsics, Pose,
                                   skew)
@@ -133,3 +134,29 @@ def pose_path_residuals(motion: Pose, cam, s: MatchSet, metric):
     r, valid = plane_residuals(e, cam.model.pixel_to_bearing(s.pixels_t0),
                                cam.model.pixel_to_bearing(s.pixels_t1))
     return r[:, None], valid
+
+
+def evaluate_by_segment(est, gt, lengths) -> EvalReport:
+    """evaluation.evaluate segment by segment, on Pose objects, in the
+    KITTI devkit's order: find each segment's last frame by walking the
+    ground-truth distance, then error = inverse(delta_est) . delta_gt."""
+    dist = [0.0]
+    for prev, cur in zip(gt.poses, gt.poses[1:]):
+        dist.append(dist[-1] + float(np.linalg.norm(
+            cur.translation - prev.translation)))
+    buckets = {length: ErrorBucket() for length in lengths}
+    for first in range(0, len(gt), START_STEP):
+        for length in lengths:
+            last = next((i for i in range(first, len(dist))
+                         if dist[i] > dist[first] + length), None)
+            if last is None:
+                continue
+            delta_gt = gt.poses[first].inverse().compose(gt.poses[last])
+            delta_est = est.poses[first].inverse().compose(est.poses[last])
+            error = delta_est.inverse().compose(delta_gt)
+            cos = 0.5 * (np.trace(error.rotation) - 1.0)
+            buckets[length].rotation_deg_per_m.append(
+                np.degrees(np.arccos(np.clip(cos, -1.0, 1.0))) / length)
+            buckets[length].translation_percent.append(
+                float(np.linalg.norm(error.translation)) / length * 100.0)
+    return EvalReport(buckets)

@@ -232,6 +232,40 @@ class TestNonFiniteInput:
         assert code == EXIT_DATA
         assert "initial scale must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--free-in-curves"], []])
+    def test_zero_initial_scale(self, workspace, capsys, flags):
+        simulate(workspace)
+        code = run_cli(["estimate", "--rig", str(workspace / "rig.txt"),
+                        "--matches", str(workspace / "matches.csv"),
+                        *flags, "--initial-scale", "0",
+                        "--out-trajectory", str(workspace / "est.txt")])
+        assert code == EXIT_DATA
+        assert "|arc length| must be at least" in capsys.readouterr().err
+        assert not (workspace / "est.txt").exists()
+
+    def test_zero_in_scale_file(self, workspace, capsys):
+        simulate(workspace)
+        scale = workspace / "scale.txt"
+        lines = scale.read_text().splitlines()
+        lines[2] = "0.0"
+        scale.write_text("\n".join(lines) + "\n")
+        assert self.estimate(workspace) == EXIT_DATA
+        assert "scale value 2 is 0.0" in capsys.readouterr().err
+        assert not (workspace / "est.txt").exists()
+
+    def test_missing_frame_pair(self, workspace, capsys):
+        # pair (3, 4) deleted: (2, 3) and (4, 5) are not neighbours
+        simulate(workspace)
+        matches = workspace / "matches.csv"
+        lines = [line for line in matches.read_text().splitlines()
+                 if not line.startswith("3,4,")]
+        matches.write_text("\n".join(lines) + "\n")
+        scale = workspace / "scale.txt"
+        scale.write_text("1.0\n" * 6)
+        assert self.estimate(workspace) == EXIT_DATA
+        assert "frame pair (4, 5) after (2, 3)" in capsys.readouterr().err
+        assert not (workspace / "est.txt").exists()
+
     def test_infinite_loss_width(self, workspace, capsys):
         simulate(workspace)
         code = run_cli(["estimate", "--rig", str(workspace / "rig.txt"),
@@ -300,6 +334,21 @@ class TestLandscape:
                         "--yaw-steps", "3", "--arc-steps", "2"])
         assert code == EXIT_USAGE
         assert "7 frame pairs" in capsys.readouterr().err
+        assert not (workspace / "land.csv").exists()
+
+    @pytest.mark.parametrize("flag,value", [("--yaw-min", "nan"),
+                                            ("--yaw-max", "inf"),
+                                            ("--arc-min", "-inf"),
+                                            ("--arc-max", "inf")])
+    def test_non_finite_range_is_data_error(self, workspace, capsys, flag,
+                                            value):
+        code = run_cli(["landscape", "--scenario",
+                        str(workspace / "scenario.txt"),
+                        "--out", str(workspace / "land.csv"),
+                        "--yaw-steps", "3", "--arc-steps", "2",
+                        f"{flag}={value}"])
+        assert code == EXIT_DATA
+        assert "must be finite" in capsys.readouterr().err
         assert not (workspace / "land.csv").exists()
 
 

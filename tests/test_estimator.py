@@ -347,6 +347,17 @@ class TestLandscape:
                                 normalize=True)
         assert land.energies[~land.degenerate].max() == pytest.approx(100.0)
 
+    @pytest.mark.parametrize("grid", [
+        LandscapeGrid((np.nan, 0.2), 3, (0.8, 1.2), 3),
+        LandscapeGrid((-0.2, np.inf), 3, (0.8, 1.2), 3),
+        LandscapeGrid((-0.2, 0.2), 3, (-np.inf, 1.2), 3),
+        LandscapeGrid((-0.2, 0.2), 3, (0.8, np.nan), 3)])
+    def test_non_finite_range_rejected(self, grid):
+        truth = MotionParams(yaw=0.05, arc_length=1.0)
+        sets, _ = simulated(RIG1, truth, seed=32)
+        with pytest.raises(ValueError, match="range .* must be finite"):
+            energy_landscape(RIG1, sets, grid, truth, NONE, ANGLE)
+
     def test_argmin_tie_break_matches_lowest_energy(self):
         # equal energies: the smaller |yaw| wins, as in lowest_energy
         land = Landscape(np.array([-0.2, 0.1]), np.array([1.5, 1.0]),

@@ -286,6 +286,17 @@ class TestMatchSet:
         with pytest.raises(ValueError):
             s.pixels_t0[0, 0] = 1.0
 
+    def test_callers_arrays_stay_writeable(self):
+        a = np.full((3, 2), 100.0)
+        b = a.copy()
+        s = MatchSet(0, a, b)
+        assert a.flags.writeable and b.flags.writeable
+        a[0, 0] = 1.0
+        assert s.pixels_t0[0, 0] == 100.0
+        for arr in (s.pixels_t0, s.pixels_t1):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+
     def test_empty_allowed(self):
         s = MatchSet(0, np.zeros((0, 2)), np.zeros((0, 2)))
         assert len(s) == 0

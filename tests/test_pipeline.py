@@ -1,19 +1,25 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from motionprior.estimator import EstimatorOptions
-from motionprior.geometry import (GenericCamera, PinholeCamera,
-                                  PinholeIntrinsics, forward_camera_extrinsic)
+from motionprior.geometry import (TRANSLATION_EPS, GenericCamera,
+                                  PinholeCamera, PinholeIntrinsics,
+                                  forward_camera_extrinsic)
 from motionprior.io_formats import (FramePairRecord, NoRecords, Scenario,
                                     SequenceProfile)
-from motionprior.manifold import (CameraRig, MotionParams, RigCamera,
-                                  pose_from_params)
+from motionprior.manifold import (YAW_SERIES_SWITCH, CameraRig, MotionParams,
+                                  RigCamera, pose_from_params)
 from motionprior.metrics import MetricKind, RigFrame
-from motionprior.pipeline import (FixedScale, FreeInCurves,
+from motionprior.pipeline import (FixedScale, FreeInCurves, _trajectory,
                                   match_sets_from_record, run_sequence,
                                   simulate_sequence)
 from motionprior.simulate import (NoiseSpec, SceneSpec, generate_matches,
                                   generate_scene)
+from test_evaluation import chain
 
 INTR = PinholeIntrinsics(700.0, 700.0, 640.0, 480.0)
 
@@ -99,6 +105,49 @@ class TestRunSequence:
     def test_free_in_curves_rejects_non_finite(self, value):
         with pytest.raises(ValueError, match="finite"):
             FreeInCurves(value)
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, 0.5 * TRANSLATION_EPS])
+    def test_fixed_scale_rejects_zero_arc(self, value):
+        # a zero arc is a turn on the spot, seen only through the lever
+        # arm: a straight solved under it converges to a wrong yaw
+        with pytest.raises(ValueError, match="scale value 1 is"):
+            FixedScale([1.0, value, 1.0])
+
+    @pytest.mark.parametrize("value", [0.0, -0.5 * TRANSLATION_EPS])
+    def test_free_in_curves_rejects_zero_arc(self, value):
+        with pytest.raises(ValueError, match="initial scale is"):
+            FreeInCurves(value)
+
+    def test_negative_arc_allowed(self):
+        assert FixedScale([-1.0]).values == (-1.0,)
+        assert FreeInCurves(-1.0).initial == -1.0
+
+    @pytest.mark.parametrize("pairs,message", [
+        ([(0, 1), (2, 3)], r"frame pair \(2, 3\) after \(0, 1\)"),
+        ([(0, 1), (0, 1)], r"frame pair \(0, 1\) after \(0, 1\)"),
+        ([(0, 2), (1, 3)], r"frame pair \(1, 3\) after \(0, 2\)"),
+        ([(1, 1), (1, 2)], r"frame pair \(1, 1\):"),
+        ([(0, 1), (1, 0)], r"frame pair \(1, 0\) after \(0, 1\)")])
+    def test_pairs_must_chain(self, pairs, message):
+        records = [replace(r, t0=t0, t1=t1) for r, (t0, t1) in
+                   zip(make_records(RIG1, [0.02, 0.02]), pairs)]
+        with pytest.raises(ValueError, match=message):
+            run_sequence(RIG1, records, FixedScale([1.0, 1.0]))
+
+    def test_pairs_may_step_by_more_than_one(self):
+        records = [replace(r, t0=2 * k, t1=2 * k + 2) for k, r in
+                   enumerate(make_records(RIG1, [0.02, 0.02]))]
+        _, outcomes = run_sequence(RIG1, records, FixedScale([1.0, 1.0]))
+        assert [(o.t0, o.t1) for o in outcomes] == [(0, 2), (2, 4)]
+
+    def test_record_pixels_stay_writeable(self):
+        records = [FramePairRecord(r.t0, r.t1, {
+            cam: (p0.copy(), p1.copy()) for cam, (p0, p1) in r.pixels.items()})
+            for r in make_records(RIG1, [0.02, 0.02])]
+        run_sequence(RIG1, records, FixedScale([1.0, 1.0]))
+        for r in records:
+            for arrays in r.pixels.values():
+                assert all(a.flags.writeable for a in arrays)
 
     def test_empty_records(self):
         with pytest.raises(NoRecords):
@@ -247,3 +296,24 @@ class TestSimulateSequence:
         traj, outcomes = run_sequence(RIG2, records, FreeInCurves(1.0))
         assert not any(o.failed for o in outcomes)
         assert traj.poses[-1].isclose(gt.poses[-1], atol=1e-4)
+
+
+# yaws on both sides of the series switch, arcs of either sign, and tilt
+chain_rows = st.builds(
+    MotionParams,
+    yaw=st.one_of(st.floats(-0.5, 0.5),
+                  st.floats(-YAW_SERIES_SWITCH, YAW_SERIES_SWITCH)),
+    arc_length=st.floats(-3.0, 3.0),
+    pitch=st.one_of(st.just(0.0), st.floats(-0.05, 0.05)),
+    roll=st.one_of(st.just(0.0), st.floats(-0.05, 0.05)))
+
+
+class TestTrajectoryChain:
+    @given(st.lists(chain_rows, min_size=1, max_size=20))
+    def test_equals_pose_compose_chain_bitwise(self, motions):
+        poses = chain([pose_from_params(p) for p in motions])
+        chained = _trajectory(motions).poses
+        assert len(chained) == len(poses)
+        for got, want in zip(chained, poses):
+            assert np.array_equal(got.rotation, want.rotation)
+            assert np.array_equal(got.translation, want.translation)

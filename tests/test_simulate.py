@@ -184,6 +184,16 @@ class TestGridSearchOracle:
                               EstimatorOptions())
             assert abs(result.params.yaw - oracle.yaw) <= 0.6 / 40
 
+    @pytest.mark.parametrize("bounds", [(np.nan, 0.1), (-0.1, np.nan),
+                                        (-np.inf, 0.1), (-0.1, np.inf),
+                                        (0.1, -0.1)])
+    def test_bounds_must_be_finite_and_ordered(self, bounds):
+        truth = MotionParams(yaw=0.0, arc_length=1.0, free=("yaw",))
+        with pytest.raises(ValueError, match="invalid bounds for yaw"):
+            grid_search_oracle(RIG1, [], {"yaw": bounds}, 5,
+                               RobustLoss("none"), MetricKind.ANGLEPLANE,
+                               truth)
+
     def test_resolution_validation(self):
         truth = MotionParams(yaw=0.0, arc_length=1.0, free=("yaw",))
         with pytest.raises(ValueError):
