@@ -152,6 +152,18 @@ def _options_from_args(args) -> EstimatorOptions:
                             max_iterations=int(args.max_iterations))
 
 
+def _check_cameras(rig, records, matches_path, rig_path):
+    """ValueError naming both files on the first match line whose camera id
+    the rig does not hold."""
+    known = {cam.camera_id for cam in rig.cameras}
+    for rec in records:
+        for cam in rec.pixels:
+            if cam not in known:
+                raise ValueError(f"{matches_path}: camera id {cam} in frame "
+                                 f"pair ({rec.t0}, {rec.t1}) is not in the "
+                                 f"rig file {rig_path}")
+
+
 def _cmd_simulate(args):
     if args.seed is not None and args.seed < 0:
         raise UsageError(f"--seed {args.seed} must be non-negative")
@@ -174,6 +186,7 @@ def _cmd_simulate(args):
 def _cmd_estimate(args):
     rig = load_rig(args.rig)
     records = load_matches(args.matches)
+    _check_cameras(rig, records, args.matches, args.rig)
     if args.scale:
         scale_source = FixedScale(load_scale(args.scale))
     elif args.free_in_curves:
@@ -223,6 +236,9 @@ def _cmd_landscape(args):
         raise UsageError(f"--pair-index {args.pair_index} is outside "
                          f"[0, {len(records)}): the input holds "
                          f"{len(records)} frame pairs")
+    if not args.scenario:
+        _check_cameras(rig, records[args.pair_index:args.pair_index + 1],
+                       args.matches, args.rig)
     match_sets = match_sets_from_record(records[args.pair_index])
     grid = LandscapeGrid((args.yaw_min, args.yaw_max), args.yaw_steps,
                          (args.arc_min, args.arc_max), args.arc_steps)

@@ -59,7 +59,9 @@ def evaluate(est: TrajectoryRecord, gt: TrajectoryRecord,
     the ground truth than their length."""
     if len(est) != len(gt):
         raise ValueError("trajectories must have the same frame count")
-    lengths = list(DEFAULT_LENGTHS if lengths is None else lengths)
+    # a repeated length is one bucket, not its segments twice
+    lengths = list(dict.fromkeys(DEFAULT_LENGTHS if lengths is None
+                                 else lengths))
     for length in lengths:
         if not 0 < length < np.inf:
             raise ValueError(f"segment length {length!r} must be finite "

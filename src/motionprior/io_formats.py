@@ -8,7 +8,7 @@ from __future__ import annotations
 import os
 import warnings
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
@@ -66,20 +66,27 @@ def _numbers(path, fh, row, skip=0, delimiter=None):
     """The open file's content lines after its first `skip` ones, which the
     caller has read, parsed by np.loadtxt into an array of the structured
     dtype `row`. Every value is finite; on any failure, ParseError naming
-    the first bad line."""
-    def parse(texts):
-        rows = np.loadtxt(texts, row, comments=None, delimiter=delimiter,
+    the first bad line. np.loadtxt reads the handle itself first; where it
+    fails (a bad value, no lines, or a whitespace-only line in a comma
+    file), the content lines are parsed as _lines strips them, and then
+    one by one to find the bad line."""
+    def parse(texts, comments=None):
+        rows = np.loadtxt(texts, row, comments=comments, delimiter=delimiter,
                           ndmin=1)
         if not all(np.isfinite(rows[name]).all() for name in rows.dtype.names):
             raise ValueError("value is NaN or inf")
         return rows
 
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")     # loadtxt warns on no lines
-            return parse(text for _, text in _lines(fh))
-    except (ValueError, UserWarning):
-        fh.seek(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")     # loadtxt warns on no lines
+        try:
+            return parse(fh, "#")
+        except (ValueError, UserWarning):
+            fh.seek(0)
+        try:
+            return parse(text for _, text in islice(_lines(fh), skip, None))
+        except (ValueError, UserWarning):
+            fh.seek(0)
     for lineno, text in islice(_lines(fh), skip, None):
         try:
             parse([text])
@@ -266,10 +273,18 @@ def load_matches(path):
 
 
 def write_matches(records, path):
-    _write_rows(path, chain([MATCH_HEADER], (
-        (rec.t0, rec.t1, cam, *quad) for rec in records
-        for cam in sorted(rec.pixels)
-        for quad in np.hstack(rec.pixels[cam], dtype=float).tolist())), ",")
+    """One line per match, as _cell prints each value. A (frame pair,
+    camera) block is one repr of its (n, 4) float list with its brackets
+    and spaces turned into lines that each start with the block's ids."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(MATCH_HEADER) + "\n")
+        for rec in records:
+            for cam in sorted(rec.pixels):
+                quads = np.hstack(rec.pixels[cam], dtype=float).tolist()
+                if quads:
+                    ids = ",".join(map(_cell, (rec.t0, rec.t1, cam))) + ","
+                    fh.write(ids + repr(quads)[2:-2].replace(", ", ",")
+                             .replace("],[", "\n" + ids) + "\n")
 
 
 # --------------------------------------------------------- trajectory files

@@ -166,8 +166,11 @@ def simulate_sequence(scenario: Scenario):
         noise = replace(scenario.noise, seed=scenario.noise.seed + 1000 * k)
         points = generate_scene(scene)
         match_sets, _ = generate_matches(points, scenario.rig, truth, noise)
+        # writeable copies of the match sets' read-only arrays, as
+        # load_matches returns them
         records.append(FramePairRecord(k, k + 1, {
-            s.camera_id: (s.pixels_t0, s.pixels_t1) for s in match_sets}))
+            s.camera_id: (s.pixels_t0.copy(), s.pixels_t1.copy())
+            for s in match_sets}))
         truths.append(truth)
     return (records, _trajectory(truths),
             [truth.arc_length for truth in truths])

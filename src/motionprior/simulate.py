@@ -93,11 +93,16 @@ def generate_matches(points, rig: CameraRig, truth: MotionParams,
         raise NoVisiblePoints("empty scene")
     rng = np.random.Generator(np.random.PCG64(noise.seed))
     motion = pose_from_params(truth)
+    rot_m, t_m = motion.rotation, motion.translation
     match_sets = []
     labels = []
     for cam in rig.cameras:
-        cam_t0 = cam.extrinsic.inverse().apply(points)
-        cam_t1 = motion.compose(cam.extrinsic).inverse().apply(points)
+        # the camera at t0 is the extrinsic, at t1 motion . extrinsic;
+        # inverse(R, t).apply(p) = p R + (-R^T t), as Pose computes it
+        rot, t = cam.extrinsic.rotation, cam.extrinsic.translation
+        cam_t0 = points @ rot + -rot.T @ t
+        rot, t = rot_m @ rot, rot_m @ t + t_m
+        cam_t1 = points @ rot + -rot.T @ t
         px0, vis0 = _project_visible(cam.model, cam_t0)
         px1, vis1 = _project_visible(cam.model, cam_t1)
         visible = vis0 & vis1

@@ -2,9 +2,14 @@
 
 They follow the per-camera pose path: conjugate the vehicle motion to a
 camera, form its essential (and, for pixels, fundamental) matrix, and
-evaluate each metric on it match by match; and the per-segment Pose path
-of the trajectory evaluation. None of this is on the package's paths.
+evaluate each metric on it match by match; the per-segment Pose path of
+the trajectory evaluation; the cell-by-cell match writer, the line-by-line
+number parser and the Pose path of the simulator's projection. None of
+this is on the package's paths.
 """
+
+import warnings
+from itertools import chain, islice
 
 import numpy as np
 
@@ -13,9 +18,12 @@ from motionprior.evaluation import START_STEP, ErrorBucket, EvalReport
 from motionprior.geometry import (TRANSLATION_EPS, DegenerateTranslation,
                                   PinholeCamera, PinholeIntrinsics, Pose,
                                   skew)
+from motionprior.io_formats import (MATCH_HEADER, ParseError, _lines,
+                                    _write_rows)
 from motionprior.manifold import (CameraRig, RigCamera, multi_camera_energy,
-                                  params_rows)
+                                  params_rows, pose_from_params)
 from motionprior.metrics import DEGENERACY_EPS, MatchSet, MetricKind, RigFrame
+from motionprior.simulate import _project_visible
 
 UNIT_CAM = PinholeCamera(PinholeIntrinsics(1.0, 1.0, 0.0, 0.0))
 
@@ -139,7 +147,9 @@ def pose_path_residuals(motion: Pose, cam, s: MatchSet, metric):
 def evaluate_by_segment(est, gt, lengths) -> EvalReport:
     """evaluation.evaluate segment by segment, on Pose objects, in the
     KITTI devkit's order: find each segment's last frame by walking the
-    ground-truth distance, then error = inverse(delta_est) . delta_gt."""
+    ground-truth distance, then error = inverse(delta_est) . delta_gt.
+    A repeated length is one bucket."""
+    lengths = list(dict.fromkeys(lengths))
     dist = [0.0]
     for prev, cur in zip(gt.poses, gt.poses[1:]):
         dist.append(dist[-1] + float(np.linalg.norm(
@@ -160,3 +170,54 @@ def evaluate_by_segment(est, gt, lengths) -> EvalReport:
             buckets[length].translation_percent.append(
                 float(np.linalg.norm(error.translation)) / length * 100.0)
     return EvalReport(buckets)
+
+
+def write_matches_by_cell(records, path):
+    """io_formats.write_matches one line and one cell at a time: the ids
+    and each pixel value through _cell."""
+    _write_rows(path, chain([MATCH_HEADER], (
+        (rec.t0, rec.t1, cam, *quad) for rec in records
+        for cam in sorted(rec.pixels)
+        for quad in np.hstack(rec.pixels[cam], dtype=float).tolist())), ",")
+
+
+def numbers_by_lines(path, fh, row, skip=0, delimiter=None):
+    """io_formats._numbers without np.loadtxt's own reading of the file:
+    the content lines as _lines strips them, parsed together and then one
+    by one to find the bad line."""
+    def parse(texts):
+        rows = np.loadtxt(texts, row, comments=None, delimiter=delimiter,
+                          ndmin=1)
+        if not all(np.isfinite(rows[name]).all() for name in rows.dtype.names):
+            raise ValueError("value is NaN or inf")
+        return rows
+
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")     # loadtxt warns on no lines
+            return parse(text for _, text in _lines(fh))
+    except (ValueError, UserWarning):
+        fh.seek(0)
+    for lineno, text in islice(_lines(fh), skip, None):
+        try:
+            parse([text])
+        except ValueError as exc:
+            raise ParseError(path, lineno, str(exc).split(" at row")[0])
+    return np.empty(0, row)
+
+
+def pixels_by_pose(points, rig, truth):
+    """simulate.generate_matches without noise, on Pose objects: camera id
+    -> pixels (t0, t1) of the points that camera sees at both times, the
+    camera at t0 being its extrinsic and at t1 motion . extrinsic."""
+    motion = pose_from_params(truth)
+    pixels = {}
+    for cam in rig.cameras:
+        px0, vis0 = _project_visible(cam.model,
+                                     cam.extrinsic.inverse().apply(points))
+        px1, vis1 = _project_visible(
+            cam.model, motion.compose(cam.extrinsic).inverse().apply(points))
+        visible = vis0 & vis1
+        if visible.any():
+            pixels[cam.camera_id] = (px0[visible], px1[visible])
+    return pixels

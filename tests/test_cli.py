@@ -266,6 +266,19 @@ class TestNonFiniteInput:
         assert "frame pair (4, 5) after (2, 3)" in capsys.readouterr().err
         assert not (workspace / "est.txt").exists()
 
+    def test_unknown_camera_names_both_files(self, workspace, capsys):
+        simulate(workspace)
+        matches = workspace / "matches.csv"
+        lines = matches.read_text().splitlines()
+        # the last line of pair (2, 3) moves to camera 7, not in the rig
+        i = max(k for k, line in enumerate(lines) if line.startswith("2,3,"))
+        lines[i] = "2,3,7," + lines[i].split(",", 3)[3]
+        matches.write_text("\n".join(lines) + "\n")
+        assert self.estimate(workspace) == EXIT_DATA
+        assert (f"{matches}: camera id 7 in frame pair (2, 3) is not in the "
+                f"rig file {workspace / 'rig.txt'}") in capsys.readouterr().err
+        assert not (workspace / "est.txt").exists()
+
     def test_infinite_loss_width(self, workspace, capsys):
         simulate(workspace)
         code = run_cli(["estimate", "--rig", str(workspace / "rig.txt"),
@@ -336,6 +349,19 @@ class TestLandscape:
         assert "7 frame pairs" in capsys.readouterr().err
         assert not (workspace / "land.csv").exists()
 
+    def test_unknown_camera_names_both_files(self, workspace, capsys):
+        simulate(workspace)
+        matches = workspace / "matches.csv"
+        matches.write_text(matches.read_text().replace("\n1,2,1,", "\n1,2,7,"))
+        code = run_cli(["landscape", "--rig", str(workspace / "rig.txt"),
+                        "--matches", str(matches), "--pair-index", "1",
+                        "--out", str(workspace / "land.csv"),
+                        "--yaw-steps", "3", "--arc-steps", "2"])
+        assert code == EXIT_DATA
+        assert (f"{matches}: camera id 7 in frame pair (1, 2) is not in the "
+                f"rig file {workspace / 'rig.txt'}") in capsys.readouterr().err
+        assert not (workspace / "land.csv").exists()
+
     @pytest.mark.parametrize("flag,value", [("--yaw-min", "nan"),
                                             ("--yaw-max", "inf"),
                                             ("--arc-min", "-inf"),
@@ -366,6 +392,20 @@ class TestEval:
         lines = (workspace / "report.csv").read_text().splitlines()
         assert lines[0].startswith("length_m,")
         assert len(lines) == 2
+
+    def test_repeated_length_prints_one_row(self, workspace, capsys):
+        simulate(workspace)
+        capsys.readouterr()
+        outputs = []
+        for lengths in ("3", "3,3"):
+            code = run_cli(["eval", "--est", str(workspace / "gt.txt"),
+                            "--gt", str(workspace / "gt.txt"),
+                            "--lengths", lengths,
+                            "--out", str(workspace / f"{lengths}.csv")])
+            assert code == EXIT_OK
+            outputs.append((capsys.readouterr().out,
+                            (workspace / f"{lengths}.csv").read_text()))
+        assert outputs[1] == outputs[0]
 
     def test_zero_length_is_data_error(self, workspace, capsys):
         simulate(workspace)

@@ -56,6 +56,16 @@ class TestEvaluate:
         report = evaluate(gt, gt, lengths=[100.0])
         assert report.length_buckets[100.0].count == 15
 
+    def test_repeated_length_counts_once(self):
+        gt = TrajectoryRecord(tuple(straight_line(250)))
+        report = evaluate(gt, gt, lengths=[100.0, 100.0])
+        assert list(report.length_buckets) == [100.0]
+        assert report.length_buckets[100.0].count == 15
+        # the first of each length, in the caller's order
+        report = evaluate(gt, gt, lengths=[200.0, 100.0, 200.0])
+        assert list(report.length_buckets) == [200.0, 100.0]
+        assert report.length_buckets[100.0].count == 15
+
     def test_multiple_lengths(self):
         gt = TrajectoryRecord(tuple(straight_line(350)))
         report = evaluate(gt, gt, lengths=[100.0, 200.0, 300.0])

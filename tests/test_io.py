@@ -1,4 +1,5 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from motionprior.io_formats import (MATCH_HEADER, FramePairRecord,
                                     write_trajectory)
 from motionprior import io_formats
 from motionprior.manifold import CameraRig, RigCamera
+from oracles import numbers_by_lines, write_matches_by_cell
 
 RIG_TEXT = """\
 id 0
@@ -501,6 +503,115 @@ class TestRoundTripProperties:
         p = tmp_path_factory.mktemp("prop") / "scale.txt"
         write_scale(values, p)
         assert bits(load_scale(p)) == bits([float(v) for v in values])
+
+
+# the block writer and the direct parse against their references
+ANY_FLOAT = st.one_of(st.floats(), st.sampled_from(
+    [5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, -0.0]))
+DECORATION = st.sampled_from(["", " ", "\t", " \t ", "# note", "  # note"])
+
+
+@st.composite
+def written_records(draw):
+    """Records of any ids and floats, empty camera blocks among them."""
+    records = []
+    for _ in range(draw(st.integers(0, 3))):
+        pixels = {}
+        for cam in draw(st.lists(INDEX, max_size=3, unique=True)):
+            quads = np.array(draw(st.lists(st.tuples(*[ANY_FLOAT] * 4),
+                                           max_size=3)),
+                             dtype=float).reshape(-1, 4)
+            pixels[draw(AS_INTEGER)(cam)] = (quads[:, :2], quads[:, 2:])
+        records.append(FramePairRecord(draw(AS_INTEGER)(draw(INDEX)),
+                                       draw(AS_INTEGER)(draw(INDEX)), pixels))
+    return records
+
+
+def value_rows(draw, kind):
+    """(header lines, rows of value fields, separators) of a valid file."""
+    if kind == "matches":
+        rows = [[str(t), str(t + 1), str(cam),
+                 *map(repr, draw(st.tuples(*[FINITE] * 4)))]
+                for t in range(draw(st.integers(0, 3)))
+                for cam in draw(st.lists(st.integers(0, 3), min_size=1,
+                                         max_size=2, unique=True))]
+        return [",".join(MATCH_HEADER)], rows, [",", ", ", " ,"]
+    if kind == "trajectory":
+        poses = [Pose.identity()] + [
+            Pose(rotation_z(yaw) @ rotation_x(roll), t) for yaw, roll, *t in
+            draw(st.lists(st.tuples(*[st.floats(-np.pi, np.pi)] * 2,
+                                    *[st.floats(-1e4, 1e4)] * 3),
+                          max_size=3))]
+        return [], [[repr(float(v)) for v in pose.matrix34().ravel()]
+                    for pose in poses], [" ", "\t", "  "]
+    return [], [[repr(v)] for v in draw(st.lists(FINITE, max_size=4))], [" "]
+
+
+@st.composite
+def numeric_files(draw, kind):
+    """A match, trajectory or scale file with comments, blank and
+    whitespace-only lines, and perhaps one bad value."""
+    header, rows, separators = value_rows(draw, kind)
+    if rows and draw(st.booleans()):
+        fields = rows[draw(st.integers(0, len(rows) - 1))]
+        i = draw(st.integers(0, len(fields) - 1))
+        bad = draw(st.sampled_from(["drop", "extra", "oops", "nan", "-inf"]))
+        if bad == "drop":
+            del fields[i]
+        elif bad == "extra":
+            fields.insert(i, "1.0")
+        else:
+            fields[i] = bad
+    lines = []
+    for text in header + [draw(st.sampled_from(separators)).join(fields)
+                          for fields in rows]:
+        lines += draw(st.lists(DECORATION, max_size=2))
+        lines.append(draw(st.sampled_from(["", " ", "\t"])) + text
+                     + draw(st.sampled_from(["", " ", " # c", "\t#c"])))
+    lines += draw(st.lists(DECORATION, max_size=2))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+LOADED = {
+    "matches": lambda p: [(r.t0, r.t1, [(cam, bits(px0), bits(px1))
+                                        for cam, (px0, px1)
+                                        in r.pixels.items()])
+                          for r in load_matches(p)],
+    "trajectory": lambda p: [bits(pose.matrix34())
+                             for pose in load_trajectory(p).poses],
+    "scale": lambda p: bits(load_scale(p)),
+}
+
+
+def loaded(kind, path):
+    """The file's values bit for bit, or the error it raises."""
+    try:
+        return LOADED[kind](path)
+    except (ParseError, ValueError) as exc:
+        return type(exc).__name__, getattr(exc, "line", None), str(exc)
+
+
+class TestAgainstReferences:
+    @settings(max_examples=100, deadline=None)
+    @given(written_records())
+    def test_block_writer_bytes_equal_cell_writer(self, tmp_path_factory,
+                                                  records):
+        directory = tmp_path_factory.mktemp("writer")
+        write_matches(records, directory / "block.csv")
+        write_matches_by_cell(records, directory / "cell.csv")
+        assert (directory / "block.csv").read_bytes() == \
+            (directory / "cell.csv").read_bytes()
+
+    @pytest.mark.parametrize("kind", list(LOADED))
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_direct_parse_equals_line_parse(self, tmp_path_factory, kind,
+                                            data):
+        path = tmp_path_factory.mktemp("parse") / f"{kind}.txt"
+        path.write_text(data.draw(numeric_files(kind)))
+        with mock.patch.object(io_formats, "_numbers", numbers_by_lines):
+            expected = loaded(kind, path)
+        assert loaded(kind, path) == expected
 
 
 class TestScenarioFiles:

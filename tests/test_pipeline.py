@@ -290,6 +290,16 @@ class TestSimulateSequence:
         assert not np.array_equal(records[0].pixels[0][0],
                                   records[1].pixels[0][0])
 
+    def test_records_are_writeable_and_independent(self):
+        records, _, _ = simulate_sequence(self.scenario(((3, 0.0),)))
+        kept = [np.hstack(r.pixels[0]) for r in records]
+        for px in records[0].pixels[0]:
+            assert px.flags.writeable
+            px += 10.0
+        assert not np.array_equal(np.hstack(records[0].pixels[0]), kept[0])
+        for r, before in zip(records[1:], kept[1:]):
+            assert np.array_equal(np.hstack(r.pixels[0]), before)
+
     def test_round_trip_with_estimator(self):
         records, gt, _ = simulate_sequence(self.scenario(((2, 0.0),
                                                           (3, 0.04))))

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motionprior.estimator import EstimatorOptions, estimate
-from motionprior.geometry import (PinholeCamera, PinholeIntrinsics,
-                                  forward_camera_extrinsic)
+from motionprior.geometry import (PinholeCamera, PinholeIntrinsics, Pose,
+                                  forward_camera_extrinsic, rotation_y,
+                                  rotation_z)
 from motionprior.manifold import (CameraRig, MotionParams, RigCamera,
                                   pose_from_params)
 from motionprior.metrics import MetricKind, RobustLoss
@@ -11,7 +14,7 @@ from motionprior.simulate import (NoiseSpec, NoVisiblePoints, SceneSpec,
                                   generate_matches, generate_scene,
                                   grid_search_oracle)
 from oracles import (camera_point_transform, essential_from_motion,
-                     plane_residuals)
+                     pixels_by_pose, plane_residuals)
 
 INTR = PinholeIntrinsics(700.0, 700.0, 640.0, 480.0)
 
@@ -137,6 +140,34 @@ class TestGenerateMatches:
         with pytest.raises(NoVisiblePoints):
             generate_matches(np.zeros((0, 3)), RIG1, self.truth,
                              NoiseSpec(seed=16))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(-0.5, 0.5), st.floats(-3.0, 3.0), st.floats(-0.1, 0.1),
+           st.floats(-0.1, 0.1), st.floats(-np.pi, np.pi),
+           st.integers(0, 2**32 - 1))
+    def test_pixels_bit_identical_to_pose_path(self, yaw, arc, pitch, roll,
+                                               mount_yaw, seed):
+        # a forward camera and one turned and tilted on its mount
+        rig = CameraRig((
+            RigCamera(0, PinholeCamera(INTR, (1280, 960)),
+                      forward_camera_extrinsic([2.0, 0.3, 1.1])),
+            RigCamera(5, PinholeCamera(INTR, (1280, 960)),
+                      Pose(rotation_z(mount_yaw) @ rotation_y(0.2)
+                           @ forward_camera_extrinsic([0, 0, 0]).rotation,
+                           [-0.5, -0.8, 1.4]))))
+        truth = MotionParams(yaw=yaw, arc_length=arc, pitch=pitch, roll=roll)
+        points = generate_scene(SceneSpec(150, seed=seed))
+        expected = pixels_by_pose(points, rig, truth)
+        if not expected:
+            with pytest.raises(NoVisiblePoints):
+                generate_matches(points, rig, truth, NoiseSpec(seed=seed))
+            return
+        sets, _ = generate_matches(points, rig, truth, NoiseSpec(seed=seed))
+        assert [s.camera_id for s in sets] == list(expected)
+        for s in sets:
+            px0, px1 = expected[s.camera_id]
+            assert s.pixels_t0.tobytes() == px0.tobytes()
+            assert s.pixels_t1.tobytes() == px1.tobytes()
 
     def test_validation(self):
         with pytest.raises(ValueError):
