@@ -19,8 +19,7 @@ from .evaluation import TrajectoryTooShort, evaluate
 from .geometry import DegenerateTranslation, GeometryError
 from .io_formats import (NoRecords, ParseError, load_matches, load_rig,
                          load_scale, load_scenario, load_trajectory,
-                         parse_keyvalues, write_matches, write_scale,
-                         write_trajectory)
+                         write_matches, write_scale, write_trajectory)
 from .manifold import MotionParams
 from .metrics import MetricKind, RobustLoss
 from .pipeline import (FixedScale, FreeInCurves, match_sets_from_record,
@@ -31,6 +30,11 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+
+# landscape grids above this are a usage error, raised before any array is
+# allocated; at this size a ~270-match pair takes ~20 s on a 2-CPU host
+# and writes a ~60 MB CSV
+MAX_LANDSCAPE_CELLS = 1_000_000
 
 DATA_ERRORS = (ParseError, NoRecords, NoVisiblePoints, TrajectoryTooShort,
                FileNotFoundError, IsADirectoryError, PermissionError,
@@ -50,7 +54,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser():
     parser = _Parser(prog="motionprior")
-    parser.add_argument("--config", help="key=value file of default flags")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="render a scenario to files")
@@ -90,59 +93,13 @@ def _build_parser():
     land.add_argument("--arc-steps", type=int, default=41)
     land.add_argument("--metric", choices=["angleplane", "geoline"],
                       default="angleplane")
-    land.add_argument("--percent", action="store_true",
-                      help="normalize cells to percent of the maximum")
 
     ev = sub.add_parser("eval", help="compare trajectories")
     ev.add_argument("--est", required=True)
     ev.add_argument("--gt", required=True)
     ev.add_argument("--lengths", default="100,200,300,400,500,600,700,800")
     ev.add_argument("--out", help="CSV report path")
-    return parser, sub.choices
-
-
-def _config_value(action, value, path, lineno):
-    """A config file's value for the flag `action`, converted as argparse
-    would convert it on the command line."""
-    if action.nargs == 0:           # store_true
-        if value not in ("true", "false"):
-            raise ParseError(path, lineno,
-                             f"{action.dest} takes true or false")
-        return action.const if value == "true" else action.default
-    try:
-        value = value if action.type is None else action.type(value)
-    except ValueError as exc:
-        raise ParseError(path, lineno, str(exc))
-    if action.choices is not None and value not in action.choices:
-        raise ParseError(path, lineno, f"{action.dest} must be one of "
-                         f"{', '.join(action.choices)}")
-    return value
-
-
-def _apply_config(commands, argv):
-    """Pre-scan --config and install each key as a default of the
-    subcommands that have that flag; explicit flags win because they are
-    parsed afterwards."""
-    if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise UsageError("--config needs a file argument")
-    path = argv[idx + 1]
-    for key, (value, lineno) in parse_keyvalues(path).items():
-        dest = key.replace("-", "_")
-        flags = [(command, action) for command in commands.values()
-                 for action in command._actions
-                 if action.dest == dest and action.option_strings
-                 and action.default is not argparse.SUPPRESS]
-        if not flags:
-            raise ParseError(path, lineno,
-                             f"{key} is a flag of no subcommand")
-        for command, action in flags:
-            action.required = False     # the config supplies it
-            command.set_defaults(
-                **{dest: _config_value(action, value, path, lineno)})
-    return argv[:idx] + argv[idx + 2:]
+    return parser
 
 
 def _options_from_args(args) -> EstimatorOptions:
@@ -221,6 +178,14 @@ def _cmd_estimate(args):
 
 
 def _cmd_landscape(args):
+    for flag, steps in (("--yaw-steps", args.yaw_steps),
+                        ("--arc-steps", args.arc_steps)):
+        if steps < 1:
+            raise UsageError(f"{flag} {steps} must be at least 1")
+    if args.yaw_steps * args.arc_steps > MAX_LANDSCAPE_CELLS:
+        raise UsageError(f"--yaw-steps {args.yaw_steps} x --arc-steps "
+                         f"{args.arc_steps} exceeds {MAX_LANDSCAPE_CELLS} "
+                         "grid cells")
     if args.scenario:
         scenario = load_scenario(args.scenario)
         records, _, _ = simulate_sequence(scenario)
@@ -244,7 +209,7 @@ def _cmd_landscape(args):
                          (args.arc_min, args.arc_max), args.arc_steps)
     loss = RobustLoss("cauchy", 0.0065)
     land = energy_landscape(rig, match_sets, grid, fixed, loss,
-                            MetricKind(args.metric), normalize=args.percent)
+                            MetricKind(args.metric))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("yaw,arc_length,energy,degenerate\n")
         for i, g in enumerate(land.yaw_values):
@@ -281,9 +246,8 @@ COMMANDS = {"simulate": _cmd_simulate, "estimate": _cmd_estimate,
 
 
 def run_cli(argv) -> int:
-    parser, commands = _build_parser()
+    parser = _build_parser()
     try:
-        argv = _apply_config(commands, list(argv))
         args = parser.parse_args(argv)
         return COMMANDS[args.command](args)
     except UsageError as exc:

@@ -250,7 +250,7 @@ class Landscape:
 
 def energy_landscape(rig, match_sets, grid: LandscapeGrid,
                      fixed: MotionParams, loss: RobustLoss,
-                     metric: MetricKind, normalize: bool = False) -> Landscape:
+                     metric: MetricKind) -> Landscape:
     """Dense energy evaluation over a yaw x arc-length grid."""
     axes = {"yaw": (*grid.yaw_range, grid.yaw_steps),
             "arc_length": (*grid.arc_range, grid.arc_steps)}
@@ -266,10 +266,6 @@ def energy_landscape(rig, match_sets, grid: LandscapeGrid,
                                                               len(arcs))
     degenerate = ~np.isfinite(energies)
     energies[degenerate] = 0.0
-    if normalize:
-        peak = energies[~degenerate].max(initial=0.0)
-        if peak > 0:
-            energies = energies / peak * 100.0
     return Landscape(yaws, arcs, energies, degenerate)
 
 

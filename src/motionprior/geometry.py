@@ -150,10 +150,11 @@ class PinholeCamera:
 
 class GenericCamera:
     """Tabulated camera model: a rectangular grid of ray directions with
-    bilinear interpolation (output normalized to unit length), inverted by
-    local Gauss-Newton iteration. Table entries need not be unit vectors;
-    tabulating z-normalized rays makes interpolation exact for any model
-    that is projective-linear in the pixel, pinholes included."""
+    bilinear interpolation (output normalized to unit length). It lifts
+    pixels to rays and has no inverse, so the simulator cannot project
+    through it. Table entries need not be unit vectors; tabulating
+    z-normalized rays makes interpolation exact for any model that is
+    projective-linear in the pixel, pinholes included."""
 
     kind = "generic"
 
@@ -180,16 +181,13 @@ class GenericCamera:
         return cls(0.0, 0.0, step, step, rays.reshape(len(vs), len(us), 3),
                    image_size=(width, height))
 
-    def _domain(self):
-        nv, nu = self.table.shape[:2]
-        return (self.u0, self.u0 + (nu - 1) * self.du,
-                self.v0, self.v0 + (nv - 1) * self.dv)
-
     def pixel_to_bearing(self, pixels: np.ndarray) -> np.ndarray:
         pixels = np.asarray(pixels, dtype=float)
         single = pixels.ndim == 1
         pts = np.atleast_2d(pixels)
-        umin, umax, vmin, vmax = self._domain()
+        nv, nu = self.table.shape[:2]
+        umin, umax = self.u0, self.u0 + (nu - 1) * self.du
+        vmin, vmax = self.v0, self.v0 + (nv - 1) * self.dv
         if np.any((pts[:, 0] < umin - 1e-9) | (pts[:, 0] > umax + 1e-9)
                   | (pts[:, 1] < vmin - 1e-9) | (pts[:, 1] > vmax + 1e-9)):
             raise OutOfDomain("pixel outside the tabulated domain")
@@ -205,53 +203,6 @@ class GenericCamera:
              + fu * fv * self.table[iv + 1, iu + 1])
         b /= np.linalg.norm(b, axis=1, keepdims=True)
         return b[0] if single else b
-
-    def project(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        single = points.ndim == 1
-        pts = np.atleast_2d(points)
-        out = np.array([self._project_one(p) for p in pts])
-        return out[0] if single else out
-
-    def _project_one(self, point: np.ndarray) -> np.ndarray:
-        if point[2] <= 0:
-            raise BehindCamera("point has non-positive depth")
-        target = point / np.linalg.norm(point)
-        # coarse init: best-aligned table node
-        nodes = self.table.reshape(-1, 3)
-        dots = (nodes @ target) / np.linalg.norm(nodes, axis=1)
-        idx = int(np.argmax(dots))
-        nv, nu = self.table.shape[:2]
-        pix = np.array([self.u0 + (idx % nu) * self.du,
-                        self.v0 + (idx // nu) * self.dv])
-        umin, umax, vmin, vmax = self._domain()
-        h = 1e-3
-        for _ in range(50):
-            r = self.pixel_to_bearing(pix) - target
-            J = np.empty((3, 2))
-            for k in range(2):
-                dp = np.zeros(2)
-                dp[k] = h
-                lo = np.clip(pix - dp, [umin, vmin], [umax, vmax])
-                hi = np.clip(pix + dp, [umin, vmin], [umax, vmax])
-                J[:, k] = (self.pixel_to_bearing(hi)
-                           - self.pixel_to_bearing(lo)) / (hi - lo)[k]
-            step, *_ = np.linalg.lstsq(J, -r, rcond=None)
-            pix = np.clip(pix + step, [umin, vmin], [umax, vmax])
-            if np.linalg.norm(step) < 1e-10:
-                break
-        return pix
-
-    def contains(self, pixels: np.ndarray) -> np.ndarray:
-        pixels = np.atleast_2d(np.asarray(pixels, dtype=float))
-        umin, umax, vmin, vmax = self._domain()
-        ok = ((pixels[:, 0] >= umin) & (pixels[:, 0] <= umax)
-              & (pixels[:, 1] >= vmin) & (pixels[:, 1] <= vmax))
-        if self.image_size is not None:
-            w, h = self.image_size
-            ok &= ((pixels[:, 0] >= 0) & (pixels[:, 0] <= w - 1)
-                   & (pixels[:, 1] >= 0) & (pixels[:, 1] <= h - 1))
-        return ok
 
 
 def _axis_rotation(angle, i: int, j: int) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import GridSpec
-from .geometry import DegenerateTranslation
+from .geometry import DegenerateTranslation, PinholeCamera
 from .manifold import (PARAM_FIELDS, CameraRig, MotionParams, lowest_energy,
                        multi_camera_energy, pose_from_params)
 from .metrics import MatchSet, MetricKind, RigFrame, RobustLoss
@@ -82,7 +82,8 @@ def _project_visible(model, points_cam):
 
 def generate_matches(points, rig: CameraRig, truth: MotionParams,
                      noise: NoiseSpec):
-    """Project scene points through the true motion into every camera.
+    """Project scene points through the true motion into every camera;
+    ValueError if a camera is not a pinhole.
 
     Returns (match_sets, inlier_labels): one MatchSet per camera that sees
     at least one point at both timestamps, and parallel boolean arrays
@@ -91,6 +92,10 @@ def generate_matches(points, rig: CameraRig, truth: MotionParams,
     points = np.asarray(points, dtype=float)
     if len(points) == 0:
         raise NoVisiblePoints("empty scene")
+    for cam in rig.cameras:
+        if not isinstance(cam.model, PinholeCamera):
+            raise ValueError(f"camera {cam.camera_id}: simulation needs a "
+                             "pinhole camera")
     rng = np.random.Generator(np.random.PCG64(noise.seed))
     motion = pose_from_params(truth)
     rot_m, t_m = motion.rotation, motion.translation
@@ -120,7 +125,7 @@ def generate_matches(points, rig: CameraRig, truth: MotionParams,
             chosen = rng.choice(n, size=n_out, replace=False)
             inlier[chosen] = False
             if noise.outlier_mode == "uniform_image":
-                size = getattr(cam.model, "image_size", None) or (1000, 1000)
+                size = cam.model.image_size or (1000, 1000)
                 px1[chosen, 0] = rng.uniform(0, size[0] - 1, n_out)
                 px1[chosen, 1] = rng.uniform(0, size[1] - 1, n_out)
             elif n_out >= 2:

@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 
 from motionprior.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, run_cli
+from motionprior.estimator import LandscapeGrid, energy_landscape
 from motionprior.geometry import (GenericCamera, PinholeCamera,
                                   PinholeIntrinsics)
-from motionprior.io_formats import load_scale, load_trajectory
+from motionprior.io_formats import (load_matches, load_rig, load_scale,
+                                    load_trajectory)
+from motionprior.manifold import MotionParams
+from motionprior.metrics import MetricKind, RobustLoss
+from motionprior.pipeline import match_sets_from_record
 
 RIG_TEXT = """\
 id 0
@@ -47,6 +52,26 @@ def simulate(ws):
     assert code == EXIT_OK
 
 
+def write_generic_rig(ws):
+    """generic_rig.txt: rig.txt with camera 0 tabulated."""
+    table = GenericCamera.from_camera(
+        PinholeCamera(PinholeIntrinsics(700.0, 700.0, 640.0, 480.0)),
+        1280, 960).table
+    with open(ws / "table.txt", "w", encoding="utf-8") as fh:
+        fh.write(f"0 0 8 8 {table.shape[1]} {table.shape[0]}\n")
+        np.savetxt(fh, table.reshape(-1, 3))
+    (ws / "generic_rig.txt").write_text(RIG_TEXT.replace(
+        "model pinhole\nintrinsics 700.0 700.0 640.0 480.0",
+        f"model generic\ntable {ws / 'table.txt'}"))
+
+
+def landscape_inputs(ws, source):
+    """landscape flags reading the scenario, or the files it simulates."""
+    if source == "scenario":
+        return ["--scenario", str(ws / "scenario.txt")]
+    return ["--rig", str(ws / "rig.txt"), "--matches", str(ws / "matches.csv")]
+
+
 class TestSimulate:
     def test_outputs(self, workspace, capsys):
         simulate(workspace)
@@ -83,6 +108,19 @@ class TestSimulate:
         assert code == EXIT_DATA
         assert "error:" in capsys.readouterr().err
 
+    def test_generic_rig_is_data_error(self, workspace, capsys):
+        write_generic_rig(workspace)
+        (workspace / "scenario.txt").write_text(SCENARIO_TEXT.replace(
+            "rig = rig.txt", "rig = generic_rig.txt"))
+        code = run_cli(["simulate", "--scenario",
+                        str(workspace / "scenario.txt"),
+                        "--out-matches", str(workspace / "matches.csv"),
+                        "--out-truth", str(workspace / "gt.txt")])
+        assert code == EXIT_DATA
+        assert "camera 0: simulation needs a pinhole camera" in \
+            capsys.readouterr().err
+        assert not (workspace / "matches.csv").exists()
+
 
 class TestEstimate:
     def test_round_trip_against_truth(self, workspace, capsys):
@@ -115,22 +153,10 @@ class TestEstimate:
             assert key in rec
         assert rec["failed"] is False
 
-    def write_generic_rig(self, workspace):
-        """generic_rig.txt: rig.txt with camera 0 tabulated."""
-        table = GenericCamera.from_camera(
-            PinholeCamera(PinholeIntrinsics(700.0, 700.0, 640.0, 480.0)),
-            1280, 960).table
-        with open(workspace / "table.txt", "w", encoding="utf-8") as fh:
-            fh.write(f"0 0 8 8 {table.shape[1]} {table.shape[0]}\n")
-            np.savetxt(fh, table.reshape(-1, 3))
-        (workspace / "generic_rig.txt").write_text(RIG_TEXT.replace(
-            "model pinhole\nintrinsics 700.0 700.0 640.0 480.0",
-            f"model generic\ntable {workspace / 'table.txt'}"))
-
     def test_out_of_domain_pixel_fails_only_its_frame(self, workspace,
                                                       capsys):
         simulate(workspace)
-        self.write_generic_rig(workspace)
+        write_generic_rig(workspace)
         # one t1 pixel of frame pair 2 lies past the table's right edge
         lines = (workspace / "matches.csv").read_text().splitlines()
         row = next(i for i, line in enumerate(lines) if line.startswith("2,"))
@@ -154,7 +180,7 @@ class TestEstimate:
     def test_geoline_on_generic_camera_is_data_error(self, workspace,
                                                      capsys):
         simulate(workspace)
-        self.write_generic_rig(workspace)
+        write_generic_rig(workspace)
         code = run_cli(["estimate",
                         "--rig", str(workspace / "generic_rig.txt"),
                         "--matches", str(workspace / "matches.csv"),
@@ -163,6 +189,23 @@ class TestEstimate:
                         "--out-trajectory", str(workspace / "est.txt")])
         assert code == EXIT_DATA
         assert "camera 0" in capsys.readouterr().err
+
+    def test_max_iterations_reaches_the_solver(self, workspace):
+        simulate(workspace)
+        iterations = {}
+        for limit in ("100", "1"):
+            code = run_cli(["estimate", "--rig", str(workspace / "rig.txt"),
+                            "--matches", str(workspace / "matches.csv"),
+                            "--scale", str(workspace / "scale.txt"),
+                            "--max-iterations", limit,
+                            "--out-trajectory", str(workspace / "est.txt"),
+                            "--diagnostics", str(workspace / "diag.jsonl")])
+            assert code == EXIT_OK
+            iterations[limit] = [
+                json.loads(line)["iterations"] for line in
+                (workspace / "diag.jsonl").read_text().splitlines()]
+        assert max(iterations["100"]) > 1     # so the limit of 1 binds
+        assert max(iterations["1"]) <= 1
 
     def test_free_in_curves(self, workspace):
         simulate(workspace)
@@ -309,26 +352,25 @@ class TestNonFiniteInput:
 
 
 class TestLandscape:
-    def test_scenario_grid(self, workspace):
-        code = run_cli(["landscape", "--scenario",
-                        str(workspace / "scenario.txt"),
+    @pytest.mark.parametrize("source", ["files", "scenario"])
+    def test_scenario_grid(self, workspace, source):
+        simulate(workspace)
+        code = run_cli(["landscape", *landscape_inputs(workspace, source),
                         "--out", str(workspace / "land.csv"),
                         "--yaw-steps", "5", "--arc-steps", "3"])
         assert code == EXIT_OK
         lines = (workspace / "land.csv").read_text().splitlines()
         assert lines[0] == "yaw,arc_length,energy,degenerate"
         assert len(lines) == 1 + 5 * 3
-
-    def test_percent_normalization(self, workspace):
-        code = run_cli(["landscape", "--scenario",
-                        str(workspace / "scenario.txt"),
-                        "--out", str(workspace / "land.csv"),
-                        "--yaw-steps", "5", "--arc-steps", "3", "--percent"])
-        assert code == EXIT_OK
-        rows = (workspace / "land.csv").read_text().splitlines()[1:]
-        energies = [float(r.split(",")[2]) for r in rows
-                    if r.split(",")[3] == "0"]
-        assert max(energies) == pytest.approx(100.0)
+        # raw energies of pair 0, whichever source it was read from
+        land = energy_landscape(
+            load_rig(workspace / "rig.txt"), match_sets_from_record(
+                load_matches(workspace / "matches.csv")[0]),
+            LandscapeGrid((-0.3, 0.3), 5, (0.5, 2.0), 3),
+            MotionParams(yaw=0.0, arc_length=1.0),
+            RobustLoss("cauchy", 0.0065), MetricKind.ANGLEPLANE)
+        assert [float(line.split(",")[2]) for line in lines[1:]] == \
+            land.energies.ravel().tolist()
 
     def test_requires_input_source(self, workspace):
         code = run_cli(["landscape", "--out", str(workspace / "land.csv")])
@@ -338,15 +380,28 @@ class TestLandscape:
     @pytest.mark.parametrize("index", ["-1", "7"])
     def test_pair_index_out_of_range(self, workspace, capsys, source, index):
         simulate(workspace)      # 7 frame pairs
-        inputs = (["--scenario", str(workspace / "scenario.txt")]
-                  if source == "scenario" else
-                  ["--rig", str(workspace / "rig.txt"),
-                   "--matches", str(workspace / "matches.csv")])
-        code = run_cli(["landscape", *inputs, "--pair-index", index,
+        code = run_cli(["landscape", *landscape_inputs(workspace, source),
+                        "--pair-index", index,
                         "--out", str(workspace / "land.csv"),
                         "--yaw-steps", "3", "--arc-steps", "2"])
         assert code == EXIT_USAGE
         assert "7 frame pairs" in capsys.readouterr().err
+        assert not (workspace / "land.csv").exists()
+
+    @pytest.mark.parametrize("steps, message", [
+        (["--yaw-steps", "0"], "--yaw-steps 0 must be at least 1"),
+        (["--arc-steps", "-2"], "--arc-steps -2 must be at least 1"),
+        # just past the bound, so a missing check costs seconds, not memory
+        (["--yaw-steps", "1001", "--arc-steps", "1000"],
+         "--yaw-steps 1001 x --arc-steps 1000 exceeds 1000000 grid cells")],
+        ids=["zero", "negative", "too-many-cells"])
+    def test_grid_size_is_usage_error(self, workspace, capsys, steps,
+                                      message):
+        code = run_cli(["landscape", "--scenario",
+                        str(workspace / "scenario.txt"),
+                        "--out", str(workspace / "land.csv"), *steps])
+        assert code == EXIT_USAGE
+        assert message in capsys.readouterr().err
         assert not (workspace / "land.csv").exists()
 
     def test_unknown_camera_names_both_files(self, workspace, capsys):
@@ -422,73 +477,3 @@ class TestEval:
                         "--gt", str(workspace / "gt.txt"),
                         "--lengths", "100"])
         assert code == EXIT_DATA
-
-
-def estimate_iterations(ws, cfg, *flags):
-    """Per-frame LM iterations of `estimate` run with the config file."""
-    code = run_cli(["--config", str(cfg),
-                    "estimate", "--rig", str(ws / "rig.txt"),
-                    "--matches", str(ws / "matches.csv"),
-                    "--scale", str(ws / "scale.txt"),
-                    "--out-trajectory", str(ws / "est.txt"),
-                    "--diagnostics", str(ws / "diag.jsonl"), *flags])
-    assert code == EXIT_OK
-    return [json.loads(line)["iterations"]
-            for line in (ws / "diag.jsonl").read_text().splitlines()]
-
-
-class TestConfigAndEnv:
-    def test_config_file_defaults(self, workspace):
-        simulate(workspace)
-        cfg = workspace / "flags.cfg"
-        cfg.write_text("loss = huber\nmax-iterations = 1\n")
-        assert max(estimate_iterations(workspace, cfg)) == 1
-
-    def test_bad_config_line_names_its_line(self, workspace, capsys):
-        cfg = workspace / "flags.cfg"
-        cfg.write_text("loss = huber\nbogus line\n")
-        code = run_cli(["--config", str(cfg), "eval", "--est", "a.txt",
-                        "--gt", "b.txt"])
-        assert code == EXIT_DATA
-        assert f"{cfg}:2: expected key = value" in capsys.readouterr().err
-
-    def test_explicit_flag_beats_config(self, workspace):
-        simulate(workspace)
-        cfg = workspace / "flags.cfg"
-        cfg.write_text("max_iterations = 1\n")
-        iterations = estimate_iterations(workspace, cfg,
-                                         "--max-iterations", "3")
-        assert max(iterations) > 1 and max(iterations) <= 3
-
-    @pytest.mark.parametrize("text, message", [
-        ("loss = huber\nloss_widht = 5\n", "loss_widht is a flag of no"),
-        ("config = other.cfg\n", "config is a flag of no subcommand"),
-        ("percent = yes\n", "percent takes true or false"),
-        ("max-iterations = many\n", "invalid literal"),
-        ("metric = planar\n", "metric must be one of")],
-        ids=["misspelled", "top-level", "store-true-word", "int-word",
-             "choice-unknown"])
-    def test_bad_config_value_names_its_line(self, workspace, capsys, text,
-                                             message):
-        cfg = workspace / "flags.cfg"
-        cfg.write_text("# flags\n" + text)
-        code = run_cli(["--config", str(cfg), "eval", "--est", "a.txt",
-                        "--gt", "b.txt"])
-        assert code == EXIT_DATA
-        line = text.count("\n") + 1
-        assert f"{cfg}:{line}: {message}" in capsys.readouterr().err
-
-    def test_store_true_flag_reads_false_and_rig_from_config(self, workspace):
-        simulate(workspace)
-        cfg = workspace / "flags.cfg"
-        # a config key may supply a required flag
-        cfg.write_text(f"percent = false\nrig = {workspace / 'rig.txt'}\n")
-        code = run_cli(["--config", str(cfg), "landscape",
-                        "--matches", str(workspace / "matches.csv"),
-                        "--yaw-steps", "3", "--arc-steps", "3",
-                        "--out", str(workspace / "land.csv")])
-        assert code == EXIT_OK
-        energies = [float(line.split(",")[2]) for line in
-                    (workspace / "land.csv").read_text().splitlines()[1:]]
-        # percent of the maximum would put the largest cell at 100
-        assert max(energies) < 1.0

@@ -339,14 +339,6 @@ class TestLandscape:
             row = land.energies[i][~land.degenerate[i]]
             assert row.max() - row.min() <= 1e-12 * max(row.max(), 1.0)
 
-    def test_percent_normalization(self):
-        truth = MotionParams(yaw=0.05, arc_length=1.0)
-        sets, _ = simulated(RIG1, truth, seed=32, sigma=0.5)
-        grid = LandscapeGrid((-0.2, 0.2), 11, (0.8, 1.2), 3)
-        land = energy_landscape(RIG1, sets, grid, truth, NONE, ANGLE,
-                                normalize=True)
-        assert land.energies[~land.degenerate].max() == pytest.approx(100.0)
-
     @pytest.mark.parametrize("grid", [
         LandscapeGrid((np.nan, 0.2), 3, (0.8, 1.2), 3),
         LandscapeGrid((-0.2, np.inf), 3, (0.8, 1.2), 3),

@@ -661,8 +661,9 @@ class TestScenarioFiles:
         (tmp_path / "rig.txt").write_text(RIG_TEXT)
         p = tmp_path / "scenario.txt"
         p.write_text("rig = rig.txt\nthis is not key value\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="expected key = value") as err:
             load_scenario(p)
+        assert err.value.line == 2
 
     @pytest.mark.parametrize("extra", ["truth.arc_length = nan\n",
                                        "sequence.segments = 3:0.0, 4:inf\n"])

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motionprior.estimator import EstimatorOptions, estimate
-from motionprior.geometry import (PinholeCamera, PinholeIntrinsics, Pose,
+from motionprior.geometry import (GenericCamera, PinholeCamera,
+                                  PinholeIntrinsics, Pose,
                                   forward_camera_extrinsic, rotation_y,
                                   rotation_z)
 from motionprior.manifold import (CameraRig, MotionParams, RigCamera,
@@ -140,6 +141,15 @@ class TestGenerateMatches:
         with pytest.raises(NoVisiblePoints):
             generate_matches(np.zeros((0, 3)), RIG1, self.truth,
                              NoiseSpec(seed=16))
+
+    def test_generic_camera_rejected(self):
+        cam = RIG1.cameras[0]
+        rig = CameraRig((RigCamera(0, GenericCamera.from_camera(
+            cam.model, 1280, 960), cam.extrinsic),))
+        points = generate_scene(SceneSpec(50, seed=17))
+        with pytest.raises(ValueError, match="camera 0: simulation needs a "
+                                             "pinhole camera"):
+            generate_matches(points, rig, self.truth, NoiseSpec(seed=18))
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(-0.5, 0.5), st.floats(-3.0, 3.0), st.floats(-0.1, 0.1),
