@@ -5,6 +5,7 @@ ParseError naming its line."""
 
 from __future__ import annotations
 
+import io
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -18,6 +19,10 @@ from .manifold import PARAM_FIELDS, CameraRig, MotionParams, RigCamera
 from .simulate import OUTLIER_MODES, NoiseSpec, SceneSpec
 
 MATCH_HEADER = ["t0", "t1", "camera_id", "u0", "v0", "u1", "v1"]
+MATCH_ROW = [("ids", np.int64, 3), ("pixels", float, 4)]
+# load_matches parses blocks of about this many characters (~1600 lines), so
+# its peak memory is one block's rows (~90 KB), not the whole file's
+MATCH_BLOCK_CHARS = 1 << 17
 
 # Trajectory rotations with max|R^T R - I| in [ORTHONORMALITY_TOL, this]
 # are projected onto SO(3) on load: KITTI's %e poses (7 significant
@@ -47,10 +52,10 @@ def _reals(path, line, fields):
     return values
 
 
-def _lines(fh):
-    """(line number, text) of each line of the open file that has content
-    once its '#' comment is stripped."""
-    for lineno, line in enumerate(fh, 1):
+def _lines(fh, first_line=1):
+    """(line number, text) of each line of the open file, the first being
+    `first_line`, that has content once its '#' comment is stripped."""
+    for lineno, line in enumerate(fh, first_line):
         text = line.split("#", 1)[0].strip()
         if text:
             yield lineno, text
@@ -62,14 +67,15 @@ def _line_at(fh, index):
     return next(islice(_lines(fh), index, None))[0]
 
 
-def _numbers(path, fh, row, skip=0, delimiter=None):
+def _numbers(path, fh, row, skip=0, delimiter=None, first_line=1):
     """The open file's content lines after its first `skip` ones, which the
     caller has read, parsed by np.loadtxt into an array of the structured
     dtype `row`. Every value is finite; on any failure, ParseError naming
-    the first bad line. np.loadtxt reads the handle itself first; where it
-    fails (a bad value, no lines, or a whitespace-only line in a comma
-    file), the content lines are parsed as _lines strips them, and then
-    one by one to find the bad line."""
+    the first bad line (the file's first is line `first_line`). np.loadtxt
+    reads the handle itself first; where it fails (a bad value, no lines,
+    or a whitespace-only line in a comma file), the content lines are
+    parsed as _lines strips them, and then one by one to find the bad
+    line."""
     def parse(texts, comments=None):
         rows = np.loadtxt(texts, row, comments=comments, delimiter=delimiter,
                           ndmin=1)
@@ -87,7 +93,7 @@ def _numbers(path, fh, row, skip=0, delimiter=None):
             return parse(text for _, text in islice(_lines(fh), skip, None))
         except (ValueError, UserWarning):
             fh.seek(0)
-    for lineno, text in islice(_lines(fh), skip, None):
+    for lineno, text in islice(_lines(fh, first_line), skip, None):
         try:
             parse([text])
         except ValueError as exc:
@@ -244,32 +250,46 @@ class FramePairRecord:
         return sum(len(p0) for p0, _ in self.pixels.values())
 
 
+def _frame_pair(rows):
+    t0, t1, cams = rows["ids"].T
+    return FramePairRecord(int(t0[0]), int(t1[0]), {
+        cam: tuple(np.hsplit(rows["pixels"][cams == cam], 2))
+        for cam in dict.fromkeys(cams.tolist())})
+
+
 def load_matches(path):
     """Match CSV with header t0,t1,camera_id,u0,v0,u1,v1; one line per
     match. A frame pair's lines are contiguous, and pairs come in strictly
-    increasing t0 order."""
+    increasing t0 order. Parsed in blocks of whole lines; a block's last
+    pair stays in `rows` until the next block or the end completes it."""
     with open(path, encoding="utf-8") as fh:
         lineno, text = next(_lines(fh), (1, ""))
         if [h.strip() for h in text.split(",")] != MATCH_HEADER:
             raise ParseError(path, lineno,
                              f"expected header {','.join(MATCH_HEADER)}")
-        rows = _numbers(path, fh, [("ids", np.int64, 3), ("pixels", float, 4)],
-                        skip=1, delimiter=",")
-        if not len(rows):
-            raise ParseError(path, lineno, "no match lines after the header")
-        t0, t1, cams = rows["ids"].T
-        starts = np.flatnonzero((t0[1:] != t0[:-1]) | (t1[1:] != t1[:-1])) + 1
-        back = starts[t0[starts] <= t0[starts - 1]]
-        if back.size:
-            i = back[0]
-            raise ParseError(path, _line_at(fh, 1 + i),
-                             f"frame pair ({t0[i]}, {t1[i]}) after "
-                             f"({t0[i - 1]}, {t1[i - 1]}): t0 must increase")
-    quads = rows["pixels"]
-    return [FramePairRecord(int(t0[a]), int(t1[a]), {
-        cam: tuple(np.hsplit(quads[a:b][cams[a:b] == cam], 2))
-        for cam in dict.fromkeys(cams[a:b].tolist())})
-        for a, b in zip([0, *starts], [*starts, len(rows)])]
+        records, rows, done, line = [], np.empty(0, MATCH_ROW), 0, lineno + 1
+        while block := fh.read(MATCH_BLOCK_CHARS) + fh.readline():
+            rows = np.concatenate([rows, _numbers(
+                path, io.StringIO(block), MATCH_ROW, delimiter=",",
+                first_line=line)])
+            line += block.count("\n")
+            t0, t1, _ = rows["ids"].T
+            starts = np.flatnonzero((t0[1:] != t0[:-1])
+                                    | (t1[1:] != t1[:-1])) + 1
+            back = starts[t0[starts] <= t0[starts - 1]]
+            if back.size:
+                i = back[0]
+                raise ParseError(path, _line_at(fh, 1 + done + i),
+                                 f"frame pair ({t0[i]}, {t1[i]}) after "
+                                 f"({t0[i - 1]}, {t1[i - 1]}): t0 must "
+                                 "increase")
+            bounds = [0, *starts.tolist()]
+            records += [_frame_pair(rows[a:b])
+                        for a, b in zip(bounds, bounds[1:])]
+            done, rows = done + bounds[-1], rows[bounds[-1]:]
+    if not len(rows):
+        raise ParseError(path, lineno, "no match lines after the header")
+    return records + [_frame_pair(rows)]
 
 
 def write_matches(records, path):

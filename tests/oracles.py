@@ -181,7 +181,7 @@ def write_matches_by_cell(records, path):
         for quad in np.hstack(rec.pixels[cam], dtype=float).tolist())), ",")
 
 
-def numbers_by_lines(path, fh, row, skip=0, delimiter=None):
+def numbers_by_lines(path, fh, row, skip=0, delimiter=None, first_line=1):
     """io_formats._numbers without np.loadtxt's own reading of the file:
     the content lines as _lines strips them, parsed together and then one
     by one to find the bad line."""
@@ -198,7 +198,7 @@ def numbers_by_lines(path, fh, row, skip=0, delimiter=None):
             return parse(text for _, text in _lines(fh))
     except (ValueError, UserWarning):
         fh.seek(0)
-    for lineno, text in islice(_lines(fh), skip, None):
+    for lineno, text in islice(_lines(fh, first_line), skip, None):
         try:
             parse([text])
         except ValueError as exc:

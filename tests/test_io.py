@@ -313,6 +313,39 @@ class TestMatchFiles:
             load_matches(p)
         assert err.value.line == 1
 
+    @pytest.mark.parametrize("block_chars", [1, 50])
+    def test_frame_pairs_span_blocks(self, tmp_path, block_chars):
+        records = self.make_records()
+        p = tmp_path / "matches.csv"
+        write_matches(records, p)
+        with mock.patch.object(io_formats, "MATCH_BLOCK_CHARS", block_chars):
+            back = load_matches(p)
+        assert [(r.t0, r.t1, list(r.pixels)) for r in back] == \
+            [(r.t0, r.t1, sorted(r.pixels)) for r in records]
+        for a, b in zip(records, back):
+            for cam in a.pixels:
+                assert np.array_equal(a.pixels[cam][0], b.pixels[cam][0])
+                assert np.array_equal(a.pixels[cam][1], b.pixels[cam][1])
+
+    @pytest.mark.parametrize("last, message", [
+        ("0,1,0,1,2,3,4", "t0 must increase"),
+        ("3,4,0,1,2,oops,4", "could not convert")])
+    def test_error_in_a_later_block_reports_line(self, tmp_path, last,
+                                                 message):
+        p = tmp_path / "matches.csv"
+        p.write_text("t0,t1,camera_id,u0,v0,u1,v1\n"
+                     "0,1,0,1,2,3,4\n"
+                     "0,1,1,1,2,3,4\n"
+                     "# comment\n"
+                     "\n"
+                     "1,2,0,1,2,3,4\n"
+                     "2,3,0,1,2,3,4\n"
+                     f"{last}\n")
+        with mock.patch.object(io_formats, "MATCH_BLOCK_CHARS", 1), \
+                pytest.raises(ParseError, match=message) as err:
+            load_matches(p)
+        assert err.value.line == 8
+
 
 class TestTrajectoryFiles:
     def make_trajectory(self):
@@ -612,6 +645,17 @@ class TestAgainstReferences:
         with mock.patch.object(io_formats, "_numbers", numbers_by_lines):
             expected = loaded(kind, path)
         assert loaded(kind, path) == expected
+
+    @pytest.mark.parametrize("block_chars", [1, 40])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_match_blocks_equal_one_block(self, tmp_path_factory,
+                                          block_chars, data):
+        path = tmp_path_factory.mktemp("blocks") / "matches.csv"
+        path.write_text(data.draw(numeric_files("matches")))
+        expected = loaded("matches", path)
+        with mock.patch.object(io_formats, "MATCH_BLOCK_CHARS", block_chars):
+            assert loaded("matches", path) == expected
 
 
 class TestScenarioFiles:
