@@ -23,7 +23,8 @@ from .io_formats import (NoRecords, ParseError, load_matches, load_rig,
 from .manifold import MotionParams
 from .metrics import MetricKind, RobustLoss
 from .pipeline import (FixedScale, FreeInCurves, match_sets_from_record,
-                       run_sequence, simulate_sequence)
+                       run_sequence, scenario_yaws, simulate_pair,
+                       simulate_sequence)
 from .simulate import NoVisiblePoints
 
 EXIT_OK = 0
@@ -102,13 +103,6 @@ def _build_parser():
     return parser
 
 
-def _options_from_args(args) -> EstimatorOptions:
-    metric = MetricKind(args.metric)
-    loss = RobustLoss(args.loss, float(args.loss_width))
-    return EstimatorOptions(metric=metric, loss=loss,
-                            max_iterations=int(args.max_iterations))
-
-
 def _check_cameras(rig, records, matches_path, rig_path):
     """ValueError naming both files on the first match line whose camera id
     the rig does not hold."""
@@ -141,6 +135,8 @@ def _cmd_simulate(args):
 
 
 def _cmd_estimate(args):
+    if args.max_iterations < 1:
+        raise UsageError(f"--max-iterations {args.max_iterations} must be > 0")
     rig = load_rig(args.rig)
     records = load_matches(args.matches)
     _check_cameras(rig, records, args.matches, args.rig)
@@ -150,7 +146,9 @@ def _cmd_estimate(args):
         scale_source = FreeInCurves(initial=args.initial_scale)
     else:
         scale_source = FixedScale([args.initial_scale] * len(records))
-    opts = _options_from_args(args)
+    opts = EstimatorOptions(MetricKind(args.metric),
+                            RobustLoss(args.loss, args.loss_width),
+                            args.max_iterations)
     trajectory, outcomes = run_sequence(rig, records, scale_source, opts)
     if all(o.failed for o in outcomes):
         print("estimation failed on every frame", file=sys.stderr)
@@ -170,6 +168,7 @@ def _cmd_estimate(args):
                                   converged=o.result.converged,
                                   termination=o.result.termination,
                                   condition_note=o.result.condition_note,
+                                  sigma=o.result.sigma,
                                   skipped_matches=o.result.skipped_matches)
                 fh.write(json.dumps(record) + "\n")
     failed = sum(o.failed for o in outcomes)
@@ -188,23 +187,25 @@ def _cmd_landscape(args):
                          "grid cells")
     if args.scenario:
         scenario = load_scenario(args.scenario)
-        records, _, _ = simulate_sequence(scenario)
-        rig = scenario.rig
-        fixed = scenario.truth
+        yaws = scenario_yaws(scenario)
+        rig, fixed, count = scenario.rig, scenario.truth, len(yaws)
     elif args.rig and args.matches:
         rig = load_rig(args.rig)
         records = load_matches(args.matches)
-        fixed = MotionParams(yaw=0.0, arc_length=1.0)
+        fixed, count = MotionParams(yaw=0.0, arc_length=1.0), len(records)
     else:
         raise UsageError("landscape needs --scenario or --rig/--matches")
-    if not 0 <= args.pair_index < len(records):
+    if not 0 <= args.pair_index < count:
         raise UsageError(f"--pair-index {args.pair_index} is outside "
-                         f"[0, {len(records)}): the input holds "
-                         f"{len(records)} frame pairs")
-    if not args.scenario:
-        _check_cameras(rig, records[args.pair_index:args.pair_index + 1],
-                       args.matches, args.rig)
-    match_sets = match_sets_from_record(records[args.pair_index])
+                         f"[0, {count}): the input holds {count} frame "
+                         "pairs")
+    if args.scenario:
+        record, _ = simulate_pair(scenario, args.pair_index,
+                                  yaws[args.pair_index])
+    else:
+        record = records[args.pair_index]
+        _check_cameras(rig, [record], args.matches, args.rig)
+    match_sets = match_sets_from_record(record)
     grid = LandscapeGrid((args.yaw_min, args.yaw_max), args.yaw_steps,
                          (args.arc_min, args.arc_max), args.arc_steps)
     loss = RobustLoss("cauchy", 0.0065)

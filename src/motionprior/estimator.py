@@ -26,7 +26,8 @@ from .manifold import (PARAM_FIELDS, CameraRig, MotionParams, lowest_energy,
 from .metrics import MetricKind, RigFrame, RobustLoss
 
 FEW_MATCHES_THRESHOLD = 8
-SCALE_CURVATURE_REL_TOL = 1e-9
+# a free arc whose sigma exceeds this fraction of |arc| is unobservable
+SCALE_SIGMA_REL_BOUND = 0.5
 # an accepted step lowering the energy by at most this fraction ends the
 # solve: further steps only move the energy's last bits
 ENERGY_DECREASE_REL_TOL = 1e-10
@@ -89,6 +90,7 @@ class EstimateResult:
     residuals: np.ndarray          # signed, NaN for skipped matches
     skipped_matches: int
     condition_note: str            # "ok" | "scale_unobservable" | "few_matches"
+    sigma: dict                    # free field -> std dev; {} if non_finite
 
     @property
     def converged(self) -> bool:
@@ -119,23 +121,15 @@ def _solver_state(row, free, frame: RigFrame, loss):
             len(mask) - int(np.count_nonzero(mask)), float(np.sum(rho)))
 
 
-def _scale_observable(row, frame: RigFrame, loss):
-    """Probe the energy's sensitivity to arc length at the solution row."""
-    yaw, arc = row[0, :2]
-    l0 = arc if abs(arc) > 1e-3 else 1.0
-    yaw_ref = yaw + (0.05 if yaw < np.pi - 0.1 else -0.05)
-    rows = np.repeat(row, 6, axis=0)
-    rows[:5, 1] = l0 * np.array([0.5, 0.75, 1.0, 1.5, 2.0])
-    rows[5, :2] = yaw_ref, l0
-    energies = multi_camera_energy(rows, frame, loss)
-    sweep = energies[:5][np.isfinite(energies[:5])]
-    if len(sweep) < 2:
-        return False
-    variation = sweep.max() - sweep.min()
-    reference = energies[5]
-    scale = max(sweep.max(), reference if np.isfinite(reference) else 0.0,
-                1e-300)
-    return variation >= SCALE_CURVATURE_REL_TOL * scale
+@np.errstate(all="ignore")      # a degenerate J gives inf, not a warning
+def _sigma(z, J):
+    """sqrt(diag((J^T J)^-1) z^T z / (m - p)) over m residuals and p free
+    fields; all inf if m <= p or J^T J is singular or not finite."""
+    (m, p), JTJ = J.shape, J.T @ J
+    w, V = np.linalg.eigh(JTJ) if np.isfinite(JTJ).all() else (np.zeros(1), 0)
+    if m <= p or not np.all(w > w[-1:] * p * np.finfo(float).eps):
+        return np.full(p, np.inf)
+    return np.sqrt((V ** 2 / w).sum(axis=1) * (z @ z) / (m - p))
 
 
 def estimate(rig: CameraRig, match_sets, prior: MotionParams,
@@ -206,20 +200,18 @@ def estimate(rig: CameraRig, match_sets, prior: MotionParams,
     if termination is None:
         termination = "max_iter"
 
-    note = "ok"
-    valid_matches = total_matches - skipped
-    if valid_matches < FEW_MATCHES_THRESHOLD:
-        note = "few_matches"
-    elif "arc_length" in prior.free and np.isfinite(energy) and \
-            not _scale_observable(row, frame, opts.loss):
-        note = "scale_unobservable"
+    sigma = dict(zip(prior.free, _sigma(z, J))) if np.isfinite(energy) else {}
+    arc_bound = SCALE_SIGMA_REL_BOUND * abs(row[0, 1])
+    note = ("few_matches" if total_matches - skipped < FEW_MATCHES_THRESHOLD
+            else "ok" if sigma.get("arc_length", 0.0) <= arc_bound
+            else "scale_unobservable")
 
     params = prior.with_values(**{f: float(row[0, PARAM_FIELDS.index(f)])
                                   for f in prior.free})
     return EstimateResult(params=params, final_energy=energy,
                           iterations=iterations, termination=termination,
                           residuals=raw, skipped_matches=skipped,
-                          condition_note=note)
+                          condition_note=note, sigma=sigma)
 
 
 @dataclass(frozen=True)

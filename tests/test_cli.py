@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from motionprior import pipeline
 from motionprior.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, run_cli
 from motionprior.estimator import LandscapeGrid, energy_landscape
 from motionprior.geometry import (GenericCamera, PinholeCamera,
@@ -148,10 +149,13 @@ class TestEstimate:
         assert len(lines) == 7
         rec = json.loads(lines[0])
         for key in ("t0", "t1", "yaw", "arc_length", "energy", "iterations",
-                    "converged", "termination", "condition_note",
+                    "converged", "termination", "condition_note", "sigma",
                     "runtime_ms", "failed"):
             assert key in rec
         assert rec["failed"] is False
+        # the scale file holds the arc, so yaw is the only free field
+        assert list(rec["sigma"]) == ["yaw"]
+        assert 0.0 < rec["sigma"]["yaw"] < 1e-3
 
     def test_out_of_domain_pixel_fails_only_its_frame(self, workspace,
                                                       capsys):
@@ -206,6 +210,17 @@ class TestEstimate:
                 (workspace / "diag.jsonl").read_text().splitlines()]
         assert max(iterations["100"]) > 1     # so the limit of 1 binds
         assert max(iterations["1"]) <= 1
+
+    def test_max_iterations_below_one_is_usage_error(self, workspace,
+                                                     capsys):
+        # neither input file exists: the flag is checked before any read
+        code = run_cli(["estimate", "--rig", str(workspace / "no_rig.txt"),
+                        "--matches", str(workspace / "no_matches.csv"),
+                        "--max-iterations", "0",
+                        "--out-trajectory", str(workspace / "est.txt")])
+        assert code == EXIT_USAGE
+        assert "--max-iterations 0 must be > 0" in capsys.readouterr().err
+        assert not (workspace / "est.txt").exists()
 
     def test_free_in_curves(self, workspace):
         simulate(workspace)
@@ -371,6 +386,27 @@ class TestLandscape:
             RobustLoss("cauchy", 0.0065), MetricKind.ANGLEPLANE)
         assert [float(line.split(",")[2]) for line in lines[1:]] == \
             land.energies.ravel().tolist()
+
+    def test_scenario_simulates_only_the_pair_it_evaluates(
+            self, workspace, monkeypatch):
+        simulate(workspace)
+        calls = []
+        generate = pipeline.generate_matches
+
+        def counted(*args):
+            calls.append(args)
+            return generate(*args)
+        monkeypatch.setattr(pipeline, "generate_matches", counted)
+        for source in ("scenario", "files"):
+            code = run_cli(["landscape", *landscape_inputs(workspace, source),
+                            "--pair-index", "5",
+                            "--out", str(workspace / f"{source}.csv"),
+                            "--yaw-steps", "3", "--arc-steps", "2"])
+            assert code == EXIT_OK
+        assert len(calls) == 1
+        # same seeds as the simulated sequence's pair 5
+        assert (workspace / "scenario.csv").read_bytes() == \
+            (workspace / "files.csv").read_bytes()
 
     def test_requires_input_source(self, workspace):
         code = run_cli(["landscape", "--out", str(workspace / "land.csv")])

@@ -4,8 +4,9 @@ import pytest
 from motionprior.estimator import (CONVERGED_TERMINATIONS,
                                    ENERGY_DECREASE_REL_TOL, EstimateResult,
                                    EstimatorOptions, GridSpec, Landscape,
-                                   LandscapeGrid, NoMatches, classify_inliers,
-                                   energy_landscape, estimate)
+                                   LandscapeGrid, NoMatches, _sigma,
+                                   classify_inliers, energy_landscape,
+                                   estimate)
 from motionprior.geometry import (DegenerateTranslation, PinholeCamera,
                                   PinholeIntrinsics, forward_camera_extrinsic)
 from motionprior.manifold import CameraRig, MotionParams, RigCamera
@@ -145,7 +146,7 @@ class TestEstimate:
         assert abs(result.params.yaw - truth.yaw) < 1e-6
 
     def test_one_frame_per_solve(self, monkeypatch):
-        # the grid fallback, the LM loop and the scale probe share a frame
+        # the grid fallback and the LM loop share a frame
         truth = MotionParams(yaw=0.1, arc_length=1.0,
                              free=("yaw", "arc_length"))
         sets, _ = simulated(RIG2, truth, seed=9)
@@ -159,13 +160,13 @@ class TestEstimate:
         grid = GridSpec({"yaw": (-0.3, 0.3, 41)})
         result = estimate(RIG2, sets, truth.with_values(yaw=0.0),
                           EstimatorOptions(fallback_grid=grid))
-        # not "few_matches", so the scale probe ran
+        # not "few_matches", so sigma was judged
         assert result.condition_note == "ok"
         assert len(built) == 1
 
     def test_one_motion_params_per_solve(self, monkeypatch):
-        # the grid fallback, the LM trials and the scale probe take rows;
-        # only the result is a MotionParams
+        # the grid fallback and the LM trials take rows; only the result
+        # is a MotionParams
         truth = MotionParams(yaw=0.1, arc_length=1.0,
                              free=("yaw", "arc_length"))
         sets, _ = simulated(RIG2, truth, seed=9)
@@ -214,7 +215,7 @@ class TestEstimate:
         assert result.final_energy == np.inf
         assert (result.termination, result.iterations) == ("non_finite", 0)
         assert not result.converged
-        assert result.condition_note == "ok"
+        assert result.condition_note == "ok" and result.sigma == {}
 
     def test_termination_reason(self):
         truth = MotionParams(yaw=0.1, arc_length=1.0,
@@ -258,6 +259,86 @@ class TestEstimate:
         assert abs(result.params.arc_length - 0.9900788159032858) <= 1e-6
         assert result.final_energy == pytest.approx(353.5029509041608,
                                                      rel=1e-9, abs=0.0)
+
+
+def noisy_curve(seed):
+    """The acceptance tests' seeded two-camera curve, with 0.5 px noise."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    truth = MotionParams(yaw=rng.uniform(0.05, 0.25) * rng.choice([-1, 1]),
+                         arc_length=rng.uniform(0.8, 1.6),
+                         free=("yaw", "arc_length"))
+    sets, _ = simulated(RIG2, truth, seed=seed, sigma=0.5)
+    return sets
+
+
+class TestSigma:
+    GEOLINE_1PX = EstimatorOptions(metric=MetricKind.GEOLINE,
+                                   loss=RobustLoss("cauchy", 1.0))
+    PRIOR = MotionParams(yaw=0.0, arc_length=1.0, free=("yaw", "arc_length"))
+
+    @pytest.mark.parametrize("seed", [15, 42])
+    def test_arc_run_out_is_scale_unobservable(self, seed):
+        # the arc runs out to about -4e6 m, where J^T J is singular
+        result = estimate(RIG2, noisy_curve(seed), self.PRIOR,
+                          self.GEOLINE_1PX)
+        assert abs(result.params.arc_length) > 1e6
+        assert result.sigma["arc_length"] == np.inf
+        assert result.condition_note == "scale_unobservable"
+
+    def test_wrong_finite_basin_is_not_flagged(self):
+        # arc 5.6 m against a true 1.05 m, yet sharply located there:
+        # sigma measures the spread within a basin, not which basin
+        result = estimate(RIG2, noisy_curve(8), self.PRIOR, self.GEOLINE_1PX)
+        assert abs(result.params.arc_length - 5.6) < 0.1
+        assert result.sigma["arc_length"] < 0.02 * result.params.arc_length
+        assert result.condition_note == "ok"
+
+    @pytest.mark.parametrize("scene_seed, true_arc", [(3, 0.1), (1, 1.0)])
+    def test_straight_pair_is_scale_unobservable(self, scene_seed,
+                                                 true_arc):
+        # the benchmark rig and noise on a straight, arc free from 1.0;
+        # (3, 0.1) leaves the arc at the prior, (1, 1.0) runs it to ~1636 m
+        truth = MotionParams(yaw=0.0, arc_length=true_arc,
+                             free=("yaw", "arc_length"))
+        sets, _ = simulated(RIG2, truth, seed=scene_seed, sigma=0.25,
+                            num_points=150)
+        result = estimate(RIG2, sets, truth.with_values(arc_length=1.0))
+        assert result.condition_note == "scale_unobservable"
+
+    def test_matches_monte_carlo_spread(self):
+        # one scene, 60 noise draws: the reported sigma is the spread of
+        # the estimates to within a factor of 2
+        truth = MotionParams(yaw=0.1, arc_length=1.0,
+                             free=("yaw", "arc_length"))
+        points = generate_scene(SceneSpec(150, seed=0))
+        results = [estimate(RIG2, generate_matches(
+            points, RIG2, truth, NoiseSpec(0.5, seed=seed))[0], truth)
+            for seed in range(60)]
+        assert {r.condition_note for r in results} == {"ok"}
+        for field in truth.free:
+            spread = np.std([getattr(r.params, field) for r in results],
+                            ddof=1)
+            sigma = np.median([r.sigma[field] for r in results])
+            assert 0.5 <= spread / sigma <= 2.0
+
+    @pytest.mark.parametrize("J", [
+        np.zeros((6, 2)),                             # singular
+        np.array([[1.0, 0.0], [0.0, 1.0]]),          # m <= p
+        np.array([[np.nan, 1.0]] * 6),                # not finite
+        np.array([[1e200, 1.0], [1.0, 1e200]] * 3),   # J^T J overflows
+        np.array([[1e-160, 0.0], [0.0, 1e-160]] * 3)],  # (J^T J)^-1 does
+        ids=["singular", "few-rows", "nan", "overflow", "underflow"])
+    def test_degenerate_jacobian_gives_inf_without_warning(self, J):
+        # pytest turns any warning into a failure here
+        assert (_sigma(np.ones(len(J)), J) == np.inf).all()
+
+    def test_fields(self):
+        truth = MotionParams(yaw=0.05, arc_length=1.0, free=("yaw",))
+        sets, _ = simulated(RIG1, truth, seed=4, sigma=1.0)
+        result = estimate(RIG1, sets, truth.with_values(yaw=0.09))
+        assert list(result.sigma) == ["yaw"] and result.sigma["yaw"] > 0.0
+        held = estimate(RIG1, sets, truth.with_values(free=()))
+        assert held.sigma == {}
 
 
 class TestGradients:
@@ -368,7 +449,8 @@ class TestClassifyInliers:
     def make_result(self, residuals):
         truth = MotionParams(yaw=0.0, arc_length=1.0)
         return EstimateResult(truth, 0.0, 0, "grad_tol",
-                              np.asarray(residuals, dtype=float), 0, "ok")
+                              np.asarray(residuals, dtype=float), 0, "ok",
+                              {})
 
     def test_infinite_threshold(self):
         result = self.make_result([0.1, -5.0, 100.0])
