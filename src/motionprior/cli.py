@@ -12,19 +12,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from itertools import chain
 
 from .estimator import EstimatorOptions, LandscapeGrid, energy_landscape
 from .evaluation import TrajectoryTooShort, evaluate
 from .geometry import DegenerateTranslation, GeometryError
-from .io_formats import (NoRecords, ParseError, load_matches, load_rig,
-                         load_scale, load_scenario, load_trajectory,
+from .io_formats import (NoRecords, ParseError, _write_rows, load_matches,
+                         load_rig, load_scale, load_scenario, load_trajectory,
                          write_matches, write_scale, write_trajectory)
 from .manifold import MotionParams
 from .metrics import MetricKind, RobustLoss
 from .pipeline import (FixedScale, FreeInCurves, match_sets_from_record,
-                       run_sequence, scenario_yaws, simulate_pair,
-                       simulate_sequence)
+                       run_sequence, simulate_sequence)
 from .simulate import NoVisiblePoints
 
 EXIT_OK = 0
@@ -36,6 +37,9 @@ EXIT_NUMERIC = 3
 # allocated; at this size a ~270-match pair takes ~20 s on a 2-CPU host
 # and writes a ~60 MB CSV
 MAX_LANDSCAPE_CELLS = 1_000_000
+
+DEFAULTS = EstimatorOptions()
+METRICS = [kind.value for kind in MetricKind]
 
 DATA_ERRORS = (ParseError, NoRecords, NoVisiblePoints, TrajectoryTooShort,
                FileNotFoundError, IsADirectoryError, PermissionError,
@@ -62,7 +66,6 @@ def _build_parser():
     sim.add_argument("--out-matches", required=True)
     sim.add_argument("--out-truth", required=True)
     sim.add_argument("--out-scale")
-    sim.add_argument("--seed", type=int, help="override the scenario seed")
 
     est = sub.add_parser("estimate", help="estimate a trajectory")
     est.add_argument("--rig", required=True)
@@ -72,17 +75,17 @@ def _build_parser():
     est.add_argument("--scale", help="per-frame arc length file")
     est.add_argument("--free-in-curves", action="store_true")
     est.add_argument("--initial-scale", type=float, default=1.0)
-    est.add_argument("--metric", choices=["angleplane", "geoline"],
-                     default="angleplane")
-    est.add_argument("--loss", choices=["cauchy", "none", "huber", "tukey"],
-                     default="cauchy")
-    est.add_argument("--loss-width", type=float, default=0.0065)
-    est.add_argument("--max-iterations", type=int, default=100)
+    est.add_argument("--metric", choices=METRICS,
+                     default=DEFAULTS.metric.value)
+    est.add_argument("--loss", choices=RobustLoss.KINDS,
+                     default=DEFAULTS.loss.kind)
+    est.add_argument("--loss-width", type=float, default=DEFAULTS.loss.width)
+    est.add_argument("--max-iterations", type=int,
+                     default=DEFAULTS.max_iterations)
 
     land = sub.add_parser("landscape", help="dump an energy grid as CSV")
-    land.add_argument("--scenario")
-    land.add_argument("--rig")
-    land.add_argument("--matches")
+    land.add_argument("--rig", required=True)
+    land.add_argument("--matches", required=True)
     land.add_argument("--pair-index", type=int, default=0,
                       help="frame pair to evaluate, from 0")
     land.add_argument("--out", required=True)
@@ -92,8 +95,8 @@ def _build_parser():
     land.add_argument("--arc-min", type=float, default=0.5)
     land.add_argument("--arc-max", type=float, default=2.0)
     land.add_argument("--arc-steps", type=int, default=41)
-    land.add_argument("--metric", choices=["angleplane", "geoline"],
-                      default="angleplane")
+    land.add_argument("--metric", choices=METRICS,
+                      default=DEFAULTS.metric.value)
 
     ev = sub.add_parser("eval", help="compare trajectories")
     ev.add_argument("--est", required=True)
@@ -115,16 +118,14 @@ def _check_cameras(rig, records, matches_path, rig_path):
                                  f"rig file {rig_path}")
 
 
+def _json_number(x):
+    """x, or None where strict JSON has no number for it (NaN, inf)."""
+    return x if math.isfinite(x) else None
+
+
 def _cmd_simulate(args):
-    if args.seed is not None and args.seed < 0:
-        raise UsageError(f"--seed {args.seed} must be non-negative")
-    scenario = load_scenario(args.scenario)
-    if args.seed is not None:
-        from dataclasses import replace
-        scenario = replace(scenario,
-                           scene=replace(scenario.scene, seed=args.seed),
-                           noise=replace(scenario.noise, seed=args.seed + 1))
-    records, truth_traj, scales = simulate_sequence(scenario)
+    records, truth_traj, scales = simulate_sequence(
+        load_scenario(args.scenario))
     write_matches(records, args.out_matches)
     write_trajectory(truth_traj, args.out_truth)
     if args.out_scale:
@@ -163,14 +164,15 @@ def _cmd_estimate(args):
                           "failed": o.failed, "error": o.error,
                           "runtime_ms": o.runtime_ms}
                 if o.result is not None:
-                    record.update(energy=o.result.final_energy,
+                    record.update(energy=_json_number(o.result.final_energy),
                                   iterations=o.result.iterations,
                                   converged=o.result.converged,
                                   termination=o.result.termination,
                                   condition_note=o.result.condition_note,
-                                  sigma=o.result.sigma,
+                                  sigma={f: _json_number(v) for f, v
+                                         in o.result.sigma.items()},
                                   skipped_matches=o.result.skipped_matches)
-                fh.write(json.dumps(record) + "\n")
+                fh.write(json.dumps(record, allow_nan=False) + "\n")
     failed = sum(o.failed for o in outcomes)
     print(f"estimated {len(outcomes)} frame pairs ({failed} failed)")
     return EXIT_OK
@@ -185,39 +187,24 @@ def _cmd_landscape(args):
         raise UsageError(f"--yaw-steps {args.yaw_steps} x --arc-steps "
                          f"{args.arc_steps} exceeds {MAX_LANDSCAPE_CELLS} "
                          "grid cells")
-    if args.scenario:
-        scenario = load_scenario(args.scenario)
-        yaws = scenario_yaws(scenario)
-        rig, fixed, count = scenario.rig, scenario.truth, len(yaws)
-    elif args.rig and args.matches:
-        rig = load_rig(args.rig)
-        records = load_matches(args.matches)
-        fixed, count = MotionParams(yaw=0.0, arc_length=1.0), len(records)
-    else:
-        raise UsageError("landscape needs --scenario or --rig/--matches")
-    if not 0 <= args.pair_index < count:
+    rig = load_rig(args.rig)
+    records = load_matches(args.matches)
+    if not 0 <= args.pair_index < len(records):
         raise UsageError(f"--pair-index {args.pair_index} is outside "
-                         f"[0, {count}): the input holds {count} frame "
-                         "pairs")
-    if args.scenario:
-        record, _ = simulate_pair(scenario, args.pair_index,
-                                  yaws[args.pair_index])
-    else:
-        record = records[args.pair_index]
-        _check_cameras(rig, [record], args.matches, args.rig)
-    match_sets = match_sets_from_record(record)
+                         f"[0, {len(records)}): the input holds "
+                         f"{len(records)} frame pairs")
+    record = records[args.pair_index]
+    _check_cameras(rig, [record], args.matches, args.rig)
     grid = LandscapeGrid((args.yaw_min, args.yaw_max), args.yaw_steps,
                          (args.arc_min, args.arc_max), args.arc_steps)
-    loss = RobustLoss("cauchy", 0.0065)
-    land = energy_landscape(rig, match_sets, grid, fixed, loss,
-                            MetricKind(args.metric))
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("yaw,arc_length,energy,degenerate\n")
-        for i, g in enumerate(land.yaw_values):
-            for j, l in enumerate(land.arc_values):
-                fh.write(f"{float(g)!r},{float(l)!r},"
-                         f"{float(land.energies[i, j])!r},"
-                         f"{int(land.degenerate[i, j])}\n")
+    land = energy_landscape(rig, match_sets_from_record(record), grid,
+                            MotionParams(yaw=0.0, arc_length=1.0),
+                            DEFAULTS.loss, MetricKind(args.metric))
+    _write_rows(args.out, chain(
+        [["yaw", "arc_length", "energy", "degenerate"]],
+        ([g, l, land.energies[i, j], int(land.degenerate[i, j])]
+         for i, g in enumerate(land.yaw_values)
+         for j, l in enumerate(land.arc_values))), sep=",")
     print(f"wrote {land.energies.size} grid cells")
     return EXIT_OK
 
@@ -235,10 +222,8 @@ def _cmd_eval(args):
     for length, count, rot, trans in rows:
         print(f"{length:10.0f} {count:9d} {rot:14.6f} {trans:14.6f}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("length_m,segments,rotation_deg_per_m,translation_percent\n")
-            for length, count, rot, trans in rows:
-                fh.write(f"{length!r},{count},{rot!r},{trans!r}\n")
+        _write_rows(args.out, [["length_m", "segments", "rotation_deg_per_m",
+                                "translation_percent"], *rows], sep=",")
     return EXIT_OK
 
 

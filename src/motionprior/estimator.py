@@ -123,13 +123,21 @@ def _solver_state(row, free, frame: RigFrame, loss):
 
 @np.errstate(all="ignore")      # a degenerate J gives inf, not a warning
 def _sigma(z, J):
-    """sqrt(diag((J^T J)^-1) z^T z / (m - p)) over m residuals and p free
-    fields; all inf if m <= p or J^T J is singular or not finite."""
+    """sqrt(diag((J^T J)^+) z^T z / (m - p)) over m residuals and p free
+    fields, the pseudo-inverse over eigenvalues above p eps times the
+    largest; inf for a field with squared components above p eps in the
+    other (null) eigenvectors, and for all if m <= p or J^T J is zero or
+    not finite."""
     (m, p), JTJ = J.shape, J.T @ J
+    tol = p * np.finfo(float).eps
     w, V = np.linalg.eigh(JTJ) if np.isfinite(JTJ).all() else (np.zeros(1), 0)
-    if m <= p or not np.all(w > w[-1:] * p * np.finfo(float).eps):
+    kept = w > w[-1:] * tol
+    if m <= p or not kept.any():
         return np.full(p, np.inf)
-    return np.sqrt((V ** 2 / w).sum(axis=1) * (z @ z) / (m - p))
+    V2 = V ** 2
+    var = (V2 / np.where(kept, w, np.inf)).sum(axis=1)
+    var[V2 @ ~kept > tol] = np.inf
+    return np.sqrt(var * (z @ z) / (m - p))
 
 
 def estimate(rig: CameraRig, match_sets, prior: MotionParams,

@@ -24,6 +24,8 @@ MATCH_ROW = [("ids", np.int64, 3), ("pixels", float, 4)]
 # its peak memory is one block's rows (~90 KB), not the whole file's
 MATCH_BLOCK_CHARS = 1 << 17
 
+RIG_KEYS = ("id", "model", "intrinsics", "image_size", "table", "extrinsic")
+
 # Trajectory rotations with max|R^T R - I| in [ORTHONORMALITY_TOL, this]
 # are projected onto SO(3) on load: KITTI's %e poses (7 significant
 # digits) miss by a few 1e-7
@@ -127,7 +129,8 @@ def load_rig(path) -> CameraRig:
     """Rig file: one key-value block per camera, blocks separated by blank
     or comment lines. Keys: id, model (pinhole|generic), intrinsics (fx fy
     cx cy [skew]), image_size (w h, optional), table (path relative to the
-    rig file, generic only), extrinsic (12 reals, row-major 3x4). Cameras
+    rig file, generic only), extrinsic (12 reals, row-major 3x4); any
+    other key, or one repeated in a block, is a ParseError. Cameras
     naming one table file with one image_size share one GenericCamera."""
     blocks, last = [], None
     with open(path, encoding="utf-8") as fh:
@@ -138,6 +141,11 @@ def load_rig(path) -> CameraRig:
             key, *values = text.split()
             if not values:
                 raise ParseError(path, lineno, f"{key} needs a value")
+            if key not in RIG_KEYS:
+                raise ParseError(path, lineno, f"unknown key {key!r}")
+            if key in blocks[-1]:
+                raise ParseError(path, lineno, f"key {key!r} repeats line "
+                                 f"{blocks[-1][key][0]}")
             blocks[-1][key] = (lineno, values)
     if not blocks:
         raise ParseError(path, 0, "rig file defines no cameras")
@@ -394,18 +402,6 @@ class Scenario:
     sequence: SequenceProfile | None = None
 
 
-def parse_keyvalues(path):
-    """`key = value` lines ('#' starts a comment) -> {key: (value, line)}."""
-    values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, text in _lines(fh):
-            key, eq, val = text.partition("=")
-            if not eq:
-                raise ParseError(path, lineno, "expected key = value")
-            values[key.strip()] = (val.strip(), lineno)
-    return values
-
-
 def _segments(value):
     """`count:yaw, ...` -> ((count, yaw), ...); ValueError if malformed."""
     return tuple((int(count), float(yaw)) for count, yaw in
@@ -413,15 +409,27 @@ def _segments(value):
 
 
 def load_scenario(path) -> Scenario:
-    """Scenario key-value file. Keys: rig (path, relative to the scenario
-    file), seed, scene.*, noise.*, truth.*, sequence.segments. A value
-    that does not parse or is out of range is a ParseError on its line."""
-    raw = parse_keyvalues(path)
+    """Scenario file of `key = value` lines. Keys: rig (path, relative to
+    the scenario file), seed, scene.*, noise.*, truth.*,
+    sequence.segments. A value that does not parse or is out of range, or
+    a key that is not one of these or repeats, is a ParseError on its
+    line."""
+    raw = {}
+    with open(path, encoding="utf-8") as fh:
+        for lineno, text in _lines(fh):
+            key, eq, val = (part.strip() for part in text.partition("="))
+            if not eq:
+                raise ParseError(path, lineno, "expected key = value")
+            if key in raw:
+                raise ParseError(path, lineno, f"key {key!r} repeats line "
+                                 f"{raw[key][1]}")
+            raw[key] = (val, lineno)
+    unread = dict(raw)
 
     def take(key, default=None, cast=float, ok=None, need=""):
         if key not in raw:
             return default
-        val, lineno = raw[key]
+        val, lineno = unread.pop(key)
         try:
             value = (_reals(path, lineno, [val])[0] if cast is float
                      else cast(val))
@@ -468,13 +476,15 @@ def load_scenario(path) -> Scenario:
                                   if f.strip()),
                   lambda free: set(free) <= set(PARAM_FIELDS),
                   f"fields must be among {', '.join(PARAM_FIELDS)}"))
-    rig_path = take("rig", None, str, bool, "needs a path")
-    if rig_path is None:
-        raise ParseError(path, 0, "scenario needs a rig entry")
-    rig = load_rig(_beside(path, rig_path))
     segments = take("sequence.segments", None, _segments,
                     lambda segs: all(n >= 1 and abs(g) < np.pi
                                      for n, g in segs),
                     "needs count >= 1 and |yaw| < pi in every count:yaw")
+    rig_path = take("rig", None, str, bool, "needs a path")
+    for key, (_, lineno) in unread.items():
+        raise ParseError(path, lineno, f"unknown key {key!r}")
+    if rig_path is None:
+        raise ParseError(path, 0, "scenario needs a rig entry")
     sequence = None if segments is None else SequenceProfile(segments)
-    return Scenario(scene, noise, truth, rig, sequence)
+    return Scenario(scene, noise, truth, load_rig(_beside(path, rig_path)),
+                    sequence)

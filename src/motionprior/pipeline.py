@@ -149,34 +149,27 @@ def run_sequence(rig: CameraRig, records, scale_source,
     return _trajectory([o.params for o in outcomes]), outcomes
 
 
-def scenario_yaws(scenario: Scenario):
-    """True yaw of each frame pair: the sequence's, else the truth's alone."""
-    return ([scenario.truth.yaw] if scenario.sequence is None
-            else scenario.sequence.yaw_per_frame())
-
-
-def simulate_pair(scenario: Scenario, k: int, yaw: float):
-    """(FramePairRecord (k, k + 1), true MotionParams) at true yaw `yaw`,
-    from a fresh scene and noise seeded 1000 k past the scenario's."""
-    truth = replace(scenario.truth, yaw=yaw)
-    scene = replace(scenario.scene, seed=scenario.scene.seed + 1000 * k)
-    noise = replace(scenario.noise, seed=scenario.noise.seed + 1000 * k)
-    match_sets, _ = generate_matches(generate_scene(scene), scenario.rig,
-                                     truth, noise)
-    # writeable copies of the match sets' read-only arrays, as load_matches
-    # returns them
-    return FramePairRecord(k, k + 1, {
-        s.camera_id: (s.pixels_t0.copy(), s.pixels_t1.copy())
-        for s in match_sets}), truth
-
-
 def simulate_sequence(scenario: Scenario):
     """Generate per-frame match records and the ground-truth trajectory
-    for a scenario; a fresh scene is drawn for every frame pair.
+    for a scenario. Frame pair k is drawn at its true yaw (the sequence's,
+    else the truth's alone) from a fresh scene and noise seeded 1000 k
+    past the scenario's.
 
     Returns (records, TrajectoryRecord, scale values).
     """
-    records, truths = zip(*(simulate_pair(scenario, k, yaw) for k, yaw
-                            in enumerate(scenario_yaws(scenario))))
-    return (list(records), _trajectory(truths),
-            [truth.arc_length for truth in truths])
+    yaws = ([scenario.truth.yaw] if scenario.sequence is None
+            else scenario.sequence.yaw_per_frame())
+    records, truths = [], []
+    for k, yaw in enumerate(yaws):
+        truth = replace(scenario.truth, yaw=yaw)
+        scene = replace(scenario.scene, seed=scenario.scene.seed + 1000 * k)
+        noise = replace(scenario.noise, seed=scenario.noise.seed + 1000 * k)
+        match_sets, _ = generate_matches(generate_scene(scene), scenario.rig,
+                                         truth, noise)
+        # writeable copies of the match sets' read-only arrays, as
+        # load_matches returns them
+        records.append(FramePairRecord(k, k + 1, {
+            s.camera_id: (s.pixels_t0.copy(), s.pixels_t1.copy())
+            for s in match_sets}))
+        truths.append(truth)
+    return records, _trajectory(truths), [t.arc_length for t in truths]

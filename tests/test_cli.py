@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from motionprior import pipeline
 from motionprior.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, run_cli
 from motionprior.estimator import LandscapeGrid, energy_landscape
 from motionprior.geometry import (GenericCamera, PinholeCamera,
@@ -66,10 +65,8 @@ def write_generic_rig(ws):
         f"model generic\ntable {ws / 'table.txt'}"))
 
 
-def landscape_inputs(ws, source):
-    """landscape flags reading the scenario, or the files it simulates."""
-    if source == "scenario":
-        return ["--scenario", str(ws / "scenario.txt")]
+def landscape_inputs(ws):
+    """landscape flags reading the files the scenario simulates."""
     return ["--rig", str(ws / "rig.txt"), "--matches", str(ws / "matches.csv")]
 
 
@@ -80,27 +77,6 @@ class TestSimulate:
         gt = load_trajectory(workspace / "gt.txt")
         assert len(gt) == 8
         assert load_scale(workspace / "scale.txt") == [1.0] * 7
-
-    def test_seed_override_changes_matches(self, workspace):
-        simulate(workspace)
-        first = (workspace / "matches.csv").read_text()
-        code = run_cli(["simulate", "--scenario",
-                        str(workspace / "scenario.txt"),
-                        "--out-matches", str(workspace / "matches.csv"),
-                        "--out-truth", str(workspace / "gt.txt"),
-                        "--seed", "99"])
-        assert code == EXIT_OK
-        assert (workspace / "matches.csv").read_text() != first
-
-    def test_negative_seed_is_usage_error(self, workspace, capsys):
-        code = run_cli(["simulate", "--scenario",
-                        str(workspace / "scenario.txt"),
-                        "--out-matches", str(workspace / "matches.csv"),
-                        "--out-truth", str(workspace / "gt.txt"),
-                        "--seed", "-5"])
-        assert code == EXIT_USAGE
-        assert "--seed -5" in capsys.readouterr().err
-        assert not (workspace / "matches.csv").exists()
 
     def test_missing_scenario(self, workspace, capsys):
         code = run_cli(["simulate", "--scenario", str(workspace / "nope.txt"),
@@ -156,6 +132,29 @@ class TestEstimate:
         # the scale file holds the arc, so yaw is the only free field
         assert list(rec["sigma"]) == ["yaw"]
         assert 0.0 < rec["sigma"]["yaw"] < 1e-3
+
+    def test_diagnostics_are_strict_json(self, workspace):
+        # one camera at the rig centre: the arc is unobservable, so its
+        # sigma is inf wherever it is free
+        (workspace / "rig.txt").write_text(RIG_TEXT.split("\n\n")[0].replace(
+            "extrinsic 0 0 1 2.0", "extrinsic 0 0 1 0.0") + "\n")
+        simulate(workspace)
+        code = run_cli(["estimate", "--rig", str(workspace / "rig.txt"),
+                        "--matches", str(workspace / "matches.csv"),
+                        "--free-in-curves",
+                        "--out-trajectory", str(workspace / "est.txt"),
+                        "--diagnostics", str(workspace / "diag.jsonl")])
+        assert code == EXIT_OK
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not strict JSON")
+        diag = [json.loads(line, parse_constant=refuse) for line in
+                (workspace / "diag.jsonl").read_text().splitlines()]
+        curve = [d for d in diag if "arc_length" in d["sigma"]]
+        assert curve
+        for d in curve:
+            assert d["sigma"]["arc_length"] is None
+            assert 0.0 < d["sigma"]["yaw"] < 1e-3
 
     def test_out_of_domain_pixel_fails_only_its_frame(self, workspace,
                                                       capsys):
@@ -367,17 +366,18 @@ class TestNonFiniteInput:
 
 
 class TestLandscape:
-    @pytest.mark.parametrize("source", ["files", "scenario"])
+    # landscape's one input: the files simulate writes
+    @pytest.mark.parametrize("source", ["files"])
     def test_scenario_grid(self, workspace, source):
         simulate(workspace)
-        code = run_cli(["landscape", *landscape_inputs(workspace, source),
+        code = run_cli(["landscape", *landscape_inputs(workspace),
                         "--out", str(workspace / "land.csv"),
                         "--yaw-steps", "5", "--arc-steps", "3"])
         assert code == EXIT_OK
         lines = (workspace / "land.csv").read_text().splitlines()
         assert lines[0] == "yaw,arc_length,energy,degenerate"
         assert len(lines) == 1 + 5 * 3
-        # raw energies of pair 0, whichever source it was read from
+        # raw energies of pair 0 at pitch = roll = 0, as estimate holds them
         land = energy_landscape(
             load_rig(workspace / "rig.txt"), match_sets_from_record(
                 load_matches(workspace / "matches.csv")[0]),
@@ -387,36 +387,15 @@ class TestLandscape:
         assert [float(line.split(",")[2]) for line in lines[1:]] == \
             land.energies.ravel().tolist()
 
-    def test_scenario_simulates_only_the_pair_it_evaluates(
-            self, workspace, monkeypatch):
-        simulate(workspace)
-        calls = []
-        generate = pipeline.generate_matches
-
-        def counted(*args):
-            calls.append(args)
-            return generate(*args)
-        monkeypatch.setattr(pipeline, "generate_matches", counted)
-        for source in ("scenario", "files"):
-            code = run_cli(["landscape", *landscape_inputs(workspace, source),
-                            "--pair-index", "5",
-                            "--out", str(workspace / f"{source}.csv"),
-                            "--yaw-steps", "3", "--arc-steps", "2"])
-            assert code == EXIT_OK
-        assert len(calls) == 1
-        # same seeds as the simulated sequence's pair 5
-        assert (workspace / "scenario.csv").read_bytes() == \
-            (workspace / "files.csv").read_bytes()
-
     def test_requires_input_source(self, workspace):
         code = run_cli(["landscape", "--out", str(workspace / "land.csv")])
         assert code == EXIT_USAGE
 
-    @pytest.mark.parametrize("source", ["files", "scenario"])
+    @pytest.mark.parametrize("source", ["files"])
     @pytest.mark.parametrize("index", ["-1", "7"])
     def test_pair_index_out_of_range(self, workspace, capsys, source, index):
         simulate(workspace)      # 7 frame pairs
-        code = run_cli(["landscape", *landscape_inputs(workspace, source),
+        code = run_cli(["landscape", *landscape_inputs(workspace),
                         "--pair-index", index,
                         "--out", str(workspace / "land.csv"),
                         "--yaw-steps", "3", "--arc-steps", "2"])
@@ -433,8 +412,9 @@ class TestLandscape:
         ids=["zero", "negative", "too-many-cells"])
     def test_grid_size_is_usage_error(self, workspace, capsys, steps,
                                       message):
-        code = run_cli(["landscape", "--scenario",
-                        str(workspace / "scenario.txt"),
+        # neither input file exists: the size is checked before any read
+        code = run_cli(["landscape", "--rig", str(workspace / "no_rig.txt"),
+                        "--matches", str(workspace / "no_matches.csv"),
                         "--out", str(workspace / "land.csv"), *steps])
         assert code == EXIT_USAGE
         assert message in capsys.readouterr().err
@@ -459,8 +439,8 @@ class TestLandscape:
                                             ("--arc-max", "inf")])
     def test_non_finite_range_is_data_error(self, workspace, capsys, flag,
                                             value):
-        code = run_cli(["landscape", "--scenario",
-                        str(workspace / "scenario.txt"),
+        simulate(workspace)
+        code = run_cli(["landscape", *landscape_inputs(workspace),
                         "--out", str(workspace / "land.csv"),
                         "--yaw-steps", "3", "--arc-steps", "2",
                         f"{flag}={value}"])

@@ -321,6 +321,21 @@ class TestSigma:
             sigma = np.median([r.sigma[field] for r in results])
             assert 0.5 <= spread / sigma <= 2.0
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_null_space_makes_only_its_fields_inf(self, seed):
+        # one camera at the rig centre sees no scale: J^T J is singular
+        # with a null vector along the arc alone, so yaw keeps its sigma
+        rig = make_rig([[0.0, 0.0, 0.0]])
+        truth = MotionParams(yaw=0.1, arc_length=1.0,
+                             free=("yaw", "arc_length"))
+        sets, _ = simulated(rig, truth, seed=seed, sigma=0.5, num_points=150)
+        result = estimate(rig, sets, truth)
+        yaw_only = estimate(rig, sets, truth.with_values(free=("yaw",)))
+        assert result.sigma["arc_length"] == np.inf
+        assert result.sigma["yaw"] == pytest.approx(yaw_only.sigma["yaw"],
+                                                    rel=0.05)
+        assert result.condition_note == "scale_unobservable"
+
     @pytest.mark.parametrize("J", [
         np.zeros((6, 2)),                             # singular
         np.array([[1.0, 0.0], [0.0, 1.0]]),          # m <= p

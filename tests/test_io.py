@@ -201,6 +201,17 @@ class TestRigFiles:
             load_rig(p)
         assert err.value.line == 6
 
+    @pytest.mark.parametrize("old, new, line, message", [
+        ("image_size", "image_sise", 4, "unknown key 'image_sise'"),
+        ("model pinhole\n", "model pinhole\nid 2\n", 3,
+         "key 'id' repeats line 1")], ids=["unknown", "repeated"])
+    def test_bad_key_reports_line(self, tmp_path, old, new, line, message):
+        p = tmp_path / "rig.txt"
+        p.write_text(RIG_TEXT.replace(old, new, 1))
+        with pytest.raises(ParseError, match=message) as err:
+            load_rig(p)
+        assert err.value.line == line
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "rig.txt"
         p.write_text("# only comments\n")
@@ -732,6 +743,16 @@ class TestScenarioFiles:
              "segment-yaw-beyond-pi", "segment-count-zero"])
     def test_out_of_range_value_reports_line(self, tmp_path, extra):
         with pytest.raises(ParseError) as err:
+            load_scenario(self.write_scenario(tmp_path, extra))
+        assert err.value.line == 11
+
+    @pytest.mark.parametrize("extra, message", [
+        ("noise.pixel_sigm = 3.0\n", "unknown key 'noise.pixel_sigm'"),
+        ("scene.num_point = 5\n", "unknown key 'scene.num_point'"),
+        ("seed = 9\n", "key 'seed' repeats line 2")],
+        ids=["unknown-sigma", "unknown-points", "repeated"])
+    def test_bad_key_reports_line(self, tmp_path, extra, message):
+        with pytest.raises(ParseError, match=message) as err:
             load_scenario(self.write_scenario(tmp_path, extra))
         assert err.value.line == 11
 
