@@ -17,7 +17,8 @@ import sys
 from itertools import chain
 
 from .estimator import EstimatorOptions, LandscapeGrid, energy_landscape
-from .evaluation import TrajectoryTooShort, evaluate
+from .evaluation import (DEFAULT_LENGTHS, TrajectoryTooShort, check_lengths,
+                         evaluate)
 from .geometry import DegenerateTranslation, GeometryError
 from .io_formats import (NoRecords, ParseError, _write_rows, load_matches,
                          load_rig, load_scale, load_scenario, load_trajectory,
@@ -74,7 +75,7 @@ def _build_parser():
     est.add_argument("--diagnostics")
     est.add_argument("--scale", help="per-frame arc length file")
     est.add_argument("--free-in-curves", action="store_true")
-    est.add_argument("--initial-scale", type=float, default=1.0)
+    est.add_argument("--initial-scale", type=float)     # default 1.0
     est.add_argument("--metric", choices=METRICS,
                      default=DEFAULTS.metric.value)
     est.add_argument("--loss", choices=RobustLoss.KINDS,
@@ -101,9 +102,17 @@ def _build_parser():
     ev = sub.add_parser("eval", help="compare trajectories")
     ev.add_argument("--est", required=True)
     ev.add_argument("--gt", required=True)
-    ev.add_argument("--lengths", default="100,200,300,400,500,600,700,800")
+    ev.add_argument("--lengths", type=_lengths, default=DEFAULT_LENGTHS)
     ev.add_argument("--out", help="CSV report path")
     return parser
+
+
+def _lengths(text):
+    """--lengths as a list; a bad length is a usage error, at parse time."""
+    try:
+        return check_lengths([float(v) for v in text.split(",") if v.strip()])
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _check_cameras(rig, records, matches_path, rig_path):
@@ -138,15 +147,20 @@ def _cmd_simulate(args):
 def _cmd_estimate(args):
     if args.max_iterations < 1:
         raise UsageError(f"--max-iterations {args.max_iterations} must be > 0")
+    if args.scale is not None and (args.free_in_curves
+                                   or args.initial_scale is not None):
+        raise UsageError("--scale fixes every arc length: it takes neither "
+                         "--free-in-curves nor --initial-scale")
+    initial = 1.0 if args.initial_scale is None else args.initial_scale
     rig = load_rig(args.rig)
     records = load_matches(args.matches)
     _check_cameras(rig, records, args.matches, args.rig)
-    if args.scale:
+    if args.scale is not None:
         scale_source = FixedScale(load_scale(args.scale))
     elif args.free_in_curves:
-        scale_source = FreeInCurves(initial=args.initial_scale)
+        scale_source = FreeInCurves(initial=initial)
     else:
-        scale_source = FixedScale([args.initial_scale] * len(records))
+        scale_source = FixedScale([initial] * len(records))
     opts = EstimatorOptions(MetricKind(args.metric),
                             RobustLoss(args.loss, args.loss_width),
                             args.max_iterations)
@@ -212,8 +226,7 @@ def _cmd_landscape(args):
 def _cmd_eval(args):
     est = load_trajectory(args.est)
     gt = load_trajectory(args.gt)
-    lengths = [float(v) for v in args.lengths.split(",") if v.strip()]
-    report = evaluate(est, gt, lengths)
+    report = evaluate(est, gt, args.lengths)
     rows = [(length, bucket.count, bucket.mean_rotation,
              bucket.mean_translation)
             for length, bucket in sorted(report.length_buckets.items())]

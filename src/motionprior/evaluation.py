@@ -51,6 +51,15 @@ def _between(rot_a, t_a, rot_b, t_b):
     return inv @ rot_b, (inv @ t_b[..., None] + -inv @ t_a[..., None])[..., 0]
 
 
+def check_lengths(lengths):
+    """The lengths; ValueError on the first not finite and positive."""
+    for length in lengths:
+        if not 0 < length < np.inf:
+            raise ValueError(f"segment length {length!r} must be finite "
+                             "and positive")
+    return lengths
+
+
 def evaluate(est: TrajectoryRecord, gt: TrajectoryRecord,
              lengths=None) -> EvalReport:
     """Relative-pose error between estimate and ground truth over fixed
@@ -60,12 +69,8 @@ def evaluate(est: TrajectoryRecord, gt: TrajectoryRecord,
     if len(est) != len(gt):
         raise ValueError("trajectories must have the same frame count")
     # a repeated length is one bucket, not its segments twice
-    lengths = list(dict.fromkeys(DEFAULT_LENGTHS if lengths is None
-                                 else lengths))
-    for length in lengths:
-        if not 0 < length < np.inf:
-            raise ValueError(f"segment length {length!r} must be finite "
-                             "and positive")
+    lengths = check_lengths(list(dict.fromkeys(
+        DEFAULT_LENGTHS if lengths is None else lengths)))
     # rotations (2, F, 3, 3) and translations (2, F, 3): estimate, truth
     rot, t = (np.array([[getattr(p, name) for p in traj.poses]
                         for traj in (est, gt)])

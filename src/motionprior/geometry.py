@@ -120,24 +120,20 @@ class PinholeCamera:
         self.image_size = tuple(image_size) if image_size is not None else None
 
     def pixel_to_bearing(self, pixels: np.ndarray) -> np.ndarray:
-        """Unit line(s) of sight, K^-1 x normalized, positive z."""
+        """Unit rays (n, 3) of pixels (n, 2): K^-1 x normalized, positive z."""
         pixels = np.asarray(pixels, dtype=float)
-        single = pixels.ndim == 1
-        pts = np.atleast_2d(pixels)
-        homo = np.hstack([pts, np.ones((len(pts), 1))])
+        homo = np.hstack([pixels, np.ones((len(pixels), 1))])
         rays = homo @ self.intrinsics.matrix_inv.T
         rays /= np.linalg.norm(rays, axis=1, keepdims=True)
-        return rays[0] if single else rays
+        return rays
 
     def project(self, points: np.ndarray) -> np.ndarray:
+        """Pixels (n, 2) of camera-frame points (n, 3)."""
         points = np.asarray(points, dtype=float)
-        single = points.ndim == 1
-        pts = np.atleast_2d(points)
-        if np.any(pts[:, 2] <= 0):
+        if np.any(points[:, 2] <= 0):
             raise BehindCamera("point has non-positive depth")
-        homo = pts @ self.intrinsics.matrix.T
-        pix = homo[:, :2] / homo[:, 2:3]
-        return pix[0] if single else pix
+        homo = points @ self.intrinsics.matrix.T
+        return homo[:, :2] / homo[:, 2:3]
 
     def contains(self, pixels: np.ndarray) -> np.ndarray:
         pixels = np.atleast_2d(np.asarray(pixels, dtype=float))
@@ -182,9 +178,8 @@ class GenericCamera:
                    image_size=(width, height))
 
     def pixel_to_bearing(self, pixels: np.ndarray) -> np.ndarray:
-        pixels = np.asarray(pixels, dtype=float)
-        single = pixels.ndim == 1
-        pts = np.atleast_2d(pixels)
+        """Unit rays (n, 3) of pixels (n, 2)."""
+        pts = np.asarray(pixels, dtype=float)
         nv, nu = self.table.shape[:2]
         umin, umax = self.u0, self.u0 + (nu - 1) * self.du
         vmin, vmax = self.v0, self.v0 + (nv - 1) * self.dv
@@ -202,7 +197,7 @@ class GenericCamera:
              + (1 - fu) * fv * self.table[iv + 1, iu]
              + fu * fv * self.table[iv + 1, iu + 1])
         b /= np.linalg.norm(b, axis=1, keepdims=True)
-        return b[0] if single else b
+        return b
 
 
 def _axis_rotation(angle, i: int, j: int) -> np.ndarray:

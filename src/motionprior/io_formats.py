@@ -15,7 +15,7 @@ import numpy as np
 
 from .geometry import (ORTHONORMALITY_TOL, GenericCamera, PinholeCamera,
                        PinholeIntrinsics, Pose)
-from .manifold import PARAM_FIELDS, CameraRig, MotionParams, RigCamera
+from .manifold import CameraRig, MotionParams, RigCamera
 from .simulate import OUTLIER_MODES, NoiseSpec, SceneSpec
 
 MATCH_HEADER = ["t0", "t1", "camera_id", "u0", "v0", "u1", "v1"]
@@ -129,9 +129,10 @@ def load_rig(path) -> CameraRig:
     """Rig file: one key-value block per camera, blocks separated by blank
     or comment lines. Keys: id, model (pinhole|generic), intrinsics (fx fy
     cx cy [skew]), image_size (w h, optional), table (path relative to the
-    rig file, generic only), extrinsic (12 reals, row-major 3x4); any
-    other key, or one repeated in a block, is a ParseError. Cameras
-    naming one table file with one image_size share one GenericCamera."""
+    rig file, generic only), extrinsic (12 reals, row-major 3x4); id,
+    model and table take one value. Any other key, or one repeated in a
+    block, is a ParseError. Cameras naming one table file with one
+    image_size share one GenericCamera."""
     blocks, last = [], None
     with open(path, encoding="utf-8") as fh:
         for lineno, text in _lines(fh):
@@ -143,6 +144,8 @@ def load_rig(path) -> CameraRig:
                 raise ParseError(path, lineno, f"{key} needs a value")
             if key not in RIG_KEYS:
                 raise ParseError(path, lineno, f"unknown key {key!r}")
+            if len(values) > 1 and key in ("id", "model", "table"):
+                raise ParseError(path, lineno, f"{key} takes one value")
             if key in blocks[-1]:
                 raise ParseError(path, lineno, f"key {key!r} repeats line "
                                  f"{blocks[-1][key][0]}")
@@ -152,8 +155,8 @@ def load_rig(path) -> CameraRig:
     cameras, tables = [], {}    # (table path, image_size) -> its camera
     for block in blocks:
         try:
-            id_line, (cam_id, *_) = block["id"]
-            model_line, (kind, *_) = block["model"]
+            id_line, (cam_id,) = block["id"]
+            model_line, (kind,) = block["model"]
             ext_line, ext_fields = block["extrinsic"]
             cam_id = int(cam_id)
         except KeyError as exc:
@@ -470,12 +473,7 @@ def load_scenario(path) -> Scenario:
                  "must lie in (-pi, pi)"),
         arc_length=take("truth.arc_length", 1.0),
         pitch=take("truth.pitch", 0.0),
-        roll=take("truth.roll", 0.0),
-        free=take("truth.free", ("yaw",),
-                  lambda v: tuple(f.strip() for f in v.split(",")
-                                  if f.strip()),
-                  lambda free: set(free) <= set(PARAM_FIELDS),
-                  f"fields must be among {', '.join(PARAM_FIELDS)}"))
+        roll=take("truth.roll", 0.0))
     segments = take("sequence.segments", None, _segments,
                     lambda segs: all(n >= 1 and abs(g) < np.pi
                                      for n, g in segs),

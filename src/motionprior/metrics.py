@@ -39,18 +39,19 @@ class MetricKind(enum.Enum):
 
 @dataclass(frozen=True)
 class RobustLoss:
-    """Loss rho applied to squared residuals. width is in residual units
-    (pixels for the line metric, sine-of-angle for the plane metric)."""
+    """Loss rho on squared residuals s: "none" (s) or "cauchy" (w^2 log(1
+    + s / w^2)), w = width in residual units (pixels for the line metric,
+    sine-of-angle for the plane metric)."""
 
     kind: str = "none"
     width: float = 1.0
 
-    KINDS = ("none", "cauchy", "huber", "tukey")
+    KINDS = ("none", "cauchy")
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}")
-        # the losses divide by width^2, which must be non-zero and finite
+        # the Cauchy loss divides by width^2, which must be non-zero and finite
         w = float(self.width)
         if not (w > 0 and 0.0 < w * w < np.inf):
             raise ValueError(f"loss width {self.width!r} must be positive "
@@ -62,20 +63,7 @@ class RobustLoss:
         if self.kind == "none":
             return s.copy(), np.ones_like(s)
         w2 = self.width * self.width
-        if self.kind == "cauchy":
-            return w2 * np.log1p(s / w2), 1.0 / (1.0 + s / w2)
-        if self.kind == "huber":
-            r = np.sqrt(s)
-            small = s <= w2
-            value = np.where(small, s, 2.0 * self.width * r - w2)
-            deriv = np.where(small, 1.0,
-                             self.width / np.maximum(r, DEGENERACY_EPS))
-            return value, deriv
-        # tukey, normalized so rho(s) ~ s near zero
-        clipped = np.minimum(s / w2, 1.0)
-        value = (w2 / 3.0) * (1.0 - (1.0 - clipped) ** 3)
-        deriv = np.where(s <= w2, (1.0 - clipped) ** 2, 0.0)
-        return value, deriv
+        return w2 * np.log1p(s / w2), 1.0 / (1.0 + s / w2)
 
 
 @dataclass(frozen=True)

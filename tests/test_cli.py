@@ -237,10 +237,33 @@ class TestEstimate:
         code = run_cli(["estimate", "--rig", str(workspace / "rig.txt"),
                         "--matches", str(workspace / "matches.csv"),
                         "--scale", str(workspace / "scale.txt"),
-                        "--metric", "geoline", "--loss", "huber",
+                        "--metric", "geoline", "--loss", "cauchy",
                         "--loss-width", "1.5",
                         "--out-trajectory", str(workspace / "est.txt")])
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("flags", [
+        ["--free-in-curves"], ["--initial-scale", "5"],
+        ["--free-in-curves", "--initial-scale", "5"]],
+        ids=["free-in-curves", "initial-scale", "both"])
+    def test_scale_with_other_scale_flag_is_usage_error(self, workspace,
+                                                        capsys, flags):
+        # no input file exists: the flags are checked before any read
+        code = run_cli(["estimate", "--rig", str(workspace / "no_rig.txt"),
+                        "--matches", str(workspace / "no_matches.csv"),
+                        "--scale", str(workspace / "no_scale.txt"), *flags,
+                        "--out-trajectory", str(workspace / "est.txt")])
+        assert code == EXIT_USAGE
+        assert "--scale fixes every arc length" in capsys.readouterr().err
+
+    def test_unknown_loss_kind_is_usage_error(self, workspace, capsys):
+        code = run_cli(["estimate", "--rig", str(workspace / "rig.txt"),
+                        "--matches", str(workspace / "matches.csv"),
+                        "--loss", "huber",
+                        "--out-trajectory", str(workspace / "est.txt")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--loss" in err and "huber" in err
 
     def test_bad_matches_file(self, workspace, capsys):
         (workspace / "bad.csv").write_text("not,a,match,header\n")
@@ -478,14 +501,23 @@ class TestEval:
                             (workspace / f"{lengths}.csv").read_text()))
         assert outputs[1] == outputs[0]
 
-    def test_zero_length_is_data_error(self, workspace, capsys):
+    def test_zero_length_is_usage_error(self, workspace, capsys):
         simulate(workspace)
         code = run_cli(["eval", "--est", str(workspace / "gt.txt"),
                         "--gt", str(workspace / "gt.txt"),
                         "--lengths", "3,0"])
-        assert code == EXIT_DATA
+        assert code == EXIT_USAGE
         assert "segment length 0.0 must be finite and positive" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("lengths", ["abc", "3,nan", "inf", "-1"])
+    def test_bad_length_is_usage_error_before_any_read(self, workspace,
+                                                       capsys, lengths):
+        code = run_cli(["eval", "--est", str(workspace / "no_est.txt"),
+                        "--gt", str(workspace / "no_gt.txt"),
+                        f"--lengths={lengths}"])
+        assert code == EXIT_USAGE
+        assert "argument --lengths" in capsys.readouterr().err
 
     def test_too_short_is_data_error(self, workspace, capsys):
         simulate(workspace)

@@ -176,23 +176,23 @@ class TestPinholeCamera:
 
     def test_principal_point(self):
         cam = PinholeCamera(PinholeIntrinsics(1, 1, 0, 0))
-        assert np.allclose(cam.pixel_to_bearing([0.0, 0.0]), [0, 0, 1])
+        assert np.allclose(cam.pixel_to_bearing([[0.0, 0.0]]), [[0, 0, 1]])
 
     def test_45_degree_ray(self):
         cam = PinholeCamera(PinholeIntrinsics(100, 100, 0, 0))
         expected = np.array([1.0, 0.0, 1.0]) / np.sqrt(2)
-        assert np.allclose(cam.pixel_to_bearing([100.0, 0.0]), expected)
+        assert np.allclose(cam.pixel_to_bearing([[100.0, 0.0]]), [expected])
 
     def test_project_examples(self):
         cam = PinholeCamera(PinholeIntrinsics(1, 1, 0, 0))
-        assert np.allclose(cam.project([0.0, 0.0, 5.0]), [0, 0])
+        assert np.allclose(cam.project([[0.0, 0.0, 5.0]]), [[0, 0]])
         cam2 = PinholeCamera(PinholeIntrinsics(100, 100, 50, 50))
-        assert np.allclose(cam2.project([1.0, 1.0, 1.0]), [150, 150])
+        assert np.allclose(cam2.project([[1.0, 1.0, 1.0]]), [[150, 150]])
 
     def test_behind_camera(self):
         cam = PinholeCamera(PinholeIntrinsics(1, 1, 0, 0))
         with pytest.raises(BehindCamera):
-            cam.project([0.0, 0.0, -1.0])
+            cam.project([[0.0, 0.0, -1.0]])
 
     def test_round_trip_direction(self):
         cam = PinholeCamera(PinholeIntrinsics(700, 720, 640, 480, skew=0.5))
@@ -227,7 +227,7 @@ class TestGenericCamera:
     def test_out_of_domain(self):
         _, gen = self.build()
         with pytest.raises(OutOfDomain):
-            gen.pixel_to_bearing([5000.0, 0.0])
+            gen.pixel_to_bearing([[5000.0, 0.0]])
 
 
 def test_forward_camera_extrinsic_axes():

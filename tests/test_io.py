@@ -204,7 +204,14 @@ class TestRigFiles:
     @pytest.mark.parametrize("old, new, line, message", [
         ("image_size", "image_sise", 4, "unknown key 'image_sise'"),
         ("model pinhole\n", "model pinhole\nid 2\n", 3,
-         "key 'id' repeats line 1")], ids=["unknown", "repeated"])
+         "key 'id' repeats line 1"),
+        ("id 0\n", "id 0 7\n", 1, "id takes one value"),
+        ("model pinhole\n", "model pinhole generic\n", 2,
+         "model takes one value"),
+        ("model pinhole\nintrinsics 700.0 700.0 640.0 480.0",
+         "model generic\ntable my table.txt", 3, "table takes one value")],
+        ids=["unknown", "repeated", "id-two-values", "model-two-values",
+             "table-two-values"])
     def test_bad_key_reports_line(self, tmp_path, old, new, line, message):
         p = tmp_path / "rig.txt"
         p.write_text(RIG_TEXT.replace(old, new, 1))
@@ -681,7 +688,7 @@ class TestScenarioFiles:
                 "noise.outlier_fraction = 0.1\n"
                 "truth.yaw = 0.02\n"
                 "truth.arc_length = 1.3\n"
-                "truth.free = yaw, arc_length\n" + extra)
+                "truth.pitch = 0.01\n" + extra)
         p = tmp_path / "scenario.txt"
         p.write_text(text)
         return p
@@ -694,7 +701,7 @@ class TestScenarioFiles:
         assert sc.noise.pixel_sigma == 0.5
         assert sc.noise.seed == 6
         assert sc.truth.yaw == 0.02
-        assert sc.truth.free == ("yaw", "arc_length")
+        assert sc.truth.pitch == 0.01
         assert len(sc.rig.cameras) == 2
         assert sc.sequence is None
 
@@ -749,8 +756,9 @@ class TestScenarioFiles:
     @pytest.mark.parametrize("extra, message", [
         ("noise.pixel_sigm = 3.0\n", "unknown key 'noise.pixel_sigm'"),
         ("scene.num_point = 5\n", "unknown key 'scene.num_point'"),
-        ("seed = 9\n", "key 'seed' repeats line 2")],
-        ids=["unknown-sigma", "unknown-points", "repeated"])
+        ("seed = 9\n", "key 'seed' repeats line 2"),
+        ("truth.free = yaw\n", "unknown key 'truth.free'")],
+        ids=["unknown-sigma", "unknown-points", "repeated", "truth-free"])
     def test_bad_key_reports_line(self, tmp_path, extra, message):
         with pytest.raises(ParseError, match=message) as err:
             load_scenario(self.write_scenario(tmp_path, extra))
@@ -784,7 +792,7 @@ SCENARIO_VALUES = {
     "noise.pixel_sigma": "0.5", "noise.outlier_fraction": "0.1",
     "noise.outlier_mode": "wrong_association", "noise.seed": "4",
     "truth.yaw": "0.02", "truth.arc_length": "1.3", "truth.pitch": "0.01",
-    "truth.roll": "-0.01", "truth.free": "yaw, arc_length",
+    "truth.roll": "-0.01",
     "sequence.segments": "3:0.0, 4:0.02"}
 
 
@@ -916,10 +924,8 @@ class TestParserFuzz:
         assert load_scenario(path).sequence.segments == ((3, 0.0), (4, 0.02))
         i = data.draw(st.integers(0, len(lines) - 1))
         key = keys[i]
-        # any other path names a file; dropping a free field leaves a
-        # valid list
-        kinds = {"rig": ["drop"], "truth.free": list(REPLACEMENTS)}.get(
-            key, ["drop", *REPLACEMENTS])
+        # any other path names a file
+        kinds = ["drop"] if key == "rig" else ["drop", *REPLACEMENTS]
         kind = data.draw(st.sampled_from(kinds))
         # values split at ':' and ',' into tokens (even indices) and
         # separators; a dropped token leaves its separators in place

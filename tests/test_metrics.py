@@ -72,14 +72,14 @@ class TestRobustLoss:
         _, deriv = loss.evaluate(1e6 * 0.0065 ** 2)
         assert deriv < 1e-5
 
-    @pytest.mark.parametrize("kind", ["none", "cauchy", "huber", "tukey"])
+    @pytest.mark.parametrize("kind", ["none", "cauchy"])
     def test_zero_value_and_unit_slope(self, kind):
         loss = RobustLoss(kind, 0.5)
         value, deriv = loss.evaluate(0.0)
         assert value == 0.0
         assert deriv == 1.0
 
-    @pytest.mark.parametrize("kind", ["none", "cauchy", "huber", "tukey"])
+    @pytest.mark.parametrize("kind", ["none", "cauchy"])
     def test_value_is_integral_of_derivative(self, kind):
         # quadrature oracle: composite Simpson over [0, s]
         loss = RobustLoss(kind, 0.3)
@@ -92,7 +92,7 @@ class TestRobustLoss:
             value, _ = loss.evaluate(s)
             assert abs(value - integral) < 1e-8
 
-    @pytest.mark.parametrize("kind", ["none", "cauchy", "huber", "tukey"])
+    @pytest.mark.parametrize("kind", ["none", "cauchy"])
     def test_monotone_on_squared_residuals(self, kind):
         loss = RobustLoss(kind, 0.2)
         values, _ = loss.evaluate(np.linspace(0, 5, 500))
