@@ -16,7 +16,8 @@ kernel takes; a MotionParams is built only for the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -89,12 +90,32 @@ class EstimateResult:
     termination: str
     residuals: np.ndarray          # signed, NaN for skipped matches
     skipped_matches: int
-    condition_note: str            # "ok" | "scale_unobservable" | "few_matches"
-    sigma: dict                    # free field -> std dev; {} if non_finite
+    # (J^T J, z^T z, m) of the final state's m weighted residuals z and
+    # their Jacobian J over params.free: what sigma is computed from
+    gram: tuple
+    # "ok" | "scale_unobservable" | "few_matches"; only a free arc reads sigma
+    condition_note: str = field(init=False)
+
+    def __post_init__(self):
+        kept = len(self.residuals) - self.skipped_matches
+        arc_bound = SCALE_SIGMA_REL_BOUND * abs(self.params.arc_length)
+        note = ("few_matches" if kept < FEW_MATCHES_THRESHOLD
+                else "ok" if "arc_length" not in self.params.free
+                or self.sigma.get("arc_length", 0.0) <= arc_bound
+                else "scale_unobservable")
+        object.__setattr__(self, "condition_note", note)
 
     @property
     def converged(self) -> bool:
         return self.termination in CONVERGED_TERMINATIONS
+
+    @cached_property
+    def sigma(self) -> dict:
+        """Free field -> std dev; {} if the final energy is not finite.
+        Computed on first read and cached."""
+        if not np.isfinite(self.final_energy):
+            return {}
+        return dict(zip(self.params.free, _sigma(*self.gram)))
 
 
 def _solver_state(row, free, frame: RigFrame, loss):
@@ -113,7 +134,7 @@ def _solver_state(row, free, frame: RigFrame, loss):
             "all per-camera motions have zero translation")
     mask = valid[0]
     kept = components[0, mask]
-    rho, drho = loss.evaluate(np.sum(kept ** 2, axis=-1))
+    rho, drho = loss.evaluate(np.einsum("nc,nc->n", kept, kept))
     weight = np.sqrt(drho)[:, None]
     return ((weight * kept).ravel(),
             (weight[..., None] * jac[0, mask]).reshape(kept.size, -1),
@@ -122,13 +143,13 @@ def _solver_state(row, free, frame: RigFrame, loss):
 
 
 @np.errstate(all="ignore")      # a degenerate J gives inf, not a warning
-def _sigma(z, J):
+def _sigma(JTJ, zTz, m):
     """sqrt(diag((J^T J)^+) z^T z / (m - p)) over m residuals and p free
     fields, the pseudo-inverse over eigenvalues above p eps times the
     largest; inf for a field with squared components above p eps in the
     other (null) eigenvectors, and for all if m <= p or J^T J is zero or
     not finite."""
-    (m, p), JTJ = J.shape, J.T @ J
+    p = len(JTJ)
     tol = p * np.finfo(float).eps
     w, V = np.linalg.eigh(JTJ) if np.isfinite(JTJ).all() else (np.zeros(1), 0)
     kept = w > w[-1:] * tol
@@ -137,7 +158,7 @@ def _sigma(z, J):
     V2 = V ** 2
     var = (V2 / np.where(kept, w, np.inf)).sum(axis=1)
     var[V2 @ ~kept > tol] = np.inf
-    return np.sqrt(var * (z @ z) / (m - p))
+    return np.sqrt(var * zTz / (m - p))
 
 
 def estimate(rig: CameraRig, match_sets, prior: MotionParams,
@@ -208,18 +229,14 @@ def estimate(rig: CameraRig, match_sets, prior: MotionParams,
     if termination is None:
         termination = "max_iter"
 
-    sigma = dict(zip(prior.free, _sigma(z, J))) if np.isfinite(energy) else {}
-    arc_bound = SCALE_SIGMA_REL_BOUND * abs(row[0, 1])
-    note = ("few_matches" if total_matches - skipped < FEW_MATCHES_THRESHOLD
-            else "ok" if sigma.get("arc_length", 0.0) <= arc_bound
-            else "scale_unobservable")
-
+    # an overflowing J^T J gives inf sigma, not a warning
+    with np.errstate(all="ignore"):
+        gram = (J.T @ J, z @ z, len(z))
     params = prior.with_values(**{f: float(row[0, PARAM_FIELDS.index(f)])
                                   for f in prior.free})
     return EstimateResult(params=params, final_energy=energy,
                           iterations=iterations, termination=termination,
-                          residuals=raw, skipped_matches=skipped,
-                          condition_note=note, sigma=sigma)
+                          residuals=raw, skipped_matches=skipped, gram=gram)
 
 
 @dataclass(frozen=True)

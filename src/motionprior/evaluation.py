@@ -52,7 +52,10 @@ def _between(rot_a, t_a, rot_b, t_b):
 
 
 def check_lengths(lengths):
-    """The lengths; ValueError on the first not finite and positive."""
+    """The lengths; ValueError if there is none, or on the first not
+    finite and positive."""
+    if not len(lengths):
+        raise ValueError("at least one segment length is needed")
     for length in lengths:
         if not 0 < length < np.inf:
             raise ValueError(f"segment length {length!r} must be finite "

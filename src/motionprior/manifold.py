@@ -203,7 +203,8 @@ def multi_camera_energy(rows, frame: RigFrame, loss: RobustLoss):
     energies = np.empty(len(rows))
     for i in range(0, len(rows), step):
         components, valid, usable = rig_residuals(rows[i:i + step], frame)
-        rho, _ = loss.evaluate(np.sum(components ** 2, axis=-1))
+        rho, _ = loss.evaluate(np.einsum("...c,...c->...", components,
+                                         components))
         energies[i:i + step] = np.where(
             usable, np.sum(rho, axis=-1, where=valid), np.inf)
     energies[~(np.abs(rows[:, 0]) < np.pi)] = np.inf

@@ -2,10 +2,11 @@
 
 They follow the per-camera pose path: conjugate the vehicle motion to a
 camera, form its essential (and, for pixels, fundamental) matrix, and
-evaluate each metric on it match by match; the per-segment Pose path of
-the trajectory evaluation; the cell-by-cell match writer, the line-by-line
-number parser and the Pose path of the simulator's projection. None of
-this is on the package's paths.
+evaluate each metric on it match by match; sigma formed from the final
+solver state in one pass; the per-segment Pose path of the trajectory
+evaluation; the cell-by-cell match writer, the line-by-line number parser
+and the Pose path of the simulator's projection. None of this is on the
+package's paths.
 """
 
 import warnings
@@ -111,6 +112,23 @@ def internal_gradient(rig, match_sets, p, loss, metric) -> np.ndarray:
     frame = RigFrame.from_matches(rig, match_sets, metric)
     z, J = _solver_state(params_rows(p), p.free, frame, loss)[:2]
     return 2.0 * J.T @ z
+
+
+@np.errstate(all="ignore")
+def eager_sigma(z, J) -> np.ndarray:
+    """Per-field sigma formed from the solver state's z and J in one pass,
+    as estimate formed it for every result before it kept only J^T J,
+    z^T z and m."""
+    (m, p), JTJ = J.shape, J.T @ J
+    tol = p * np.finfo(float).eps
+    w, V = np.linalg.eigh(JTJ) if np.isfinite(JTJ).all() else (np.zeros(1), 0)
+    kept = w > w[-1:] * tol
+    if m <= p or not kept.any():
+        return np.full(p, np.inf)
+    V2 = V ** 2
+    var = (V2 / np.where(kept, w, np.inf)).sum(axis=1)
+    var[V2 @ ~kept > tol] = np.inf
+    return np.sqrt(var * (z @ z) / (m - p))
 
 
 def numeric_gradient(rig, match_sets, p, loss, metric, h) -> np.ndarray:

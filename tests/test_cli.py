@@ -519,6 +519,16 @@ class TestEval:
         assert code == EXIT_USAGE
         assert "argument --lengths" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lengths", [",", " , "])
+    def test_no_length_is_usage_error_before_any_read(self, workspace,
+                                                      capsys, lengths):
+        code = run_cli(["eval", "--est", str(workspace / "no_est.txt"),
+                        "--gt", str(workspace / "no_gt.txt"),
+                        f"--lengths={lengths}"])
+        assert code == EXIT_USAGE
+        assert "at least one segment length is needed" in \
+            capsys.readouterr().err
+
     def test_too_short_is_data_error(self, workspace, capsys):
         simulate(workspace)
         code = run_cli(["eval", "--est", str(workspace / "gt.txt"),

@@ -5,15 +5,17 @@ from motionprior.estimator import (CONVERGED_TERMINATIONS,
                                    ENERGY_DECREASE_REL_TOL, EstimateResult,
                                    EstimatorOptions, GridSpec, Landscape,
                                    LandscapeGrid, NoMatches, _sigma,
-                                   classify_inliers, energy_landscape,
-                                   estimate)
+                                   _solver_state, classify_inliers,
+                                   energy_landscape, estimate)
 from motionprior.geometry import (DegenerateTranslation, PinholeCamera,
                                   PinholeIntrinsics, forward_camera_extrinsic)
-from motionprior.manifold import CameraRig, MotionParams, RigCamera
+from motionprior.manifold import (CameraRig, MotionParams, RigCamera,
+                                  params_rows)
 from motionprior.metrics import MetricKind, RigFrame, RobustLoss
 from motionprior.simulate import (NoiseSpec, SceneSpec, generate_matches,
                                   generate_scene)
-from oracles import energy_at, internal_gradient, numeric_gradient, subset
+from oracles import (eager_sigma, energy_at, internal_gradient,
+                     numeric_gradient, subset)
 
 INTR = PinholeIntrinsics(700.0, 700.0, 640.0, 480.0)
 ANGLE = MetricKind.ANGLEPLANE
@@ -344,8 +346,43 @@ class TestSigma:
         np.array([[1e-160, 0.0], [0.0, 1e-160]] * 3)],  # (J^T J)^-1 does
         ids=["singular", "few-rows", "nan", "overflow", "underflow"])
     def test_degenerate_jacobian_gives_inf_without_warning(self, J):
-        # pytest turns any warning into a failure here
-        assert (_sigma(np.ones(len(J)), J) == np.inf).all()
+        # pytest turns any warning into a failure here; the overflowing
+        # J^T J is formed under np.errstate, as estimate forms it
+        with np.errstate(over="ignore"):
+            JTJ = J.T @ J
+        assert (_sigma(JTJ, float(len(J)), len(J)) == np.inf).all()
+
+    @pytest.mark.parametrize("case", ["yaw-only", "arc-free", "non-finite",
+                                      "singular"])
+    def test_lazy_sigma_equals_eager(self, case):
+        # sigma read from the result is, bit for bit, the reference formed
+        # in one pass from the z and J of the final solver state
+        truth = MotionParams(yaw=0.1, arc_length=1.0,
+                             free=("yaw", "arc_length"))
+        rig, sets, prior = RIG2, noisy_curve(3), truth
+        opts = EstimatorOptions()
+        if case == "yaw-only":
+            prior = truth.with_values(free=("yaw",))
+        elif case == "non-finite":
+            opts = EstimatorOptions(metric=MetricKind.GEOLINE,
+                                    loss=RobustLoss("cauchy", 1.5e-154))
+        elif case == "singular":
+            rig = make_rig([[0.0, 0.0, 0.0]])
+            sets, _ = simulated(rig, truth, seed=1, sigma=0.5,
+                                num_points=150)
+        with np.errstate(over="ignore"):
+            result = estimate(rig, sets, prior, opts)
+            frame = RigFrame.from_matches(rig, sets, opts.metric)
+            z, J = _solver_state(params_rows(result.params),
+                                 result.params.free, frame, opts.loss)[:2]
+        expected = (dict(zip(prior.free, eager_sigma(z, J)))
+                    if np.isfinite(result.final_energy) else {})
+        assert result.sigma == expected
+        assert result.sigma is result.sigma
+        if case == "non-finite":
+            assert expected == {}
+        elif case == "singular":
+            assert result.sigma["arc_length"] == np.inf
 
     def test_fields(self):
         truth = MotionParams(yaw=0.05, arc_length=1.0, free=("yaw",))
@@ -464,8 +501,8 @@ class TestClassifyInliers:
     def make_result(self, residuals):
         truth = MotionParams(yaw=0.0, arc_length=1.0)
         return EstimateResult(truth, 0.0, 0, "grad_tol",
-                              np.asarray(residuals, dtype=float), 0, "ok",
-                              {})
+                              np.asarray(residuals, dtype=float), 0,
+                              (np.zeros((1, 1)), 0.0, 0))
 
     def test_infinite_threshold(self):
         result = self.make_result([0.1, -5.0, 100.0])

@@ -677,24 +677,33 @@ class TestAgainstReferences:
 
 
 class TestScenarioFiles:
+    LINES = ["rig = rig.txt", "seed = 5", "scene.num_points = 120",
+             "scene.depth_min = 4.0", "scene.depth_max = 30.0",
+             "noise.pixel_sigma = 0.5", "noise.outlier_fraction = 0.1",
+             "truth.yaw = 0.02", "truth.arc_length = 1.3",
+             "truth.pitch = 0.01"]
+
     def write_scenario(self, tmp_path, extra=""):
+        """The scenario file with each line of `extra` in place of the
+        line that sets its key, else appended; returns the path and the
+        number of the line where the last line of `extra` went."""
         (tmp_path / "rig.txt").write_text(RIG_TEXT)
-        text = ("rig = rig.txt\n"
-                "seed = 5\n"
-                "scene.num_points = 120\n"
-                "scene.depth_min = 4.0\n"
-                "scene.depth_max = 30.0\n"
-                "noise.pixel_sigma = 0.5\n"
-                "noise.outlier_fraction = 0.1\n"
-                "truth.yaw = 0.02\n"
-                "truth.arc_length = 1.3\n"
-                "truth.pitch = 0.01\n" + extra)
+        lines, lineno = list(self.LINES), None
+        keys = [line.partition("=")[0].strip() for line in lines]
+        for line in extra.splitlines():
+            key = line.partition("=")[0].strip()
+            if key in keys:
+                lineno = keys.index(key) + 1
+                lines[lineno - 1] = line
+            else:
+                lines.append(line)
+                lineno = len(lines)
         p = tmp_path / "scenario.txt"
-        p.write_text(text)
-        return p
+        p.write_text("".join(line + "\n" for line in lines))
+        return p, lineno
 
     def test_load(self, tmp_path):
-        sc = load_scenario(self.write_scenario(tmp_path))
+        sc = load_scenario(self.write_scenario(tmp_path)[0])
         assert sc.scene.num_points == 120
         assert sc.scene.depth_range == (4.0, 30.0)
         assert sc.scene.seed == 5
@@ -706,8 +715,8 @@ class TestScenarioFiles:
         assert sc.sequence is None
 
     def test_sequence_segments(self, tmp_path):
-        p = self.write_scenario(tmp_path,
-                                "sequence.segments = 100:0.0, 40:0.02\n")
+        p, _ = self.write_scenario(tmp_path,
+                                   "sequence.segments = 100:0.0, 40:0.02\n")
         sc = load_scenario(p)
         assert sc.sequence.segments == ((100, 0.0), (40, 0.02))
         yaws = sc.sequence.yaw_per_frame()
@@ -727,42 +736,62 @@ class TestScenarioFiles:
             load_scenario(p)
         assert err.value.line == 2
 
-    @pytest.mark.parametrize("extra", ["truth.arc_length = nan\n",
-                                       "sequence.segments = 3:0.0, 4:inf\n"])
-    def test_non_finite_value_reports_line(self, tmp_path, extra):
+    def error_message(self, tmp_path, extra):
+        """The ParseError message of the scenario with `extra`, checked to
+        name the line where the last line of `extra` went."""
+        p, lineno = self.write_scenario(tmp_path, extra)
         with pytest.raises(ParseError) as err:
-            load_scenario(self.write_scenario(tmp_path, extra))
-        assert err.value.line == 11
+            load_scenario(p)
+        assert err.value.line == lineno
+        return str(err.value).partition(f":{lineno}: ")[2]
 
-    @pytest.mark.parametrize("extra", [
-        "truth.free = yaw,bogus\n", "truth.yaw = 4\n",
-        "scene.num_points = 0\n", "scene.depth_min = -1\n",
-        "scene.depth_max = 3.0\n", "noise.pixel_sigma = -1\n",
-        "noise.outlier_fraction = 2\n", "noise.outlier_mode = foo\n",
-        "seed = -1\n", "scene.seed = -2\n", "noise.seed = -1\n", "rig =\n",
-        "sequence.segments = -3:0.1\n", "sequence.segments = 5:4.0\n",
-        "sequence.segments = 3:0.0, 0:0.1\n"],
+    NON_FINITE = {"truth.arc_length = nan\n": "value is NaN or inf",
+                  "sequence.segments = 3:0.0, 4:inf\n":
+                  "sequence.segments needs count >= 1 and |yaw| < pi in "
+                  "every count:yaw"}
+
+    @pytest.mark.parametrize("extra, message", NON_FINITE.items(),
+                             ids=list(NON_FINITE))
+    def test_non_finite_value_reports_line(self, tmp_path, extra, message):
+        assert self.error_message(tmp_path, extra) == message
+
+    @pytest.mark.parametrize("extra, message", [
+        ("truth.free = yaw,bogus\n", "unknown key 'truth.free'"),
+        ("truth.yaw = 4\n", "truth.yaw must lie in (-pi, pi)"),
+        ("scene.num_points = 0\n", "scene.num_points must be >= 1"),
+        ("scene.depth_min = -1\n", "scene.depth_min must be > 0"),
+        ("scene.depth_max = 3.0\n",
+         "scene.depth_max must be >= scene.depth_min"),
+        ("noise.pixel_sigma = -1\n", "noise.pixel_sigma must be >= 0"),
+        ("noise.outlier_fraction = 2\n",
+         "noise.outlier_fraction must lie in [0, 1]"),
+        ("noise.outlier_mode = foo\n", "noise.outlier_mode must be one of "
+         "uniform_image, wrong_association"),
+        ("seed = -1\n", "seed must be >= 0"),
+        ("scene.seed = -2\n", "scene.seed must be >= 0"),
+        ("noise.seed = -1\n", "noise.seed must be >= 0"),
+        ("rig =\n", "rig needs a path"),
+        *[(f"sequence.segments = {segments}\n",
+           "sequence.segments needs count >= 1 and |yaw| < pi in every "
+           "count:yaw") for segments in ("-3:0.1", "5:4.0", "3:0.0, 0:0.1")]],
         ids=["free-unknown", "yaw-beyond-pi", "no-points",
              "depth-min-negative", "depth-max-below-min",
              "sigma-negative", "outlier-fraction-above-one",
              "outlier-mode-unknown", "seed-negative", "scene-seed-negative",
              "noise-seed-negative", "rig-empty", "segment-count-negative",
              "segment-yaw-beyond-pi", "segment-count-zero"])
-    def test_out_of_range_value_reports_line(self, tmp_path, extra):
-        with pytest.raises(ParseError) as err:
-            load_scenario(self.write_scenario(tmp_path, extra))
-        assert err.value.line == 11
+    def test_out_of_range_value_reports_line(self, tmp_path, extra, message):
+        assert self.error_message(tmp_path, extra) == message
 
     @pytest.mark.parametrize("extra, message", [
         ("noise.pixel_sigm = 3.0\n", "unknown key 'noise.pixel_sigm'"),
         ("scene.num_point = 5\n", "unknown key 'scene.num_point'"),
-        ("seed = 9\n", "key 'seed' repeats line 2"),
+        ("scene.seed = 3\nscene.seed = 4\n",
+         "key 'scene.seed' repeats line 11"),
         ("truth.free = yaw\n", "unknown key 'truth.free'")],
         ids=["unknown-sigma", "unknown-points", "repeated", "truth-free"])
     def test_bad_key_reports_line(self, tmp_path, extra, message):
-        with pytest.raises(ParseError, match=message) as err:
-            load_scenario(self.write_scenario(tmp_path, extra))
-        assert err.value.line == 11
+        assert self.error_message(tmp_path, extra) == message
 
     def test_depth_min_above_default_max_reports_line(self, tmp_path):
         (tmp_path / "rig.txt").write_text(RIG_TEXT)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from motionprior import estimator, pipeline
 from motionprior.estimator import EstimatorOptions
 from motionprior.geometry import (TRANSLATION_EPS, GenericCamera,
                                   PinholeCamera, PinholeIntrinsics,
@@ -180,6 +181,36 @@ class TestRunSequence:
         final = outcomes[-1]
         assert "arc_length" not in final.params.free
         assert abs(final.params.arc_length - 1.5) < 1e-3
+
+    @pytest.mark.parametrize("scale", [FixedScale([1.5] * 6),
+                                       FreeInCurves(1.0)],
+                             ids=["fixed-scale", "free-in-curves"])
+    def test_sigma_computed_when_note_or_caller_reads_it(self, monkeypatch,
+                                                         scale):
+        # only a free arc's condition note reads sigma; any other sigma is
+        # computed when a caller first reads it, and then only once
+        records = make_records(RIG2, [0.0, 0.04, 0.04, 0.04, 0.0, 0.0],
+                               arc=1.5)
+        sigma_calls, arc_free = [], []
+
+        def counted_sigma(*args):
+            sigma_calls.append(args)
+            return real_sigma(*args)
+
+        def counted_estimate(rig, sets, prior, opts):
+            arc_free.append("arc_length" in prior.free)
+            return real_estimate(rig, sets, prior, opts)
+
+        real_sigma, real_estimate = estimator._sigma, pipeline.estimate
+        monkeypatch.setattr(estimator, "_sigma", counted_sigma)
+        monkeypatch.setattr(pipeline, "estimate", counted_estimate)
+        _, outcomes = run_sequence(RIG2, records, scale)
+        assert len(sigma_calls) == sum(arc_free)
+        assert sum(arc_free) == (0 if isinstance(scale, FixedScale) else 3)
+        for _ in range(2):
+            assert all(o.result.sigma for o in outcomes)
+        held = sum("arc_length" not in o.params.free for o in outcomes)
+        assert len(sigma_calls) == sum(arc_free) + held
 
     def test_failed_frame_carries_prior(self):
         records = make_records(RIG1, [0.02, 0.02])
