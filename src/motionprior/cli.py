@@ -14,15 +14,17 @@ import argparse
 import json
 import math
 import sys
+from contextlib import closing
 from itertools import chain
 
 from .estimator import EstimatorOptions, LandscapeGrid, energy_landscape
 from .evaluation import (DEFAULT_LENGTHS, TrajectoryTooShort, check_lengths,
                          evaluate)
 from .geometry import DegenerateTranslation, GeometryError
-from .io_formats import (NoRecords, ParseError, _write_rows, load_matches,
-                         load_rig, load_scale, load_scenario, load_trajectory,
-                         write_matches, write_scale, write_trajectory)
+from .io_formats import (NoRecords, ParseError, _write_rows, iter_matches,
+                         load_matches, load_rig, load_scale, load_scenario,
+                         load_trajectory, write_matches, write_scale,
+                         write_trajectory)
 from .manifold import MotionParams
 from .metrics import MetricKind, RobustLoss
 from .pipeline import (FixedScale, FreeInCurves, match_sets_from_record,
@@ -202,12 +204,15 @@ def _cmd_landscape(args):
                          f"{args.arc_steps} exceeds {MAX_LANDSCAPE_CELLS} "
                          "grid cells")
     rig = load_rig(args.rig)
-    records = load_matches(args.matches)
-    if not 0 <= args.pair_index < len(records):
-        raise UsageError(f"--pair-index {args.pair_index} is outside "
-                         f"[0, {len(records)}): the input holds "
-                         f"{len(records)} frame pairs")
-    record = records[args.pair_index]
+    # read up to the chosen pair; the pair count needs the whole file
+    with closing(iter_matches(args.matches)) as records:
+        for count, record in enumerate(records, 1):
+            if count == args.pair_index + 1:
+                break
+        else:
+            raise UsageError(f"--pair-index {args.pair_index} is outside "
+                             f"[0, {count}): the input holds {count} frame "
+                             "pairs")
     _check_cameras(rig, [record], args.matches, args.rig)
     grid = LandscapeGrid((args.yaw_min, args.yaw_max), args.yaw_steps,
                          (args.arc_min, args.arc_max), args.arc_steps)

@@ -121,25 +121,23 @@ class EstimateResult:
 def _solver_state(row, free, frame: RigFrame, loss):
     """IRLS residual vector z = sqrt(rho') r and its Jacobian
     J = sqrt(rho') dr/dx over the `free` fields (2 J^T z is the gradient
-    of the robust energy), the signed raw residual per match (NaN for
-    skipped), the skip count and the robust energy at one (1, 4) row.
-    Raises ValueError outside the domain of MotionParams (|yaw| < pi,
-    every value finite) and DegenerateTranslation when no populated
-    camera translates."""
+    of the robust energy), the residual components (N, c), the validity
+    mask (N,) and the robust energy at one (1, 4) row. Invalid matches
+    stay in z and J with weight 0. Raises ValueError outside the domain of
+    MotionParams (|yaw| < pi, every value finite) and
+    DegenerateTranslation when no populated camera translates."""
     if not (abs(row[0, 0]) < np.pi and np.isfinite(row).all()):
         raise ValueError("row outside the motion manifold")
     components, valid, usable, jac = rig_residuals(row, frame, free)
     if not usable[0]:
         raise DegenerateTranslation(
             "all per-camera motions have zero translation")
-    mask = valid[0]
-    kept = components[0, mask]
-    rho, drho = loss.evaluate(np.einsum("nc,nc->n", kept, kept))
-    weight = np.sqrt(drho)[:, None]
-    return ((weight * kept).ravel(),
-            (weight[..., None] * jac[0, mask]).reshape(kept.size, -1),
-            np.where(mask, components[0, :, 0], np.nan),
-            len(mask) - int(np.count_nonzero(mask)), float(np.sum(rho)))
+    r, valid = components[0], valid[0]
+    rho, drho = loss.evaluate(np.einsum("nc,nc->n", r, r))
+    weight = (np.sqrt(drho) * valid)[:, None]
+    return ((weight * r).ravel(),
+            (weight[..., None] * jac[0]).reshape(r.size, -1), r, valid,
+            float(np.sum(rho, where=valid)))
 
 
 @np.errstate(all="ignore")      # a degenerate J gives inf, not a warning
@@ -170,7 +168,6 @@ def estimate(rig: CameraRig, match_sets, prior: MotionParams,
         raise NoMatches("estimation needs at least one match")
     frame = RigFrame.from_matches(rig, match_sets, opts.metric)
 
-    cols = [PARAM_FIELDS.index(f) for f in prior.free]
     row = params_rows(prior)
     if opts.fallback_grid is not None:
         # grid cells, then the prior: the best cell must be at least as low
@@ -180,15 +177,17 @@ def estimate(rig: CameraRig, match_sets, prior: MotionParams,
         if best is not None and energies[best] <= energies[-1]:
             row = rows[best:best + 1]
 
-    z, J, raw, skipped, energy = _solver_state(row, prior.free, frame,
-                                               opts.loss)
-    termination = None if cols else "grad_tol"
+    z, J, components, valid, energy = _solver_state(row, prior.free, frame,
+                                                    opts.loss)
+    termination = None if prior.free else "grad_tol"
     if not np.isfinite(energy):
         # the loop accepts only strictly lower energies; none is below NaN
         # or inf
         termination = "non_finite"
     iterations = 0
     lam = DAMPING_INIT
+    free_rows = np.eye(4)[[PARAM_FIELDS.index(f) for f in prior.free]]
+    eye = np.eye(len(free_rows))
     while termination is None and iterations < opts.max_iterations:
         iterations += 1
         JTz = J.T @ z
@@ -200,12 +199,11 @@ def estimate(rig: CameraRig, match_sets, prior: MotionParams,
         termination = "no_descent"
         for _ in range(30):
             try:
-                step = np.linalg.solve(JTJ + lam * np.eye(len(cols)), -JTz)
+                step = np.linalg.solve(JTJ + lam * eye, -JTz)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            trial = row.copy()
-            trial[0, cols] += step
+            trial = row + step @ free_rows
             try:
                 t_state = _solver_state(trial, prior.free, frame, opts.loss)
             except (ValueError, DegenerateTranslation):
@@ -215,10 +213,10 @@ def estimate(rig: CameraRig, match_sets, prior: MotionParams,
                 small_decrease = (energy - t_state[-1]
                                   <= ENERGY_DECREASE_REL_TOL * energy)
                 row = trial
-                z, J, raw, skipped, energy = t_state
+                z, J, components, valid, energy = t_state
                 lam = max(lam / 3.0, 1e-15)
                 termination = None
-                if np.linalg.norm(step) <= STEP_TOL:
+                if np.sqrt(step @ step) <= STEP_TOL:
                     termination = "step_tol"
                 elif small_decrease:
                     termination = "energy_tol"
@@ -229,14 +227,16 @@ def estimate(rig: CameraRig, match_sets, prior: MotionParams,
     if termination is None:
         termination = "max_iter"
 
-    # an overflowing J^T J gives inf sigma, not a warning
+    kept = int(np.count_nonzero(valid))
+    # an overflowing J^T J gives inf sigma, not a warning; m: valid rows only
     with np.errstate(all="ignore"):
-        gram = (J.T @ J, z @ z, len(z))
+        gram = (J.T @ J, z @ z, kept * components.shape[1])
     params = prior.with_values(**{f: float(row[0, PARAM_FIELDS.index(f)])
                                   for f in prior.free})
     return EstimateResult(params=params, final_energy=energy,
                           iterations=iterations, termination=termination,
-                          residuals=raw, skipped_matches=skipped, gram=gram)
+                          residuals=np.where(valid, components[:, 0], np.nan),
+                          skipped_matches=len(valid) - kept, gram=gram)
 
 
 @dataclass(frozen=True)

@@ -268,17 +268,17 @@ def _frame_pair(rows):
         for cam in dict.fromkeys(cams.tolist())})
 
 
-def load_matches(path):
-    """Match CSV with header t0,t1,camera_id,u0,v0,u1,v1; one line per
-    match. A frame pair's lines are contiguous, and pairs come in strictly
-    increasing t0 order. Parsed in blocks of whole lines; a block's last
-    pair stays in `rows` until the next block or the end completes it."""
+def iter_matches(path):
+    """The frame pair records of a match CSV (see load_matches), in order.
+    The file is parsed in blocks of whole lines, and a pair is yielded once
+    the next pair's first line or the end is parsed, so a caller that stops
+    after pair k reads no block past the one that completes it."""
     with open(path, encoding="utf-8") as fh:
         lineno, text = next(_lines(fh), (1, ""))
         if [h.strip() for h in text.split(",")] != MATCH_HEADER:
             raise ParseError(path, lineno,
                              f"expected header {','.join(MATCH_HEADER)}")
-        records, rows, done, line = [], np.empty(0, MATCH_ROW), 0, lineno + 1
+        rows, done, line = np.empty(0, MATCH_ROW), 0, lineno + 1
         while block := fh.read(MATCH_BLOCK_CHARS) + fh.readline():
             rows = np.concatenate([rows, _numbers(
                 path, io.StringIO(block), MATCH_ROW, delimiter=",",
@@ -295,12 +295,19 @@ def load_matches(path):
                                  f"({t0[i - 1]}, {t1[i - 1]}): t0 must "
                                  "increase")
             bounds = [0, *starts.tolist()]
-            records += [_frame_pair(rows[a:b])
-                        for a, b in zip(bounds, bounds[1:])]
+            for a, b in zip(bounds, bounds[1:]):
+                yield _frame_pair(rows[a:b])
             done, rows = done + bounds[-1], rows[bounds[-1]:]
-    if not len(rows):
-        raise ParseError(path, lineno, "no match lines after the header")
-    return records + [_frame_pair(rows)]
+        if not len(rows):
+            raise ParseError(path, lineno, "no match lines after the header")
+        yield _frame_pair(rows)
+
+
+def load_matches(path):
+    """Match CSV with header t0,t1,camera_id,u0,v0,u1,v1; one line per
+    match. A frame pair's lines are contiguous, and pairs come in strictly
+    increasing t0 order. Returns the list of frame pair records."""
+    return list(iter_matches(path))
 
 
 def write_matches(records, path):
@@ -406,9 +413,13 @@ class Scenario:
 
 
 def _segments(value):
-    """`count:yaw, ...` -> ((count, yaw), ...); ValueError if malformed."""
-    return tuple((int(count), float(yaw)) for count, yaw in
-                 (item.split(":") for item in value.split(",")))
+    """`count:yaw, ...` -> ((count, yaw), ...); ValueError if malformed or
+    a yaw is NaN or inf."""
+    segments = tuple((int(count), float(yaw)) for count, yaw in
+                     (item.split(":") for item in value.split(",")))
+    if not np.isfinite([yaw for _, yaw in segments]).all():
+        raise ValueError("value is NaN or inf")
+    return segments
 
 
 def load_scenario(path) -> Scenario:

@@ -75,47 +75,47 @@ def motion_arrays(rows, wrt=None):
     over those fields, (K, P, 3, 3) and (K, P, 3)."""
     rows = np.asarray(rows, dtype=float).reshape(-1, 4)
     g = rows[:, 0]
-    closed = np.abs(g) >= YAW_SERIES_SWITCH
-    chord = np.zeros((len(rows), 3))
-    np.divide(np.sin(g), g, out=chord[:, 0], where=closed)
-    # 2 sin^2(g/2) keeps full precision where 1 - cos(g) cancels
-    np.divide(2.0 * np.sin(0.5 * g) ** 2, g, out=chord[:, 1], where=closed)
-    if np.count_nonzero(closed) < len(g):
-        gs = g[~closed]
-        chord[~closed, 0] = 1.0 - gs * gs / 6.0 + gs ** 4 / 120.0
-        chord[~closed, 1] = gs / 2.0 - gs ** 3 / 24.0
-    t = chord * rows[:, 1:2]
-    rot = rotation_z(g)
+    cos, sin = np.cos(g), np.sin(g)
+    rot = np.zeros((len(rows), 3, 3))
+    rot[:, 0, 0] = rot[:, 1, 1] = cos
+    rot[:, 1, 0], rot[:, 0, 1], rot[:, 2, 2] = sin, -sin, 1.0
+    # chord per unit arc, then d/dyaw: closed form (rot's (cos, sin) column;
+    # 2 sin^2(g/2) is exact where 1 - cos(g) cancels), series near zero yaw
+    chord = np.zeros((2, len(rows), 3))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        chord[0, :, 0] = sin / g
+        chord[0, :, 1] = 2.0 * np.sin(0.5 * g) ** 2 / g
+        if wrt is not None:
+            chord[1, :, :2] = (rot[:, :2, 0] - chord[0, :, :2]) / g[:, None]
+    if np.count_nonzero(near := np.abs(g) < YAW_SERIES_SWITCH):
+        gs = g[near]
+        chord[0, near, 0] = 1.0 - gs * gs / 6.0 + gs ** 4 / 120.0
+        chord[0, near, 1] = gs / 2.0 - gs ** 3 / 24.0
+        chord[1, near, 0] = -gs / 3.0 + gs ** 3 / 30.0
+        chord[1, near, 1] = 0.5 - gs * gs / 8.0
+    t = chord * rows[:, 1:2]                    # [t, dt / dyaw]
     if np.count_nonzero(rows[:, 2:]):
         tilted = rows[:, 2:].any(axis=1)
         rot[tilted] = (rot[tilted] @ rotation_y(rows[tilted, 2])
                        @ rotation_x(rows[tilted, 3]))
     if wrt is None:
-        return rot, t
-    # R = Rz(yaw) Ry(pitch) Rx(roll): dR/dyaw = [ez]x R, dR/droll = R [ex]x
+        return rot, t[0]
+    # R = Rz Ry Rx: dR/dyaw = [ez]x R, rows -R_1, R_0, 0; dR/droll = R [ex]x
     d_rot = np.zeros((len(rows), len(wrt), 3, 3))
     d_t = np.zeros((len(rows), len(wrt), 3))
     for k, field in enumerate(wrt):
         if field == "yaw":
-            d_rot[:, k] = _AXIS_SKEW[2] @ rot
-            d_chord = np.zeros_like(chord)
-            np.divide(np.cos(g) - chord[:, 0], g, out=d_chord[:, 0],
-                      where=closed)
-            np.divide(np.sin(g) - chord[:, 1], g, out=d_chord[:, 1],
-                      where=closed)
-            if np.count_nonzero(closed) < len(g):
-                gs = g[~closed]
-                d_chord[~closed, 0] = -gs / 3.0 + gs ** 3 / 30.0
-                d_chord[~closed, 1] = 0.5 - gs * gs / 8.0
-            d_t[:, k] = d_chord * rows[:, 1:2]
+            np.negative(rot[:, 1], out=d_rot[:, k, 0])
+            d_rot[:, k, 1] = rot[:, 0]
+            d_t[:, k] = t[1]
         elif field == "arc_length":
-            d_t[:, k] = chord
+            d_t[:, k] = chord[0]
         elif field == "pitch":
             d_rot[:, k] = (rotation_z(g) @ rotation_y(rows[:, 2])
                            @ _AXIS_SKEW[1] @ rotation_x(rows[:, 3]))
         else:
             d_rot[:, k] = rot @ _AXIS_SKEW[0]
-    return rot, t, d_rot, d_t
+    return rot, t[0], d_rot, d_t
 
 
 def pose_from_params(p: MotionParams) -> Pose:
@@ -160,24 +160,24 @@ def rig_residuals(rows, frame: RigFrame, wrt=None):
     """The batched residual kernel at K manifold points (rows [yaw,
     arc_length, pitch, roll]) over the frame's N matches. Returns
     components (K, N, c), the signed plane sine (c = 1) or line distances
-    d1, d0 (c = 2); valid (K, N), False on epipole-degenerate matches and
-    on cameras with |u| < TRANSLATION_EPS; and usable (K,), False on rows
-    where no camera translates. With `wrt`, a tuple of P field names, also
-    the components' derivatives (K, N, c, P), from
+    d1, d0 (c = 2); valid (K, N), False on epipole-degenerate matches, as
+    is every match of a camera with |u| < TRANSLATION_EPS (its M is 0);
+    and usable (K,), False on rows where no camera translates. With `wrt`,
+    a tuple of P field names, also the derivatives (K, N, c, P) from
     dM = [du]x R^T + [u]x dR^T, du = dR^T (te - t) - R^T dt."""
     rot, t, *d_motion = motion_arrays(rows, wrt)
     k_rows, cams = len(rot), len(frame.lever_arms)
     arm = frame.lever_arms - t[:, None]                 # (K, C, 3)
     u = arm @ rot - frame.lever_arms                     # R^T (te - t) - te
     cam_usable = np.einsum("kci,kci->kc", u, u) >= TRANSLATION_EPS ** 2
-    rt = np.swapaxes(rot, -1, -2)[:, None]
-    m = (_cross(u) @ rt).reshape(k_rows, 9 * cams)
+    rt, cross_u = rot.swapaxes(-1, -2)[:, None], _cross(u)
+    m = (cross_u @ rt * cam_usable[..., None, None]).reshape(k_rows, 9 * cams)
     d_m = None
     if wrt is not None:
         d_rot, d_t = d_motion
         du = arm[:, None] @ d_rot - (d_t @ rot)[:, :, None]
-        d_m = (_cross(du) @ rt[:, None] + _cross(u)[:, None]
-               @ np.swapaxes(d_rot, -1, -2)[:, :, None]).reshape(
+        d_m = (_cross(du) @ rt[:, None] + cross_u[:, None]
+               @ d_rot.swapaxes(-1, -2)[:, :, None]).reshape(
                    k_rows, len(wrt), 9 * cams)
     if frame.metric is MetricKind.GEOLINE:
         d1, d0, ok, *d_d = geoline_residuals(m, frame, d_m)
@@ -185,12 +185,12 @@ def rig_residuals(rows, frame: RigFrame, wrt=None):
     else:
         r, ok, *d_d = angleplane_residuals(m, frame, d_m)
         components = r[..., None]
-    out = (components, ok & cam_usable[:, frame.camera_index],
-           cam_usable.any(axis=1) | (cams == 0))
+    out = (components, ok, cam_usable.any(axis=1) | (cams == 0))
     if wrt is None:
         return out
-    # (K, P, N) per component -> (K, N, c, P)
-    return out + (np.stack(d_d, axis=-1).transpose(0, 2, 3, 1),)
+    # (K, P, N) per component -> (K, N, c, P); one component needs no copy
+    jac = np.stack(d_d, axis=-1) if len(d_d) > 1 else d_d[0][..., None]
+    return out + (jac.transpose(0, 2, 3, 1),)
 
 
 def multi_camera_energy(rows, frame: RigFrame, loss: RobustLoss):

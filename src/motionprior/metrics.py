@@ -150,8 +150,8 @@ class RigFrame:
 
 def _ratios(m, frame: RigFrame, d_m, rows):
     """num / |vec| for each slice of divisor rows, at stacked vec M m
-    (..., 9C), and valid where |vec| >= DEGENERACY_EPS; with d_m
-    (..., P, 9C) also the ratio's derivatives (..., P, N)."""
+    (..., 9C), valid where |vec| >= DEGENERACY_EPS (a smaller |vec| is
+    raised to it); with d_m (..., P, 9C) also the derivatives (..., P, N)."""
     shape = (rows[-1].stop, len(frame))
     values = (m @ frame.design).reshape(m.shape[:-1] + shape)
     if d_m is not None:
@@ -161,7 +161,7 @@ def _ratios(m, frame: RigFrame, d_m, rows):
         vec = values[..., r, :]
         norm = np.sqrt(np.einsum("...in,...in->...n", vec, vec))
         valid = norm >= DEGENERACY_EPS
-        norm = np.where(valid, norm, 1.0)
+        np.maximum(norm, DEGENERACY_EPS, out=norm)
         ratio = values[..., 0, :] / norm
         if d_m is None:
             out.append((ratio, valid))

@@ -116,9 +116,9 @@ def internal_gradient(rig, match_sets, p, loss, metric) -> np.ndarray:
 
 @np.errstate(all="ignore")
 def eager_sigma(z, J) -> np.ndarray:
-    """Per-field sigma formed from the solver state's z and J in one pass,
-    as estimate formed it for every result before it kept only J^T J,
-    z^T z and m."""
+    """Per-field sigma formed in one pass from the solver state's z and J
+    rows of the valid matches, as estimate formed it for every result
+    before it kept only J^T J, z^T z and m."""
     (m, p), JTJ = J.shape, J.T @ J
     tol = p * np.finfo(float).eps
     w, V = np.linalg.eigh(JTJ) if np.isfinite(JTJ).all() else (np.zeros(1), 0)

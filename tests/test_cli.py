@@ -3,12 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from motionprior import io_formats
 from motionprior.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, run_cli
 from motionprior.estimator import LandscapeGrid, energy_landscape
 from motionprior.geometry import (GenericCamera, PinholeCamera,
                                   PinholeIntrinsics)
-from motionprior.io_formats import (load_matches, load_rig, load_scale,
-                                    load_trajectory)
+from motionprior.io_formats import (ParseError, load_matches, load_rig,
+                                    load_scale, load_trajectory)
 from motionprior.manifold import MotionParams
 from motionprior.metrics import MetricKind, RobustLoss
 from motionprior.pipeline import match_sets_from_record
@@ -424,6 +425,49 @@ class TestLandscape:
                         "--yaw-steps", "3", "--arc-steps", "2"])
         assert code == EXIT_USAGE
         assert "7 frame pairs" in capsys.readouterr().err
+        assert not (workspace / "land.csv").exists()
+
+    def test_reads_no_block_after_the_pair(self, workspace, monkeypatch):
+        # the match file is parsed in blocks of whole lines: with blocks
+        # much smaller than the file, a malformed line after pair 0 is in a
+        # block that pair 0 never needs
+        simulate(workspace)
+        matches = workspace / "matches.csv"
+        clean = matches.read_text()
+        monkeypatch.setattr(io_formats, "MATCH_BLOCK_CHARS", 1024)
+        outputs = []
+        for text in (clean, clean + "6,7,0,not,a,pixel,line\n"):
+            matches.write_text(text)
+            code = run_cli(["landscape", *landscape_inputs(workspace),
+                            "--pair-index", "0",
+                            "--out", str(workspace / "land.csv"),
+                            "--yaw-steps", "3", "--arc-steps", "2"])
+            assert code == EXIT_OK
+            outputs.append((workspace / "land.csv").read_text())
+        assert outputs[1] == outputs[0]
+        with pytest.raises(ParseError):
+            load_matches(matches)
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("\n1,2,0,", "\n1,2,0,x", "could not convert string"),
+        ("\n1,2,", "\n0,2,", "frame pair (0, 2) after (0, 1): t0 must "
+         "increase")], ids=["malformed", "out-of-order"])
+    def test_bad_line_up_to_the_pair_names_it(self, workspace, capsys,
+                                              monkeypatch, old, new,
+                                              message):
+        simulate(workspace)
+        matches = workspace / "matches.csv"
+        # the first line of pair 1, after the header and pair 0's lines
+        line = 2 + load_matches(matches)[0].match_count()
+        matches.write_text(matches.read_text().replace(old, new, 1))
+        monkeypatch.setattr(io_formats, "MATCH_BLOCK_CHARS", 1024)
+        code = run_cli(["landscape", *landscape_inputs(workspace),
+                        "--pair-index", "1",
+                        "--out", str(workspace / "land.csv"),
+                        "--yaw-steps", "3", "--arc-steps", "2"])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{matches}:{line}: " in err and message in err
         assert not (workspace / "land.csv").exists()
 
     @pytest.mark.parametrize("steps, message", [

@@ -10,8 +10,8 @@ from motionprior.estimator import (CONVERGED_TERMINATIONS,
 from motionprior.geometry import (DegenerateTranslation, PinholeCamera,
                                   PinholeIntrinsics, forward_camera_extrinsic)
 from motionprior.manifold import (CameraRig, MotionParams, RigCamera,
-                                  params_rows)
-from motionprior.metrics import MetricKind, RigFrame, RobustLoss
+                                  motion_arrays, params_rows)
+from motionprior.metrics import MatchSet, MetricKind, RigFrame, RobustLoss
 from motionprior.simulate import (NoiseSpec, SceneSpec, generate_matches,
                                   generate_scene)
 from oracles import (eager_sigma, energy_at, internal_gradient,
@@ -373,9 +373,12 @@ class TestSigma:
         with np.errstate(over="ignore"):
             result = estimate(rig, sets, prior, opts)
             frame = RigFrame.from_matches(rig, sets, opts.metric)
-            z, J = _solver_state(params_rows(result.params),
-                                 result.params.free, frame, opts.loss)[:2]
-        expected = (dict(zip(prior.free, eager_sigma(z, J)))
+            z, J, components, valid = _solver_state(
+                params_rows(result.params), result.params.free, frame,
+                opts.loss)[:4]
+        # the rows of valid matches: skipped ones carry weight 0
+        keep = np.repeat(valid, components.shape[1])
+        expected = (dict(zip(prior.free, eager_sigma(z[keep], J[keep])))
                     if np.isfinite(result.final_energy) else {})
         assert result.sigma == expected
         assert result.sigma is result.sigma
@@ -391,6 +394,56 @@ class TestSigma:
         assert list(result.sigma) == ["yaw"] and result.sigma["yaw"] > 0.0
         held = estimate(RIG1, sets, truth.with_values(free=()))
         assert held.sigma == {}
+
+
+class TestSolverState:
+    @pytest.mark.parametrize("metric, loss", [
+        (ANGLE, CAUCHY), (MetricKind.GEOLINE, RobustLoss("cauchy", 1.0))],
+        ids=["angleplane", "geoline"])
+    def test_invalid_matches_weigh_nothing(self, metric, loss):
+        # camera 1 sits at the centre of the arc, so the motion only turns
+        # it (u = 0); one added camera-0 match lies at the epipole. The
+        # solver state equals that of the valid matches alone.
+        truth = MotionParams(yaw=0.1, arc_length=1.0,
+                             free=("yaw", "arc_length"))
+        radius = truth.arc_length / truth.yaw
+        rig = make_rig([[2.0, 1.0, 0.0], [0.0, radius, 0.0]])
+        sets, _ = simulated(rig, truth, seed=5, sigma=0.5, num_points=150)
+        row = params_rows(truth)
+        rot, t = motion_arrays(row)
+        cam = rig.camera(0)
+        te = cam.extrinsic.translation
+        u = (te - t[0]) @ rot[0] - te
+        # the ray along -R u, ahead of the camera: R^T v0 is parallel to
+        # u, so M v0 = [u]x R^T v0 = 0
+        pixel = cam.model.project((-(rot[0] @ u) @ cam.extrinsic.rotation)
+                                  [None])
+        epipole = MatchSet(0, np.vstack([sets[0].pixels_t0, pixel]),
+                           np.vstack([sets[0].pixels_t1, pixel]))
+        full = [epipole, sets[1]]
+        valid_only = [sets[0]]
+        (z, J, _, valid, energy), (z_v, J_v, *_, energy_v) = (
+            _solver_state(row, truth.free,
+                          RigFrame.from_matches(rig, s, metric), loss)
+            for s in (full, valid_only))
+        expected = np.r_[np.ones(len(sets[0]), bool), False,
+                         np.zeros(len(sets[1]), bool)]
+        assert np.array_equal(valid, expected)
+        assert z @ z == pytest.approx(z_v @ z_v, rel=1e-12, abs=0.0)
+        assert np.allclose(J.T @ J, J_v.T @ J_v, rtol=1e-12, atol=0.0)
+        assert energy == pytest.approx(energy_v, rel=1e-12, abs=0.0)
+        # held at the row, estimate reports the skipped matches as NaN
+        # and counts only the valid residuals for sigma
+        opts = EstimatorOptions(metric=metric, loss=loss)
+        held = truth.with_values(free=())
+        result, result_v = (estimate(rig, s, held, opts)
+                            for s in (full, valid_only))
+        assert result.skipped_matches == len(expected) - len(sets[0])
+        assert np.array_equal(np.isnan(result.residuals), ~expected)
+        assert np.array_equal(result.residuals[expected], result_v.residuals)
+        assert result.gram[2] == result_v.gram[2] == z_v.size
+        assert result.final_energy == pytest.approx(energy_v, rel=1e-12,
+                                                    abs=0.0)
 
 
 class TestGradients:

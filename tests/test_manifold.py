@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from motionprior.geometry import (TRANSLATION_EPS, DegenerateTranslation,
                                   PinholeCamera, PinholeIntrinsics, Pose,
                                   forward_camera_extrinsic, rotation_x,
-                                  rotation_y, rotation_z)
-from motionprior.manifold import (ENERGY_CHUNK, PARAM_FIELDS, CameraRig,
+                                  rotation_y, rotation_z, skew)
+from motionprior.manifold import (ENERGY_CHUNK, PARAM_FIELDS,
+                                  YAW_SERIES_SWITCH, CameraRig,
                                   MotionParams, RigCamera, lowest_energy,
                                   motion_arrays, multi_camera_energy,
                                   params_rows, pose_from_params,
@@ -309,6 +310,49 @@ class TestBatchedKernel:
             assert np.allclose(r_k, expected, rtol=0.0, atol=1e-15)
             chord = arc * np.array([np.sin(g) / g, (1 - np.cos(g)) / g, 0.0])
             assert np.allclose(t_k, chord, rtol=0.0, atol=1e-15)
+
+    def test_batch_equals_rows_and_closed_form(self):
+        # closed-form, series and zero-yaw rows, tilted and untilted: each
+        # row of a batch equals, bit for bit, the row evaluated alone, and
+        # the rotations and translations do not depend on `wrt`
+        rows = np.array([[0.1, 1.5, 0.0, 0.0], [5e-7, 2.0, 0.0, 0.0],
+                         [0.0, 1.0, 0.0, 0.0], [-0.2, 0.5, 0.03, 0.0],
+                         [-3e-7, 1.2, 0.0, -0.04], [0.0, 0.8, 0.02, 0.01],
+                         [1e-6, -1.0, 0.0, 0.0], [3.1, 0.7, -0.01, 0.0]])
+        plain = motion_arrays(rows)
+        for wrt in (None, PARAM_FIELDS, ("yaw",), ("arc_length", "roll")):
+            batch = motion_arrays(rows, wrt)
+            for a, b in zip(plain, batch):
+                assert np.array_equal(a, b)
+            for k, row in enumerate(rows):
+                for a, b in zip(batch, motion_arrays(row[None], wrt)):
+                    assert np.array_equal(a[k], b[0])
+        rot, t, d_rot, d_t = motion_arrays(rows, PARAM_FIELDS)
+        axes = np.stack([skew(axis) for axis in np.eye(3)])
+        for k, (g, arc, pitch, roll) in enumerate(rows):
+            rz, ry, rx = rotation_z(g), rotation_y(pitch), rotation_x(roll)
+            expected = rz @ ry @ rx
+            assert np.allclose(rot[k], expected, rtol=0.0, atol=1e-15)
+            # [ez]x R, 0, Rz Ry [ey]x Rx, R [ex]x
+            for d, want in zip(d_rot[k], (axes[2] @ expected, 0.0,
+                                          rz @ ry @ axes[1] @ rx,
+                                          expected @ axes[0])):
+                assert np.allclose(d, want, rtol=0.0, atol=1e-15)
+            if abs(g) < YAW_SERIES_SWITCH:
+                # the series' limit at zero yaw, to first order in g
+                chord = np.array([1.0, g / 2])
+                d_chord = np.array([-g / 3, 0.5])
+                atol = 1e-12
+            else:
+                chord = np.array([np.sin(g), 2 * np.sin(g / 2) ** 2]) / g
+                d_chord = (np.array([np.cos(g), np.sin(g)]) - chord) / g
+                atol = 1e-15
+            assert np.allclose(t[k, :2], arc * chord, rtol=0.0, atol=atol)
+            assert np.allclose(d_t[k, 1, :2], chord, rtol=0.0, atol=atol)
+            assert np.allclose(d_t[k, 0, :2], arc * d_chord, rtol=0.0,
+                               atol=atol)
+            assert t[k, 2] == 0.0 and not d_t[k, :2, 2].any()
+            assert not d_t[k, 2:].any() and not d_rot[k, 1].any()
 
     def test_chord_full_precision_at_small_yaw(self):
         # just above the series switch the series is still exact to eps
