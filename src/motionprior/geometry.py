@@ -75,6 +75,12 @@ class Pose:
                                 atol=atol, rtol=0.0))
 
 
+def _normalized(rays: np.ndarray) -> np.ndarray:
+    """The rows (n, 3) scaled to unit length, in place."""
+    rays /= np.sqrt(np.einsum("ij,ij->i", rays, rays))[:, None]
+    return rays
+
+
 def skew(t) -> np.ndarray:
     """Cross-product matrix: skew(t) @ v == cross(t, v)."""
     t = np.asarray(t, dtype=float).reshape(3)
@@ -121,11 +127,9 @@ class PinholeCamera:
 
     def pixel_to_bearing(self, pixels: np.ndarray) -> np.ndarray:
         """Unit rays (n, 3) of pixels (n, 2): K^-1 x normalized, positive z."""
-        pixels = np.asarray(pixels, dtype=float)
-        homo = np.hstack([pixels, np.ones((len(pixels), 1))])
-        rays = homo @ self.intrinsics.matrix_inv.T
-        rays /= np.linalg.norm(rays, axis=1, keepdims=True)
-        return rays
+        k_inv = self.intrinsics.matrix_inv
+        rays = np.asarray(pixels, dtype=float) @ k_inv[:, :2].T + k_inv[:, 2]
+        return _normalized(rays)
 
     def project(self, points: np.ndarray) -> np.ndarray:
         """Pixels (n, 2) of camera-frame points (n, 3)."""
@@ -155,12 +159,22 @@ class GenericCamera:
     kind = "generic"
 
     def __init__(self, u0, v0, du, dv, table: np.ndarray, image_size=None):
-        table = np.asarray(table, dtype=float)
+        table = np.ascontiguousarray(table, dtype=float)
         if table.ndim != 3 or table.shape[2] != 3:
             raise ValueError("bearing table must have shape (nv, nu, 3)")
         self.u0, self.v0, self.du, self.dv = float(u0), float(v0), float(du), float(dv)
         self.table = table
         self.image_size = tuple(image_size) if image_size is not None else None
+        # the lift's constants, in grid units (u, v): nodes lie on integers
+        nv, nu = table.shape[:2]
+        self._flat = table.reshape(-1, 3)                 # a view, not a copy
+        self._origin, self._step = np.array([u0, v0]), np.array([du, dv])
+        self._last = np.array([nu - 1.0, nv - 1.0])
+        self._last_cell = np.array([nu - 2, nv - 2])
+        slack = 1e-9 / self._step                      # 1e-9 px
+        self._low, self._high = -slack, self._last + slack
+        self._strides = np.array([1, nu])
+        self._corners = np.array([0, 1, nu, nu + 1])[:, None]
 
     @classmethod
     def from_camera(cls, camera, width, height, step=8.0):
@@ -178,26 +192,20 @@ class GenericCamera:
                    image_size=(width, height))
 
     def pixel_to_bearing(self, pixels: np.ndarray) -> np.ndarray:
-        """Unit rays (n, 3) of pixels (n, 2)."""
-        pts = np.asarray(pixels, dtype=float)
-        nv, nu = self.table.shape[:2]
-        umin, umax = self.u0, self.u0 + (nu - 1) * self.du
-        vmin, vmax = self.v0, self.v0 + (nv - 1) * self.dv
-        if np.any((pts[:, 0] < umin - 1e-9) | (pts[:, 0] > umax + 1e-9)
-                  | (pts[:, 1] < vmin - 1e-9) | (pts[:, 1] > vmax + 1e-9)):
+        """Unit rays (n, 3) of pixels (n, 2); OutOfDomain for a pixel
+        (NaN included) more than 1e-9 px outside the table."""
+        grid = (np.asarray(pixels, dtype=float) - self._origin) / self._step
+        if not ((grid >= self._low) & (grid <= self._high)).all():
             raise OutOfDomain("pixel outside the tabulated domain")
-        gu = np.clip((pts[:, 0] - self.u0) / self.du, 0, self.table.shape[1] - 1)
-        gv = np.clip((pts[:, 1] - self.v0) / self.dv, 0, self.table.shape[0] - 1)
-        iu = np.clip(gu.astype(int), 0, self.table.shape[1] - 2)
-        iv = np.clip(gv.astype(int), 0, self.table.shape[0] - 2)
-        fu = (gu - iu)[:, None]
-        fv = (gv - iv)[:, None]
-        b = ((1 - fu) * (1 - fv) * self.table[iv, iu]
-             + fu * (1 - fv) * self.table[iv, iu + 1]
-             + (1 - fu) * fv * self.table[iv + 1, iu]
-             + fu * fv * self.table[iv + 1, iu + 1])
-        b /= np.linalg.norm(b, axis=1, keepdims=True)
-        return b
+        np.clip(grid, 0.0, self._last, out=grid)
+        cell = np.minimum(grid.astype(np.intp), self._last_cell)
+        frac = grid - cell
+        fu, fv = frac[:, :1], frac[:, 1:]
+        # corners (u, v), (u+1, v), (u, v+1), (u+1, v+1): (4, n, 3)
+        c = self._flat.take(cell @ self._strides + self._corners, axis=0)
+        low = c[0] + fu * (c[1] - c[0])
+        high = c[2] + fu * (c[3] - c[2])
+        return _normalized(low + fv * (high - low))
 
 
 def _axis_rotation(angle, i: int, j: int) -> np.ndarray:

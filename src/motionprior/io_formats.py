@@ -225,7 +225,8 @@ def write_rig(rig: CameraRig, path):
 
 def load_bearing_table(path, image_size=None) -> GenericCamera:
     """Bearing table: header `u0 v0 du dv nu nv` (du, dv > 0; nu, nv
-    integers >= 2) then nu*nv unit bearings (three reals per line),
+    integers >= 2) then nu*nv rays (three reals per line, any non-zero
+    length, such as the z-normalized rays of GenericCamera.from_camera),
     row-major over v then u."""
     with open(path, encoding="utf-8") as fh:
         lineno, text = next(_lines(fh), (1, ""))
@@ -241,6 +242,9 @@ def load_bearing_table(path, image_size=None) -> GenericCamera:
             raise ParseError(path, lineno,
                              "header needs du, dv > 0, nu, nv >= 2")
         rays = _numbers(path, fh, [("ray", float, 3)], skip=1)["ray"]
+        zero = np.flatnonzero(~rays.any(axis=1))
+        if len(zero):       # pixels near it would lift to 0/0 or bent rays
+            raise ParseError(path, _line_at(fh, zero[0] + 1), "ray is zero")
     if len(rays) != nu * nv:
         raise ParseError(path, lineno, f"header declares {nu * nv} bearing "
                          f"rows, the file holds {len(rays)}")

@@ -229,6 +229,48 @@ class TestGenericCamera:
         with pytest.raises(OutOfDomain):
             gen.pixel_to_bearing([[5000.0, 0.0]])
 
+    @pytest.mark.parametrize("pixel", [[np.nan, 10.0], [10.0, np.nan],
+                                       [np.inf, 10.0], [10.0, -np.inf]],
+                             ids=["nan-u", "nan-v", "inf-u", "inf-v"])
+    def test_non_finite_pixel_is_out_of_domain(self, pixel):
+        _, gen = self.build()
+        with pytest.raises(OutOfDomain):
+            gen.pixel_to_bearing([[100.0, 100.0], pixel])
+
+    def bordered(self):
+        """A pinhole and its z-normalized table over the image plus a 16 px
+        border, as the benchmark writes one: nodes at -16, -8, ..., 1296."""
+        pin = PinholeCamera(PinholeIntrinsics(700, 710, 640, 480, skew=0.5))
+        us, vs = np.arange(-16.0, 1297.0, 8.0), np.arange(-16.0, 977.0, 8.0)
+        uu, vv = np.meshgrid(us, vs)
+        rays = pin.pixel_to_bearing(np.stack([uu.ravel(), vv.ravel()], 1))
+        table = (rays / rays[:, 2:3]).reshape(len(vs), len(us), 3)
+        return pin, GenericCamera(-16.0, -16.0, 8.0, 8.0, table)
+
+    @pytest.mark.parametrize("side", ["left", "right", "top", "bottom"])
+    def test_edges_lift_to_the_edge_node(self, side):
+        _, gen = self.bordered()
+        nv, nu = gen.table.shape[:2]
+        # a node on the side (right: the last node), the outward direction
+        (j, i), outward = {"left": ((0, 7), [-1.0, 0.0]),
+                           "right": ((nu - 1, nv - 1), [1.0, 0.0]),
+                           "top": ((9, 0), [0.0, -1.0]),
+                           "bottom": ((9, nv - 1), [0.0, 1.0])}[side]
+        node = np.array([-16.0 + 8.0 * j, -16.0 + 8.0 * i])
+        ray = gen.table[i, j] / np.linalg.norm(gen.table[i, j])
+        for offset in (0.0, 5e-10):
+            lifted = gen.pixel_to_bearing([node + offset * np.array(outward)])
+            assert np.abs(lifted[0] - ray).max() < 1e-15
+        with pytest.raises(OutOfDomain):
+            gen.pixel_to_bearing([node + 2e-9 * np.array(outward)])
+
+    def test_interior_lifts_equal_the_pinhole_rays(self):
+        pin, gen = self.bordered()
+        rng = np.random.Generator(np.random.PCG64(12))
+        pix = rng.uniform([-16.0, -16.0], [1296.0, 976.0], size=(500, 2))
+        assert np.abs(gen.pixel_to_bearing(pix)
+                      - pin.pixel_to_bearing(pix)).max() < 1e-12
+
 
 def test_forward_camera_extrinsic_axes():
     ext = forward_camera_extrinsic([0.0, 0.0, 0.0])

@@ -149,8 +149,12 @@ class TestRigFiles:
         ("0 0 1 1 2 2", TABLE_ROWS.replace("0 0.1 1", "0 0.1"), 4),
         ("0 0 1 1 2 2", TABLE_ROWS.replace("0 0.1 1", "0 0.1 1 1"), 4),
         ("0 0 1 1 2 2", TABLE_ROWS.replace("0.1 0.1 1", "0.1 oops 1"), 5),
+        ("0 0 1 1 2 2", TABLE_ROWS.replace("0.1 0.1 1", "0 0 0"), 5),
+        ("0 0 1 1 2 2", TABLE_ROWS.replace("0 0.1 1\n", "# c\n0 0.1 1\n")
+         .replace("0.1 0.1 1", "0.0 -0.0 0e3"), 6),
     ], ids=["du-zero", "dv-zero", "du-negative", "nu-fraction", "nv-word",
-            "nu-one", "row-two-values", "row-four-values", "row-word"])
+            "nu-one", "row-two-values", "row-four-values", "row-word",
+            "row-zero", "row-signed-zero"])
     def test_bad_bearing_table_reports_line(self, tmp_path, header, rows,
                                             line):
         p = tmp_path / "table.txt"
