@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -47,9 +48,22 @@ class NoMatches(Exception):
 @dataclass(frozen=True)
 class GridSpec:
     """Axis-aligned evaluation grid over free parameters: field name ->
-    (min, max, steps)."""
+    (min, max, steps). ValueError naming the field unless it is one of
+    PARAM_FIELDS, min <= max are finite and steps is an integer >= 1. The
+    axes are kept as a read-only copy, so the check holds for good."""
 
     axes: dict
+
+    def __post_init__(self):
+        object.__setattr__(self, "axes", MappingProxyType(dict(self.axes)))
+        for f, (lo, hi, steps) in self.axes.items():
+            if f not in PARAM_FIELDS:
+                raise ValueError(f"unknown grid field {f!r}")
+            if not -np.inf < lo <= hi < np.inf:
+                raise ValueError(f"invalid bounds for {f}: range {lo}, {hi} "
+                                 "must be finite with lo <= hi")
+            if not (isinstance(steps, (int, np.integer)) and steps >= 1):
+                raise ValueError(f"{f} steps {steps!r} must be an int >= 1")
 
     def points(self, template: MotionParams) -> np.ndarray:
         """(K, 4) rows of the template with each free field that has an
@@ -268,16 +282,12 @@ class Landscape:
 def energy_landscape(rig, match_sets, grid: LandscapeGrid,
                      fixed: MotionParams, loss: RobustLoss,
                      metric: MetricKind) -> Landscape:
-    """Dense energy evaluation over a yaw x arc-length grid."""
-    axes = {"yaw": (*grid.yaw_range, grid.yaw_steps),
-            "arc_length": (*grid.arc_range, grid.arc_steps)}
-    for field, (lo, hi, _) in axes.items():
-        if not np.isfinite([lo, hi]).all():
-            raise ValueError(f"{field} range {lo!r}, {hi!r} must be finite")
-    yaws, arcs = (np.linspace(*axis) for axis in axes.values())
-    if len(yaws) == 0 or len(arcs) == 0:
-        raise ValueError("grid must be nonempty")
-    rows = GridSpec(axes).points(fixed.with_values(free=tuple(axes)))
+    """Dense energy evaluation over a yaw x arc-length grid; ValueError
+    on a grid that GridSpec rejects."""
+    spec = GridSpec({"yaw": (*grid.yaw_range, grid.yaw_steps),
+                     "arc_length": (*grid.arc_range, grid.arc_steps)})
+    yaws, arcs = (np.linspace(*axis) for axis in spec.axes.values())
+    rows = spec.points(fixed.with_values(free=tuple(spec.axes)))
     frame = RigFrame.from_matches(rig, match_sets, metric)
     energies = multi_camera_energy(rows, frame, loss).reshape(len(yaws),
                                                               len(arcs))

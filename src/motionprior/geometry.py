@@ -98,6 +98,9 @@ class PinholeIntrinsics:
     skew: float = 0.0
 
     def __post_init__(self):
+        for name in ("fx", "fy", "cx", "cy", "skew"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not (self.fx > 0 and self.fy > 0):
             raise ValueError("focal lengths must be positive")
 

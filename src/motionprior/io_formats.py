@@ -16,7 +16,7 @@ import numpy as np
 from .geometry import (ORTHONORMALITY_TOL, GenericCamera, PinholeCamera,
                        PinholeIntrinsics, Pose)
 from .manifold import CameraRig, MotionParams, RigCamera
-from .simulate import OUTLIER_MODES, NoiseSpec, SceneSpec
+from .simulate import NoiseSpec, SceneSpec
 
 MATCH_HEADER = ["t0", "t1", "camera_id", "u0", "v0", "u1", "v1"]
 MATCH_ROW = [("ids", np.int64, 3), ("pixels", float, 4)]
@@ -479,9 +479,6 @@ def load_scenario(path) -> Scenario:
                          "must be >= 0"),
         outlier_fraction=take("noise.outlier_fraction", 0.0, float,
                               lambda f: 0 <= f <= 1, "must lie in [0, 1]"),
-        outlier_mode=take("noise.outlier_mode", "uniform_image", str,
-                          lambda m: m in OUTLIER_MODES,
-                          f"must be one of {', '.join(OUTLIER_MODES)}"),
         seed=seed_at("noise.seed", seed + 1))
     truth = MotionParams(
         yaw=take("truth.yaw", 0.0, float, lambda g: abs(g) < np.pi,

@@ -1,5 +1,5 @@
-"""Synthetic scenes, sparse-flow generation with noise/outliers, and a
-brute-force grid oracle for verifying the estimator.
+"""Synthetic scenes, matches with pixel noise and uniform-image outliers,
+and a brute-force grid oracle for verifying the estimator.
 
 All randomness goes through numpy's PCG64 generator, which is seedable,
 jumpable and produces the same stream on every platform.
@@ -17,8 +17,6 @@ from .manifold import (PARAM_FIELDS, CameraRig, MotionParams, lowest_energy,
                        multi_camera_energy, pose_from_params)
 from .metrics import MatchSet, MetricKind, RigFrame, RobustLoss
 
-OUTLIER_MODES = ("uniform_image", "wrong_association")
-
 
 class NoVisiblePoints(Exception):
     pass
@@ -32,27 +30,27 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_points < 1:
-            raise ValueError("num_points must be >= 1")
+        if not (isinstance(self.num_points, (int, np.integer))
+                and self.num_points >= 1):
+            raise ValueError("num_points must be an integer >= 1")
         lo, hi = self.depth_range
-        if not (0 < lo <= hi):
-            raise ValueError("depth range must satisfy 0 < min <= max")
+        if not 0 < lo <= hi < np.inf:
+            raise ValueError("depth_range must satisfy 0 < min <= max < inf")
+        if not np.isfinite(self.lateral_spread):
+            raise ValueError("lateral_spread must be finite")
 
 
 @dataclass(frozen=True)
 class NoiseSpec:
     pixel_sigma: float = 0.0
     outlier_fraction: float = 0.0
-    outlier_mode: str = "uniform_image"
     seed: int = 0
 
     def __post_init__(self):
-        if self.pixel_sigma < 0:
-            raise ValueError("pixel_sigma must be nonnegative")
+        if not 0.0 <= self.pixel_sigma < np.inf:
+            raise ValueError("pixel_sigma must be finite and nonnegative")
         if not 0.0 <= self.outlier_fraction <= 1.0:
             raise ValueError("outlier_fraction must be in [0, 1]")
-        if self.outlier_mode not in OUTLIER_MODES:
-            raise ValueError(f"unknown outlier mode {self.outlier_mode!r}")
 
 
 def generate_scene(spec: SceneSpec) -> np.ndarray:
@@ -124,17 +122,9 @@ def generate_matches(points, rig: CameraRig, truth: MotionParams,
         if n_out > 0:
             chosen = rng.choice(n, size=n_out, replace=False)
             inlier[chosen] = False
-            if noise.outlier_mode == "uniform_image":
-                size = cam.model.image_size or (1000, 1000)
-                px1[chosen, 0] = rng.uniform(0, size[0] - 1, n_out)
-                px1[chosen, 1] = rng.uniform(0, size[1] - 1, n_out)
-            elif n_out >= 2:
-                # wrong_association: cyclically reassign t1 endpoints
-                px1[chosen] = px1[np.roll(chosen, 1)]
-            else:
-                # a single wrong association needs a partner to steal from
-                other = (chosen[0] + 1) % n
-                px1[chosen[0]] = px1[other]
+            size = cam.model.image_size or (1000, 1000)
+            px1[chosen, 0] = rng.uniform(0, size[0] - 1, n_out)
+            px1[chosen, 1] = rng.uniform(0, size[1] - 1, n_out)
         match_sets.append(MatchSet(cam.camera_id, px0, px1))
         labels.append(inlier)
     if not match_sets:
@@ -146,14 +136,10 @@ def grid_search_oracle(rig, match_sets, bounds: dict, resolution: int,
                        loss: RobustLoss, metric: MetricKind,
                        template: MotionParams) -> MotionParams:
     """Exhaustive minimum of the multi-camera energy over the template's
-    free parameters; ties break to smallest |yaw| then smallest arc."""
+    free parameters; ties break to smallest |yaw| then smallest arc.
+    ValueError on bounds that GridSpec rejects."""
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
-    for f in template.free:
-        lo, hi = bounds[f]
-        if not -np.inf < lo <= hi < np.inf:
-            raise ValueError(f"invalid bounds for {f}: {lo!r}, {hi!r} must "
-                             "be finite with lo <= hi")
     rows = GridSpec({f: (*bounds[f], resolution)
                      for f in template.free}).points(template)
     frame = RigFrame.from_matches(rig, match_sets, metric)

@@ -82,7 +82,7 @@ def test_criterion_2_low_feature_robustness(capsys):
         sets, _ = generate_matches(
             points, RIG1, truth,
             NoiseSpec(pixel_sigma=0.5, outlier_fraction=0.3,
-                      outlier_mode="uniform_image", seed=seed + 500))
+                      seed=seed + 500))
         prior = truth.with_values(yaw=0.0)
         grid = default_cold_start_grid(prior)
         robust = estimate(RIG1, sets, prior,

@@ -500,17 +500,17 @@ class TestLandscape:
                 f"rig file {workspace / 'rig.txt'}") in capsys.readouterr().err
         assert not (workspace / "land.csv").exists()
 
-    @pytest.mark.parametrize("flag,value", [("--yaw-min", "nan"),
-                                            ("--yaw-max", "inf"),
-                                            ("--arc-min", "-inf"),
-                                            ("--arc-max", "inf")])
-    def test_non_finite_range_is_data_error(self, workspace, capsys, flag,
-                                            value):
+    # a reversed range fails the same check as a non-finite one
+    @pytest.mark.parametrize("flags", [
+        ["--yaw-min=nan"], ["--yaw-max=inf"], ["--arc-min=-inf"],
+        ["--arc-max=inf"], ["--yaw-min=0.2", "--yaw-max=-0.2"]],
+        ids=["--yaw-min-nan", "--yaw-max-inf", "--arc-min--inf",
+             "--arc-max-inf", "yaw-reversed"])
+    def test_non_finite_range_is_data_error(self, workspace, capsys, flags):
         simulate(workspace)
         code = run_cli(["landscape", *landscape_inputs(workspace),
                         "--out", str(workspace / "land.csv"),
-                        "--yaw-steps", "3", "--arc-steps", "2",
-                        f"{flag}={value}"])
+                        "--yaw-steps", "3", "--arc-steps", "2", *flags])
         assert code == EXIT_DATA
         assert "must be finite" in capsys.readouterr().err
         assert not (workspace / "land.csv").exists()

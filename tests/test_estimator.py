@@ -586,6 +586,40 @@ class TestClassifyInliers:
         assert np.mean(~mask[~inliers]) >= 0.95
 
 
+class TestGridSpec:
+    @pytest.mark.parametrize("build, field", [
+        (lambda: GridSpec({"yaw": (np.nan, 0.3, 41)}), "yaw"),
+        (lambda: GridSpec({"yaw": (-0.3, np.inf, 41)}), "yaw"),
+        (lambda: GridSpec({"arc_length": (-np.inf, 2.0, 5)}), "arc_length"),
+        (lambda: GridSpec({"yaw": (0.3, -0.3, 41)}), "yaw"),
+        (lambda: GridSpec({"yaw": (-0.3, 0.3, 0)}), "yaw"),
+        (lambda: GridSpec({"yaw": (-0.3, 0.3, -1)}), "yaw"),
+        (lambda: GridSpec({"yaw": (-0.3, 0.3, 2.0)}), "yaw"),
+        (lambda: GridSpec({"yam": (-0.3, 0.3, 41)}), "yam"),
+        (lambda: EstimatorOptions(
+            fallback_grid=GridSpec({"yaw": (np.nan, 0.3, 41)})), "yaw")],
+        ids=["nan", "inf", "minus-inf", "reversed", "steps-zero",
+             "steps-negative", "steps-float", "unknown-field",
+             "fallback-nan"])
+    def test_invalid_grid_rejected_when_built(self, build, field):
+        with pytest.raises(ValueError, match=field):
+            build()
+
+    def test_axes_are_a_read_only_copy(self):
+        axes = {"yaw": (-0.3, 0.3, 5)}
+        grid = GridSpec(axes)
+        axes["yaw"] = (np.nan, 0.3, 5)
+        assert grid.axes == {"yaw": (-0.3, 0.3, 5)}
+        with pytest.raises(TypeError):
+            grid.axes["yaw"] = (np.nan, 0.3, 5)
+
+    def test_single_step_axis_is_its_minimum(self):
+        grid = GridSpec({"yaw": (-0.1, -0.1, 1), "arc_length": (0.5, 2.0, 1)})
+        rows = grid.points(MotionParams(yaw=0.0, arc_length=1.0,
+                                        free=("yaw", "arc_length")))
+        assert rows.tolist() == [[-0.1, 0.5, 0.0, 0.0]]
+
+
 class TestOptions:
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -166,6 +166,15 @@ class TestFundamental:
 
 
 class TestPinholeCamera:
+    @pytest.mark.parametrize("field, value", [
+        ("fx", np.inf), ("fy", np.nan), ("cx", np.nan), ("cy", -np.inf),
+        ("skew", np.nan)])
+    def test_non_finite_intrinsics_rejected(self, field, value):
+        values = dict(fx=700.0, fy=700.0, cx=640.0, cy=480.0, skew=0.0)
+        values[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            PinholeIntrinsics(**values)
+
     def test_inverse_intrinsics_computed_once(self):
         k = PinholeIntrinsics(700.0, 710.0, 640.0, 480.0, 0.5)
         assert k.matrix_inv is k.matrix_inv

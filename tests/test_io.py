@@ -767,8 +767,6 @@ class TestScenarioFiles:
         ("noise.pixel_sigma = -1\n", "noise.pixel_sigma must be >= 0"),
         ("noise.outlier_fraction = 2\n",
          "noise.outlier_fraction must lie in [0, 1]"),
-        ("noise.outlier_mode = foo\n", "noise.outlier_mode must be one of "
-         "uniform_image, wrong_association"),
         ("seed = -1\n", "seed must be >= 0"),
         ("scene.seed = -2\n", "scene.seed must be >= 0"),
         ("noise.seed = -1\n", "noise.seed must be >= 0"),
@@ -779,7 +777,7 @@ class TestScenarioFiles:
         ids=["yaw-beyond-pi", "no-points",
              "depth-min-negative", "depth-max-below-min",
              "sigma-negative", "outlier-fraction-above-one",
-             "outlier-mode-unknown", "seed-negative", "scene-seed-negative",
+             "seed-negative", "scene-seed-negative",
              "noise-seed-negative", "rig-empty", "segment-count-negative",
              "segment-yaw-beyond-pi", "segment-count-zero"])
     def test_out_of_range_value_reports_line(self, tmp_path, extra, message):
@@ -790,8 +788,11 @@ class TestScenarioFiles:
         ("scene.num_point = 5\n", "unknown key 'scene.num_point'"),
         ("scene.seed = 3\nscene.seed = 4\n",
          "key 'scene.seed' repeats line 11"),
-        ("truth.free = yaw\n", "unknown key 'truth.free'")],
-        ids=["unknown-sigma", "unknown-points", "repeated", "truth-free"])
+        ("truth.free = yaw\n", "unknown key 'truth.free'"),
+        ("noise.outlier_mode = uniform_image\n",
+         "unknown key 'noise.outlier_mode'")],
+        ids=["unknown-sigma", "unknown-points", "repeated", "truth-free",
+             "outlier-mode"])
     def test_bad_key_reports_line(self, tmp_path, extra, message):
         assert self.error_message(tmp_path, extra) == message
 
@@ -821,7 +822,7 @@ SCENARIO_VALUES = {
     "scene.depth_min": "4.0", "scene.depth_max": "30.0",
     "scene.lateral_spread": "8.0", "scene.seed": "3",
     "noise.pixel_sigma": "0.5", "noise.outlier_fraction": "0.1",
-    "noise.outlier_mode": "wrong_association", "noise.seed": "4",
+    "noise.seed": "4",
     "truth.yaw": "0.02", "truth.arc_length": "1.3", "truth.pitch": "0.01",
     "truth.roll": "-0.01",
     "sequence.segments": "3:0.0, 4:0.02"}

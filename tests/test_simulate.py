@@ -66,6 +66,16 @@ class TestGenerateScene:
         with pytest.raises(ValueError):
             SceneSpec(depth_range=(-1.0, 5.0))
 
+    @pytest.mark.parametrize("field, value", [
+        ("depth_range", (5.0, np.inf)), ("depth_range", (np.nan, 40.0)),
+        ("lateral_spread", np.nan), ("lateral_spread", np.inf),
+        ("num_points", 2.5)],
+        ids=["depth-inf", "depth-nan", "spread-nan", "spread-inf",
+             "points-fractional"])
+    def test_non_finite_or_fractional_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            SceneSpec(**{field: value})
+
 
 class TestGenerateMatches:
     truth = MotionParams(yaw=0.05, arc_length=1.0)
@@ -98,19 +108,6 @@ class TestGenerateMatches:
                                         NoiseSpec(outlier_fraction=0.3, seed=8))
         for s, lbl in zip(sets, labels):
             assert (~lbl).sum() == round(0.3 * len(s))
-
-    def test_wrong_association_mode(self):
-        points = generate_scene(SceneSpec(200, seed=9))
-        clean, _ = generate_matches(points, RIG1, self.truth, NoiseSpec(seed=10))
-        sets, labels = generate_matches(
-            points, RIG1, self.truth,
-            NoiseSpec(outlier_fraction=0.2, outlier_mode="wrong_association",
-                      seed=10))
-        lbl = labels[0]
-        # outliers keep t0 but carry another match's t1 endpoint
-        assert np.array_equal(sets[0].pixels_t0, clean[0].pixels_t0)
-        assert not np.array_equal(sets[0].pixels_t1[~lbl],
-                                  clean[0].pixels_t1[~lbl])
 
     def test_noise_magnitude_statistics(self):
         sigma = 0.5
@@ -184,8 +181,13 @@ class TestGenerateMatches:
             NoiseSpec(pixel_sigma=-1.0)
         with pytest.raises(ValueError):
             NoiseSpec(outlier_fraction=1.5)
-        with pytest.raises(ValueError):
-            NoiseSpec(outlier_mode="burst")
+
+    @pytest.mark.parametrize("field, value", [
+        ("pixel_sigma", np.nan), ("pixel_sigma", np.inf),
+        ("outlier_fraction", np.nan)])
+    def test_non_finite_noise_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            NoiseSpec(**{field: value})
 
 
 class TestGridSearchOracle:
