@@ -8,10 +8,10 @@ energy sum(rho(r^2)). The residual derivatives are closed-form and come
 from the same kernel pass as the residuals, so each trial costs one
 kernel call. Trials are accepted on the robust energy itself; the loop
 stops on a small gradient, a small step, a relative energy decrease at
-rounding level, or when no damping gives a descent step, and reports
-which in `EstimateResult.termination`. Below the public entry points a
-manifold point is the (1, 4) row [yaw, arc_length, pitch, roll] that the
-kernel takes; a MotionParams is built only for the result.
+rounding level, or when no damping up to 1e15 gives a descent step, and
+reports which in `EstimateResult.termination`. Below the public entry
+points a manifold point is the (1, 4) row [yaw, arc_length, pitch, roll]
+that the kernel takes; a MotionParams is built only for the result.
 """
 
 from __future__ import annotations
@@ -211,18 +211,14 @@ def estimate(rig: CameraRig, match_sets, prior: MotionParams,
         JTJ = J.T @ J
         # no downhill step at machine precision unless a trial is accepted
         termination = "no_descent"
-        for _ in range(30):
+        while lam <= 1e15:
+            # singular (LinAlgError), off-manifold, degenerate: all uphill
             try:
                 step = np.linalg.solve(JTJ + lam * eye, -JTz)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            trial = row + step @ free_rows
-            try:
+                trial = row + step @ free_rows
                 t_state = _solver_state(trial, prior.free, frame, opts.loss)
             except (ValueError, DegenerateTranslation):
-                lam *= 10.0
-                continue
+                t_state = (np.inf,)
             if t_state[-1] < energy:
                 small_decrease = (energy - t_state[-1]
                                   <= ENERGY_DECREASE_REL_TOL * energy)
@@ -236,8 +232,6 @@ def estimate(rig: CameraRig, match_sets, prior: MotionParams,
                     termination = "energy_tol"
                 break
             lam *= 10.0
-            if lam > 1e15:
-                break
     if termination is None:
         termination = "max_iter"
 

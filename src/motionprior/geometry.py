@@ -122,8 +122,6 @@ class PinholeCamera:
     """Pinhole model. image_size (width, height) bounds the valid domain
     when given; used by the simulator for visibility and outlier draws."""
 
-    kind = "pinhole"
-
     def __init__(self, intrinsics: PinholeIntrinsics, image_size=None):
         self.intrinsics = intrinsics
         self.image_size = tuple(image_size) if image_size is not None else None
@@ -158,8 +156,6 @@ class GenericCamera:
     through it. Table entries need not be unit vectors; tabulating
     z-normalized rays makes interpolation exact for any model that is
     projective-linear in the pixel, pinholes included."""
-
-    kind = "generic"
 
     def __init__(self, u0, v0, du, dv, table: np.ndarray, image_size=None):
         table = np.ascontiguousarray(table, dtype=float)

@@ -212,7 +212,7 @@ def load_rig(path) -> CameraRig:
 def write_rig(rig: CameraRig, path):
     rows = []
     for cam in rig.cameras:
-        if cam.model.kind != "pinhole":
+        if not isinstance(cam.model, PinholeCamera):
             raise ValueError("writing generic cameras is not supported")
         k, size = cam.model.intrinsics, cam.model.image_size
         rows += [[], ["id", cam.camera_id], ["model", "pinhole"],
@@ -396,9 +396,17 @@ def write_scale(values, path):
 @dataclass(frozen=True)
 class SequenceProfile:
     """Per-frame truth for a simulated drive: (frame_count, yaw) segments
-    with a shared arc length per frame."""
+    with a shared arc length per frame. ValueError unless there is a
+    segment and every count is an int >= 1 and every |yaw| < pi."""
 
     segments: tuple   # ((count, yaw), ...)
+
+    def __post_init__(self):
+        if not (self.segments and all(
+                isinstance(n, (int, np.integer)) and n >= 1
+                and abs(g) < np.pi for n, g in self.segments)):
+            raise ValueError("sequence.segments needs count >= 1 and "
+                             "|yaw| < pi in every count:yaw")
 
     def yaw_per_frame(self):
         out = []
@@ -486,15 +494,12 @@ def load_scenario(path) -> Scenario:
         arc_length=take("truth.arc_length", 1.0),
         pitch=take("truth.pitch", 0.0),
         roll=take("truth.roll", 0.0))
-    segments = take("sequence.segments", None, _segments,
-                    lambda segs: all(n >= 1 and abs(g) < np.pi
-                                     for n, g in segs),
-                    "needs count >= 1 and |yaw| < pi in every count:yaw")
+    sequence = take("sequence.segments", None,
+                    lambda value: SequenceProfile(_segments(value)))
     rig_path = take("rig", None, str, bool, "needs a path")
     for key, (_, lineno) in unread.items():
         raise ParseError(path, lineno, f"unknown key {key!r}")
     if rig_path is None:
         raise ParseError(path, 0, "scenario needs a rig entry")
-    sequence = None if segments is None else SequenceProfile(segments)
     return Scenario(scene, noise, truth, load_rig(_beside(path, rig_path)),
                     sequence)

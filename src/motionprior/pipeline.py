@@ -22,11 +22,11 @@ CURVE_YAW_THRESHOLD = 0.01
 
 
 def _check_arc(value, name):
-    """An arc length of (nearly) zero is a turn on the spot, which the
-    epipolar energy sees only through the cameras' lever arms."""
-    if abs(value) < TRANSLATION_EPS:
+    """Finite and not (nearly) zero; a zero arc is a turn on the spot,
+    which the epipolar energy sees only through the cameras' lever arms."""
+    if not TRANSLATION_EPS <= abs(value) < np.inf:
         raise ValueError(f"{name} is {value!r}: |arc length| must be at "
-                         f"least {TRANSLATION_EPS}")
+                         f"least {TRANSLATION_EPS} and finite")
 
 
 @dataclass(frozen=True)
@@ -37,8 +37,6 @@ class FixedScale:
 
     def __post_init__(self):
         values = tuple(float(v) for v in self.values)
-        if not np.isfinite(values).all():
-            raise ValueError("scale values must be finite")
         for index, value in enumerate(values):
             _check_arc(value, f"scale value {index}")
         object.__setattr__(self, "values", values)
@@ -56,8 +54,6 @@ class FreeInCurves:
 
     def __post_init__(self):
         initial = float(self.initial)
-        if not np.isfinite(initial):
-            raise ValueError("initial scale must be finite")
         _check_arc(initial, "initial scale")
         object.__setattr__(self, "initial", initial)
 

@@ -311,7 +311,7 @@ class TestNonFiniteInput:
                         "--free-in-curves", "--initial-scale", "nan",
                         "--out-trajectory", str(workspace / "est.txt")])
         assert code == EXIT_DATA
-        assert "initial scale must be finite" in capsys.readouterr().err
+        assert "initial scale is nan" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [["--free-in-curves"], []])
     def test_zero_initial_scale(self, workspace, capsys, flags):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from motionprior.estimator import (CONVERGED_TERMINATIONS,
+from motionprior.estimator import (CONVERGED_TERMINATIONS, DAMPING_INIT,
                                    ENERGY_DECREASE_REL_TOL, EstimateResult,
                                    EstimatorOptions, GridSpec, Landscape,
                                    LandscapeGrid, NoMatches, _sigma,
@@ -204,6 +204,54 @@ class TestEstimate:
         result = estimate(RIG2, sets, prior, EstimatorOptions())
         assert abs(result.params.yaw) < np.pi
         assert result.termination in CONVERGED_TERMINATIONS
+
+    @pytest.mark.parametrize("error", [np.linalg.LinAlgError, ValueError,
+                                       DegenerateTranslation])
+    def test_every_trial_rejected_is_no_descent(self, monkeypatch, error):
+        # every trial fails as a singular, off-manifold or degenerate one:
+        # each damping up to the bound is tried once, then the prior stays
+        truth = MotionParams(yaw=0.1, arc_length=1.0,
+                             free=("yaw", "arc_length"))
+        sets, _ = simulated(RIG2, truth, seed=9, sigma=0.5)
+        prior = truth.with_values(yaw=0.08, arc_length=1.3)
+        rows = []
+
+        def failing_trials(row, *args):
+            rows.append(row)
+            if len(rows) > 1:
+                raise error("rejected trial")
+            return _solver_state(row, *args)
+        monkeypatch.setattr("motionprior.estimator._solver_state",
+                            failing_trials)
+        result = estimate(RIG2, sets, prior)
+        dampings, lam = 0, DAMPING_INIT
+        while lam <= 1e15:
+            dampings, lam = dampings + 1, lam * 10.0
+        assert dampings == 20
+        assert len(rows) - 1 == dampings
+        assert (result.termination, result.iterations) == ("no_descent", 1)
+        assert result.params == prior
+
+    def test_singular_solve_is_a_rejected_trial(self, monkeypatch):
+        # noise-free, so both solves end on the gradient at the minimum
+        truth = MotionParams(yaw=0.1, arc_length=1.0,
+                             free=("yaw", "arc_length"))
+        sets, _ = simulated(RIG2, truth, seed=9)
+        prior = truth.with_values(yaw=0.08, arc_length=1.3)
+        undisturbed = estimate(RIG2, sets, prior)
+        calls = []
+        solve = np.linalg.solve
+
+        def singular_once(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(*args)
+        monkeypatch.setattr(np.linalg, "solve", singular_once)
+        result = estimate(RIG2, sets, prior)
+        assert len(calls) > 1
+        assert result.termination == undisturbed.termination == "grad_tol"
+        assert abs(result.params.yaw - undisturbed.params.yaw) <= 1e-9
 
     def test_non_finite_start_energy_is_not_converged(self):
         # width^2 = 2.25e-308: r^2 / width^2 overflows, so the energy is inf

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motionprior.geometry import (PinholeCamera, PinholeIntrinsics, Pose,
+from motionprior.geometry import (GenericCamera, PinholeCamera,
+                                  PinholeIntrinsics, Pose,
                                   forward_camera_extrinsic, rotation_x,
                                   rotation_y, rotation_z)
 from motionprior.io_formats import (MATCH_HEADER, FramePairRecord,
@@ -175,7 +176,7 @@ class TestRigFiles:
             + extrinsic)
         monkeypatch.chdir(tmp_path)
         rig = load_rig("cal/rig.txt")
-        assert [c.model.kind for c in rig.cameras] == ["generic"] * 2
+        assert [type(c.model) for c in rig.cameras] == [GenericCamera] * 2
 
     def test_cameras_on_one_table_share_one_parse(self, tmp_path,
                                                   monkeypatch):
@@ -808,6 +809,18 @@ class TestScenarioFiles:
 def test_sequence_profile_yaw_per_frame():
     profile = SequenceProfile(((2, 0.1), (3, -0.2)))
     assert profile.yaw_per_frame() == [0.1, 0.1, -0.2, -0.2, -0.2]
+
+
+@pytest.mark.parametrize("segments", [
+    ((0, 0.0), (3, 0.01)), ((-2, 0.1),), ((2.5, 0.0),), ((2, np.nan),),
+    ((2, np.inf),), ((2, -np.pi),), ()],
+    ids=["count-zero", "count-negative", "count-fractional", "yaw-nan",
+         "yaw-inf", "yaw-minus-pi", "no-segment"])
+def test_sequence_profile_rejects_bad_segment(segments):
+    """The message the scenario parser prints for the same segments."""
+    with pytest.raises(ValueError, match=r"^sequence\.segments needs count "
+                       r">= 1 and \|yaw\| < pi in every count:yaw$"):
+        SequenceProfile(segments)
 
 
 # Parser fuzzing: a valid file with one line corrupted must fail with a

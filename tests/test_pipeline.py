@@ -99,7 +99,7 @@ class TestRunSequence:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_fixed_scale_rejects_non_finite(self, value):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="scale value 1 is"):
             FixedScale([1.0, value])
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
