@@ -82,9 +82,7 @@ def _build_parser():
                      default=DEFAULTS.metric.value)
     est.add_argument("--loss", choices=RobustLoss.KINDS,
                      default=DEFAULTS.loss.kind)
-    est.add_argument("--loss-width", type=float, default=DEFAULTS.loss.width)
-    est.add_argument("--max-iterations", type=int,
-                     default=DEFAULTS.max_iterations)
+    est.add_argument("--loss-width", type=float)    # default: per metric
 
     land = sub.add_parser("landscape", help="dump an energy grid as CSV")
     land.add_argument("--rig", required=True)
@@ -147,8 +145,6 @@ def _cmd_simulate(args):
 
 
 def _cmd_estimate(args):
-    if args.max_iterations < 1:
-        raise UsageError(f"--max-iterations {args.max_iterations} must be > 0")
     if args.scale is not None and (args.free_in_curves
                                    or args.initial_scale is not None):
         raise UsageError("--scale fixes every arc length: it takes neither "
@@ -163,9 +159,10 @@ def _cmd_estimate(args):
         scale_source = FreeInCurves(initial=initial)
     else:
         scale_source = FixedScale([initial] * len(records))
-    opts = EstimatorOptions(MetricKind(args.metric),
-                            RobustLoss(args.loss, args.loss_width),
-                            args.max_iterations)
+    metric = MetricKind(args.metric)
+    width = (EstimatorOptions(metric).loss.width if args.loss_width is None
+             else args.loss_width)
+    opts = EstimatorOptions(metric, RobustLoss(args.loss, width))
     trajectory, outcomes = run_sequence(rig, records, scale_source, opts)
     if all(o.failed for o in outcomes):
         print("estimation failed on every frame", file=sys.stderr)
@@ -216,9 +213,10 @@ def _cmd_landscape(args):
     _check_cameras(rig, [record], args.matches, args.rig)
     grid = LandscapeGrid((args.yaw_min, args.yaw_max), args.yaw_steps,
                          (args.arc_min, args.arc_max), args.arc_steps)
+    metric = MetricKind(args.metric)
     land = energy_landscape(rig, match_sets_from_record(record), grid,
                             MotionParams(yaw=0.0, arc_length=1.0),
-                            DEFAULTS.loss, MetricKind(args.metric))
+                            EstimatorOptions(metric).loss, metric)
     _write_rows(args.out, chain(
         [["yaw", "arc_length", "energy", "degenerate"]],
         ([g, l, land.energies[i, j], int(land.degenerate[i, j])]

@@ -36,6 +36,10 @@ ENERGY_DECREASE_REL_TOL = 1e-10
 GRADIENT_TOL = 1e-10        # max |gradient| of the robust energy
 STEP_TOL = 1e-12            # norm of an accepted step
 DAMPING_INIT = 1e-4
+MAX_ITERATIONS = 100        # LM iterations before "max_iter"
+# geoline: the angleplane width in pixels at the rigs' 700 px focal length
+DEFAULT_LOSS = {MetricKind.ANGLEPLANE: RobustLoss("cauchy", 0.0065),
+                MetricKind.GEOLINE: RobustLoss("cauchy", 4.55)}
 
 # EstimateResult.termination values that count as converged
 CONVERGED_TERMINATIONS = ("grad_tol", "step_tol", "energy_tol")
@@ -85,13 +89,12 @@ def default_cold_start_grid(prior: MotionParams) -> GridSpec:
 @dataclass(frozen=True)
 class EstimatorOptions:
     metric: MetricKind = MetricKind.ANGLEPLANE
-    loss: RobustLoss = RobustLoss("cauchy", 0.0065)
-    max_iterations: int = 100
+    loss: RobustLoss | None = None      # None: DEFAULT_LOSS[metric]
     fallback_grid: GridSpec | None = None
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        if self.loss is None:
+            object.__setattr__(self, "loss", DEFAULT_LOSS[self.metric])
 
 
 @dataclass(frozen=True)
@@ -202,7 +205,7 @@ def estimate(rig: CameraRig, match_sets, prior: MotionParams,
     lam = DAMPING_INIT
     free_rows = np.eye(4)[[PARAM_FIELDS.index(f) for f in prior.free]]
     eye = np.eye(len(free_rows))
-    while termination is None and iterations < opts.max_iterations:
+    while termination is None and iterations < MAX_ITERATIONS:
         iterations += 1
         JTz = J.T @ z
         if 2.0 * np.abs(JTz).max() <= GRADIENT_TOL:

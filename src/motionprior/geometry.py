@@ -81,6 +81,15 @@ def _normalized(rays: np.ndarray) -> np.ndarray:
     return rays
 
 
+def check_image_size(size):
+    """None, or (width, height) as floats; ValueError unless two finite > 0."""
+    if size is not None:
+        size = tuple(float(v) for v in size)
+        if not (len(size) == 2 and all(0 < v < np.inf for v in size)):
+            raise ValueError(f"image_size {size} needs two finite values > 0")
+    return size
+
+
 def skew(t) -> np.ndarray:
     """Cross-product matrix: skew(t) @ v == cross(t, v)."""
     t = np.asarray(t, dtype=float).reshape(3)
@@ -124,7 +133,7 @@ class PinholeCamera:
 
     def __init__(self, intrinsics: PinholeIntrinsics, image_size=None):
         self.intrinsics = intrinsics
-        self.image_size = tuple(image_size) if image_size is not None else None
+        self.image_size = check_image_size(image_size)
 
     def pixel_to_bearing(self, pixels: np.ndarray) -> np.ndarray:
         """Unit rays (n, 3) of pixels (n, 2): K^-1 x normalized, positive z."""
@@ -163,7 +172,7 @@ class GenericCamera:
             raise ValueError("bearing table must have shape (nv, nu, 3)")
         self.u0, self.v0, self.du, self.dv = float(u0), float(v0), float(du), float(dv)
         self.table = table
-        self.image_size = tuple(image_size) if image_size is not None else None
+        self.image_size = check_image_size(image_size)
         # the lift's constants, in grid units (u, v): nodes lie on integers
         nv, nu = table.shape[:2]
         self._flat = table.reshape(-1, 3)                 # a view, not a copy

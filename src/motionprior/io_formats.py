@@ -14,7 +14,7 @@ from itertools import islice
 import numpy as np
 
 from .geometry import (ORTHONORMALITY_TOL, GenericCamera, PinholeCamera,
-                       PinholeIntrinsics, Pose)
+                       PinholeIntrinsics, Pose, check_image_size)
 from .manifold import CameraRig, MotionParams, RigCamera
 from .simulate import NoiseSpec, SceneSpec
 
@@ -23,8 +23,6 @@ MATCH_ROW = [("ids", np.int64, 3), ("pixels", float, 4)]
 # load_matches parses blocks of about this many characters (~1600 lines), so
 # its peak memory is one block's rows (~90 KB), not the whole file's
 MATCH_BLOCK_CHARS = 1 << 17
-
-RIG_KEYS = ("id", "model", "intrinsics", "image_size", "table", "extrinsic")
 
 # Trajectory rotations with max|R^T R - I| in [ORTHONORMALITY_TOL, this]
 # are projected onto SO(3) on load: KITTI's %e poses (7 significant
@@ -42,13 +40,18 @@ class NoRecords(Exception):
     pass
 
 
+def _on_line(path, line, make, *args):
+    """make(*args), a ValueError from it being a ParseError on the line."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ParseError(path, line, str(exc))
+
+
 def _reals(path, line, fields):
     """The fields as floats; ParseError naming the line on a field that
     is not a finite number."""
-    try:
-        values = [float(v) for v in fields]
-    except ValueError as exc:
-        raise ParseError(path, line, str(exc))
+    values = _on_line(path, line, lambda: [float(v) for v in fields])
     if not np.isfinite(values).all():
         raise ParseError(path, line, "value is NaN or inf")
     return values
@@ -128,11 +131,12 @@ def _write_rows(path, rows, sep=" "):
 def load_rig(path) -> CameraRig:
     """Rig file: one key-value block per camera, blocks separated by blank
     or comment lines. Keys: id, model (pinhole|generic), intrinsics (fx fy
-    cx cy [skew]), image_size (w h, optional), table (path relative to the
-    rig file, generic only), extrinsic (12 reals, row-major 3x4); id,
-    model and table take one value. Any other key, or one repeated in a
-    block, is a ParseError. Cameras naming one table file with one
-    image_size share one GenericCamera."""
+    cx cy [skew], pinhole only), image_size (w h > 0, optional), table
+    (path relative to the rig file, generic only), extrinsic (12 reals,
+    row-major 3x4); id, model and table take one value. A key the block's
+    model does not read, or one repeated in a block, is a ParseError on
+    its line. Cameras naming one table file with one image_size share one
+    GenericCamera."""
     blocks, last = [], None
     with open(path, encoding="utf-8") as fh:
         for lineno, text in _lines(fh):
@@ -142,8 +146,6 @@ def load_rig(path) -> CameraRig:
             key, *values = text.split()
             if not values:
                 raise ParseError(path, lineno, f"{key} needs a value")
-            if key not in RIG_KEYS:
-                raise ParseError(path, lineno, f"unknown key {key!r}")
             if len(values) > 1 and key in ("id", "model", "table"):
                 raise ParseError(path, lineno, f"{key} takes one value")
             if key in blocks[-1]:
@@ -154,57 +156,47 @@ def load_rig(path) -> CameraRig:
         raise ParseError(path, 0, "rig file defines no cameras")
     cameras, tables = [], {}    # (table path, image_size) -> its camera
     for block in blocks:
-        try:
-            id_line, (cam_id,) = block["id"]
-            model_line, (kind,) = block["model"]
-            ext_line, ext_fields = block["extrinsic"]
+        first = next(iter(block.values()))[0]
+        try:        # each key is popped as read: what is left is unknown
+            id_line, (cam_id,) = block.pop("id")
+            model_line, (kind,) = block.pop("model")
+            ext_line, ext_fields = block.pop("extrinsic")
             cam_id = int(cam_id)
         except KeyError as exc:
-            first = min(lineno for lineno, _ in block.values())
             raise ParseError(path, first, f"camera block missing key {exc}")
         except ValueError as exc:
             raise ParseError(path, id_line, f"bad camera id: {exc}")
+        need = {"pinhole": "intrinsics", "generic": "table"}.get(kind)
+        if need is None:
+            raise ParseError(path, model_line,
+                             f"unknown camera model {kind!r}")
+        if need not in block:
+            raise ParseError(path, model_line, f"{kind} camera needs {need!r}")
+        need_line, need_fields = block.pop(need)
+        size_line, size = block.pop("image_size", (None, None))
+        for key, (lineno, _) in block.items():
+            raise ParseError(path, lineno,
+                             f"unknown key {key!r} for a {kind} camera")
         if any(cam.camera_id == cam_id for cam in cameras):
             raise ParseError(path, id_line, f"camera id {cam_id} repeats")
         ext_vals = _reals(path, ext_line, ext_fields)
         if len(ext_vals) != 12:
             raise ParseError(path, ext_line, "extrinsic needs 12 values")
         mat = np.array(ext_vals).reshape(3, 4)
-        try:
-            extrinsic = Pose(mat[:, :3], mat[:, 3])
-        except ValueError as exc:
-            raise ParseError(path, ext_line, str(exc))
-        image_size = None
-        if "image_size" in block:
-            image_size = tuple(_reals(path, *block["image_size"]))
-            if len(image_size) != 2:
-                raise ParseError(path, block["image_size"][0],
-                                 "image_size needs w h")
+        extrinsic = _on_line(path, ext_line, Pose, mat[:, :3], mat[:, 3])
+        image_size = _on_line(path, size_line, check_image_size, size)
         if kind == "pinhole":
-            if "intrinsics" not in block:
-                raise ParseError(path, model_line,
-                                 "pinhole camera needs an intrinsics line")
-            k_line, k_fields = block["intrinsics"]
-            vals = _reals(path, k_line, k_fields)
+            vals = _reals(path, need_line, need_fields)
             if len(vals) not in (4, 5):
-                raise ParseError(path, k_line,
+                raise ParseError(path, need_line,
                                  "intrinsics needs fx fy cx cy [skew]")
-            try:
-                intrinsics = PinholeIntrinsics(*vals)
-            except ValueError as exc:
-                raise ParseError(path, k_line, str(exc))
+            intrinsics = _on_line(path, need_line, PinholeIntrinsics, *vals)
             model = PinholeCamera(intrinsics, image_size)
-        elif kind == "generic":
-            if "table" not in block:
-                raise ParseError(path, model_line,
-                                 "generic camera needs a table line")
-            key = (_beside(path, block["table"][1][0]), image_size)
+        else:
+            key = (_beside(path, need_fields[0]), image_size)
             if key not in tables:
                 tables[key] = load_bearing_table(*key)
             model = tables[key]
-        else:
-            raise ParseError(path, model_line,
-                             f"unknown camera model {kind!r}")
         cameras.append(RigCamera(cam_id, model, extrinsic))
     return CameraRig(tuple(cameras))
 
@@ -456,11 +448,8 @@ def load_scenario(path) -> Scenario:
         if key not in raw:
             return default
         val, lineno = unread.pop(key)
-        try:
-            value = (_reals(path, lineno, [val])[0] if cast is float
-                     else cast(val))
-        except ValueError as exc:
-            raise ParseError(path, lineno, str(exc))
+        value = (_reals(path, lineno, [val])[0] if cast is float
+                 else _on_line(path, lineno, cast, val))
         if ok is not None and not ok(value):
             raise ParseError(path, lineno, f"{key} {need}")
         return value

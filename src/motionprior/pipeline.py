@@ -46,9 +46,9 @@ class FixedScale:
 class FreeInCurves:
     """Arc length optimized only while the prior yaw reaches
     CURVE_YAW_THRESHOLD; held at the last known value on straights. A
-    frame whose free-arc solve lands below the threshold is solved again
-    with the arc held, and only frames that stay in the curve update the
-    held value."""
+    curve frame keeps its free-arc solve, and updates the held value, only
+    if its yaw stays at or above the threshold and its arc is not
+    scale_unobservable; any other is solved again with the arc held."""
 
     initial: float
 
@@ -130,11 +130,11 @@ def run_sequence(rig: CameraRig, records, scale_source,
             sets = match_sets_from_record(record)
             result = estimate(rig, sets, current, frame_opts)
             if in_curve:
-                if abs(result.params.yaw) < CURVE_YAW_THRESHOLD:
-                    # left the curve: the arc is unobservable on a straight
+                if (abs(result.params.yaw) < CURVE_YAW_THRESHOLD
+                        or result.condition_note == "scale_unobservable"):
                     current = replace(current, free=("yaw",))
                     result = estimate(rig, sets, current, frame_opts)
-                elif result.condition_note != "scale_unobservable":
+                else:
                     held_arc = result.params.arc_length
             current, error = result.params, None
         except (NoMatches, GeometryError, NonFiniteMatch) as exc:

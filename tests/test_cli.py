@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from motionprior import io_formats
-from motionprior.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, run_cli
+from motionprior.cli import (EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
+                            run_cli)
 from motionprior.estimator import LandscapeGrid, energy_landscape
 from motionprior.geometry import (GenericCamera, PinholeCamera,
                                   PinholeIntrinsics)
@@ -53,17 +54,24 @@ def simulate(ws):
     assert code == EXIT_OK
 
 
-def write_generic_rig(ws):
-    """generic_rig.txt: rig.txt with camera 0 tabulated."""
+def write_generic_rig(ws, width=1280, height=960):
+    """generic_rig.txt: rig.txt with its cameras tabulated over pixels 0
+    to width and 0 to height, in 8 px steps."""
     table = GenericCamera.from_camera(
         PinholeCamera(PinholeIntrinsics(700.0, 700.0, 640.0, 480.0)),
-        1280, 960).table
+        width, height).table
     with open(ws / "table.txt", "w", encoding="utf-8") as fh:
         fh.write(f"0 0 8 8 {table.shape[1]} {table.shape[0]}\n")
         np.savetxt(fh, table.reshape(-1, 3))
     (ws / "generic_rig.txt").write_text(RIG_TEXT.replace(
         "model pinhole\nintrinsics 700.0 700.0 640.0 480.0",
         f"model generic\ntable {ws / 'table.txt'}"))
+
+
+def write_centre_rig(ws):
+    """rig.txt: camera 0 alone, moved to the rig centre."""
+    (ws / "rig.txt").write_text(RIG_TEXT.split("\n\n")[0].replace(
+        "extrinsic 0 0 1 2.0", "extrinsic 0 0 1 0.0") + "\n")
 
 
 def landscape_inputs(ws):
@@ -135,14 +143,17 @@ class TestEstimate:
         assert 0.0 < rec["sigma"]["yaw"] < 1e-3
 
     def test_diagnostics_are_strict_json(self, workspace):
-        # one camera at the rig centre: the arc is unobservable, so its
-        # sigma is inf wherever it is free
-        (workspace / "rig.txt").write_text(RIG_TEXT.split("\n\n")[0].replace(
-            "extrinsic 0 0 1 2.0", "extrinsic 0 0 1 0.0") + "\n")
+        # one camera at the rig centre, and the last frame pair cut to one
+        # match: one residual for one free field leaves its sigma inf
+        write_centre_rig(workspace)
         simulate(workspace)
+        matches = workspace / "matches.csv"
+        lines = matches.read_text().splitlines()
+        last = next(k for k, line in enumerate(lines) if line.startswith("6,"))
+        matches.write_text("\n".join(lines[:last + 1]) + "\n")
         code = run_cli(["estimate", "--rig", str(workspace / "rig.txt"),
-                        "--matches", str(workspace / "matches.csv"),
-                        "--free-in-curves",
+                        "--matches", str(matches),
+                        "--scale", str(workspace / "scale.txt"),
                         "--out-trajectory", str(workspace / "est.txt"),
                         "--diagnostics", str(workspace / "diag.jsonl")])
         assert code == EXIT_OK
@@ -151,11 +162,28 @@ class TestEstimate:
             raise ValueError(f"{constant} is not strict JSON")
         diag = [json.loads(line, parse_constant=refuse) for line in
                 (workspace / "diag.jsonl").read_text().splitlines()]
-        curve = [d for d in diag if "arc_length" in d["sigma"]]
-        assert curve
-        for d in curve:
-            assert d["sigma"]["arc_length"] is None
+        assert diag[-1]["sigma"] == {"yaw": None}
+        assert diag[-1]["condition_note"] == "few_matches"
+        for d in diag[:-1]:
             assert 0.0 < d["sigma"]["yaw"] < 1e-3
+
+    def test_unobservable_curve_arc_is_held(self, workspace):
+        # the energy does not see the arc, so each curve frame is solved
+        # again with the arc held at its start
+        write_centre_rig(workspace)
+        simulate(workspace)
+        code = run_cli(["estimate", "--rig", str(workspace / "rig.txt"),
+                        "--matches", str(workspace / "matches.csv"),
+                        "--free-in-curves",
+                        "--out-trajectory", str(workspace / "est.txt"),
+                        "--diagnostics", str(workspace / "diag.jsonl")])
+        assert code == EXIT_OK
+        diag = [json.loads(line) for line in
+                (workspace / "diag.jsonl").read_text().splitlines()]
+        assert [d["arc_length"] for d in diag] == [1.0] * 7
+        for d in diag:
+            assert list(d["sigma"]) == ["yaw"]
+            assert d["condition_note"] == "ok" and d["converged"]
 
     def test_out_of_domain_pixel_fails_only_its_frame(self, workspace,
                                                       capsys):
@@ -194,33 +222,40 @@ class TestEstimate:
         assert code == EXIT_DATA
         assert "camera 0" in capsys.readouterr().err
 
-    def test_max_iterations_reaches_the_solver(self, workspace):
+    def test_every_frame_failing_is_numeric_failure(self, workspace, capsys):
+        # the table covers a 96 px corner of the image: no pair lifts
         simulate(workspace)
-        iterations = {}
-        for limit in ("100", "1"):
-            code = run_cli(["estimate", "--rig", str(workspace / "rig.txt"),
+        write_generic_rig(workspace, 96, 96)
+        code = run_cli(["estimate",
+                        "--rig", str(workspace / "generic_rig.txt"),
+                        "--matches", str(workspace / "matches.csv"),
+                        "--scale", str(workspace / "scale.txt"),
+                        "--out-trajectory", str(workspace / "est.txt")])
+        assert code == EXIT_NUMERIC
+        assert "estimation failed on every frame" in capsys.readouterr().err
+        assert not (workspace / "est.txt").exists()
+
+    def test_geoline_default_width_is_in_pixels(self, workspace):
+        # without --loss-width, geoline's Cauchy width is 0.0065 at f = 700;
+        # noise-free residuals lie far below any width, so add 1 px noise
+        (workspace / "scenario.txt").write_text(
+            SCENARIO_TEXT + "noise.pixel_sigma = 1.0\n")
+        simulate(workspace)
+        solves = {}
+        for name, flags in (("default", []),
+                            ("set", ["--loss-width", "4.55"])):
+            assert run_cli(["estimate", "--rig", str(workspace / "rig.txt"),
                             "--matches", str(workspace / "matches.csv"),
                             "--scale", str(workspace / "scale.txt"),
-                            "--max-iterations", limit,
+                            "--metric", "geoline", *flags,
                             "--out-trajectory", str(workspace / "est.txt"),
-                            "--diagnostics", str(workspace / "diag.jsonl")])
-            assert code == EXIT_OK
-            iterations[limit] = [
-                json.loads(line)["iterations"] for line in
-                (workspace / "diag.jsonl").read_text().splitlines()]
-        assert max(iterations["100"]) > 1     # so the limit of 1 binds
-        assert max(iterations["1"]) <= 1
-
-    def test_max_iterations_below_one_is_usage_error(self, workspace,
-                                                     capsys):
-        # neither input file exists: the flag is checked before any read
-        code = run_cli(["estimate", "--rig", str(workspace / "no_rig.txt"),
-                        "--matches", str(workspace / "no_matches.csv"),
-                        "--max-iterations", "0",
-                        "--out-trajectory", str(workspace / "est.txt")])
-        assert code == EXIT_USAGE
-        assert "--max-iterations 0 must be > 0" in capsys.readouterr().err
-        assert not (workspace / "est.txt").exists()
+                            "--diagnostics", str(workspace / "diag.jsonl")]
+                           ) == EXIT_OK
+            solves[name] = [
+                (d["yaw"], d["energy"], d["iterations"]) for d in map(
+                    json.loads,
+                    (workspace / "diag.jsonl").read_text().splitlines())]
+        assert solves["default"] == solves["set"]
 
     def test_free_in_curves(self, workspace):
         simulate(workspace)
@@ -410,6 +445,35 @@ class TestLandscape:
             RobustLoss("cauchy", 0.0065), MetricKind.ANGLEPLANE)
         assert [float(line.split(",")[2]) for line in lines[1:]] == \
             land.energies.ravel().tolist()
+
+    def test_geoline_grid_takes_the_geoline_loss(self, workspace):
+        simulate(workspace)
+        code = run_cli(["landscape", *landscape_inputs(workspace),
+                        "--metric", "geoline", "--out",
+                        str(workspace / "land.csv"),
+                        "--yaw-steps", "3", "--arc-steps", "2"])
+        assert code == EXIT_OK
+        land = energy_landscape(
+            load_rig(workspace / "rig.txt"), match_sets_from_record(
+                load_matches(workspace / "matches.csv")[0]),
+            LandscapeGrid((-0.3, 0.3), 3, (0.5, 2.0), 2),
+            MotionParams(yaw=0.0, arc_length=1.0),
+            RobustLoss("cauchy", 4.55), MetricKind.GEOLINE)
+        lines = (workspace / "land.csv").read_text().splitlines()
+        assert [float(line.split(",")[2]) for line in lines[1:]] == \
+            land.energies.ravel().tolist()
+
+    def test_pixel_off_the_table_is_numeric_failure(self, workspace, capsys):
+        simulate(workspace)
+        write_generic_rig(workspace, 96, 96)
+        code = run_cli(["landscape",
+                        "--rig", str(workspace / "generic_rig.txt"),
+                        "--matches", str(workspace / "matches.csv"),
+                        "--out", str(workspace / "land.csv"),
+                        "--yaw-steps", "3", "--arc-steps", "2"])
+        assert code == EXIT_NUMERIC
+        assert "tabulated domain" in capsys.readouterr().err
+        assert not (workspace / "land.csv").exists()
 
     def test_requires_input_source(self, workspace):
         code = run_cli(["landscape", "--out", str(workspace / "land.csv")])

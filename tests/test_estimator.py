@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from motionprior import estimator
 from motionprior.estimator import (CONVERGED_TERMINATIONS, DAMPING_INIT,
                                    ENERGY_DECREASE_REL_TOL, EstimateResult,
                                    EstimatorOptions, GridSpec, Landscape,
@@ -8,7 +9,8 @@ from motionprior.estimator import (CONVERGED_TERMINATIONS, DAMPING_INIT,
                                    _solver_state, classify_inliers,
                                    energy_landscape, estimate)
 from motionprior.geometry import (DegenerateTranslation, PinholeCamera,
-                                  PinholeIntrinsics, forward_camera_extrinsic)
+                                  PinholeIntrinsics, Pose,
+                                  forward_camera_extrinsic)
 from motionprior.manifold import (CameraRig, MotionParams, RigCamera,
                                   motion_arrays, params_rows)
 from motionprior.metrics import MatchSet, MetricKind, RigFrame, RobustLoss
@@ -32,6 +34,13 @@ def make_rig(offsets):
 
 RIG1 = make_rig([[2.0, 0.0, 0.0]])
 RIG2 = make_rig([[2.0, 1.0, 0.0], [2.0, -1.0, 0.0]])
+# one camera facing forward, one backward
+RIG_FB = CameraRig((
+    RigCamera(0, PinholeCamera(INTR, (1280, 960)),
+              forward_camera_extrinsic([1.5, 0.5, 0.0])),
+    RigCamera(1, PinholeCamera(INTR, (1280, 960)),
+              Pose(np.array([[0.0, 0.0, -1.0], [1.0, 0.0, 0.0],
+                             [0.0, -1.0, 0.0]]), [-1.0, -0.5, 0.0]))))
 YAW_GRID = GridSpec({"yaw": (-0.3, 0.3, 41)})
 
 
@@ -267,7 +276,7 @@ class TestEstimate:
         assert not result.converged
         assert result.condition_note == "ok" and result.sigma == {}
 
-    def test_termination_reason(self):
+    def test_termination_reason(self, monkeypatch):
         truth = MotionParams(yaw=0.1, arc_length=1.0,
                              free=("yaw", "arc_length"))
         sets, _ = simulated(RIG2, truth, seed=9, sigma=0.5)
@@ -275,23 +284,47 @@ class TestEstimate:
         result = estimate(RIG2, sets, prior, EstimatorOptions())
         assert result.termination in CONVERGED_TERMINATIONS
         assert result.converged
-        cut = estimate(RIG2, sets, prior, EstimatorOptions(max_iterations=1))
+        monkeypatch.setattr(estimator, "MAX_ITERATIONS", 1)
+        cut = estimate(RIG2, sets, prior, EstimatorOptions())
         assert (cut.termination, cut.converged) == ("max_iter", False)
         held = estimate(RIG2, sets, prior.with_values(free=()))
         assert (held.termination, held.iterations) == ("grad_tol", 0)
         assert held.converged
 
-    def test_stops_at_rounding_level_decrease(self):
+    def test_stops_at_rounding_level_decrease(self, monkeypatch):
         truth = MotionParams(yaw=0.05, arc_length=1.0, free=("yaw",))
         sets, _ = simulated(RIG1, truth, seed=4, sigma=1.0)
         prior = truth.with_values(yaw=0.09)
         result = estimate(RIG1, sets, prior, EstimatorOptions())
-        shorter = estimate(RIG1, sets, prior, EstimatorOptions(
-            max_iterations=result.iterations - 1))
+        monkeypatch.setattr(estimator, "MAX_ITERATIONS",
+                            result.iterations - 1)
+        shorter = estimate(RIG1, sets, prior, EstimatorOptions())
         assert result.termination == "energy_tol"
         decrease = shorter.final_energy - result.final_energy
         assert 0.0 <= decrease <= (ENERGY_DECREASE_REL_TOL
                                    * shorter.final_energy)
+
+    def test_geoline_default_loss_is_in_pixels(self):
+        # a forward and a backward camera on a noisy curve with outliers,
+        # the arc held. Over seeds 40-59, a 0.0065 px width read 1.8e-3 to
+        # 2.5e-2 rad of yaw error, two seeds ending "max_iter"; 4.55 px
+        # read at most 7.1e-4
+        truth = MotionParams(yaw=0.03, arc_length=1.0, free=("yaw",))
+        opts = EstimatorOptions(metric=MetricKind.GEOLINE)
+        for seed in range(40, 50):
+            sets, _ = simulated(RIG_FB, truth, seed=seed, sigma=0.5,
+                                outliers=0.1, num_points=300)
+            result = estimate(RIG_FB, sets, truth.with_values(yaw=0.0), opts)
+            assert result.converged
+            assert abs(result.params.yaw - truth.yaw) < 1e-3
+
+    def test_start_row_moving_no_camera_raises(self):
+        # yaw 0 and arc 0: no camera translates, so the start state has
+        # no epipolar geometry; the caller's frame fails, not the run
+        truth = MotionParams(yaw=0.05, arc_length=1.0, free=("yaw",))
+        sets, _ = simulated(RIG2, truth, seed=3)
+        with pytest.raises(DegenerateTranslation, match="zero translation"):
+            estimate(RIG2, sets, truth.with_values(yaw=0.0, arc_length=0.0))
 
     def test_geoline_matches_reference_minimum(self):
         # the default loss width carried to pixels at the focal length;
@@ -669,12 +702,11 @@ class TestGridSpec:
 
 
 class TestOptions:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            EstimatorOptions(max_iterations=0)
-
     def test_defaults(self):
         opts = EstimatorOptions()
         assert opts.metric is ANGLE
         assert opts.loss == RobustLoss("cauchy", 0.0065)
-        assert opts.max_iterations == 100
+        # the same width in pixels at the focal length
+        assert EstimatorOptions(MetricKind.GEOLINE).loss == RobustLoss(
+            "cauchy", 0.0065 * INTR.fx)
+        assert EstimatorOptions(MetricKind.GEOLINE, NONE).loss == NONE

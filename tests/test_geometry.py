@@ -281,6 +281,24 @@ class TestGenericCamera:
                       - pin.pixel_to_bearing(pix)).max() < 1e-12
 
 
+# one check for both models, and for the rig reader
+@pytest.mark.parametrize("size", [
+    (0, -5), (1280, 0), (-1, 960), (np.inf, 960), (1280, np.nan), (1280,),
+    (1280, 960, 3)],
+    ids=["zero-negative", "zero-height", "negative-width", "inf", "nan",
+         "one-value", "three-values"])
+@pytest.mark.parametrize("model", ["pinhole", "generic"])
+def test_image_size_needs_two_positive_finite_values(model, size):
+    intrinsics = PinholeIntrinsics(700.0, 700.0, 640.0, 480.0)
+    make = {"pinhole": lambda s: PinholeCamera(intrinsics, s),
+            "generic": lambda s: GenericCamera(0.0, 0.0, 1.0, 1.0,
+                                               np.ones((2, 2, 3)), s)}[model]
+    assert make(None).image_size is None
+    assert make((1280, 960)).image_size == (1280.0, 960.0)
+    with pytest.raises(ValueError, match="needs two finite values > 0"):
+        make(size)
+
+
 def test_forward_camera_extrinsic_axes():
     ext = forward_camera_extrinsic([0.0, 0.0, 0.0])
     # camera z (optical axis) points along the vehicle's forward x

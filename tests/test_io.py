@@ -153,9 +153,10 @@ class TestRigFiles:
         ("0 0 1 1 2 2", TABLE_ROWS.replace("0.1 0.1 1", "0 0 0"), 5),
         ("0 0 1 1 2 2", TABLE_ROWS.replace("0 0.1 1\n", "# c\n0 0.1 1\n")
          .replace("0.1 0.1 1", "0.0 -0.0 0e3"), 6),
+        ("0 0 1 1 2 3", TABLE_ROWS, 1),
     ], ids=["du-zero", "dv-zero", "du-negative", "nu-fraction", "nv-word",
             "nu-one", "row-two-values", "row-four-values", "row-word",
-            "row-zero", "row-signed-zero"])
+            "row-zero", "row-signed-zero", "rows-fewer-than-header"])
     def test_bad_bearing_table_reports_line(self, tmp_path, header, rows,
                                             line):
         p = tmp_path / "table.txt"
@@ -214,9 +215,21 @@ class TestRigFiles:
         ("model pinhole\n", "model pinhole generic\n", 2,
          "model takes one value"),
         ("model pinhole\nintrinsics 700.0 700.0 640.0 480.0",
-         "model generic\ntable my table.txt", 3, "table takes one value")],
+         "model generic\ntable my table.txt", 3, "table takes one value"),
+        ("model pinhole\n", "model fisheye\n", 2,
+         "unknown camera model 'fisheye'"),
+        # a key of the other model is read by neither
+        ("image_size 1280 960\n", "image_size 1280 960\ntable t.txt\n", 5,
+         "unknown key 'table' for a pinhole camera"),
+        ("model pinhole\n", "model generic\ntable t.txt\n", 4,
+         "unknown key 'intrinsics' for a generic camera"),
+        ("image_size 1280 960", "image_size 0 -5", 4,
+         r"image_size \(0\.0, -5\.0\) needs two finite values > 0"),
+        ("image_size 1280 960", "image_size 1280 0", 4,
+         "needs two finite values > 0")],
         ids=["unknown", "repeated", "id-two-values", "model-two-values",
-             "table-two-values"])
+             "table-two-values", "unknown-model", "pinhole-table",
+             "generic-intrinsics", "image-size-negative", "image-size-zero"])
     def test_bad_key_reports_line(self, tmp_path, old, new, line, message):
         p = tmp_path / "rig.txt"
         p.write_text(RIG_TEXT.replace(old, new, 1))

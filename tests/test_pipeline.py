@@ -20,6 +20,7 @@ from motionprior.pipeline import (FixedScale, FreeInCurves, _trajectory,
                                   simulate_sequence)
 from motionprior.simulate import (NoiseSpec, SceneSpec, generate_matches,
                                   generate_scene)
+from test_estimator import RIG_FB
 from test_evaluation import chain
 
 INTR = PinholeIntrinsics(700.0, 700.0, 640.0, 480.0)
@@ -181,6 +182,20 @@ class TestRunSequence:
         final = outcomes[-1]
         assert "arc_length" not in final.params.free
         assert abs(final.params.arc_length - 1.5) < 1e-3
+
+    def test_scale_unobservable_curve_frame_is_solved_again_held(self):
+        # a forward and a backward camera, 10 % outliers: two curve frames
+        # whose free arc is scale_unobservable ran off to ~4.5e4 m when
+        # their free-arc solve was kept
+        records, _, _ = simulate_sequence(Scenario(
+            SceneSpec(300, seed=7), NoiseSpec(0.5, 0.1, seed=8),
+            MotionParams(yaw=0.0, arc_length=1.0), RIG_FB,
+            SequenceProfile(((30, 0.0), (30, 0.03), (30, 0.0)))))
+        _, outcomes = run_sequence(RIG_FB, records, FreeInCurves(1.0))
+        assert all(o.result.converged for o in outcomes)
+        assert all(o.result.condition_note == "ok" for o in outcomes)
+        # arcs of up to 10.7 m from wrong basins that read "ok" remain
+        assert max(abs(o.params.arc_length) for o in outcomes) < 20.0
 
     @pytest.mark.parametrize("scale", [FixedScale([1.5] * 6),
                                        FreeInCurves(1.0)],
