@@ -37,8 +37,8 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 # landscape grids above this are a usage error, raised before any array is
-# allocated; at this size a ~270-match pair takes ~20 s on a 2-CPU host
-# and writes a ~60 MB CSV
+# allocated; at this size a 281-match two-camera pair takes ~12 s on a
+# 2-CPU host, peaks at ~83 MB RSS and writes a ~61 MB CSV
 MAX_LANDSCAPE_CELLS = 1_000_000
 
 DEFAULTS = EstimatorOptions()

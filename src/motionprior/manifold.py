@@ -22,7 +22,8 @@ PARAM_FIELDS = ("yaw", "arc_length", "pitch", "roll")
 
 YAW_SERIES_SWITCH = 1e-6
 
-# Rows x matches that multi_camera_energy evaluates at once (bounds memory)
+# Rows x matches of match work, and at most this many rows of row geometry,
+# that multi_camera_energy evaluates at once (bounds its memory)
 ENERGY_CHUNK = 16384
 
 
@@ -156,6 +157,43 @@ def _cross(u):
     return (u @ _SKEW).reshape(u.shape[:-1] + (3, 3))
 
 
+def _row_geometry(rows, frame: RigFrame, wrt=None):
+    """The row geometry of the kernel: stacked vec M (K, 9C) of the
+    frame's cameras at K rows, zero for a camera with |u| < TRANSLATION_EPS,
+    and usable (K,), False on rows where no camera translates; with `wrt`,
+    also dM (K, P, 9C), dM = [du]x R^T + [u]x dR^T, du = dR^T (te - t) -
+    R^T dt."""
+    rot, t, *d_motion = motion_arrays(rows, wrt)
+    k_rows, cams = len(rot), len(frame.lever_arms)
+    arm = frame.lever_arms - t[:, None]                 # (K, C, 3)
+    u = arm @ rot - frame.lever_arms                     # R^T (te - t) - te
+    cam_usable = np.einsum("kci,kci->kc", u, u) >= TRANSLATION_EPS ** 2
+    rt, cross_u = rot.swapaxes(-1, -2)[:, None], _cross(u)
+    m = cross_u @ rt
+    m *= cam_usable[..., None, None]
+    m = m.reshape(k_rows, 9 * cams)
+    usable = cam_usable.any(axis=1) | (cams == 0)
+    if wrt is None:
+        return m, usable
+    d_rot, d_t = d_motion
+    du = arm[:, None] @ d_rot - (d_t @ rot)[:, :, None]
+    d_m = (_cross(du) @ rt[:, None] + cross_u[:, None]
+           @ d_rot.swapaxes(-1, -2)[:, :, None]).reshape(
+               k_rows, len(wrt), 9 * cams)
+    return m, usable, d_m
+
+
+def _match_work(m, frame: RigFrame, d_m=None):
+    """The match work of the kernel at stacked vec M m (K, 9C): components
+    (K, N, c) and valid (K, N); with d_m (K, P, 9C), also the derivatives
+    of each component, (K, P, N)."""
+    if frame.metric is MetricKind.GEOLINE:
+        d1, d0, ok, *d_d = geoline_residuals(m, frame, d_m)
+        return np.stack([d1, d0], axis=-1), ok, d_d
+    r, ok, *d_d = angleplane_residuals(m, frame, d_m)
+    return r[..., None], ok, d_d
+
+
 def rig_residuals(rows, frame: RigFrame, wrt=None):
     """The batched residual kernel at K manifold points (rows [yaw,
     arc_length, pitch, roll]) over the frame's N matches. Returns
@@ -163,51 +201,39 @@ def rig_residuals(rows, frame: RigFrame, wrt=None):
     d1, d0 (c = 2); valid (K, N), False on epipole-degenerate matches, as
     is every match of a camera with |u| < TRANSLATION_EPS (its M is 0);
     and usable (K,), False on rows where no camera translates. With `wrt`,
-    a tuple of P field names, also the derivatives (K, N, c, P) from
-    dM = [du]x R^T + [u]x dR^T, du = dR^T (te - t) - R^T dt."""
-    rot, t, *d_motion = motion_arrays(rows, wrt)
-    k_rows, cams = len(rot), len(frame.lever_arms)
-    arm = frame.lever_arms - t[:, None]                 # (K, C, 3)
-    u = arm @ rot - frame.lever_arms                     # R^T (te - t) - te
-    cam_usable = np.einsum("kci,kci->kc", u, u) >= TRANSLATION_EPS ** 2
-    rt, cross_u = rot.swapaxes(-1, -2)[:, None], _cross(u)
-    m = (cross_u @ rt * cam_usable[..., None, None]).reshape(k_rows, 9 * cams)
-    d_m = None
-    if wrt is not None:
-        d_rot, d_t = d_motion
-        du = arm[:, None] @ d_rot - (d_t @ rot)[:, :, None]
-        d_m = (_cross(du) @ rt[:, None] + cross_u[:, None]
-               @ d_rot.swapaxes(-1, -2)[:, :, None]).reshape(
-                   k_rows, len(wrt), 9 * cams)
-    if frame.metric is MetricKind.GEOLINE:
-        d1, d0, ok, *d_d = geoline_residuals(m, frame, d_m)
-        components = np.stack([d1, d0], axis=-1)
-    else:
-        r, ok, *d_d = angleplane_residuals(m, frame, d_m)
-        components = r[..., None]
-    out = (components, ok, cam_usable.any(axis=1) | (cams == 0))
+    a tuple of P field names, also the derivatives (K, N, c, P)."""
+    m, usable, *d_m = _row_geometry(rows, frame, wrt)
+    components, ok, d_d = _match_work(m, frame, *d_m)
     if wrt is None:
-        return out
+        return components, ok, usable
     # (K, P, N) per component -> (K, N, c, P); one component needs no copy
     jac = np.stack(d_d, axis=-1) if len(d_d) > 1 else d_d[0][..., None]
-    return out + (jac.transpose(0, 2, 3, 1),)
+    return components, ok, usable, jac.transpose(0, 2, 3, 1)
 
 
 def multi_camera_energy(rows, frame: RigFrame, loss: RobustLoss):
     """Robust epipolar energy over all cameras of a caller's frame at K
     rows [yaw, arc_length, pitch, roll]: (K,) energies, inf on rows
-    outside the yaw domain or where no populated camera translates;
-    evaluated ENERGY_CHUNK matches at a time."""
+    outside the yaw domain or where no populated camera translates. The
+    row geometry is worked out for up to ENERGY_CHUNK rows at a time, the
+    match work for ENERGY_CHUNK rows x matches at a time, so the memory
+    beside the (K,) output does not grow with K."""
     rows = np.asarray(rows, float).reshape(-1, 4)
     step = max(1, ENERGY_CHUNK // max(1, len(frame)))
+    # a block holds whole chunks, so a row's chunk, and the rounding of
+    # its matrix product, do not depend on the block size
+    block = step * (ENERGY_CHUNK // step)
     energies = np.empty(len(rows))
-    for i in range(0, len(rows), step):
-        components, valid, usable = rig_residuals(rows[i:i + step], frame)
-        rho, _ = loss.evaluate(np.einsum("...c,...c->...", components,
-                                         components))
-        energies[i:i + step] = np.where(
-            usable, np.sum(rho, axis=-1, where=valid), np.inf)
-    energies[~(np.abs(rows[:, 0]) < np.pi)] = np.inf
+    for b in range(0, len(rows), block):
+        block_rows = rows[b:b + block]
+        m, usable = _row_geometry(block_rows, frame)
+        usable &= np.abs(block_rows[:, 0]) < np.pi
+        for i in range(0, len(m), step):
+            components, valid, _ = _match_work(m[i:i + step], frame)
+            rho = loss.rho(np.einsum("...c,...c->...", components,
+                                     components))
+            energies[b + i:b + i + step] = np.where(
+                usable[i:i + step], np.sum(rho, axis=-1, where=valid), np.inf)
     return energies
 
 

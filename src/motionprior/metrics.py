@@ -57,13 +57,25 @@ class RobustLoss:
             raise ValueError(f"loss width {self.width!r} must be positive "
                              "with a finite, non-zero square")
 
+    def rho(self, squared: np.ndarray) -> np.ndarray:
+        """Return rho(s) elementwise for squared residuals s."""
+        return self._rho_and_ratio(squared)[0]
+
     def evaluate(self, squared: np.ndarray):
         """Return (rho(s), drho/ds) elementwise for squared residuals s."""
+        rho, ratio = self._rho_and_ratio(squared)
+        if ratio is None:
+            return rho, np.ones_like(rho)
+        return rho, 1.0 / (1.0 + ratio)
+
+    def _rho_and_ratio(self, squared):
+        """rho(s) and, for the Cauchy loss, s / w^2 (None for "none")."""
         s = np.asarray(squared, dtype=float)
         if self.kind == "none":
-            return s.copy(), np.ones_like(s)
+            return s.copy(), None
         w2 = self.width * self.width
-        return w2 * np.log1p(s / w2), 1.0 / (1.0 + s / w2)
+        ratio = s / w2
+        return w2 * np.log1p(ratio), ratio
 
 
 @dataclass(frozen=True)

@@ -47,8 +47,9 @@ class FreeInCurves:
     """Arc length optimized only while the prior yaw reaches
     CURVE_YAW_THRESHOLD; held at the last known value on straights. A
     curve frame keeps its free-arc solve, and updates the held value, only
-    if its yaw stays at or above the threshold and its arc is not
-    scale_unobservable; any other is solved again with the arc held."""
+    if its yaw stays at or above the threshold and its condition note is
+    ok; any other (few_matches, scale_unobservable) is solved again with
+    the arc held."""
 
     initial: float
 
@@ -131,7 +132,7 @@ def run_sequence(rig: CameraRig, records, scale_source,
             result = estimate(rig, sets, current, frame_opts)
             if in_curve:
                 if (abs(result.params.yaw) < CURVE_YAW_THRESHOLD
-                        or result.condition_note == "scale_unobservable"):
+                        or result.condition_note != "ok"):
                     current = replace(current, free=("yaw",))
                     result = estimate(rig, sets, current, frame_opts)
                 else:

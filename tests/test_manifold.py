@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from motionprior import manifold
 from motionprior.geometry import (TRANSLATION_EPS, DegenerateTranslation,
                                   PinholeCamera, PinholeIntrinsics, Pose,
                                   forward_camera_extrinsic, rotation_x,
@@ -300,6 +303,56 @@ class TestBatchedKernel:
             batch = multi_camera_energy(rows, KERNEL_FRAMES[metric], CAUCHY)
             scalar = [scalar_energy(row, metric) for row in rows]
             assert np.allclose(batch, scalar, rtol=1e-12, atol=0.0)
+
+    def test_row_blocks_equal_chunks_and_rows(self, monkeypatch):
+        # 6 matches and ENERGY_CHUNK 20: chunks of 3 rows, geometry blocks
+        # of 18, so 44 rows span three blocks and end on a 2-row chunk.
+        # BLAS rounds a product differently for different row counts, so
+        # the energies equal one-chunk calls bit for bit and single-row
+        # calls to 1e-12
+        sets = [subset(s, slice(3)) for s in KERNEL_SETS]
+        monkeypatch.setattr(manifold, "ENERGY_CHUNK", 20)
+        rng = np.random.Generator(np.random.PCG64(12))
+        k = 44
+        rows = np.stack([rng.uniform(-0.3, 0.3, k), rng.uniform(0.5, 2, k),
+                         np.where(np.arange(k) % 3, 0.0, 0.02),
+                         np.zeros(k)], axis=1)
+        rows[25] = 0.0                    # no camera translates
+        rows[40, 0] = np.pi               # outside the yaw domain
+        rows[41, 0] = -4.0
+        for metric in MetricKind:
+            frame = RigFrame.from_matches(KERNEL_RIG, sets, metric)
+            batch = multi_camera_energy(rows, frame, CAUCHY)
+            chunks = [multi_camera_energy(rows[i:i + 3], frame, CAUCHY)
+                      for i in range(0, k, 3)]
+            single = [multi_camera_energy(row[None], frame, CAUCHY)[0]
+                      for row in rows]
+            assert np.array_equal(batch, np.concatenate(chunks))
+            assert np.allclose(batch, single, rtol=1e-12, atol=0.0)
+            assert np.flatnonzero(np.isinf(batch)).tolist() == [25, 40, 41]
+
+    def test_energy_memory_is_bounded_in_rows(self, monkeypatch):
+        # beside its 8-byte-per-row output the energy holds at most two
+        # blocks of row geometry (one being replaced) and one chunk of
+        # match work, whatever the row count: at 20 matches 4096 rows are
+        # four blocks of 1020, and 64 KiB of slack covers the tracer's own
+        # objects
+        frame = RigFrame.from_matches(
+            KERNEL_RIG, [subset(s, slice(10)) for s in KERNEL_SETS],
+            MetricKind.ANGLEPLANE)
+        monkeypatch.setattr(manifold, "ENERGY_CHUNK", 1024)
+
+        def peak(k):
+            rows = np.tile([[0.1, 1.2, 0.01, 0.0]], (k, 1))
+            tracemalloc.start()
+            try:
+                multi_camera_energy(rows, frame, CAUCHY)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        k = 4096
+        assert peak(8 * k) - peak(k) <= 8 * 7 * k + 64 * 1024
 
     def test_motion_arrays_match_closed_form(self):
         rows = np.array([[0.1, 1.5, 0.0, 0.0], [-0.2, 2.0, 0.03, 0.0],

@@ -197,6 +197,26 @@ class TestRunSequence:
         # arcs of up to 10.7 m from wrong basins that read "ok" remain
         assert max(abs(o.params.arc_length) for o in outcomes) < 20.0
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_few_matches_curve_frame_is_solved_again_held(self, seed):
+        # a curve frame cut to 3 matches per camera reads few_matches; when
+        # its free-arc solve was kept, it set the held arc (0.85 to 7350 m
+        # against a true 1.5 m) for itself and the straight after it
+        records = make_records(RIG2, [0.0, 0.04, 0.04, 0.04, 0.0, 0.0],
+                               arc=1.5, seed=10 * seed,
+                               noise=NoiseSpec(pixel_sigma=1.0,
+                                               seed=seed + 1))
+        cut = records[3]
+        records[3] = FramePairRecord(cut.t0, cut.t1, {
+            cam: (p0[:3], p1[:3]) for cam, (p0, p1) in cut.pixels.items()})
+        _, outcomes = run_sequence(RIG2, records, FreeInCurves(1.0))
+        assert outcomes[3].result.condition_note == "few_matches"
+        held = outcomes[2].params.arc_length
+        assert abs(held - 1.5) < 0.2
+        for o in outcomes[3:]:
+            assert "arc_length" not in o.params.free
+            assert o.params.arc_length == held
+
     @pytest.mark.parametrize("scale", [FixedScale([1.5] * 6),
                                        FreeInCurves(1.0)],
                              ids=["fixed-scale", "free-in-curves"])
