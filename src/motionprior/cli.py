@@ -80,8 +80,6 @@ def _build_parser():
     est.add_argument("--initial-scale", type=float)     # default 1.0
     est.add_argument("--metric", choices=METRICS,
                      default=DEFAULTS.metric.value)
-    est.add_argument("--loss", choices=RobustLoss.KINDS,
-                     default=DEFAULTS.loss.kind)
     est.add_argument("--loss-width", type=float)    # default: per metric
 
     land = sub.add_parser("landscape", help="dump an energy grid as CSV")
@@ -160,9 +158,8 @@ def _cmd_estimate(args):
     else:
         scale_source = FixedScale([initial] * len(records))
     metric = MetricKind(args.metric)
-    width = (EstimatorOptions(metric).loss.width if args.loss_width is None
-             else args.loss_width)
-    opts = EstimatorOptions(metric, RobustLoss(args.loss, width))
+    opts = EstimatorOptions(metric, None if args.loss_width is None
+                            else RobustLoss("cauchy", args.loss_width))
     trajectory, outcomes = run_sequence(rig, records, scale_source, opts)
     if all(o.failed for o in outcomes):
         print("estimation failed on every frame", file=sys.stderr)

@@ -70,7 +70,9 @@ def evaluate(est: TrajectoryRecord, gt: TrajectoryRecord,
     start every START_STEP frames and end at the first frame farther along
     the ground truth than their length."""
     if len(est) != len(gt):
-        raise ValueError("trajectories must have the same frame count")
+        raise ValueError("trajectories must have the same frame count: "
+                         f"the estimate has {len(est)} poses, the ground "
+                         f"truth {len(gt)}")
     # a repeated length is one bucket, not its segments twice
     lengths = check_lengths(list(dict.fromkeys(
         DEFAULT_LENGTHS if lengths is None else lengths)))

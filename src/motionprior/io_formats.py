@@ -368,9 +368,10 @@ def load_trajectory(path) -> TrajectoryRecord:
                 poses.append(Pose(_rotation_on_load(mat[:, :3]), mat[:, 3]))
             except ValueError as exc:
                 raise ParseError(path, _line_at(fh, i), str(exc))
-    if not poses:
-        raise ParseError(path, 0, "empty trajectory file")
-    return TrajectoryRecord(tuple(poses))
+        if not poses:
+            raise ParseError(path, 0, "empty trajectory file")
+        # TrajectoryRecord checks the first pose, on the first content line
+        return _on_line(path, _line_at(fh, 0), TrajectoryRecord, tuple(poses))
 
 
 def load_scale(path):

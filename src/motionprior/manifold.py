@@ -15,8 +15,7 @@ import numpy as np
 
 from .geometry import (TRANSLATION_EPS, Pose, rotation_x, rotation_y,
                        rotation_z, skew)
-from .metrics import (MetricKind, RigFrame, RobustLoss, angleplane_residuals,
-                      geoline_residuals)
+from .metrics import RigFrame, RobustLoss, residuals
 
 PARAM_FIELDS = ("yaw", "arc_length", "pitch", "roll")
 
@@ -183,17 +182,6 @@ def _row_geometry(rows, frame: RigFrame, wrt=None):
     return m, usable, d_m
 
 
-def _match_work(m, frame: RigFrame, d_m=None):
-    """The match work of the kernel at stacked vec M m (K, 9C): components
-    (K, N, c) and valid (K, N); with d_m (K, P, 9C), also the derivatives
-    of each component, (K, P, N)."""
-    if frame.metric is MetricKind.GEOLINE:
-        d1, d0, ok, *d_d = geoline_residuals(m, frame, d_m)
-        return np.stack([d1, d0], axis=-1), ok, d_d
-    r, ok, *d_d = angleplane_residuals(m, frame, d_m)
-    return r[..., None], ok, d_d
-
-
 def rig_residuals(rows, frame: RigFrame, wrt=None):
     """The batched residual kernel at K manifold points (rows [yaw,
     arc_length, pitch, roll]) over the frame's N matches. Returns
@@ -203,12 +191,8 @@ def rig_residuals(rows, frame: RigFrame, wrt=None):
     and usable (K,), False on rows where no camera translates. With `wrt`,
     a tuple of P field names, also the derivatives (K, N, c, P)."""
     m, usable, *d_m = _row_geometry(rows, frame, wrt)
-    components, ok, d_d = _match_work(m, frame, *d_m)
-    if wrt is None:
-        return components, ok, usable
-    # (K, P, N) per component -> (K, N, c, P); one component needs no copy
-    jac = np.stack(d_d, axis=-1) if len(d_d) > 1 else d_d[0][..., None]
-    return components, ok, usable, jac.transpose(0, 2, 3, 1)
+    components, valid, *jac = residuals(m, frame, *d_m)
+    return (components, valid, usable, *jac)
 
 
 def multi_camera_energy(rows, frame: RigFrame, loss: RobustLoss):
@@ -229,7 +213,7 @@ def multi_camera_energy(rows, frame: RigFrame, loss: RobustLoss):
         m, usable = _row_geometry(block_rows, frame)
         usable &= np.abs(block_rows[:, 0]) < np.pi
         for i in range(0, len(m), step):
-            components, valid, _ = _match_work(m[i:i + step], frame)
+            components, valid = residuals(m[i:i + step], frame)
             rho = loss.rho(np.einsum("...c,...c->...", components,
                                      components))
             energies[b + i:b + i + step] = np.where(

@@ -161,42 +161,53 @@ class RigFrame:
 
 
 def _ratios(m, frame: RigFrame, d_m, rows):
-    """num / |vec| for each slice of divisor rows, at stacked vec M m
-    (..., 9C), valid where |vec| >= DEGENERACY_EPS (a smaller |vec| is
-    raised to it); with d_m (..., P, 9C) also the derivatives (..., P, N)."""
+    """num / |vec| for each slice of divisor rows at stacked vec M m
+    (..., 9C): components (..., N, c), one per slice, and valid (..., N),
+    False where any |vec| < DEGENERACY_EPS (a smaller |vec| is raised to
+    it); with d_m (..., P, 9C), also the derivatives (..., N, c, P)."""
     shape = (rows[-1].stop, len(frame))
     values = (m @ frame.design).reshape(m.shape[:-1] + shape)
     if d_m is not None:
         derivs = (d_m @ frame.design).reshape(d_m.shape[:-1] + shape)
-    out = []
+    ratios, jac = [], []
     for r in rows:
         vec = values[..., r, :]
         norm = np.sqrt(np.einsum("...in,...in->...n", vec, vec))
-        valid = norm >= DEGENERACY_EPS
+        ok = norm >= DEGENERACY_EPS
+        valid = valid & ok if ratios else ok
         np.maximum(norm, DEGENERACY_EPS, out=norm)
         ratio = values[..., 0, :] / norm
-        if d_m is None:
-            out.append((ratio, valid))
-            continue
-        # d(num / |v|) = (d_num - (num / |v|) (v . dv) / |v|) / |v|
-        norm = norm[..., None, :]
-        out.append((ratio, valid, (derivs[..., 0, :] - ratio[..., None, :]
-                                   * np.einsum("...in,...pin->...pn", vec,
-                                               derivs[..., r, :])
-                                   / norm) / norm))
-    return out
+        ratios.append(ratio)
+        if d_m is not None:
+            # d(num / |v|) = (d_num - (num / |v|) (v . dv) / |v|) / |v|
+            norm = norm[..., None, :]
+            jac.append(((derivs[..., 0, :] - ratio[..., None, :]
+                         * np.einsum("...in,...pin->...pn", vec,
+                                     derivs[..., r, :])
+                         / norm) / norm).swapaxes(-1, -2))   # (..., N, P)
+    if len(rows) == 1:                  # one slice: views, no copy
+        return (ratios[0][..., None], valid, *[j[..., None, :] for j in jac])
+    return (np.stack(ratios, axis=-1), valid,
+            *([np.stack(jac, axis=-2)] if jac else []))
+
+
+def residuals(m: np.ndarray, frame: RigFrame, d_m=None):
+    """The frame's metric function at m (and d_m), called by its
+    module-level name, so that a wrapper installed there sees the call."""
+    if frame.metric is MetricKind.GEOLINE:
+        return geoline_residuals(m, frame, d_m)
+    return angleplane_residuals(m, frame, d_m)
 
 
 def geoline_residuals(m: np.ndarray, frame: RigFrame, d_m=None):
-    """Per-match symmetric line distances (d1, d0) and a validity mask at
-    stacked vec M m (..., 9C) of the frame's cameras, each (..., N). Given
-    derivatives d_m (..., P, 9C), also those of d1 and d0, (..., P, N)."""
-    (d1, ok1, *dd1), (d0, ok0, *dd0) = _ratios(m, frame, d_m, _LINE_ROWS)
-    return (d1, d0, ok1 & ok0, *dd1, *dd0)
+    """Per-match symmetric line distances at stacked vec M m (..., 9C) of
+    the frame's cameras: components (..., N, 2), d1 then d0, and valid
+    (..., N); given d_m (..., P, 9C), also derivatives (..., N, 2, P)."""
+    return _ratios(m, frame, d_m, _LINE_ROWS)
 
 
 def angleplane_residuals(m: np.ndarray, frame: RigFrame, d_m=None):
-    """Per-match signed plane-angle residuals and a validity mask at
-    stacked vec M m (..., 9C) of the frame's cameras, each (..., N). Given
-    derivatives d_m (..., P, 9C), also those of the residuals, (..., P, N)."""
-    return _ratios(m, frame, d_m, _PLANE_ROWS)[0]
+    """Per-match signed plane-angle residuals at stacked vec M m (..., 9C)
+    of the frame's cameras: components (..., N, 1) and valid (..., N);
+    given d_m (..., P, 9C), also derivatives (..., N, 1, P)."""
+    return _ratios(m, frame, d_m, _PLANE_ROWS)

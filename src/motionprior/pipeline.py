@@ -92,10 +92,11 @@ def match_sets_from_record(record: FramePairRecord):
 def run_sequence(rig: CameraRig, records, scale_source,
                  opts: EstimatorOptions = EstimatorOptions()):
     """Estimate every frame pair, each initialized from the previous
-    result, the first after a cold-start grid; a frame that fails (no
-    matches, geometry or non-finite data) carries the prior motion
-    forward, flagged with the error. The pairs must chain: (0, 1), (1, 2)
-    and so on, any step size; a gap or an overlap is a ValueError.
+    result; until a pair is estimated, each also runs a cold-start grid.
+    A frame that fails (no matches, geometry or non-finite data) carries
+    the prior motion forward, flagged with the error. The pairs must
+    chain: (0, 1), (1, 2) and so on, any step size; a gap or an overlap
+    is a ValueError.
 
     Returns (TrajectoryRecord, list of FrameOutcome).
     """
@@ -116,7 +117,7 @@ def run_sequence(rig: CameraRig, records, scale_source,
 
     held_arc = scale_source.values[0] if fixed else scale_source.initial
     current = MotionParams(yaw=0.0, arc_length=held_arc)
-    first_opts = replace(opts, fallback_grid=opts.fallback_grid
+    frame_opts = replace(opts, fallback_grid=opts.fallback_grid
                          or default_cold_start_grid(current))
     outcomes = []
     for index, record in enumerate(records):
@@ -125,7 +126,6 @@ def run_sequence(rig: CameraRig, records, scale_source,
         in_curve = not fixed and abs(current.yaw) >= CURVE_YAW_THRESHOLD
         current = replace(current, arc_length=held_arc, free=(
             ("yaw", "arc_length") if in_curve else ("yaw",)))
-        frame_opts = first_opts if index == 0 else opts
         start = time.perf_counter()
         try:
             sets = match_sets_from_record(record)
@@ -137,7 +137,7 @@ def run_sequence(rig: CameraRig, records, scale_source,
                     result = estimate(rig, sets, current, frame_opts)
                 else:
                     held_arc = result.params.arc_length
-            current, error = result.params, None
+            current, error, frame_opts = result.params, None, opts
         except (NoMatches, GeometryError, NonFiniteMatch) as exc:
             result, error = None, str(exc)
         runtime = (time.perf_counter() - start) * 1e3

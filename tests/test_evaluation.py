@@ -96,5 +96,6 @@ class TestEvaluate:
     def test_length_mismatch(self):
         a = TrajectoryRecord(tuple(straight_line(10)))
         b = TrajectoryRecord(tuple(straight_line(11)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="the estimate has 11 poses, "
+                           "the ground truth 12"):
             evaluate(a, b)

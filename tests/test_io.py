@@ -432,6 +432,13 @@ class TestTrajectoryFiles:
         with pytest.raises(ValueError):
             TrajectoryRecord((Pose(np.eye(3), [1.0, 0, 0]),))
 
+    def test_first_pose_not_identity_names_its_line(self, tmp_path):
+        p = tmp_path / "traj.txt"
+        p.write_text("# poses\n\n1 0 0 1 0 1 0 0 0 0 1 0\n")
+        with pytest.raises(ParseError, match="must be identity") as err:
+            load_trajectory(p)
+        assert err.value.line == 3
+
     def test_wrong_column_count(self, tmp_path):
         p = tmp_path / "traj.txt"
         p.write_text("1 0 0 0 0 1 0 0 0 0 1\n")

@@ -37,14 +37,17 @@ def vec(m):
 def geoline(f, s):
     """(d1, d0, valid) of fundamental(s) f through a unit-intrinsics
     camera at the vehicle origin, where M = F."""
-    return geoline_residuals(vec(f), identity_frame(s, MetricKind.GEOLINE))
+    components, valid = geoline_residuals(
+        vec(f), identity_frame(s, MetricKind.GEOLINE))
+    return components[..., 0], components[..., 1], valid
 
 
 def angleplane(e, s, model=CAM):
     """(r, valid) of essential(s) e through the set's camera `model` at
     the vehicle origin, where M = E."""
-    return angleplane_residuals(
+    components, valid = angleplane_residuals(
         vec(e), identity_frame(s, MetricKind.ANGLEPLANE, model))
+    return components[..., 0], valid
 
 
 def geoline_energy(f, s, loss):

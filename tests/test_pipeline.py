@@ -296,6 +296,22 @@ class TestRunSequence:
         assert [o.failed for o in outcomes] == [False, True, False, False]
         assert "pixels_t0" in outcomes[1].error
 
+    @pytest.mark.parametrize("yaw, seed", [(0.2, 3), (0.25, 2), (0.29, 3)])
+    def test_cold_start_grid_until_a_pair_is_estimated(self, yaw, seed):
+        # pair 0 fails on a NaN pixel; from yaw 0 without the grid, pair 1
+        # stops in a false basin near yaw 0.01-0.03 at these seeds
+        rig = make_rig([[2.0, 1.0, 0.0], [2.0, -1.0, 0.0]])
+        records = make_records(rig, [yaw, yaw], seed=seed,
+                               noise=NoiseSpec(pixel_sigma=0.5, seed=seed))
+        px0, px1 = records[0].pixels[0]
+        px0 = px0.copy()
+        px0[0, 0] = np.nan
+        records[0] = FramePairRecord(0, 1, {**records[0].pixels,
+                                            0: (px0, px1)})
+        _, outcomes = run_sequence(rig, records, FixedScale([1.0, 1.0]))
+        assert outcomes[0].failed
+        assert abs(outcomes[1].params.yaw - yaw) < 1e-3
+
     def test_zero_ray_fails_only_the_frame_that_hits_it(self):
         # a table node holding a zero ray lifts the pixel on it to NaN
         records = make_records(RIG1, [0.02] * 4)
