@@ -20,7 +20,7 @@ from itertools import chain
 from .estimator import EstimatorOptions, LandscapeGrid, energy_landscape
 from .evaluation import (DEFAULT_LENGTHS, TrajectoryTooShort, check_lengths,
                          evaluate)
-from .geometry import DegenerateTranslation, GeometryError
+from .geometry import GeometryError
 from .io_formats import (NoRecords, ParseError, _write_rows, iter_matches,
                          load_matches, load_rig, load_scale, load_scenario,
                          load_trajectory, write_matches, write_scale,
@@ -45,8 +45,7 @@ DEFAULTS = EstimatorOptions()
 METRICS = [kind.value for kind in MetricKind]
 
 DATA_ERRORS = (ParseError, NoRecords, NoVisiblePoints, TrajectoryTooShort,
-               FileNotFoundError, IsADirectoryError, PermissionError,
-               ValueError, KeyError)
+               OSError, ValueError, KeyError)
 
 
 class UsageError(Exception):
@@ -54,7 +53,10 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant whose usage failures map to exit code 1."""
+    """argparse variant: usage failures exit 1, flags are taken in full."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
@@ -255,7 +257,7 @@ def run_cli(argv) -> int:
     except DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (DegenerateTranslation, GeometryError) as exc:
+    except GeometryError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -53,8 +53,9 @@ class NoMatches(Exception):
 class GridSpec:
     """Axis-aligned evaluation grid over free parameters: field name ->
     (min, max, steps). ValueError naming the field unless it is one of
-    PARAM_FIELDS, min <= max are finite and steps is an integer >= 1. The
-    axes are kept as a read-only copy, so the check holds for good."""
+    PARAM_FIELDS, min <= max are finite (within (-pi, pi) for yaw) and
+    steps is an integer >= 1. The axes are kept as a read-only copy, so
+    the check holds for good."""
 
     axes: dict
 
@@ -66,6 +67,9 @@ class GridSpec:
             if not -np.inf < lo <= hi < np.inf:
                 raise ValueError(f"invalid bounds for {f}: range {lo}, {hi} "
                                  "must be finite with lo <= hi")
+            if f == "yaw" and not (-np.pi < lo and hi < np.pi):
+                raise ValueError(f"yaw range {lo}, {hi} must lie within "
+                                 "(-pi, pi)")
             if not (isinstance(steps, (int, np.integer)) and steps >= 1):
                 raise ValueError(f"{f} steps {steps!r} must be an int >= 1")
 

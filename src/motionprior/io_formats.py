@@ -79,8 +79,7 @@ def _numbers(path, fh, row, skip=0, delimiter=None, first_line=1):
     the first bad line (the file's first is line `first_line`). np.loadtxt
     reads the handle itself first; where it fails (a bad value, no lines,
     or a whitespace-only line in a comma file), the content lines are
-    parsed as _lines strips them, and then one by one to find the bad
-    line."""
+    parsed one by one as _lines strips them, up to the first bad one."""
     def parse(texts, comments=None):
         rows = np.loadtxt(texts, row, comments=comments, delimiter=delimiter,
                           ndmin=1)
@@ -94,16 +93,13 @@ def _numbers(path, fh, row, skip=0, delimiter=None, first_line=1):
             return parse(fh, "#")
         except (ValueError, UserWarning):
             fh.seek(0)
-        try:
-            return parse(text for _, text in islice(_lines(fh), skip, None))
-        except (ValueError, UserWarning):
-            fh.seek(0)
+    rows = [np.empty(0, row)]
     for lineno, text in islice(_lines(fh, first_line), skip, None):
         try:
-            parse([text])
+            rows.append(parse([text]))
         except ValueError as exc:
             raise ParseError(path, lineno, str(exc).split(" at row")[0])
-    return np.empty(0, row)
+    return np.concatenate(rows)
 
 
 def _beside(path, other):
@@ -470,7 +466,8 @@ def load_scenario(path) -> Scenario:
         num_points=take("scene.num_points", 200, int, lambda n: n >= 1,
                         "must be >= 1"),
         depth_range=(depth_min, depth_max),
-        lateral_spread=take("scene.lateral_spread", 8.0),
+        lateral_spread=take("scene.lateral_spread", 8.0, float,
+                            lambda s: s >= 0, "must be >= 0"),
         seed=seed_at("scene.seed", seed))
     noise = NoiseSpec(
         pixel_sigma=take("noise.pixel_sigma", 0.0, float, lambda s: s >= 0,

@@ -36,8 +36,8 @@ class SceneSpec:
         lo, hi = self.depth_range
         if not 0 < lo <= hi < np.inf:
             raise ValueError("depth_range must satisfy 0 < min <= max < inf")
-        if not np.isfinite(self.lateral_spread):
-            raise ValueError("lateral_spread must be finite")
+        if not 0 <= self.lateral_spread < np.inf:
+            raise ValueError("lateral_spread must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -303,6 +304,34 @@ class TestEstimate:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err
 
+    # argparse would read each as an abbreviation of a longer flag
+    @pytest.mark.parametrize("flags", [
+        ["--loss", "2.0"], ["--free", "--init", "1.0"]],
+        ids=["loss", "free-init"])
+    def test_abbreviated_flag_is_usage_error(self, workspace, capsys, flags):
+        code = run_cli(["estimate", "--rig", str(workspace / "rig.txt"),
+                        "--matches", str(workspace / "no_matches.csv"),
+                        "--out-trajectory", str(workspace / "est.txt"),
+                        *flags])
+        assert code == EXIT_USAGE
+        assert f"unrecognized arguments: {' '.join(flags)}" in \
+            capsys.readouterr().err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    @pytest.mark.parametrize("full", ["trajectory", "diagnostics"])
+    def test_write_to_full_device_is_data_error(self, workspace, capsys,
+                                                 full):
+        simulate(workspace)
+        out = {name: "/dev/full" if name == full else str(workspace / name)
+               for name in ("trajectory", "diagnostics")}
+        code = run_cli(["estimate", "--rig", str(workspace / "rig.txt"),
+                        "--matches", str(workspace / "matches.csv"),
+                        "--out-trajectory", out["trajectory"],
+                        "--diagnostics", out["diagnostics"]])
+        assert code == EXIT_DATA
+        assert "error: [Errno 28]" in capsys.readouterr().err
+
 
 class TestNonFiniteInput:
     def estimate(self, ws):
@@ -467,6 +496,19 @@ class TestLandscape:
         assert code == EXIT_OK
         assert (workspace / "land.csv").read_text().splitlines() == [
             "yaw,arc_length,energy,degenerate", "0.0,0.0,0.0,1"]
+
+    def test_yaw_past_pi_is_data_error(self, workspace, capsys):
+        # cells past pi are off the manifold, not degenerate
+        simulate(workspace)
+        code = run_cli(["landscape", *landscape_inputs(workspace),
+                        "--out", str(workspace / "land.csv"),
+                        "--yaw-min", "3.0", "--yaw-max", "3.3", "--yaw-steps",
+                        "4", "--arc-min", "1", "--arc-max", "1",
+                        "--arc-steps", "1"])
+        assert code == EXIT_DATA
+        assert "error: yaw range 3.0, 3.3 must lie within (-pi, pi)" in \
+            capsys.readouterr().err
+        assert not (workspace / "land.csv").exists()
 
     def test_pixel_off_the_table_is_numeric_failure(self, workspace, capsys):
         simulate(workspace)

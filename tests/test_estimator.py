@@ -678,10 +678,12 @@ class TestGridSpec:
         (lambda: GridSpec({"yaw": (-0.3, 0.3, 2.0)}), "yaw"),
         (lambda: GridSpec({"yam": (-0.3, 0.3, 41)}), "yam"),
         (lambda: EstimatorOptions(
-            fallback_grid=GridSpec({"yaw": (np.nan, 0.3, 41)})), "yaw")],
+            fallback_grid=GridSpec({"yaw": (np.nan, 0.3, 41)})), "yaw"),
+        (lambda: GridSpec({"yaw": (3.0, 3.3, 4)}), "yaw"),
+        (lambda: GridSpec({"yaw": (-np.pi, 0.0, 5)}), "yaw")],
         ids=["nan", "inf", "minus-inf", "reversed", "steps-zero",
              "steps-negative", "steps-float", "unknown-field",
-             "fallback-nan"])
+             "fallback-nan", "yaw-past-pi", "yaw-at-minus-pi"])
     def test_invalid_grid_rejected_when_built(self, build, field):
         with pytest.raises(ValueError, match=field):
             build()

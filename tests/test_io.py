@@ -785,6 +785,8 @@ class TestScenarioFiles:
         ("scene.depth_min = -1\n", "scene.depth_min must be > 0"),
         ("scene.depth_max = 3.0\n",
          "scene.depth_max must be >= scene.depth_min"),
+        ("scene.lateral_spread = -3\n",
+         "scene.lateral_spread must be >= 0"),
         ("noise.pixel_sigma = -1\n", "noise.pixel_sigma must be >= 0"),
         ("noise.outlier_fraction = 2\n",
          "noise.outlier_fraction must lie in [0, 1]"),
@@ -796,7 +798,7 @@ class TestScenarioFiles:
            "sequence.segments needs count >= 1 and |yaw| < pi in every "
            "count:yaw") for segments in ("-3:0.1", "5:4.0", "3:0.0, 0:0.1")]],
         ids=["yaw-beyond-pi", "no-points",
-             "depth-min-negative", "depth-max-below-min",
+             "depth-min-negative", "depth-max-below-min", "spread-negative",
              "sigma-negative", "outlier-fraction-above-one",
              "seed-negative", "scene-seed-negative",
              "noise-seed-negative", "rig-empty", "segment-count-negative",

@@ -69,9 +69,9 @@ class TestGenerateScene:
     @pytest.mark.parametrize("field, value", [
         ("depth_range", (5.0, np.inf)), ("depth_range", (np.nan, 40.0)),
         ("lateral_spread", np.nan), ("lateral_spread", np.inf),
-        ("num_points", 2.5)],
+        ("lateral_spread", -3.0), ("num_points", 2.5)],
         ids=["depth-inf", "depth-nan", "spread-nan", "spread-inf",
-             "points-fractional"])
+             "spread-negative", "points-fractional"])
     def test_non_finite_or_fractional_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must"):
             SceneSpec(**{field: value})
