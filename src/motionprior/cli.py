@@ -13,8 +13,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from contextlib import closing
+from functools import partial
 from itertools import chain
 
 from .estimator import EstimatorOptions, LandscapeGrid, energy_landscape
@@ -132,13 +134,48 @@ def _json_number(x):
     return x if math.isfinite(x) else None
 
 
+def _write_outputs(writes):
+    """write(path) for each (path, write) with a path, in turn. On an
+    OSError the regular files written so far are removed, the failing one
+    too unless its open failed, and the error is raised naming its path."""
+    done = []
+    for path, write in writes:
+        if path is not None:
+            try:
+                write(path)
+            except OSError as exc:
+                for old in done + [path] * (exc.filename is None):
+                    if os.path.isfile(old) and not os.path.islink(old):
+                        os.remove(old)
+                exc.filename = path
+                raise
+            done.append(path)
+
+
+def _diagnostic(o) -> dict:
+    """The diagnostics record of a frame outcome, strict JSON once dumped."""
+    record = {"t0": o.t0, "t1": o.t1, "yaw": o.params.yaw,
+              "arc_length": o.params.arc_length, "pitch": o.params.pitch,
+              "roll": o.params.roll, "failed": o.failed, "error": o.error,
+              "runtime_ms": o.runtime_ms}
+    if o.result is not None:
+        record.update(energy=_json_number(o.result.final_energy),
+                      iterations=o.result.iterations,
+                      converged=o.result.converged,
+                      termination=o.result.termination,
+                      condition_note=o.result.condition_note,
+                      sigma={f: _json_number(v)
+                             for f, v in o.result.sigma.items()},
+                      skipped_matches=o.result.skipped_matches)
+    return record
+
+
 def _cmd_simulate(args):
     records, truth_traj, scales = simulate_sequence(
         load_scenario(args.scenario))
-    write_matches(records, args.out_matches)
-    write_trajectory(truth_traj, args.out_truth)
-    if args.out_scale:
-        write_scale(scales, args.out_scale)
+    _write_outputs([(args.out_matches, partial(write_matches, records)),
+                    (args.out_truth, partial(write_trajectory, truth_traj)),
+                    (args.out_scale, partial(write_scale, scales))])
     print(f"wrote {len(records)} frame pairs "
           f"({sum(r.match_count() for r in records)} matches)")
     return EXIT_OK
@@ -166,25 +203,11 @@ def _cmd_estimate(args):
     if all(o.failed for o in outcomes):
         print("estimation failed on every frame", file=sys.stderr)
         return EXIT_NUMERIC
-    write_trajectory(trajectory, args.out_trajectory)
-    if args.diagnostics:
-        with open(args.diagnostics, "w", encoding="utf-8") as fh:
-            for o in outcomes:
-                record = {"t0": o.t0, "t1": o.t1, "yaw": o.params.yaw,
-                          "arc_length": o.params.arc_length,
-                          "pitch": o.params.pitch, "roll": o.params.roll,
-                          "failed": o.failed, "error": o.error,
-                          "runtime_ms": o.runtime_ms}
-                if o.result is not None:
-                    record.update(energy=_json_number(o.result.final_energy),
-                                  iterations=o.result.iterations,
-                                  converged=o.result.converged,
-                                  termination=o.result.termination,
-                                  condition_note=o.result.condition_note,
-                                  sigma={f: _json_number(v) for f, v
-                                         in o.result.sigma.items()},
-                                  skipped_matches=o.result.skipped_matches)
-                fh.write(json.dumps(record, allow_nan=False) + "\n")
+    diagnostics = ([json.dumps(_diagnostic(o), allow_nan=False)]
+                   for o in outcomes)
+    _write_outputs([
+        (args.out_trajectory, partial(write_trajectory, trajectory)),
+        (args.diagnostics, partial(_write_rows, rows=diagnostics))])
     failed = sum(o.failed for o in outcomes)
     print(f"estimated {len(outcomes)} frame pairs ({failed} failed)")
     return EXIT_OK
@@ -216,11 +239,11 @@ def _cmd_landscape(args):
     land = energy_landscape(rig, match_sets_from_record(record), grid,
                             MotionParams(yaw=0.0, arc_length=1.0),
                             EstimatorOptions(metric).loss, metric)
-    _write_rows(args.out, chain(
+    _write_outputs([(args.out, partial(_write_rows, sep=",", rows=chain(
         [["yaw", "arc_length", "energy", "degenerate"]],
         ([g, l, land.energies[i, j], int(land.degenerate[i, j])]
          for i, g in enumerate(land.yaw_values)
-         for j, l in enumerate(land.arc_values))), sep=",")
+         for j, l in enumerate(land.arc_values)))))])
     print(f"wrote {land.energies.size} grid cells")
     return EXIT_OK
 
@@ -236,9 +259,10 @@ def _cmd_eval(args):
           f"{'trans_percent':>14}")
     for length, count, rot, trans in rows:
         print(f"{length:10.0f} {count:9d} {rot:14.6f} {trans:14.6f}")
-    if args.out:
-        _write_rows(args.out, [["length_m", "segments", "rotation_deg_per_m",
-                                "translation_percent"], *rows], sep=",")
+    _write_outputs([(args.out, partial(
+        _write_rows, sep=",", rows=[["length_m", "segments",
+                                     "rotation_deg_per_m",
+                                     "translation_percent"], *rows]))])
     return EXIT_OK
 
 

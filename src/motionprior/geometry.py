@@ -149,14 +149,6 @@ class PinholeCamera:
         homo = points @ self.intrinsics.matrix.T
         return homo[:, :2] / homo[:, 2:3]
 
-    def contains(self, pixels: np.ndarray) -> np.ndarray:
-        pixels = np.atleast_2d(np.asarray(pixels, dtype=float))
-        if self.image_size is None:
-            return np.ones(len(pixels), dtype=bool)
-        w, h = self.image_size
-        return ((pixels[:, 0] >= 0) & (pixels[:, 0] <= w - 1)
-                & (pixels[:, 1] >= 0) & (pixels[:, 1] <= h - 1))
-
 
 class GenericCamera:
     """Tabulated camera model: a rectangular grid of ray directions with

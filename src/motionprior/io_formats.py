@@ -304,17 +304,16 @@ def load_matches(path):
 
 def write_matches(records, path):
     """One line per match, as _cell prints each value. A (frame pair,
-    camera) block is one repr of its (n, 4) float list with its brackets
-    and spaces turned into lines that each start with the block's ids."""
+    camera) block of n matches is one %-format of its 4 n floats, each
+    printed by %r as repr prints it, behind the block's ids."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(MATCH_HEADER) + "\n")
         for rec in records:
             for cam in sorted(rec.pixels):
-                quads = np.hstack(rec.pixels[cam], dtype=float).tolist()
-                if quads:
-                    ids = ",".join(map(_cell, (rec.t0, rec.t1, cam))) + ","
-                    fh.write(ids + repr(quads)[2:-2].replace(", ", ",")
-                             .replace("],[", "\n" + ids) + "\n")
+                quads = np.hstack(rec.pixels[cam], dtype=float)
+                ids = ",".join(map(_cell, (rec.t0, rec.t1, cam)))
+                fh.write((ids + ",%r,%r,%r,%r\n") * len(quads)
+                         % tuple(quads.ravel().tolist()))
 
 
 # --------------------------------------------------------- trajectory files

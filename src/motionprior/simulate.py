@@ -66,16 +66,17 @@ def generate_scene(spec: SceneSpec) -> np.ndarray:
 
 
 def _project_visible(model, points_cam):
-    """Pixels and a visibility mask (positive depth, inside the image)."""
-    n = len(points_cam)
-    visible = points_cam[:, 2] > 1e-9
-    pixels = np.zeros((n, 2))
-    if np.any(visible):
-        pixels[visible] = model.project(points_cam[visible])
-        inside = np.zeros(n, dtype=bool)
-        inside[visible] = model.contains(pixels[visible])
-        visible = visible & inside
-    return pixels, visible
+    """Pixels (2, n, 2) of camera-frame points (2, n, 3) at t0 and t1, and
+    the mask of the points seen at both: positive depth, inside the image.
+    One pass over both times; a point not in front keeps pixel (0, 0)."""
+    seen = points_cam[..., 2:] > 1e-9
+    homo = points_cam @ model.intrinsics.matrix.T
+    pixels = np.divide(homo[..., :2], homo[..., 2:], where=seen,
+                       out=np.zeros(seen.shape[:-1] + (2,)))
+    if model.image_size is not None:
+        seen &= ((pixels >= 0) & (pixels <= np.subtract(model.image_size, 1))
+                 ).all(axis=-1, keepdims=True)
+    return pixels, seen[0, :, 0] & seen[1, :, 0]
 
 
 def generate_matches(points, rig: CameraRig, truth: MotionParams,
@@ -105,14 +106,11 @@ def generate_matches(points, rig: CameraRig, truth: MotionParams,
         rot, t = cam.extrinsic.rotation, cam.extrinsic.translation
         cam_t0 = points @ rot + -rot.T @ t
         rot, t = rot_m @ rot, rot_m @ t + t_m
-        cam_t1 = points @ rot + -rot.T @ t
-        px0, vis0 = _project_visible(cam.model, cam_t0)
-        px1, vis1 = _project_visible(cam.model, cam_t1)
-        visible = vis0 & vis1
-        if not np.any(visible):
+        pixels, visible = _project_visible(
+            cam.model, np.stack([cam_t0, points @ rot + -rot.T @ t]))
+        if not visible.any():
             continue
-        px0 = px0[visible]
-        px1 = px1[visible]
+        px0, px1 = pixels[:, visible]
         n = len(px0)
         if noise.pixel_sigma > 0:
             px0 = px0 + rng.normal(0.0, noise.pixel_sigma, px0.shape)

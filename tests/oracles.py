@@ -5,8 +5,9 @@ camera, form its essential (and, for pixels, fundamental) matrix, and
 evaluate each metric on it match by match; sigma formed from the final
 solver state in one pass; the per-segment Pose path of the trajectory
 evaluation; the cell-by-cell match writer, the line-by-line number parser
-and the Pose path of the simulator's projection. None of this is on the
-package's paths.
+and the simulator's projection on the Pose path, one time at a time,
+through PinholeCamera.project and a point-by-point image test. None of
+this is on the package's paths.
 """
 
 import warnings
@@ -24,7 +25,6 @@ from motionprior.io_formats import (MATCH_HEADER, ParseError, _lines,
 from motionprior.manifold import (CameraRig, RigCamera, multi_camera_energy,
                                   params_rows, pose_from_params)
 from motionprior.metrics import DEGENERACY_EPS, MatchSet, MetricKind, RigFrame
-from motionprior.simulate import _project_visible
 
 UNIT_CAM = PinholeCamera(PinholeIntrinsics(1.0, 1.0, 0.0, 0.0))
 
@@ -224,6 +224,21 @@ def numbers_by_lines(path, fh, row, skip=0, delimiter=None, first_line=1):
     return np.empty(0, row)
 
 
+def _pixels_seen(model, points_cam):
+    """Pixels (n, 2) of camera-frame points (n, 3), by model.project on
+    the points in front, and which of them the camera sees: positive
+    depth and, if the model has an image size, within its pixel bounds."""
+    seen = points_cam[:, 2] > 1e-9
+    pixels = np.zeros((len(points_cam), 2))
+    pixels[seen] = model.project(points_cam[seen])
+    if model.image_size is not None:
+        w, h = model.image_size
+        for i in np.flatnonzero(seen):
+            u, v = pixels[i]
+            seen[i] = 0 <= u <= w - 1 and 0 <= v <= h - 1
+    return pixels, seen
+
+
 def pixels_by_pose(points, rig, truth):
     """simulate.generate_matches without noise, on Pose objects: camera id
     -> pixels (t0, t1) of the points that camera sees at both times, the
@@ -231,9 +246,9 @@ def pixels_by_pose(points, rig, truth):
     motion = pose_from_params(truth)
     pixels = {}
     for cam in rig.cameras:
-        px0, vis0 = _project_visible(cam.model,
-                                     cam.extrinsic.inverse().apply(points))
-        px1, vis1 = _project_visible(
+        px0, vis0 = _pixels_seen(cam.model,
+                                 cam.extrinsic.inverse().apply(points))
+        px1, vis1 = _pixels_seen(
             cam.model, motion.compose(cam.extrinsic).inverse().apply(points))
         visible = vis0 & vis1
         if visible.any():

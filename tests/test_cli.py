@@ -108,6 +108,24 @@ class TestSimulate:
             capsys.readouterr().err
         assert not (workspace / "matches.csv").exists()
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    @pytest.mark.parametrize("full", ["matches", "truth", "scale"])
+    def test_failed_write_leaves_no_output(self, workspace, capsys, full):
+        out = {name: "/dev/full" if name == full else str(workspace / name)
+               for name in ("matches", "truth", "scale")}
+        code = run_cli(["simulate", "--scenario",
+                        str(workspace / "scenario.txt"),
+                        "--out-matches", out["matches"],
+                        "--out-truth", out["truth"],
+                        "--out-scale", out["scale"]])
+        assert code == EXIT_DATA
+        assert "No space left on device: '/dev/full'" in \
+            capsys.readouterr().err
+        assert sorted(p.name for p in workspace.iterdir()) == \
+            ["rig.txt", "scenario.txt"]
+        assert os.path.exists("/dev/full")
+
 
 class TestEstimate:
     def test_round_trip_against_truth(self, workspace, capsys):
@@ -330,7 +348,24 @@ class TestEstimate:
                         "--out-trajectory", out["trajectory"],
                         "--diagnostics", out["diagnostics"]])
         assert code == EXIT_DATA
-        assert "error: [Errno 28]" in capsys.readouterr().err
+        assert "error: [Errno 28] No space left on device: '/dev/full'" in \
+            capsys.readouterr().err
+        assert not (workspace / "trajectory").exists()
+        assert not (workspace / "diagnostics").exists()
+
+    def test_unopenable_output_leaves_no_output(self, workspace, capsys):
+        # the diagnostics path is a directory: its open fails, and the
+        # trajectory written before it is removed, the directory is not
+        simulate(workspace)
+        (workspace / "diag").mkdir()
+        code = run_cli(["estimate", "--rig", str(workspace / "rig.txt"),
+                        "--matches", str(workspace / "matches.csv"),
+                        "--out-trajectory", str(workspace / "est.txt"),
+                        "--diagnostics", str(workspace / "diag")])
+        assert code == EXIT_DATA
+        assert str(workspace / "diag") in capsys.readouterr().err
+        assert not (workspace / "est.txt").exists()
+        assert (workspace / "diag").is_dir()
 
 
 class TestNonFiniteInput:

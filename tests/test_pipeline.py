@@ -382,6 +382,22 @@ class TestSimulateSequence:
         for r, before in zip(records[1:], kept[1:]):
             assert np.array_equal(np.hstack(r.pixels[0]), before)
 
+    def test_frame_k_seeded_1000_k_past_the_scenario(self):
+        scenario = replace(self.scenario(((2, 0.0), (2, 0.05))),
+                           noise=NoiseSpec(0.5, 0.2, seed=4))
+        records, _, _ = simulate_sequence(scenario)
+        for k, yaw in enumerate([0.0, 0.0, 0.05, 0.05]):
+            sets, _ = generate_matches(
+                generate_scene(replace(scenario.scene, seed=3 + 1000 * k)),
+                RIG2, replace(scenario.truth, yaw=yaw),
+                replace(scenario.noise, seed=4 + 1000 * k))
+            assert (records[k].t0, records[k].t1) == (k, k + 1)
+            assert sorted(records[k].pixels) == [s.camera_id for s in sets]
+            for s in sets:
+                px0, px1 = records[k].pixels[s.camera_id]
+                assert px0.tobytes() == s.pixels_t0.tobytes()
+                assert px1.tobytes() == s.pixels_t1.tobytes()
+
     def test_round_trip_with_estimator(self):
         records, gt, _ = simulate_sequence(self.scenario(((2, 0.0),
                                                           (3, 0.04))))

@@ -176,6 +176,34 @@ class TestGenerateMatches:
             assert s.pixels_t0.tobytes() == px0.tobytes()
             assert s.pixels_t1.tobytes() == px1.tobytes()
 
+    def test_random_draws_in_documented_order(self):
+        # camera 3 looks backwards, sees no point and so draws nothing
+        back = Pose(rotation_z(np.pi)
+                    @ forward_camera_extrinsic([0, 0, 0]).rotation,
+                    [0.0, 0.0, 1.0])
+        rig = CameraRig((RigCamera(3, PinholeCamera(INTR, (1280, 960)), back),
+                         *make_rig([[2.0, 0.0, 0.0],
+                                    [1.0, -0.8, -0.2]]).cameras))
+        points = generate_scene(SceneSpec(200, seed=21))
+        noise = NoiseSpec(pixel_sigma=0.7, outlier_fraction=0.25, seed=22)
+        sets, labels = generate_matches(points, rig, self.truth, noise)
+        clean = pixels_by_pose(points, rig, self.truth)
+        assert [s.camera_id for s in sets] == list(clean) == [0, 1]
+        # per camera: t0 noise, t1 noise, outlier choice, outlier u, v
+        rng = np.random.Generator(np.random.PCG64(noise.seed))
+        for s, inlier in zip(sets, labels):
+            px0, px1 = clean[s.camera_id]
+            px0 = px0 + rng.normal(0.0, noise.pixel_sigma, px0.shape)
+            px1 = px1 + rng.normal(0.0, noise.pixel_sigma, px1.shape)
+            n_out = round(noise.outlier_fraction * len(px0))
+            chosen = rng.choice(len(px0), size=n_out, replace=False)
+            px1[chosen, 0] = rng.uniform(0, 1279, n_out)
+            px1[chosen, 1] = rng.uniform(0, 959, n_out)
+            assert n_out > 0
+            assert s.pixels_t0.tobytes() == px0.tobytes()
+            assert s.pixels_t1.tobytes() == px1.tobytes()
+            assert np.array_equal(np.flatnonzero(~inlier), np.sort(chosen))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             NoiseSpec(pixel_sigma=-1.0)
