@@ -3,14 +3,17 @@
 They follow the per-camera pose path: conjugate the vehicle motion to a
 camera, form its essential (and, for pixels, fundamental) matrix, and
 evaluate each metric on it match by match; sigma formed from the final
-solver state in one pass; the per-segment Pose path of the trajectory
+solver state in one pass; M of a pure rotation in exact rational
+arithmetic; the per-segment Pose path of the trajectory
 evaluation; the cell-by-cell match writer, the line-by-line number parser
 and the simulator's projection on the Pose path, one time at a time,
 through PinholeCamera.project and a point-by-point image test. None of
 this is on the package's paths.
 """
 
+import math
 import warnings
+from fractions import Fraction
 from itertools import chain, islice
 
 import numpy as np
@@ -24,7 +27,8 @@ from motionprior.io_formats import (MATCH_HEADER, ParseError, _lines,
                                     _write_rows)
 from motionprior.manifold import (CameraRig, RigCamera, multi_camera_energy,
                                   params_rows, pose_from_params)
-from motionprior.metrics import DEGENERACY_EPS, MatchSet, MetricKind, RigFrame
+from motionprior.metrics import (DEGENERACY_EPS, TILTED_FEATURES, MatchSet,
+                                 MetricKind, RigFrame, feature_maps)
 
 UNIT_CAM = PinholeCamera(PinholeIntrinsics(1.0, 1.0, 0.0, 0.0))
 
@@ -97,6 +101,57 @@ def identity_frame(s: MatchSet, metric, model=UNIT_CAM) -> RigFrame:
     (plane metric)."""
     rig = CameraRig((RigCamera(s.camera_id, model, Pose.identity()),))
     return RigFrame.from_matches(rig, [s], metric)
+
+
+def origin_features(m) -> np.ndarray:
+    """Tilted motion features (..., 29) at which a camera at the vehicle
+    origin, as in identity_frame, has M = m (..., 3, 3). There M = -(I +
+    D) [t]x, and each entry of M is one feature D_ij t_k: M_i0 is
+    (D_i2, ty), M_i1 is -(D_i2, tx) and M_i2 is -(D_i0, ty), the feature
+    (D_ij, t_k) at index 3 (1 + 3 i + j) + k - 1. Checks that the frame's
+    feature map gives m back exactly."""
+    m = np.asarray(m, dtype=float)
+    phi = np.zeros(m.shape[:-2] + (TILTED_FEATURES,))
+    i = np.arange(3)
+    for column, j, k, sign in ((0, 2, 2, 1.0), (1, 2, 1, -1.0),
+                               (2, 0, 2, -1.0)):
+        phi[..., 3 * (1 + 3 * i + j) + k - 1] = sign * m[..., :, column]
+    vec_m = phi @ feature_maps(np.zeros(3))[0]
+    assert np.array_equal(vec_m, m.reshape(m.shape[:-2] + (9,)))
+    return phi
+
+
+def exact_pure_rotation(m: Fraction, lever_arms):
+    """A pure rotation (arc 0) whose cosine and sine are the exact
+    rationals ((1 - m^2) / (1 + m^2), 2 m / (1 + m^2)) of a Pythagorean
+    pair: its yaw, their float atan2, and the matrix M = [u]x R^T,
+    u = R^T te - te, of each lever arm te (float, taken exactly), as
+    nested lists (3, 3) of Fractions, in exact arithmetic."""
+    c, s = (1 - m * m) / (1 + m * m), 2 * m / (1 + m * m)
+    rt = [[c, s, Fraction(0)], [-s, c, Fraction(0)],
+          [Fraction(0), Fraction(0), Fraction(1)]]
+    ms = []
+    for arm in lever_arms:
+        te = [Fraction(float(x)) for x in arm]
+        u = [sum(rt[i][j] * te[j] for j in range(3)) - te[i]
+             for i in range(3)]
+        cross = [[0, -u[2], u[1]], [u[2], 0, -u[0]], [-u[1], u[0], 0]]
+        ms.append([[sum(cross[i][k] * rt[k][j] for k in range(3))
+                    for j in range(3)] for i in range(3)])
+    return math.atan2(float(s), float(c)), ms
+
+
+def exact_plane_residuals(m, v0, v1):
+    """Plane sines v1^T M v0 / |M v0| of float rays v0, v1 (n, 3) at an
+    exact M (3, 3) of Fractions: numerator and squared norm exact, then
+    rounded once each."""
+    out = []
+    for a, b in zip(v0.tolist(), v1.tolist()):
+        a, b = [Fraction(x) for x in a], [Fraction(x) for x in b]
+        normal = [sum(m[i][j] * a[j] for j in range(3)) for i in range(3)]
+        num = sum(b[i] * normal[i] for i in range(3))
+        out.append(float(num) / math.sqrt(float(sum(x * x for x in normal))))
+    return np.array(out)
 
 
 def energy_at(p, rig, match_sets, loss, metric) -> float:

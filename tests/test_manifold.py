@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,17 +11,20 @@ from motionprior.geometry import (TRANSLATION_EPS, DegenerateTranslation,
                                   PinholeCamera, PinholeIntrinsics, Pose,
                                   forward_camera_extrinsic, rotation_x,
                                   rotation_y, rotation_z, skew)
+from motionprior.estimator import estimate
 from motionprior.manifold import (ENERGY_CHUNK, PARAM_FIELDS,
                                   YAW_SERIES_SWITCH, CameraRig,
                                   MotionParams, RigCamera, lowest_energy,
-                                  motion_arrays, multi_camera_energy,
-                                  params_rows, pose_from_params,
-                                  rig_residuals)
-from motionprior.metrics import MatchSet, MetricKind, RigFrame, RobustLoss
+                                  motion_arrays, motion_features,
+                                  multi_camera_energy, params_rows,
+                                  pose_from_params, rig_residuals)
+from motionprior.metrics import (PLANAR_TO_TILTED, MatchSet, MetricKind,
+                                 RigFrame, RobustLoss, feature_maps)
 from motionprior.simulate import (NoiseSpec, SceneSpec, generate_matches,
                                   generate_scene)
 from oracles import (UNIT_CAM, bearing_set, camera_point_transform,
                      conjugate_to_camera, energy_at, essential_from_motion,
+                     exact_plane_residuals, exact_pure_rotation,
                      plane_residuals, pose_path_residuals, subset)
 
 LOSS = RobustLoss("none")
@@ -333,17 +337,17 @@ class TestBatchedKernel:
 
     def test_energy_memory_is_bounded_in_rows(self, monkeypatch):
         # beside its 8-byte-per-row output the energy holds at most two
-        # blocks of row geometry (one being replaced) and one chunk of
-        # match work, whatever the row count: at 20 matches 4096 rows are
-        # four blocks of 1020, and 64 KiB of slack covers the tracer's own
-        # objects
+        # blocks of motion features (one being replaced; 29 or 8 a row)
+        # and one chunk of match work, whatever the row count: at 20
+        # matches 4096 rows are four blocks of 1020, and 64 KiB of slack
+        # covers the tracer's own objects
         frame = RigFrame.from_matches(
             KERNEL_RIG, [subset(s, slice(10)) for s in KERNEL_SETS],
             MetricKind.ANGLEPLANE)
         monkeypatch.setattr(manifold, "ENERGY_CHUNK", 1024)
 
-        def peak(k):
-            rows = np.tile([[0.1, 1.2, 0.01, 0.0]], (k, 1))
+        def peak(k, pitch):
+            rows = np.tile([[0.1, 1.2, pitch, 0.0]], (k, 1))
             tracemalloc.start()
             try:
                 multi_camera_energy(rows, frame, CAUCHY)
@@ -352,7 +356,8 @@ class TestBatchedKernel:
                 tracemalloc.stop()
 
         k = 4096
-        assert peak(8 * k) - peak(k) <= 8 * 7 * k + 64 * 1024
+        for pitch in (0.01, 0.0):           # tilted and planar features
+            assert peak(8 * k, pitch) - peak(k, pitch) <= 8 * 7 * k + 64 * 1024
 
     def test_motion_arrays_match_closed_form(self):
         rows = np.array([[0.1, 1.5, 0.0, 0.0], [-0.2, 2.0, 0.03, 0.0],
@@ -649,3 +654,183 @@ class TestRigFrameInvariance:
         after = rig_energies(rig, JAC_SETS, rows, MetricKind.ANGLEPLANE)
         assert np.isfinite(before).all()
         assert after == pytest.approx(before, rel=1e-12, abs=0.0)
+
+
+# Motion features: the solver's one-row scalar build, the numpy build of
+# many rows and the 29 tilted features, against each other, against
+# central differences and against M and u formed from motion_arrays.
+EPS = np.finfo(float).eps
+SWITCH_YAWS = (0.0, 0.5 * YAW_SERIES_SWITCH, 0.99 * YAW_SERIES_SWITCH,
+               1.01 * YAW_SERIES_SWITCH, 2 * YAW_SERIES_SWITCH, 0.3)
+
+
+def m_and_u_from_motion(rows, lever_arm):
+    """vec M (K, 9) and u (K, 3) of one lever arm te, formed as
+    u = R^T (te - t) - te and M = [u]x R^T from motion_arrays."""
+    rot, t = motion_arrays(rows)
+    u = np.einsum("ki,kij->kj", lever_arm - t, rot) - lever_arm
+    m = np.stack([skew(u_k) @ r_k.T for u_k, r_k in zip(u, rot)])
+    return m.reshape(-1, 9), u
+
+
+class TestMotionFeatures:
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("wrt", [("yaw", "arc_length"), PARAM_FIELDS])
+    def test_derivatives_match_central_differences(self, sign, wrt):
+        # at zero yaw and on both sides of the series switch; the
+        # stencil's O(h^2) error and its rounding, eps / h, both stay
+        # below 1e-9 at h = 1e-5 for features of size ~1
+        rows = np.array([[sign * g, 1.3, 0.0, 0.0] for g in SWITCH_YAWS])
+        if "pitch" in wrt:
+            rows[1::2, 2:] = [0.02, -0.03]
+        phi, d_phi = motion_features(rows, wrt)
+        assert phi.shape[1] == (8 if len(wrt) == 2 else 29)
+        h = 1e-5
+        for k, field in enumerate(wrt):
+            step = np.zeros(4)
+            step[PARAM_FIELDS.index(field)] = h
+            plus, _ = motion_features(rows + step, wrt)
+            minus, _ = motion_features(rows - step, wrt)
+            assert np.allclose(d_phi[:, k], (plus - minus) / (2 * h),
+                               rtol=0.0, atol=1e-9), field
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(yaws, st.floats(-3.0, 3.0)), min_size=1,
+                    max_size=8))
+    @example([(0.0, 1.0), (0.99e-6, -2.0), (1.01e-6, 0.5), (-0.4, 0.0),
+              (2.3148326704715444e-157, 0.0)])
+    def test_scalar_row_equals_numpy_rows(self, rows):
+        # the two builds differ only in math's and numpy's sin and cos,
+        # which may round a last bit apart: each feature, a product of at
+        # most three such terms, agrees to 16 ulps, or below 1e-300, where
+        # products lose their relative precision to underflow
+        rows = np.array([(g, arc, 0.0, 0.0) for g, arc in rows])
+        numpy_phi, none = motion_features(rows)
+        scalar_phi, d_phi = motion_features(rows, ())
+        assert none is None and d_phi.shape == (len(rows), 0, 8)
+        assert np.allclose(scalar_phi, numpy_phi, rtol=16 * EPS, atol=1e-300)
+
+    @pytest.mark.parametrize("lever_arm", [[2.0, 1.0, 0.0],
+                                           [1.5, -0.8, 0.3],
+                                           [0.0, 0.0, 0.0]])
+    def test_tilted_features_give_motion_arrays_m_and_u(self, lever_arm):
+        rows = np.array([[0.1, 1.5, 0.02, 0.0], [-0.2, 0.5, 0.0, -0.04],
+                         [3e-7, 1.2, 0.03, 0.01], [0.3, 0.0, -0.05, 0.02],
+                         [0.0, -1.0, 0.01, 0.01]])
+        phi, _ = motion_features(rows)
+        assert phi.shape == (len(rows), 29)
+        m_map, u_map = feature_maps(lever_arm)
+        m, u = m_and_u_from_motion(rows, np.array(lever_arm))
+        assert np.allclose(phi @ m_map, m, rtol=0.0, atol=1e-15)
+        assert np.allclose(phi @ u_map, u, rtol=0.0, atol=1e-15)
+
+    def test_planar_features_are_the_untilted_tilted_ones(self):
+        # the planar features times PLANAR_TO_TILTED are the tilted ones
+        # of the same rows, and give motion_arrays' M of every arm
+        rows = np.array([[g, arc, 0.0, 0.0] for g in SWITCH_YAWS
+                         for arc in (0.0, 1.0, -2.5)])
+        phi, _ = motion_features(rows)
+        tilted, _ = motion_features(rows, ("pitch",))
+        assert phi.shape[1] == 8 and tilted.shape[1] == 29
+        assert np.allclose(phi @ PLANAR_TO_TILTED, tilted, rtol=0.0,
+                           atol=1e-16)
+        for arm in ([2.0, 1.0, 0.0], [1.5, -0.8, 0.3]):
+            m, _ = m_and_u_from_motion(rows, np.array(arm))
+            m_map, _ = feature_maps(arm, 8)
+            assert np.allclose(phi @ m_map, m, rtol=0.0, atol=1e-15)
+
+
+# Pure rotation: the drive rig's two lever arms plus an off-axis one.
+# u = R^T (te - t) - te cancels |te| down to |u| ~ |yaw| |te|, so formed
+# that way M is off by ~eps / |yaw|; from the features it is not.
+PURE_RIG = make_rig([[2.0, 1.0, 0.0], [2.0, -1.0, 0.0], [1.5, -0.8, 0.3]])
+PURE_SETS = generate_matches(
+    generate_scene(SceneSpec(120, seed=9)), PURE_RIG,
+    MotionParams(yaw=0.05, arc_length=1.0),
+    NoiseSpec(pixel_sigma=0.5, seed=10))[0]
+
+
+class TestPureRotationPrecision:
+    @pytest.mark.parametrize("yaw", [1e-7, 1e-6, 1e-5, 1e-4, 1e-3])
+    def test_angleplane_residuals_match_exact_m(self, yaw):
+        # the pair's m is the tangent of half its angle, ~ yaw / 2
+        yaw, exact_m = exact_pure_rotation(Fraction(yaw / 2),
+                                           [c.extrinsic.translation
+                                            for c in PURE_RIG.cameras])
+        frame = RigFrame.from_matches(PURE_RIG, PURE_SETS,
+                                      MetricKind.ANGLEPLANE)
+        row = np.array([[yaw, 0.0, 0.0, 0.0]])
+        for wrt in (None, ("yaw", "arc_length")):
+            components, valid, usable, *_ = rig_residuals(row, frame, wrt)
+            assert usable[0] and valid.all()
+            for c, s in enumerate(PURE_SETS):
+                cam = PURE_RIG.camera(s.camera_id)
+                rays = [cam.extrinsic.rotation
+                        @ cam.model.pixel_to_bearing(p).T
+                        for p in (s.pixels_t0, s.pixels_t1)]
+                expected = exact_plane_residuals(exact_m[cam.camera_id],
+                                                 rays[0].T, rays[1].T)
+                kernel = components[0, frame.camera_index == c, 0]
+                # relative to the largest residual: a sine near zero
+                # carries the rounding of its O(1) terms
+                assert np.abs(kernel - expected).max() <= \
+                    1e-13 * np.abs(expected).max()
+
+
+class TestDegenerateCamera:
+    """A camera at the motion centre (te = 0) translates by the vehicle's
+    t only: as the arc tends to 0 and at pure rotation |u| <
+    TRANSLATION_EPS, and all its matches are invalid in both builds of
+    the features."""
+
+    CENTRE = JAC_RIG.camera(2)
+    ROWS = [(0.05, 0.99e-12), (0.05, -0.5e-12), (-3e-7, 1e-13),
+            (0.05, 0.0), (-0.2, 0.0), (0.5e-6, 0.0)]
+
+    @pytest.mark.parametrize("yaw, arc", ROWS)
+    def test_centre_camera_matches_invalid(self, yaw, arc):
+        assert not self.CENTRE.extrinsic.translation.any()
+        row = np.array([[yaw, arc, 0.0, 0.0]])
+        for metric in MetricKind:
+            frame = RigFrame.from_matches(JAC_RIG, JAC_SETS, metric)
+            centre = frame.camera_index == 2
+            for wrt in (None, ("yaw", "arc_length")):
+                _, valid, usable, *_ = rig_residuals(row, frame, wrt)
+                assert usable[0]        # the cameras with lever arms move
+                assert not valid[0, centre].any()
+                assert valid[0, ~centre].any()
+        # an arc just above the threshold: the camera translates again
+        _, valid, _ = rig_residuals(np.array([[yaw, 2e-12, 0.0, 0.0]]),
+                                    frame)
+        assert valid[0, centre].any()
+
+    @pytest.mark.parametrize("wrt", [None, ("yaw", "arc_length")])
+    def test_rule_holds_where_the_epipole_test_passes(self, wrt):
+        # line vectors grow with the ray, here |K^-1 x| ~ 1e3, so at |u|
+        # just below TRANSLATION_EPS they clear DEGENERACY_EPS: the rule
+        # alone makes the centre camera's matches invalid
+        rng = np.random.Generator(np.random.PCG64(13))
+        pixels = rng.uniform(-1000.0, 1000.0, (4, 20, 2))
+        rig = CameraRig((
+            RigCamera(0, UNIT_CAM, forward_camera_extrinsic([0.0, 0.0, 0.0])),
+            RigCamera(1, UNIT_CAM, forward_camera_extrinsic([2.0, 1.0, 0.0]))))
+        sets = [MatchSet(0, *pixels[:2]), MatchSet(1, *pixels[2:])]
+        frame = RigFrame.from_matches(rig, sets, MetricKind.GEOLINE)
+        _, valid, usable, *_ = rig_residuals(
+            np.array([[0.05, 0.99e-12, 0.0, 0.0]]), frame, wrt)
+        assert usable[0]
+        assert not valid[0, :20].any() and valid[0, 20:].all()
+
+    @pytest.mark.parametrize("yaw, arc", ROWS)
+    def test_centre_camera_alone_is_degenerate(self, yaw, arc):
+        rig = CameraRig((self.CENTRE,))
+        sets = [s for s in JAC_SETS if s.camera_id == 2]
+        row = np.array([[yaw, arc, 0.0, 0.0]])
+        for metric in MetricKind:
+            frame = RigFrame.from_matches(rig, sets, metric)
+            assert multi_camera_energy(row, frame, CAUCHY)[0] == np.inf
+            assert not rig_residuals(row, frame, ("yaw",))[2][0]
+            with pytest.raises(DegenerateTranslation,
+                               match="zero translation"):
+                estimate(rig, sets, MotionParams(yaw=yaw, arc_length=arc,
+                                                 free=("yaw",)))

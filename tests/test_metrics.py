@@ -9,7 +9,8 @@ from motionprior.metrics import (MatchSet, MetricKind, NonFiniteMatch,
                                  geoline_residuals)
 from oracles import (UNIT_CAM, bearing_set, essential_from_motion,
                      fundamental_from_essential, identity_frame,
-                     line_residuals, plane_residuals, subset)
+                     line_residuals, origin_features, plane_residuals,
+                     subset)
 
 K = PinholeIntrinsics(700.0, 700.0, 640.0, 480.0)
 CAM = PinholeCamera(K)
@@ -28,25 +29,19 @@ def synthetic_set(motion, n=100, seed=0, noise=0.0):
     return MatchSet(0, px0, px1)
 
 
-def vec(m):
-    """vec M of one or stacked (..., 3, 3) matrices."""
-    m = np.asarray(m, dtype=float)
-    return m.reshape(m.shape[:-2] + (9,))
-
-
 def geoline(f, s):
     """(d1, d0, valid) of fundamental(s) f through a unit-intrinsics
-    camera at the vehicle origin, where M = F."""
+    camera at the vehicle origin, at the motion features where M = F."""
     components, valid = geoline_residuals(
-        vec(f), identity_frame(s, MetricKind.GEOLINE))
+        origin_features(f), identity_frame(s, MetricKind.GEOLINE))
     return components[..., 0], components[..., 1], valid
 
 
 def angleplane(e, s, model=CAM):
     """(r, valid) of essential(s) e through the set's camera `model` at
-    the vehicle origin, where M = E."""
+    the vehicle origin, at the motion features where M = E."""
     components, valid = angleplane_residuals(
-        vec(e), identity_frame(s, MetricKind.ANGLEPLANE, model))
+        origin_features(e), identity_frame(s, MetricKind.ANGLEPLANE, model))
     return components[..., 0], valid
 
 

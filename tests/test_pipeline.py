@@ -61,10 +61,8 @@ class TestMatchSetsFromRecord:
         cam = RIG2.camera(1)
         expected = (cam.extrinsic.rotation
                     @ cam.model.pixel_to_bearing(sets[1].pixels_t0).T)
-        # camera slot 1's M_0j rows, at each of its matches' (M v0)_0
-        # row, hold the rays Re b0
-        n0, n = len(sets[0]), len(frame)
-        assert np.array_equal(frame.design[9:12, n + n0:2 * n], expected)
+        # camera slot 1's lift holds the rays Re b0 of its matches
+        assert np.array_equal(frame.lifts[1][0], expected)
 
 
 class TestRunSequence:
