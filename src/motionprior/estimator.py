@@ -6,16 +6,18 @@ iteratively reweighted residuals: z = sqrt(rho'(r^2)) r and
 J = sqrt(rho'(r^2)) dr/dx, so 2 J^T z is the exact gradient of the robust
 energy sum(rho(r^2)). The residual derivatives are closed-form and come
 from the same kernel pass as the residuals, so each trial costs one
-kernel call. Trials are accepted on the robust energy itself; the loop
-stops on a small gradient, a small step, a relative energy decrease at
-rounding level, or when no damping up to 1e15 gives a descent step, and
-reports which in `EstimateResult.termination`. Below the public entry
-points a manifold point is the (1, 4) row [yaw, arc_length, pitch, roll]
-that the kernel takes; a MotionParams is built only for the result.
+kernel call and an LDL^T solve on Python floats. Trials are accepted on
+the robust energy itself; the loop stops on a small gradient, a small
+step, a relative energy decrease at rounding level, or when no damping
+up to 1e15 gives a descent step, and reports which in
+`EstimateResult.termination`. Below the public entry points a manifold
+point is the (1, 4) row [yaw, arc_length, pitch, roll] that the kernel
+takes; a MotionParams is built only for the result.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -154,11 +156,37 @@ def _solver_state(row, free, frame: RigFrame, loss):
         raise DegenerateTranslation(
             "all per-camera motions have zero translation")
     r, valid = components[0], valid[0]
-    rho, drho = loss.evaluate(np.einsum("nc,nc->n", r, r))
+    rho, drho = loss.evaluate((r * r).sum(axis=1))
     weight = (np.sqrt(drho) * valid)[:, None]
     return ((weight * r).ravel(),
             (weight[..., None] * jac[0]).reshape(r.size, -1), r, valid,
-            float(np.sum(rho, where=valid)))
+            float(rho[valid].sum()))        # no invalid rho, not even inf
+
+
+def _damped_step(JTJ, JTz, lam):
+    """The step s solving (J^T J + lam I) s = -J^T z, by LDL^T on Python
+    floats: for p <= 4 free fields numpy's per-call overhead costs more
+    than the arithmetic. At p = 1 it is -g / (h + lam). LinAlgError, which
+    rejects the trial, if a pivot of D is not positive and finite."""
+    a, s = JTJ.tolist(), (-JTz).tolist()
+    p = len(s)
+    for i in range(p):          # a's lower triangle becomes L, diagonal D
+        for j in range(i + 1):
+            c = a[i][j] + lam if i == j else a[i][j]
+            for k in range(j):
+                c -= a[i][k] * a[j][k] * a[k][k]
+            if i == j and not 0.0 < c < math.inf:
+                raise np.linalg.LinAlgError(
+                    f"damped system pivot {c!r} is not positive and finite")
+            a[i][j] = c / a[j][j] if i > j else c
+    for i in range(p):                      # L y = -J^T z
+        for k in range(i):
+            s[i] -= a[i][k] * s[k]
+    for i in reversed(range(p)):            # D L^T s = y
+        s[i] /= a[i][i]
+        for k in range(i + 1, p):
+            s[i] -= a[k][i] * s[k]
+    return s
 
 
 @np.errstate(all="ignore")      # a degenerate J gives inf, not a warning
@@ -183,12 +211,20 @@ def _sigma(JTJ, zTz, m):
 def estimate(rig: CameraRig, match_sets, prior: MotionParams,
              opts: EstimatorOptions = EstimatorOptions()) -> EstimateResult:
     """Minimize the robust multi-camera energy over the prior's free
-    parameters, starting from the prior (optionally after a coarse grid)."""
-    total_matches = sum(len(s) for s in match_sets)
-    if total_matches == 0:
-        raise NoMatches("estimation needs at least one match")
-    frame = RigFrame.from_matches(rig, match_sets, opts.metric)
+    parameters, starting from the prior (optionally after a coarse grid).
+    `match_sets` may also be their RigFrame for opts.metric, which a
+    caller that solves one frame pair more than once builds once."""
+    if not isinstance(match_sets, RigFrame):
+        match_sets = RigFrame.from_matches(rig, match_sets, opts.metric)
+    elif match_sets.metric is not opts.metric:
+        raise ValueError("the frame's metric is not opts.metric")
+    return _estimate(match_sets, prior, opts)
 
+
+def _estimate(frame: RigFrame, prior: MotionParams, opts: EstimatorOptions):
+    """estimate on a frame built for opts.metric."""
+    if not len(frame):
+        raise NoMatches("estimation needs at least one match")
     row = params_rows(prior)
     if opts.fallback_grid is not None:
         # grid cells, then the prior: the best cell must be at least as low
@@ -201,14 +237,13 @@ def estimate(rig: CameraRig, match_sets, prior: MotionParams,
     z, J, components, valid, energy = _solver_state(row, prior.free, frame,
                                                     opts.loss)
     termination = None if prior.free else "grad_tol"
-    if not np.isfinite(energy):
+    if not math.isfinite(energy):
         # the loop accepts only strictly lower energies; none is below NaN
         # or inf
         termination = "non_finite"
     iterations = 0
     lam = DAMPING_INIT
     free_rows = np.eye(4)[[PARAM_FIELDS.index(f) for f in prior.free]]
-    eye = np.eye(len(free_rows))
     while termination is None and iterations < MAX_ITERATIONS:
         iterations += 1
         JTz = J.T @ z
@@ -221,7 +256,7 @@ def estimate(rig: CameraRig, match_sets, prior: MotionParams,
         while lam <= 1e15:
             # singular (LinAlgError), off-manifold, degenerate: all uphill
             try:
-                step = np.linalg.solve(JTJ + lam * eye, -JTz)
+                step = _damped_step(JTJ, JTz, lam)
                 trial = row + step @ free_rows
                 t_state = _solver_state(trial, prior.free, frame, opts.loss)
             except (ValueError, DegenerateTranslation):
@@ -233,7 +268,7 @@ def estimate(rig: CameraRig, match_sets, prior: MotionParams,
                 z, J, components, valid, energy = t_state
                 lam = max(lam / 3.0, 1e-15)
                 termination = None
-                if np.sqrt(step @ step) <= STEP_TOL:
+                if math.hypot(*step) <= STEP_TOL:
                     termination = "step_tol"
                 elif small_decrease:
                     termination = "energy_tol"

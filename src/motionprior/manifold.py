@@ -5,12 +5,12 @@ M = [u]x R^T, u = R^T (te - t) - te. Both are linear in the motion
 features of a row (see metrics): the eight planar features
 phi = kron((1, c - 1, s), (1, tx, ty))[1:], c - 1 = -2 sin^2(yaw / 2),
 or, on rows with pitch or roll, the 29 tilted ones. So a row costs its
-features and one product with the frame's design, for all cameras at
-once, and the energy holds 8 floats a row of them (29 on a block with a
-tilted row), not a 3 x 3 M per camera. A camera with |u| <
-TRANSLATION_EPS, u read off phi through the frame's u map, has all its
-matches invalid; a row where no camera translates is unusable. Built
-from phi, M keeps full precision at pure rotation (see metrics).
+features and one product with the frame's joint map, for all cameras
+at once, and the energy holds 8 floats a row of them (29 on a block
+with a tilted row). A camera with |u| < TRANSLATION_EPS, u read off the
+product's last 3C columns, has all its matches invalid; a row where no
+camera translates is unusable. Built from phi, M keeps full precision
+at pure rotation (see metrics).
 The public entry points build one `RigFrame` per frame pair; below them,
 code takes that frame and (K, 4) rows: `rig_residuals(rows, frame, wrt)`
 and `multi_camera_energy(rows, frame, loss)`."""
@@ -183,9 +183,9 @@ def _turn(angles, axis):
 
 
 def _tilted_features(rows, wrt):
-    """The 29 tilted features (K, 29), and with `wrt` their derivatives
-    (K, P, 29), else None. D = Rx^T Ry^T Rz^T - I is expanded over the
-    three turns' R^T - I, so it does not cancel either."""
+    """The 29 tilted features (K, 29), with `wrt` stacked with their
+    derivatives (K, 1 + P, 29). D = Rx^T Ry^T Rz^T - I is expanded over
+    the three turns' R^T - I, so it does not cancel either."""
     _, t, *d_motion = motion_arrays(rows, wrt)
     d_x, d_y, d_z = (_turn(rows[:, col], axis)
                      for col, axis in ((3, 0), (2, 1), (0, 2)))
@@ -195,13 +195,14 @@ def _tilted_features(rows, wrt):
     b = np.ones((len(rows), 3))
     b[:, 1:] = t[:, :2]
     if wrt is None:
-        return _kron(a, b), None
+        return _kron(a, b)
     d_rot, d_t = d_motion
     d_a = np.zeros((len(rows), len(wrt), 10))
     d_a[..., 1:] = d_rot.swapaxes(-1, -2).reshape(len(rows), len(wrt), 9)
     d_b = np.zeros((len(rows), len(wrt), 3))
     d_b[..., 1:] = d_t[..., :2]
-    return _kron(a, b), (_kron(d_a, b[:, None]) + _kron(a[:, None], d_b))
+    return np.concatenate([_kron(a, b)[:, None], _kron(d_a, b[:, None])
+                           + _kron(a[:, None], d_b)], axis=1)
 
 
 def _planar_row(g, arc, wrt):
@@ -232,31 +233,34 @@ def _planar_row(g, arc, wrt):
 def motion_features(rows, wrt=None):
     """The motion features phi (K, F) of K rows [yaw, arc_length, pitch,
     roll] (see metrics): the 8 planar ones, or the 29 tilted ones if a
-    row has pitch or roll or `wrt` names either. With `wrt`, a tuple of P
-    field names, also their derivatives (K, P, F), else None. Rows
+    row has pitch or roll or `wrt` names either; with `wrt`, a tuple of P
+    field names, stacked with their derivatives (K, 1 + P, F). Rows
     without derivatives are built with numpy, planar rows with them one
     by one from math scalars (the solver's one-row call)."""
     rows = np.asarray(rows, dtype=float).reshape(-1, 4)
     if np.count_nonzero(rows[:, 2:]) or {"pitch", "roll"} & set(wrt or ()):
         return _tilted_features(rows, wrt)
     if wrt is not None:
-        out = np.reshape([_planar_row(g, arc, wrt)
-                          for g, arc in rows[:, :2].tolist()],
-                         (len(rows), 1 + len(wrt), PLANAR_FEATURES))
-        return out[:, 0], out[:, 1:]
+        return np.array([_planar_row(g, arc, wrt)
+                         for g, arc in rows[:, :2].tolist()]).reshape(
+            len(rows), 1 + len(wrt), PLANAR_FEATURES)
     g = rows[:, 0]
     sin = np.sin(g)
     a = np.stack([np.ones(len(g)), -2.0 * np.sin(0.5 * g) ** 2, sin], 1)
     b = np.ones((len(g), 3))
     b[:, 1:] = _chord(g, None, sin)[0] * rows[:, 1:2]
-    return _kron(a, b), None
+    return _kron(a, b)
 
 
-def _kernel(frame: RigFrame, phi, d_phi=None):
-    """rig_residuals at motion features phi (K, F), and d_phi."""
-    u = (phi @ frame.maps(phi.shape[-1])[1]).reshape(len(phi), -1, 3)
-    translates = np.einsum("kci,kci->kc", u, u) >= TRANSLATION_EPS ** 2
-    components, valid, *jac = residuals(phi, frame, d_phi)
+def _kernel(frame: RigFrame, phi):
+    """rig_residuals at motion features phi (K, F), or stacked with their
+    derivatives (K, 1 + P, F): one product with the frame's joint map
+    gives the match rows and, in its last 3C columns, each camera's u."""
+    x = phi @ frame.joint_map(phi.shape[-1])
+    x, d_x = (x, None) if x.ndim == 2 else (x[:, 0], x[:, 1:])
+    u = x[:, x.shape[1] - 3 * len(frame.lever_arms):].reshape(len(x), -1, 3)
+    translates = (u * u).sum(axis=-1) >= TRANSLATION_EPS ** 2
+    components, valid, *jac = residuals(x, frame, d_x)
     if not translates.all():
         valid &= translates[:, frame.camera_index]
     usable = translates.any(axis=1) | (translates.shape[1] == 0)
@@ -271,7 +275,7 @@ def rig_residuals(rows, frame: RigFrame, wrt=None):
     on every match of a camera with |u| < TRANSLATION_EPS; and usable
     (K,), False on rows where no camera translates. With `wrt`, a tuple
     of P field names, also the derivatives (K, N, c, P)."""
-    return _kernel(frame, *motion_features(rows, wrt))
+    return _kernel(frame, motion_features(rows, wrt))
 
 
 def multi_camera_energy(rows, frame: RigFrame, loss: RobustLoss):
@@ -289,7 +293,7 @@ def multi_camera_energy(rows, frame: RigFrame, loss: RobustLoss):
     block = step * (ENERGY_CHUNK // step)
     energies = np.empty(len(rows))
     for b in range(0, len(rows), block):
-        phi, _ = motion_features(rows[b:b + block])
+        phi = motion_features(rows[b:b + block])
         for i in range(0, len(phi), step):
             components, valid, usable = _kernel(frame, phi[i:i + step])
             usable &= np.abs(rows[b + i:b + i + step, 0]) < np.pi

@@ -17,9 +17,11 @@ the maps `feature_maps(te)`. Without pitch and roll D = (c - 1) A + s B
 (c, s the cosine and sine of the yaw, A = diag(1, 1, 0), B = [[0, 1, 0],
 [-1, 0, 0], [0, 0, 0]]), so eight features phi = kron((1, c - 1, s),
 (1, tx, ty))[1:] suffice; PLANAR_TO_TILTED (8, 29) maps them to the 29.
-A RigFrame holds, for all cameras of a frame pair, the maps from the
-features to every match's rows and to each camera's u, and the metric
-functions take the features phi (..., F), F = 8 or 29, never a matrix.
+A RigFrame holds, for all cameras of a frame pair, one joint map from
+the features to every match's rows and then to each camera's u, and the
+metric functions take its product with the features phi (..., F), F = 8
+or 29, never a matrix: the caller makes that one product and reads u
+off its last columns.
 Built from phi, M and u do not cancel: at pure rotation they are c - 1
 and s times fixed arrays, where R^T (te - t) - te loses to rounding the
 digits of |te| that |u| ~ |yaw| |te| does not have.
@@ -36,11 +38,6 @@ import numpy as np
 from .geometry import PinholeCamera, skew
 
 DEGENERACY_EPS = 1e-12
-
-# Design rows per match: row 0 holds the numerator, each slice the
-# divisor vector of one residual
-_PLANE_ROWS = (slice(1, 4),)                   # M v0
-_LINE_ROWS = (slice(1, 3), slice(3, 5))        # d1, then d0
 
 PLANAR_FEATURES, TILTED_FEATURES = 8, 29
 
@@ -84,23 +81,20 @@ class RobustLoss:
 
     def rho(self, squared: np.ndarray) -> np.ndarray:
         """Return rho(s) elementwise for squared residuals s."""
-        return self._rho_and_ratio(squared)[0]
+        s = np.asarray(squared, dtype=float)
+        if self.kind == "none":
+            return s.copy()
+        w2 = self.width * self.width
+        return w2 * np.log1p(s / w2)
 
     def evaluate(self, squared: np.ndarray):
         """Return (rho(s), drho/ds) elementwise for squared residuals s."""
-        rho, ratio = self._rho_and_ratio(squared)
-        if ratio is None:
-            return rho, np.ones_like(rho)
-        return rho, 1.0 / (1.0 + ratio)
-
-    def _rho_and_ratio(self, squared):
-        """rho(s) and, for the Cauchy loss, s / w^2 (None for "none")."""
         s = np.asarray(squared, dtype=float)
         if self.kind == "none":
-            return s.copy(), None
+            return s.copy(), np.ones_like(s)
         w2 = self.width * self.width
         ratio = s / w2
-        return w2 * np.log1p(ratio), ratio
+        return w2 * np.log1p(ratio), 1.0 / (1.0 + ratio)
 
 
 @dataclass(frozen=True)
@@ -163,10 +157,10 @@ def feature_maps(lever_arms, features=TILTED_FEATURES):
     return maps[..., :9], maps[..., 9:]
 
 
-def _feature_design(lifts, lever_arms, features):
-    """The design (F, q N) and u map (F, 3C) of F features: for each
-    camera's lift (v0, v1, image), the q rows of its matches with M
-    replaced by each feature's M map (see RigFrame)."""
+def _joint_map(lifts, lever_arms, features):
+    """The joint map (F, q N + 3C) of F features: for each camera's lift
+    (v0, v1, image), the q rows of its matches with M replaced by each
+    feature's M map, then the C cameras' u maps (see RigFrame)."""
     m_maps, u_maps = feature_maps(lever_arms, features)
     design = []
     for m, (v0, v1, image) in zip(m_maps.reshape(-1, features, 3, 3),
@@ -180,10 +174,10 @@ def _feature_design(lifts, lever_arms, features):
                 features, 3, -1)                    # M^T v1
             rows += [image.T @ m_v0, image.T @ mt_v1]
         design.append(np.concatenate(rows, axis=1))
-    design = (np.concatenate(design, axis=-1) if design
-              else np.empty((features, 0)))
-    return (design.reshape(features, -1),
-            u_maps.swapaxes(0, 1).reshape(features, -1))
+    design = (np.concatenate(design, axis=-1).reshape(features, -1)
+              if design else np.empty((features, 0)))
+    return np.concatenate(
+        [design, u_maps.swapaxes(0, 1).reshape(features, -1)], axis=1)
 
 
 @dataclass(frozen=True)
@@ -193,33 +187,32 @@ class RigFrame:
     slot c's matches in the vehicle frame and, for the line metric, its
     image (3, 2) = (K^-T Re^T)^T (else None). Row 0 of a match is
     v1^T M v0, rows 1-3 M v0 (plane), or rows 1-2 image^T M v0 and 3-4
-    image^T M^T v1 (line). design (8, q N) maps the planar motion
+    image^T M^T v1 (line). joint (8, q N + 3C) maps the planar motion
     features to the q rows of all matches (row j of match n is column
-    j N + n) and u_map (8, 3C) to the u of the C cameras, whose norm
-    decides which cameras translate (see the module and manifold);
-    camera_index (N,) holds a match's camera slot, lever_arms (C, 3) its
-    te. `maps` gives the same two maps of the 29 tilted features, built
-    on first use and cached."""
+    j N + n), then to the u of the C cameras (columns q N + 3c + i),
+    whose norm decides which cameras translate: one product gives both
+    (see the module and manifold). camera_index (N,) holds a match's
+    camera slot, lever_arms (C, 3) its te. `joint_map` gives the same map
+    of the 29 tilted features, built on first use and cached."""
 
     metric: MetricKind
     lever_arms: np.ndarray
     camera_index: np.ndarray
     lifts: tuple
-    design: np.ndarray
-    u_map: np.ndarray
+    joint: np.ndarray
 
     def __len__(self):
         return len(self.camera_index)
 
-    def maps(self, features: int):
-        """The design and u map of PLANAR_FEATURES or TILTED_FEATURES."""
+    def joint_map(self, features: int):
+        """The joint map of PLANAR_FEATURES or TILTED_FEATURES."""
         if features == PLANAR_FEATURES:
-            return self.design, self.u_map
-        return self._tilted_maps
+            return self.joint
+        return self._tilted_joint
 
     @cached_property
-    def _tilted_maps(self):
-        return _feature_design(self.lifts, self.lever_arms, TILTED_FEATURES)
+    def _tilted_joint(self):
+        return _joint_map(self.lifts, self.lever_arms, TILTED_FEATURES)
 
     @classmethod
     @np.errstate(invalid="ignore", divide="ignore")   # NonFiniteMatch instead
@@ -232,79 +225,71 @@ class RigFrame:
         cams = [rig.camera(s.camera_id) for s in sets]
         lifts = []
         for s, cam in zip(sets, cams):
+            pixels = np.concatenate([s.pixels_t0, s.pixels_t1])
             if metric is MetricKind.GEOLINE:
                 if not isinstance(cam.model, PinholeCamera):
                     raise ValueError(f"camera {s.camera_id}: the geoline "
                                      "metric needs a pinhole camera")
                 lift = cam.extrinsic.rotation @ cam.model.intrinsics.matrix_inv
-                v0, v1 = (lift @ np.vstack([p.T, np.ones(len(s))])
-                          for p in (s.pixels_t0, s.pixels_t1))
+                rays = lift @ np.vstack([pixels.T, np.ones(len(pixels))])
                 image = lift[:, :2]
             else:
-                rays = cam.extrinsic.rotation @ cam.model.pixel_to_bearing(
-                    np.concatenate([s.pixels_t0, s.pixels_t1])).T
-                v0, v1, image = rays[:, :len(s)], rays[:, len(s):], None
-            if not (np.isfinite(v0).all() and np.isfinite(v1).all()):
+                rays = (cam.extrinsic.rotation
+                        @ cam.model.pixel_to_bearing(pixels).T)
+                image = None
+            if not np.isfinite(rays).all():
                 raise NonFiniteMatch(f"camera {s.camera_id}: non-finite ray")
-            lifts.append((v0, v1, image))
-        lever_arms = np.reshape([c.extrinsic.translation for c in cams],
-                                (-1, 3))
+            lifts.append((rays[:, :len(s)], rays[:, len(s):], image))
+        lever_arms = np.array([c.extrinsic.translation for c in cams],
+                              float).reshape(-1, 3)
         return cls(metric, lever_arms,
-                   np.repeat(np.arange(len(sets)), [len(s) for s in sets]),
+                   np.arange(len(sets)).repeat([len(s) for s in sets]),
                    tuple(lifts),
-                   *_feature_design(lifts, lever_arms, PLANAR_FEATURES))
+                   _joint_map(lifts, lever_arms, PLANAR_FEATURES))
 
 
-def _ratios(phi, frame: RigFrame, d_phi, rows):
-    """num / |vec| for each slice of divisor rows at motion features phi
-    (..., F): components (..., N, c), one per slice, and valid (..., N),
-    False where any |vec| < DEGENERACY_EPS (a smaller |vec| is raised to
-    it); with d_phi (..., P, F), also the derivatives (..., N, c, P)."""
-    design = frame.maps(phi.shape[-1])[0]
-    shape = (rows[-1].stop, len(frame))
-    values = (phi @ design).reshape(phi.shape[:-1] + shape)
-    if d_phi is not None:
-        derivs = (d_phi @ design).reshape(d_phi.shape[:-1] + shape)
-    ratios, jac = [], []
-    for r in rows:
-        vec = values[..., r, :]
-        norm = np.sqrt(np.einsum("...in,...in->...n", vec, vec))
-        ok = norm >= DEGENERACY_EPS
-        valid = valid & ok if ratios else ok
-        np.maximum(norm, DEGENERACY_EPS, out=norm)
-        ratio = values[..., 0, :] / norm
-        ratios.append(ratio)
-        if d_phi is not None:
-            # d(num / |v|) = (d_num - (num / |v|) (v . dv) / |v|) / |v|
-            norm = norm[..., None, :]
-            jac.append(((derivs[..., 0, :] - ratio[..., None, :]
-                         * np.einsum("...in,...pin->...pn", vec,
-                                     derivs[..., r, :])
-                         / norm) / norm).swapaxes(-1, -2))   # (..., N, P)
-    if len(rows) == 1:                  # one slice: views, no copy
-        return (ratios[0][..., None], valid, *[j[..., None, :] for j in jac])
-    return (np.stack(ratios, axis=-1), valid,
-            *([np.stack(jac, axis=-2)] if jac else []))
+def _ratios(x, frame: RigFrame, d_x, slices, length):
+    """num / |vec| on the match rows of x (..., Q): row 0 the numerator,
+    then `slices` divisor vectors of `length` rows. Components (..., N, c),
+    one per slice, and valid (..., N), False where any |vec| <
+    DEGENERACY_EPS (a smaller |vec| is raised to it); with d_x (..., P,
+    Q), also the derivatives (..., N, c, P)."""
+    n = len(frame)
+    stop = (1 + slices * length) * n
+    vecs = x[..., n:stop].reshape(x.shape[:-1] + (slices, length, n))
+    norm = np.sqrt(np.einsum("...in,...in->...n", vecs, vecs))   # (..., c, N)
+    valid = (norm >= DEGENERACY_EPS).all(axis=-2)
+    np.maximum(norm, DEGENERACY_EPS, out=norm)
+    ratio = x[..., None, :n] / norm
+    if d_x is None:
+        return ratio.swapaxes(-1, -2), valid
+    # d(num / |v|) = (d_num - (num / |v|) (v . dv) / |v|) / |v|, (..., P, c, N)
+    d_vecs = d_x[..., n:stop].reshape(d_x.shape[:-1] + (slices, length, n))
+    norm = norm[..., None, :, :]
+    jac = (d_x[..., None, :n] - ratio[..., None, :, :]
+           * (vecs[..., None, :, :, :] * d_vecs).sum(axis=-2) / norm) / norm
+    return ratio.swapaxes(-1, -2), valid, jac.swapaxes(-1, -3)
 
 
-def residuals(phi: np.ndarray, frame: RigFrame, d_phi=None):
-    """The frame's metric function at phi (and d_phi), called by its
+def residuals(x: np.ndarray, frame: RigFrame, d_x=None):
+    """The frame's metric function at x (and d_x), called by its
     module-level name, so that a wrapper installed there sees the call."""
     if frame.metric is MetricKind.GEOLINE:
-        return geoline_residuals(phi, frame, d_phi)
-    return angleplane_residuals(phi, frame, d_phi)
+        return geoline_residuals(x, frame, d_x)
+    return angleplane_residuals(x, frame, d_x)
 
 
-def geoline_residuals(phi: np.ndarray, frame: RigFrame, d_phi=None):
-    """Per-match symmetric line distances at motion features phi (..., F)
-    (F = 8 planar or 29 tilted): components (..., N, 2), d1 then d0, and
-    valid (..., N); given d_phi (..., P, F), also derivatives
-    (..., N, 2, P)."""
-    return _ratios(phi, frame, d_phi, _LINE_ROWS)
+def geoline_residuals(x: np.ndarray, frame: RigFrame, d_x=None):
+    """Per-match symmetric line distances at x = phi @ the frame's joint
+    map (..., Q), phi the 8 planar or 29 tilted motion features:
+    components (..., N, 2), d1 then d0, and valid (..., N); given d_x =
+    d_phi @ the map (..., P, Q), also derivatives (..., N, 2, P)."""
+    return _ratios(x, frame, d_x, 2, 2)             # d1, then d0
 
 
-def angleplane_residuals(phi: np.ndarray, frame: RigFrame, d_phi=None):
-    """Per-match signed plane-angle residuals at motion features phi
-    (..., F) (F = 8 planar or 29 tilted): components (..., N, 1) and valid
-    (..., N); given d_phi (..., P, F), also derivatives (..., N, 1, P)."""
-    return _ratios(phi, frame, d_phi, _PLANE_ROWS)
+def angleplane_residuals(x: np.ndarray, frame: RigFrame, d_x=None):
+    """Per-match signed plane-angle residuals at x = phi @ the frame's
+    joint map (..., Q), phi the 8 planar or 29 tilted motion features:
+    components (..., N, 1) and valid (..., N); given d_x = d_phi @ the
+    map (..., P, Q), also derivatives (..., N, 1, P)."""
+    return _ratios(x, frame, d_x, 1, 3)             # M v0

@@ -9,12 +9,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .estimator import (EstimateResult, EstimatorOptions, NoMatches,
-                        default_cold_start_grid, estimate)
+                        _estimate, default_cold_start_grid, estimate)
 from .geometry import TRANSLATION_EPS, GeometryError, Pose
 from .io_formats import (FramePairRecord, NoRecords, Scenario,
                          TrajectoryRecord)
 from .manifold import CameraRig, MotionParams, motion_arrays, params_rows
-from .metrics import MatchSet, NonFiniteMatch
+from .metrics import MatchSet, NonFiniteMatch, RigFrame
 from .simulate import generate_matches, generate_scene
 
 # |yaw| of the previous frame at and above which FreeInCurves frees the arc
@@ -128,13 +128,14 @@ def run_sequence(rig: CameraRig, records, scale_source,
             ("yaw", "arc_length") if in_curve else ("yaw",)))
         start = time.perf_counter()
         try:
-            sets = match_sets_from_record(record)
-            result = estimate(rig, sets, current, frame_opts)
+            frame = RigFrame.from_matches(     # one lift for every solve
+                rig, match_sets_from_record(record), opts.metric)
+            result = estimate(rig, frame, current, frame_opts)
             if in_curve:
                 if (abs(result.params.yaw) < CURVE_YAW_THRESHOLD
                         or result.condition_note != "ok"):
                     current = replace(current, free=("yaw",))
-                    result = estimate(rig, sets, current, frame_opts)
+                    result = _estimate(frame, current, frame_opts)
                 else:
                     held_arc = result.params.arc_length
             current, error, frame_opts = result.params, None, opts

@@ -11,7 +11,7 @@ from motionprior.geometry import (TRANSLATION_EPS, DegenerateTranslation,
                                   PinholeCamera, PinholeIntrinsics, Pose,
                                   forward_camera_extrinsic, rotation_x,
                                   rotation_y, rotation_z, skew)
-from motionprior.estimator import estimate
+from motionprior.estimator import DEFAULT_LOSS, _solver_state, estimate
 from motionprior.manifold import (ENERGY_CHUNK, PARAM_FIELDS,
                                   YAW_SERIES_SWITCH, CameraRig,
                                   MotionParams, RigCamera, lowest_energy,
@@ -541,6 +541,33 @@ class TestJacobian:
         assert rig_residuals(rows, frame, ())[3].shape == full[0].shape + (0,)
 
 
+class TestSolverEnergy:
+    """The solver's one-row energy is the dense energy of the same row:
+    both come from the one kernel, through a (1 + P, F) and a (K, F)
+    product with the joint map and two sums of the valid rho, which may
+    round apart in the last bits only."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(jac_rows)
+    @example((1e-8, 1.0, 0.0, 0.0))
+    @example((-1e-8, 0.0, 0.0, 0.0))       # turning on the spot
+    @example((0.05, 0.0, 0.0, 0.0))        # camera 2 does not translate
+    @example((0.05, 5e-13, 0.0, 0.0))      # ... though its rho is not 0
+    @example((0.05, 0.0, 0.01, -0.02))
+    @example((1e-8, -0.5, 0.0, 0.03))
+    def test_equals_dense_energy(self, row):
+        row = np.array([row])
+        free = PARAM_FIELDS if row[0, 2:].any() else ("yaw", "arc_length")
+        for metric in MetricKind:
+            frame = RigFrame.from_matches(JAC_RIG, JAC_SETS, metric)
+            loss = DEFAULT_LOSS[metric]
+            *_, valid, energy = _solver_state(row, free, frame, loss)
+            dense = multi_camera_energy(row, frame, loss)[0]
+            assert energy == pytest.approx(dense, rel=1e-14, abs=0.0)
+            if abs(row[0, 1]) < TRANSLATION_EPS:
+                assert not valid[frame.camera_index == 2].any()
+
+
 def kernel_at(row, match_sets, metric):
     """rig_residuals at one row, and the energy, for these match sets."""
     frame = RigFrame.from_matches(JAC_RIG, match_sets, metric)
@@ -683,14 +710,15 @@ class TestMotionFeatures:
         rows = np.array([[sign * g, 1.3, 0.0, 0.0] for g in SWITCH_YAWS])
         if "pitch" in wrt:
             rows[1::2, 2:] = [0.02, -0.03]
-        phi, d_phi = motion_features(rows, wrt)
+        stacked = motion_features(rows, wrt)
+        phi, d_phi = stacked[:, 0], stacked[:, 1:]
         assert phi.shape[1] == (8 if len(wrt) == 2 else 29)
         h = 1e-5
         for k, field in enumerate(wrt):
             step = np.zeros(4)
             step[PARAM_FIELDS.index(field)] = h
-            plus, _ = motion_features(rows + step, wrt)
-            minus, _ = motion_features(rows - step, wrt)
+            plus = motion_features(rows + step, wrt)[:, 0]
+            minus = motion_features(rows - step, wrt)[:, 0]
             assert np.allclose(d_phi[:, k], (plus - minus) / (2 * h),
                                rtol=0.0, atol=1e-9), field
 
@@ -705,9 +733,10 @@ class TestMotionFeatures:
         # most three such terms, agrees to 16 ulps, or below 1e-300, where
         # products lose their relative precision to underflow
         rows = np.array([(g, arc, 0.0, 0.0) for g, arc in rows])
-        numpy_phi, none = motion_features(rows)
-        scalar_phi, d_phi = motion_features(rows, ())
-        assert none is None and d_phi.shape == (len(rows), 0, 8)
+        numpy_phi = motion_features(rows)
+        stacked = motion_features(rows, ())
+        assert stacked.shape == (len(rows), 1, 8)
+        scalar_phi = stacked[:, 0]
         assert np.allclose(scalar_phi, numpy_phi, rtol=16 * EPS, atol=1e-300)
 
     @pytest.mark.parametrize("lever_arm", [[2.0, 1.0, 0.0],
@@ -717,7 +746,7 @@ class TestMotionFeatures:
         rows = np.array([[0.1, 1.5, 0.02, 0.0], [-0.2, 0.5, 0.0, -0.04],
                          [3e-7, 1.2, 0.03, 0.01], [0.3, 0.0, -0.05, 0.02],
                          [0.0, -1.0, 0.01, 0.01]])
-        phi, _ = motion_features(rows)
+        phi = motion_features(rows)
         assert phi.shape == (len(rows), 29)
         m_map, u_map = feature_maps(lever_arm)
         m, u = m_and_u_from_motion(rows, np.array(lever_arm))
@@ -729,8 +758,8 @@ class TestMotionFeatures:
         # of the same rows, and give motion_arrays' M of every arm
         rows = np.array([[g, arc, 0.0, 0.0] for g in SWITCH_YAWS
                          for arc in (0.0, 1.0, -2.5)])
-        phi, _ = motion_features(rows)
-        tilted, _ = motion_features(rows, ("pitch",))
+        phi = motion_features(rows)
+        tilted = motion_features(rows, ("pitch",))[:, 0]
         assert phi.shape[1] == 8 and tilted.shape[1] == 29
         assert np.allclose(phi @ PLANAR_TO_TILTED, tilted, rtol=0.0,
                            atol=1e-16)

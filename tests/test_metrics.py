@@ -4,9 +4,9 @@ import pytest
 from motionprior.geometry import (GenericCamera, PinholeCamera,
                                   PinholeIntrinsics, Pose, rotation_z, skew)
 from motionprior.manifold import CameraRig, RigCamera
-from motionprior.metrics import (MatchSet, MetricKind, NonFiniteMatch,
-                                 RigFrame, RobustLoss, angleplane_residuals,
-                                 geoline_residuals)
+from motionprior.metrics import (TILTED_FEATURES, MatchSet, MetricKind,
+                                 NonFiniteMatch, RigFrame, RobustLoss,
+                                 angleplane_residuals, geoline_residuals)
 from oracles import (UNIT_CAM, bearing_set, essential_from_motion,
                      fundamental_from_essential, identity_frame,
                      line_residuals, origin_features, plane_residuals,
@@ -32,16 +32,18 @@ def synthetic_set(motion, n=100, seed=0, noise=0.0):
 def geoline(f, s):
     """(d1, d0, valid) of fundamental(s) f through a unit-intrinsics
     camera at the vehicle origin, at the motion features where M = F."""
+    frame = identity_frame(s, MetricKind.GEOLINE)
     components, valid = geoline_residuals(
-        origin_features(f), identity_frame(s, MetricKind.GEOLINE))
+        origin_features(f) @ frame.joint_map(TILTED_FEATURES), frame)
     return components[..., 0], components[..., 1], valid
 
 
 def angleplane(e, s, model=CAM):
     """(r, valid) of essential(s) e through the set's camera `model` at
     the vehicle origin, at the motion features where M = E."""
+    frame = identity_frame(s, MetricKind.ANGLEPLANE, model)
     components, valid = angleplane_residuals(
-        origin_features(e), identity_frame(s, MetricKind.ANGLEPLANE, model))
+        origin_features(e) @ frame.joint_map(TILTED_FEATURES), frame)
     return components[..., 0], valid
 
 

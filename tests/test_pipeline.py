@@ -195,6 +195,30 @@ class TestRunSequence:
         # arcs of up to 10.7 m from wrong basins that read "ok" remain
         assert max(abs(o.params.arc_length) for o in outcomes) < 20.0
 
+    def test_solved_again_on_the_pair_s_one_frame(self, monkeypatch):
+        # one camera at the motion centre: a curve frame's arc is
+        # unobservable, so pairs 2 and 3 (after a turning pair) are each
+        # solved again with the arc held, on the frame of their first solve
+        rig = make_rig([[0.0, 0.0, 0.0]])
+        records = make_records(rig, [0.0, 0.04, 0.04, 0.04], arc=1.5)
+        built, again = [], []
+        from_matches, resolve = RigFrame.from_matches, pipeline._estimate
+
+        def counted(cls, *args):
+            built.append(from_matches(*args))
+            return built[-1]
+
+        def counted_resolve(frame, prior, opts):
+            again.append(frame)
+            return resolve(frame, prior, opts)
+        monkeypatch.setattr(RigFrame, "from_matches", classmethod(counted))
+        monkeypatch.setattr(pipeline, "_estimate", counted_resolve)
+        _, outcomes = run_sequence(rig, records, FreeInCurves(1.0))
+        assert len(built) == len(records)
+        assert len(again) == 2
+        assert all(a is b for a, b in zip(again, built[2:]))
+        assert all(o.params.free == ("yaw",) for o in outcomes)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_few_matches_curve_frame_is_solved_again_held(self, seed):
         # a curve frame cut to 3 matches per camera reads few_matches; when
