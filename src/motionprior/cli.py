@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from contextlib import closing
@@ -29,8 +28,9 @@ from .io_formats import (NoRecords, ParseError, _write_rows, iter_matches,
                          write_trajectory)
 from .manifold import MotionParams
 from .metrics import MetricKind, RobustLoss
-from .pipeline import (FixedScale, FreeInCurves, match_sets_from_record,
-                       run_sequence, simulate_sequence)
+from .pipeline import (FixedScale, FreeInCurves, diagnostic_record,
+                       match_sets_from_record, run_sequence,
+                       simulate_sequence)
 from .simulate import NoVisiblePoints
 
 EXIT_OK = 0
@@ -129,11 +129,6 @@ def _check_cameras(rig, records, matches_path, rig_path):
                                  f"rig file {rig_path}")
 
 
-def _json_number(x):
-    """x, or None where strict JSON has no number for it (NaN, inf)."""
-    return x if math.isfinite(x) else None
-
-
 def _write_outputs(writes):
     """write(path) for each (path, write) with a path, in turn. On an
     OSError the regular files written so far are removed, the failing one
@@ -150,24 +145,6 @@ def _write_outputs(writes):
                 exc.filename = path
                 raise
             done.append(path)
-
-
-def _diagnostic(o) -> dict:
-    """The diagnostics record of a frame outcome, strict JSON once dumped."""
-    record = {"t0": o.t0, "t1": o.t1, "yaw": o.params.yaw,
-              "arc_length": o.params.arc_length, "pitch": o.params.pitch,
-              "roll": o.params.roll, "failed": o.failed, "error": o.error,
-              "runtime_ms": o.runtime_ms}
-    if o.result is not None:
-        record.update(energy=_json_number(o.result.final_energy),
-                      iterations=o.result.iterations,
-                      converged=o.result.converged,
-                      termination=o.result.termination,
-                      condition_note=o.result.condition_note,
-                      sigma={f: _json_number(v)
-                             for f, v in o.result.sigma.items()},
-                      skipped_matches=o.result.skipped_matches)
-    return record
 
 
 def _cmd_simulate(args):
@@ -203,7 +180,7 @@ def _cmd_estimate(args):
     if all(o.failed for o in outcomes):
         print("estimation failed on every frame", file=sys.stderr)
         return EXIT_NUMERIC
-    diagnostics = ([json.dumps(_diagnostic(o), allow_nan=False)]
+    diagnostics = ([json.dumps(diagnostic_record(o), allow_nan=False)]
                    for o in outcomes)
     _write_outputs([
         (args.out_trajectory, partial(write_trajectory, trajectory)),
@@ -258,7 +235,8 @@ def _cmd_eval(args):
     print(f"{'length_m':>10} {'segments':>9} {'rot_deg_per_m':>14} "
           f"{'trans_percent':>14}")
     for length, count, rot, trans in rows:
-        print(f"{length:10.0f} {count:9d} {rot:14.6f} {trans:14.6f}")
+        print(f"{repr(length).removesuffix('.0'):>10} {count:9d} "
+              f"{rot:14.6f} {trans:14.6f}")
     _write_outputs([(args.out, partial(
         _write_rows, sep=",", rows=[["length_m", "segments",
                                      "rotation_deg_per_m",

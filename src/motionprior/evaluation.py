@@ -77,9 +77,8 @@ def evaluate(est: TrajectoryRecord, gt: TrajectoryRecord,
     lengths = check_lengths(list(dict.fromkeys(
         DEFAULT_LENGTHS if lengths is None else lengths)))
     # rotations (2, F, 3, 3) and translations (2, F, 3): estimate, truth
-    rot, t = (np.array([[getattr(p, name) for p in traj.poses]
-                        for traj in (est, gt)])
-              for name in ("rotation", "translation"))
+    rot = np.array([est.poses.rotation, gt.poses.rotation])
+    t = np.array([est.poses.translation, gt.poses.translation])
     dist = np.cumsum(np.append(0.0, np.linalg.norm(np.diff(t[1], axis=0),
                                                    axis=1)))
     starts = np.arange(0, len(gt), START_STEP)

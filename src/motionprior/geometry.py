@@ -28,23 +28,45 @@ class OutOfDomain(GeometryError):
     pass
 
 
+class PoseError(ValueError):
+    """A broken rigidity rule; `index` is the bad pose's place in a stack."""
+
+    def __init__(self, message, index):
+        super().__init__(message)
+        self.index = index
+
+
+def orthonormality_error(R) -> np.ndarray:
+    """max |R^T R - I| of each rotation of a stack R (..., 3, 3)."""
+    return np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(3)).max(axis=(-2, -1))
+
+
 @dataclass(frozen=True)
 class Pose:
-    """Rigid transform. apply() carries points from the child frame into
-    the parent frame: p_parent = R @ p_child + t."""
+    """Rigid transform, or a stack of F of them: rotation (3, 3) or
+    (F, 3, 3), translation (3,) or (F, 3). apply() carries points from the
+    child frame into the parent frame: p_parent = R @ p_child + t."""
 
     rotation: np.ndarray
     translation: np.ndarray
 
     def __post_init__(self):
-        R = np.array(self.rotation, dtype=float).reshape(3, 3)
-        t = np.array(self.translation, dtype=float).reshape(3)
-        if not (np.isfinite(R).all() and np.isfinite(t).all()):
-            raise ValueError("pose holds NaN or inf")
-        if np.abs(R.T @ R - np.eye(3)).max() >= ORTHONORMALITY_TOL:
-            raise ValueError("rotation is not orthonormal")
-        if abs(np.linalg.det(R) - 1.0) >= ORTHONORMALITY_TOL:
-            raise ValueError("rotation determinant is not +1")
+        R = np.array(self.rotation, dtype=float)
+        t = np.array(self.translation, dtype=float)
+        if R.shape[-2:] != (3, 3) or R.ndim > 3 or t.shape != R.shape[:-1]:
+            raise ValueError(f"rotation {R.shape} and translation {t.shape}"
+                             " are not (3, 3), (3,) nor (F, 3, 3), (F, 3)")
+        with np.errstate(invalid="ignore"):     # NaN, inf: the first rule
+            bad = np.array([
+                ~(np.isfinite(R).all(axis=(-2, -1)) & np.isfinite(t).all(-1)),
+                orthonormality_error(R) >= ORTHONORMALITY_TOL,
+                abs(np.linalg.det(R) - 1.0) >= ORTHONORMALITY_TOL])
+        if bad.any():       # the first bad pose, by its first broken rule
+            index, rule = np.argwhere(bad.reshape(3, -1).T)[0]
+            raise PoseError(("pose holds NaN or inf",
+                             "rotation is not orthonormal",
+                             "rotation determinant is not +1")[rule],
+                            int(index))
         R.setflags(write=False)
         t.setflags(write=False)
         object.__setattr__(self, "rotation", R)
@@ -55,19 +77,23 @@ class Pose:
         return Pose(np.eye(3), np.zeros(3))
 
     def compose(self, other: "Pose") -> "Pose":
-        """Apply `other` first, then self."""
-        return Pose(self.rotation @ other.rotation,
-                    self.rotation @ other.translation + self.translation)
+        """Apply `other` first, then self; pose by pose over stacks."""
+        R, t = self.rotation, other.translation[..., None]
+        return Pose(R @ other.rotation, (R @ t)[..., 0] + self.translation)
 
     def inverse(self) -> "Pose":
-        return Pose(self.rotation.T, -self.rotation.T @ self.translation)
+        inv = np.swapaxes(self.rotation, -1, -2)
+        return Pose(inv, (-inv @ self.translation[..., None])[..., 0])
 
     def apply(self, points: np.ndarray) -> np.ndarray:
+        """Points (n, 3); for a stack (F, n, 3), pose i moving points[i]."""
         points = np.asarray(points, dtype=float)
-        return points @ self.rotation.T + self.translation
+        t = self.translation
+        return (points @ np.swapaxes(self.rotation, -1, -2)
+                + (t[:, None] if t.ndim == 2 else t))
 
     def matrix34(self) -> np.ndarray:
-        return np.hstack([self.rotation, self.translation[:, None]])
+        return np.concatenate([self.rotation, self.translation[..., None]], -1)
 
     def isclose(self, other: "Pose", atol: float = 1e-12) -> bool:
         return (np.allclose(self.rotation, other.rotation, atol=atol, rtol=0.0)

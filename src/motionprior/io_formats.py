@@ -14,7 +14,8 @@ from itertools import islice
 import numpy as np
 
 from .geometry import (ORTHONORMALITY_TOL, GenericCamera, PinholeCamera,
-                       PinholeIntrinsics, Pose, check_image_size)
+                       PinholeIntrinsics, Pose, check_image_size,
+                       orthonormality_error)
 from .manifold import CameraRig, MotionParams, RigCamera
 from .simulate import NoiseSpec, SceneSpec
 
@@ -320,53 +321,48 @@ def write_matches(records, path):
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
-    poses: tuple
+    """F >= 1 poses as one stacked Pose, the first the identity."""
+
+    poses: Pose
 
     def __post_init__(self):
-        poses = tuple(self.poses)
-        if not poses:
-            raise ValueError("trajectory needs at least one pose")
-        if not poses[0].isclose(Pose.identity(), atol=1e-12):
+        if self.poses.rotation.ndim != 3 or not len(self):
+            raise ValueError("trajectory needs at least one pose, stacked: "
+                             "rotation (F, 3, 3), translation (F, 3)")
+        if not np.allclose(self.poses.matrix34()[0], np.eye(3, 4),  # [I|0]
+                           rtol=0.0, atol=1e-12):
             raise ValueError("first trajectory pose must be identity")
-        object.__setattr__(self, "poses", poses)
 
     def __len__(self):
-        return len(self.poses)
+        return len(self.poses.rotation)
 
 
 def write_trajectory(trajectory: TrajectoryRecord, path):
     """One line per frame: the 12 row-major values of [R|t], printed with
     shortest round-trip formatting."""
-    _write_rows(path, (pose.matrix34().ravel().tolist()
-                       for pose in trajectory.poses))
-
-
-def _rotation_on_load(rot: np.ndarray) -> np.ndarray:
-    """A read rotation, projected onto SO(3) by SVD when det > 0 and its
-    orthonormality error lies in [ORTHONORMALITY_TOL,
-    ROTATION_PROJECTION_TOL]; otherwise as read, for Pose to check."""
-    error = np.abs(rot.T @ rot - np.eye(3)).max()
-    if ORTHONORMALITY_TOL <= error <= ROTATION_PROJECTION_TOL and \
-            np.linalg.det(rot) > 0:
-        u, _, vt = np.linalg.svd(rot)
-        return u @ vt
-    return rot
+    _write_rows(path, trajectory.poses.matrix34().reshape(-1, 12).tolist())
 
 
 def load_trajectory(path) -> TrajectoryRecord:
+    """Rotations within ROTATION_PROJECTION_TOL of SO(3) are projected onto
+    it; a pose that then breaks a rule is a ParseError on its line."""
     with open(path, encoding="utf-8") as fh:
-        poses = []
-        for i, mat in enumerate(
-                _numbers(path, fh, [("pose", float, 12)])["pose"]
-                .reshape(-1, 3, 4)):
-            try:
-                poses.append(Pose(_rotation_on_load(mat[:, :3]), mat[:, 3]))
-            except ValueError as exc:
-                raise ParseError(path, _line_at(fh, i), str(exc))
-        if not poses:
+        mat = _numbers(path, fh, [("pose", float, 12)])["pose"].reshape(
+            -1, 3, 4)
+        if not len(mat):
             raise ParseError(path, 0, "empty trajectory file")
-        # TrajectoryRecord checks the first pose, on the first content line
-        return _on_line(path, _line_at(fh, 0), TrajectoryRecord, tuple(poses))
+        rot = mat[:, :, :3]
+        error = orthonormality_error(rot)
+        near = ((ORTHONORMALITY_TOL <= error) & (np.linalg.det(rot) > 0)
+                & (error <= ROTATION_PROJECTION_TOL))
+        u, _, vt = np.linalg.svd(rot[near])
+        rot[near] = u @ vt
+        try:
+            return TrajectoryRecord(Pose(rot, mat[:, :, 3]))
+        except ValueError as exc:
+            # a PoseError names its pose; TrajectoryRecord checks the first
+            raise ParseError(path, _line_at(fh, getattr(exc, "index", 0)),
+                             str(exc))
 
 
 def load_scale(path):

@@ -3,6 +3,7 @@ trajectory, scale handling, and sequence simulation for the CLI."""
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -73,15 +74,37 @@ class FrameOutcome:
         return self.result is None
 
 
+def _json_number(x):
+    """x, or None where strict JSON has no number for it (NaN, inf)."""
+    return x if math.isfinite(x) else None
+
+
+def diagnostic_record(o: FrameOutcome) -> dict:
+    """The diagnostics record of a frame outcome, strict JSON once dumped."""
+    record = {"t0": o.t0, "t1": o.t1, "yaw": o.params.yaw,
+              "arc_length": o.params.arc_length, "pitch": o.params.pitch,
+              "roll": o.params.roll, "failed": o.failed, "error": o.error,
+              "runtime_ms": o.runtime_ms}
+    if o.result is not None:
+        record.update(energy=_json_number(o.result.final_energy),
+                      iterations=o.result.iterations,
+                      converged=o.result.converged,
+                      termination=o.result.termination,
+                      condition_note=o.result.condition_note,
+                      sigma={f: _json_number(v)
+                             for f, v in o.result.sigma.items()},
+                      skipped_matches=o.result.skipped_matches)
+    return record
+
+
 def _trajectory(motions) -> TrajectoryRecord:
     """The frames' motions chained on arrays, as Pose.compose chains them."""
     rots, ts = motion_arrays(np.vstack([params_rows(p) for p in motions]))
-    R, T = np.eye(3), np.zeros(3)
-    poses = [Pose(R, T)]
-    for r, t in zip(rots, ts):
-        R, T = R @ r, R @ t + T
-        poses.append(Pose(R, T))
-    return TrajectoryRecord(tuple(poses))
+    R, T = np.empty((len(rots) + 1, 3, 3)), np.empty((len(rots) + 1, 3))
+    R[0], T[0] = np.eye(3), 0.0
+    for k, (r, t) in enumerate(zip(rots, ts)):
+        R[k + 1], T[k + 1] = R[k] @ r, R[k] @ t + T[k]
+    return TrajectoryRecord(Pose(R, T))
 
 
 def match_sets_from_record(record: FramePairRecord):

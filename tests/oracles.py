@@ -217,14 +217,26 @@ def pose_path_residuals(motion: Pose, cam, s: MatchSet, metric):
     return r[:, None], valid
 
 
+def stacked(poses) -> Pose:
+    """Single poses as one stacked Pose: (F, 3, 3) and (F, 3)."""
+    return Pose(np.array([p.rotation for p in poses]),
+                np.array([p.translation for p in poses]))
+
+
+def unstacked(pose) -> list:
+    """The single poses of a stacked Pose, in order."""
+    return [Pose(r, t) for r, t in zip(pose.rotation, pose.translation)]
+
+
 def evaluate_by_segment(est, gt, lengths) -> EvalReport:
     """evaluation.evaluate segment by segment, on Pose objects, in the
     KITTI devkit's order: find each segment's last frame by walking the
     ground-truth distance, then error = inverse(delta_est) . delta_gt.
     A repeated length is one bucket."""
     lengths = list(dict.fromkeys(lengths))
+    est_poses, gt_poses = unstacked(est.poses), unstacked(gt.poses)
     dist = [0.0]
-    for prev, cur in zip(gt.poses, gt.poses[1:]):
+    for prev, cur in zip(gt_poses, gt_poses[1:]):
         dist.append(dist[-1] + float(np.linalg.norm(
             cur.translation - prev.translation)))
     buckets = {length: ErrorBucket() for length in lengths}
@@ -234,8 +246,8 @@ def evaluate_by_segment(est, gt, lengths) -> EvalReport:
                          if dist[i] > dist[first] + length), None)
             if last is None:
                 continue
-            delta_gt = gt.poses[first].inverse().compose(gt.poses[last])
-            delta_est = est.poses[first].inverse().compose(est.poses[last])
+            delta_gt = gt_poses[first].inverse().compose(gt_poses[last])
+            delta_est = est_poses[first].inverse().compose(est_poses[last])
             error = delta_est.inverse().compose(delta_gt)
             cos = 0.5 * (np.trace(error.rotation) - 1.0)
             buckets[length].rotation_deg_per_m.append(

@@ -15,6 +15,7 @@ from motionprior.io_formats import (ParseError, load_matches, load_rig,
 from motionprior.manifold import MotionParams
 from motionprior.metrics import MetricKind, RobustLoss
 from motionprior.pipeline import match_sets_from_record
+from oracles import unstacked
 
 RIG_TEXT = """\
 id 0
@@ -140,7 +141,8 @@ class TestEstimate:
         est = load_trajectory(workspace / "est.txt")
         gt = load_trajectory(workspace / "gt.txt")
         assert len(est) == len(gt)
-        assert est.poses[-1].isclose(gt.poses[-1], atol=1e-4)
+        assert unstacked(est.poses)[-1].isclose(unstacked(gt.poses)[-1],
+                                                atol=1e-4)
 
     def test_diagnostics_jsonl(self, workspace):
         simulate(workspace)
@@ -285,7 +287,8 @@ class TestEstimate:
         assert code == EXIT_OK
         est = load_trajectory(workspace / "est.txt")
         gt = load_trajectory(workspace / "gt.txt")
-        assert est.poses[-1].isclose(gt.poses[-1], atol=1e-3)
+        assert unstacked(est.poses)[-1].isclose(unstacked(gt.poses)[-1],
+                                                atol=1e-3)
 
     def test_geoline_metric_flag(self, workspace):
         simulate(workspace)
@@ -690,6 +693,25 @@ class TestEval:
             outputs.append((capsys.readouterr().out,
                             (workspace / f"{lengths}.csv").read_text()))
         assert outputs[1] == outputs[0]
+
+    def test_fractional_lengths_label_their_rows_as_given(self, workspace,
+                                                          capsys):
+        simulate(workspace)
+        capsys.readouterr()
+        code = run_cli(["eval", "--est", str(workspace / "gt.txt"),
+                        "--gt", str(workspace / "gt.txt"),
+                        "--lengths", "0.5,1.5,2.5,3,1e6,0.1234567,0.1234568",
+                        "--out", str(workspace / "report.csv")])
+        assert code == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split()[0] for row in rows] == [
+            "0.1234567", "0.1234568", "0.5", "1.5", "2.5", "3", "1000000"]
+        # an integer length prints as it did before
+        assert rows[5].startswith(f"{3.0:10.0f} ")
+        assert rows[6].startswith(f"{1e6:10.0f} ")
+        lines = (workspace / "report.csv").read_text().splitlines()[1:]
+        assert [float(line.split(",")[0]) for line in lines] == [
+            0.1234567, 0.1234568, 0.5, 1.5, 2.5, 3.0, 1e6]
 
     def test_zero_length_is_usage_error(self, workspace, capsys):
         simulate(workspace)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from motionprior.evaluation import TrajectoryTooShort, evaluate
 from motionprior.io_formats import TrajectoryRecord
 from motionprior.manifold import MotionParams, pose_from_params
-from oracles import evaluate_by_segment
+from oracles import evaluate_by_segment, stacked
 from test_evaluation import chain
 
 REL_TOL = 1e-12
@@ -19,7 +19,7 @@ steps = st.tuples(st.floats(-0.08, 0.08), st.floats(0.3, 2.0),
 
 
 def trajectory(motions):
-    return TrajectoryRecord(tuple(chain(map(pose_from_params, motions))))
+    return TrajectoryRecord(stacked(chain(map(pose_from_params, motions))))
 
 
 @settings(max_examples=40, deadline=None)

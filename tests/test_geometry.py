@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +7,11 @@ from hypothesis import strategies as st
 
 from motionprior.geometry import (BehindCamera, DegenerateTranslation,
                                   GenericCamera, OutOfDomain, PinholeCamera,
-                                  PinholeIntrinsics, Pose,
+                                  PinholeIntrinsics, Pose, PoseError,
                                   forward_camera_extrinsic, rotation_x,
                                   rotation_y, rotation_z, skew)
-from oracles import essential_from_motion, fundamental_from_essential
+from oracles import (essential_from_motion, fundamental_from_essential,
+                     stacked)
 
 
 def random_pose(rng):
@@ -26,6 +29,18 @@ poses = st.builds(
     lambda yaw, pitch, roll, t: Pose(
         rotation_z(yaw) @ rotation_y(pitch) @ rotation_x(roll), t),
     angles, angles, angles, vectors)
+
+
+def counted_pose_checks(monkeypatch) -> list:
+    """Wrap Pose.__post_init__ for the test: the list it returns gains one
+    entry, the number of poses checked, per Pose built."""
+    checks, check = [], Pose.__post_init__
+
+    def counted(pose):
+        check(pose)
+        checks.append(len(np.reshape(pose.translation, (-1, 3))))
+    monkeypatch.setattr(Pose, "__post_init__", counted)
+    return checks
 
 
 class TestPose:
@@ -88,6 +103,94 @@ class TestPose:
             Pose(np.eye(3) * 1.001, np.zeros(3))
         with pytest.raises(ValueError):
             Pose(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
+
+
+# a frame of a stack: two poses and four points; stacks of 1 to 6 frames,
+# 3 among them, where an unbroadcast R @ t (3, 3, 3) @ (3, 3) runs and
+# multiplies every rotation with every translation
+frames = st.tuples(poses, poses,
+                   st.lists(vectors, min_size=4, max_size=4).map(np.array))
+stacks = st.one_of(st.lists(frames, min_size=3, max_size=3),
+                   st.lists(frames, min_size=1, max_size=6))
+
+BAD_POSES = [
+    (np.where(np.eye(3) == 1, np.nan, 0.0), np.zeros(3),
+     "pose holds NaN or inf"),
+    (np.eye(3), [0.0, np.inf, 0.0], "pose holds NaN or inf"),
+    (np.eye(3) * 1.001, np.zeros(3), "rotation is not orthonormal"),
+    (np.diag([1.0, 1.0, -1.0]), np.zeros(3),
+     "rotation determinant is not +1"),
+]
+
+
+class TestPoseStack:
+    @settings(max_examples=100, deadline=None)
+    @given(stacks)
+    def test_each_pose_as_if_alone_bitwise(self, frames):
+        a = stacked([f[0] for f in frames])
+        b = stacked([f[1] for f in frames])
+        points = np.array([f[2] for f in frames])
+        composed, inverse = a.compose(b), a.inverse()
+        moved, matrices = a.apply(points), a.matrix34()
+        assert moved.shape == points.shape
+        assert matrices.shape == (len(frames), 3, 4)
+        for k, (pa, pb, pts) in enumerate(frames):
+            for got, want in ((composed, pa.compose(pb)),
+                              (inverse, pa.inverse())):
+                assert got.rotation[k].tobytes() == want.rotation.tobytes()
+                assert (got.translation[k].tobytes()
+                        == want.translation.tobytes())
+            assert moved[k].tobytes() == pa.apply(pts).tobytes()
+            assert matrices[k].tobytes() == pa.matrix34().tobytes()
+
+    @pytest.mark.parametrize("rotation, translation, message", BAD_POSES)
+    @pytest.mark.parametrize("index", [0, 2, 4])
+    def test_bad_pose_is_named_by_its_index(self, rotation, translation,
+                                            message, index):
+        with pytest.raises(PoseError, match=re.escape(message)) as single:
+            Pose(rotation, translation)
+        assert single.value.index == 0
+        rotations = np.tile(np.eye(3), (5, 1, 1))
+        translations = np.zeros((5, 3))
+        rotations[index], translations[index] = rotation, translation
+        with pytest.raises(PoseError) as err:
+            Pose(rotations, translations)
+        assert str(err.value) == str(single.value)
+        assert err.value.index == index
+
+    def test_first_bad_pose_with_its_first_broken_rule(self):
+        rotations = np.tile(np.eye(3), (4, 1, 1))
+        translations = np.zeros((4, 3))
+        rotations[1] = np.diag([1.0, 1.0, -1.0])
+        rotations[2] *= 1.001
+        translations[3, 0] = np.nan
+        with pytest.raises(PoseError, match="determinant is not") as err:
+            Pose(rotations, translations)
+        assert err.value.index == 1
+        rotations[1] *= 1.001           # breaks both matrix rules
+        with pytest.raises(PoseError, match="not orthonormal") as err:
+            Pose(rotations, translations)
+        assert err.value.index == 1
+
+    @pytest.mark.parametrize("rotation, translation", [
+        (np.eye(3).ravel(), np.zeros(3)),
+        (np.eye(3), np.zeros((3, 1))),
+        (np.eye(3)[:, :2], np.zeros(3)),
+        (np.tile(np.eye(3), (2, 2, 1, 1)), np.zeros((2, 2, 3))),
+        (np.tile(np.eye(3), (3, 1, 1)), np.zeros(3)),
+        (np.tile(np.eye(3), (3, 1, 1)), np.zeros((2, 3))),
+        (np.eye(3), np.zeros((1, 3))),
+    ], ids=["flat", "column", "3x2", "4-d", "stack-one-t", "stack-short-t",
+            "one-stacked-t"])
+    def test_other_shapes_rejected(self, rotation, translation):
+        with pytest.raises(ValueError, match="are not"):
+            Pose(rotation, translation)
+
+    def test_stack_is_read_only(self):
+        pose = stacked([Pose.identity()] * 2)
+        assert pose.rotation.shape == (2, 3, 3)
+        assert not pose.rotation.flags.writeable
+        assert not pose.translation.flags.writeable
 
 
 class TestSkew:

@@ -20,7 +20,8 @@ from motionprior.io_formats import (MATCH_HEADER, FramePairRecord,
                                     write_trajectory)
 from motionprior import io_formats
 from motionprior.manifold import CameraRig, RigCamera
-from oracles import numbers_by_lines, write_matches_by_cell
+from oracles import numbers_by_lines, stacked, write_matches_by_cell
+from test_geometry import counted_pose_checks
 
 RIG_TEXT = """\
 id 0
@@ -389,7 +390,7 @@ class TestTrajectoryFiles:
         step = Pose(rotation_z(0.01), [1.0, 0.005, 0.0])
         for _ in range(10):
             poses.append(poses[-1].compose(step))
-        return TrajectoryRecord(tuple(poses))
+        return TrajectoryRecord(stacked(poses))
 
     def test_round_trip_bit_exact(self, tmp_path):
         traj = self.make_trajectory()
@@ -397,21 +398,18 @@ class TestTrajectoryFiles:
         write_trajectory(traj, p)
         back = load_trajectory(p)
         assert len(back) == len(traj)
-        for a, b in zip(traj.poses, back.poses):
-            assert np.array_equal(a.matrix34(), b.matrix34())
+        assert np.array_equal(back.poses.matrix34(), traj.poses.matrix34())
 
     def test_percent_e_round_trip(self, tmp_path):
         # KITTI ground truth prints %e: 7 significant digits, so its
         # rotations miss orthonormality by a few 1e-7
         traj = self.make_trajectory()
         p = tmp_path / "traj.txt"
-        np.savetxt(p, [pose.matrix34().ravel() for pose in traj.poses],
-                   fmt="%e")
+        np.savetxt(p, traj.poses.matrix34().reshape(-1, 12), fmt="%e")
         back = load_trajectory(p)
         assert len(back) == len(traj)
-        for a, b in zip(traj.poses, back.poses):
-            assert np.allclose(a.matrix34(), b.matrix34(), rtol=0.0,
-                               atol=1e-5)
+        assert np.allclose(back.poses.matrix34(), traj.poses.matrix34(),
+                           rtol=0.0, atol=1e-5)
 
     def test_rotation_beyond_projection_bound(self, tmp_path):
         p = tmp_path / "traj.txt"
@@ -423,14 +421,56 @@ class TestTrajectoryFiles:
 
     def test_line_format(self, tmp_path):
         p = tmp_path / "traj.txt"
-        write_trajectory(TrajectoryRecord((Pose.identity(),)), p)
+        write_trajectory(TrajectoryRecord(stacked([Pose.identity()])), p)
         vals = p.read_text().split()
         assert len(vals) == 12
         assert [float(v) for v in vals] == [1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0]
 
     def test_first_pose_must_be_identity(self):
-        with pytest.raises(ValueError):
-            TrajectoryRecord((Pose(np.eye(3), [1.0, 0, 0]),))
+        for first in (Pose(np.eye(3), [1.0, 0, 0]),
+                      Pose(rotation_z(1e-6), np.zeros(3))):
+            with pytest.raises(ValueError, match="must be identity"):
+                TrajectoryRecord(stacked([first, Pose.identity()]))
+
+    def test_record_needs_a_stack_of_at_least_one_pose(self):
+        for poses in (Pose(np.zeros((0, 3, 3)), np.zeros((0, 3))),
+                      Pose.identity()):
+            with pytest.raises(ValueError, match="at least one pose"):
+                TrajectoryRecord(poses)
+
+    @pytest.mark.parametrize("rotation, translation", [
+        (np.zeros((2, 3, 4)), np.zeros((2, 3))),
+        (np.tile(np.eye(3), (1, 2, 1, 1)), np.zeros((1, 2, 3))),
+        (np.eye(3).reshape(1, 9), np.zeros((1, 3)))])
+    def test_record_rotation_shape(self, rotation, translation):
+        with pytest.raises(ValueError, match="are not"):
+            TrajectoryRecord(Pose(rotation, translation))
+
+    def test_bad_rotation_names_the_first_bad_line(self, tmp_path):
+        # a negated rotation row stays orthonormal and flips det to -1;
+        # 1.01 breaks orthonormality beyond the projection band
+        p = tmp_path / "traj.txt"
+        p.write_text("1 0 0 0 0 1 0 0 0 0 1 0\n# a comment\n"
+                     "-1 0 0 0 0 1 0 0 0 0 1 0\n"
+                     "1.01 0 0 0 0 1 0 0 0 0 1 0\n")
+        with pytest.raises(ParseError) as err:
+            load_trajectory(p)
+        assert str(err.value) == f"{p}:3: rotation determinant is not +1"
+        p.write_text("1 0 0 0 0 1 0 0 0 0 1 0\n\n"
+                     "1.01 0 0 0 0 1 0 0 0 0 1 0\n"
+                     "-1 0 0 0 0 1 0 0 0 0 1 0\n")
+        with pytest.raises(ParseError) as err:
+            load_trajectory(p)
+        assert str(err.value) == f"{p}:3: rotation is not orthonormal"
+
+    def test_one_pose_built_per_file(self, tmp_path, monkeypatch):
+        p = tmp_path / "traj.txt"
+        write_trajectory(self.make_trajectory(), p)
+        np.savetxt(tmp_path / "e.txt", np.loadtxt(p), fmt="%e")
+        checks = counted_pose_checks(monkeypatch)
+        for path in (p, tmp_path / "e.txt"):
+            assert len(load_trajectory(path)) == 11
+        assert checks == [11, 11]       # one stacked Pose per file
 
     def test_first_pose_not_identity_names_its_line(self, tmp_path):
         p = tmp_path / "traj.txt"
@@ -494,8 +534,7 @@ COMMENTED_FILES = {
         "# matches\nt0,t1,camera_id,u0,v0,u1,v1  # header\n\n"
         "0,1,0,1,2,3,4\n   \n# next pair\n1,2,0,5,6,7,8 # last\n"),
     "trajectory": (
-        lambda p: [pose.matrix34().tolist()
-                   for pose in load_trajectory(p).poses],
+        lambda p: load_trajectory(p).poses.matrix34().tolist(),
         "1 0 0 0 0 1 0 0 0 0 1 0\n1 0 0 1 0 1 0 0 0 0 1 0\n",
         "# poses\n1 0 0 0 0 1 0 0 0 0 1 0\n\n"
         "1 0 0 1 0 1 0 0 0 0 1 0  # second\n\n"),
@@ -568,9 +607,9 @@ class TestRoundTripProperties:
             poses.append(poses[-1].compose(Pose(
                 rotation_z(yaw) @ rotation_y(pitch) @ rotation_x(roll), t)))
         p = tmp_path_factory.mktemp("prop") / "trajectory.txt"
-        write_trajectory(TrajectoryRecord(tuple(poses)), p)
+        write_trajectory(TrajectoryRecord(stacked(poses)), p)
         back = load_trajectory(p)
-        assert [bits(pose.matrix34()) for pose in back.poses] == \
+        assert [bits(m) for m in back.poses.matrix34()] == \
             [bits(pose.matrix34()) for pose in poses]
 
     @settings(max_examples=60, deadline=None)
@@ -653,8 +692,8 @@ LOADED = {
                                         for cam, (px0, px1)
                                         in r.pixels.items()])
                           for r in load_matches(p)],
-    "trajectory": lambda p: [bits(pose.matrix34())
-                             for pose in load_trajectory(p).poses],
+    "trajectory": lambda p: [bits(m)
+                             for m in load_trajectory(p).poses.matrix34()],
     "scale": lambda p: bits(load_scale(p)),
 }
 

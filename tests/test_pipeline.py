@@ -20,8 +20,10 @@ from motionprior.pipeline import (FixedScale, FreeInCurves, _trajectory,
                                   simulate_sequence)
 from motionprior.simulate import (NoiseSpec, SceneSpec, generate_matches,
                                   generate_scene)
+from oracles import unstacked
 from test_estimator import RIG_FB
 from test_evaluation import chain
+from test_geometry import counted_pose_checks
 
 INTR = PinholeIntrinsics(700.0, 700.0, 640.0, 480.0)
 
@@ -81,7 +83,8 @@ class TestRunSequence:
         records = make_records(RIG1, [0.02, 0.02], arc=1.3)
         traj, outcomes = run_sequence(RIG1, records, FixedScale([1.3, 1.3]))
         truth = pose_from_params(MotionParams(yaw=0.02, arc_length=1.3))
-        step = traj.poses[0].inverse().compose(traj.poses[1])
+        first, second = unstacked(traj.poses)[:2]
+        step = first.inverse().compose(second)
         assert step.isclose(truth, atol=1e-5)
 
     def test_scale_file_too_short(self):
@@ -278,8 +281,9 @@ class TestRunSequence:
         assert not outcomes[0].failed and outcomes[1].failed
         assert outcomes[1].error
         # the carried-forward motion repeats the last good estimate
-        step1 = traj.poses[0].inverse().compose(traj.poses[1])
-        step2 = traj.poses[1].inverse().compose(traj.poses[2])
+        poses = unstacked(traj.poses)
+        step1 = poses[0].inverse().compose(poses[1])
+        step2 = poses[1].inverse().compose(poses[2])
         assert step1.isclose(step2, atol=1e-12)
 
     def test_out_of_domain_pixel_fails_only_its_frame(self):
@@ -360,7 +364,14 @@ class TestRunSequence:
         for yaw in yaws[1:]:
             expected = expected.compose(
                 pose_from_params(MotionParams(yaw=yaw, arc_length=1.0)))
-        assert traj.poses[-1].isclose(expected, atol=1e-5)
+        assert unstacked(traj.poses)[-1].isclose(expected, atol=1e-5)
+
+    def test_one_pose_built_per_trajectory(self, monkeypatch):
+        records = make_records(RIG1, [0.02, 0.0, -0.01])
+        checks = counted_pose_checks(monkeypatch)
+        traj, _ = run_sequence(RIG1, records, FreeInCurves(1.0))
+        assert checks == [4]
+        assert traj.poses.rotation.shape == (4, 3, 3)
 
     def test_runtime_recorded(self):
         records = make_records(RIG1, [0.02])
@@ -386,7 +397,7 @@ class TestSimulateSequence:
 
     def test_ground_truth_geometry(self):
         _, gt, _ = simulate_sequence(self.scenario(((2, 0.0),)))
-        assert np.allclose(gt.poses[2].translation, [2.0, 0.0, 0.0],
+        assert np.allclose(gt.poses.translation[2], [2.0, 0.0, 0.0],
                            atol=1e-12)
 
     def test_fresh_scene_per_frame(self):
@@ -425,7 +436,8 @@ class TestSimulateSequence:
                                                           (3, 0.04))))
         traj, outcomes = run_sequence(RIG2, records, FreeInCurves(1.0))
         assert not any(o.failed for o in outcomes)
-        assert traj.poses[-1].isclose(gt.poses[-1], atol=1e-4)
+        assert unstacked(traj.poses)[-1].isclose(unstacked(gt.poses)[-1],
+                                                 atol=1e-4)
 
 
 # yaws on both sides of the series switch, arcs of either sign, and tilt
@@ -443,7 +455,7 @@ class TestTrajectoryChain:
     def test_equals_pose_compose_chain_bitwise(self, motions):
         poses = chain([pose_from_params(p) for p in motions])
         chained = _trajectory(motions).poses
-        assert len(chained) == len(poses)
-        for got, want in zip(chained, poses):
-            assert np.array_equal(got.rotation, want.rotation)
-            assert np.array_equal(got.translation, want.translation)
+        assert len(chained.rotation) == len(poses)
+        for k, want in enumerate(poses):
+            assert np.array_equal(chained.rotation[k], want.rotation)
+            assert np.array_equal(chained.translation[k], want.translation)
