@@ -8,10 +8,9 @@ from .estimator import (EstimateResult, EstimatorOptions, GridSpec,
                         Landscape, LandscapeGrid, NoMatches,
                         classify_inliers, energy_landscape, estimate)
 from .evaluation import EvalReport, TrajectoryTooShort, evaluate
-from .geometry import (BehindCamera, DegenerateTranslation, GenericCamera,
-                       GeometryError, OutOfDomain, PinholeCamera,
-                       PinholeIntrinsics, Pose, forward_camera_extrinsic,
-                       skew)
+from .geometry import (DegenerateTranslation, GenericCamera, GeometryError,
+                       OutOfDomain, PinholeCamera, PinholeIntrinsics, Pose,
+                       forward_camera_extrinsic, skew)
 from .io_formats import (FramePairRecord, NoRecords, ParseError, Scenario,
                          TrajectoryRecord, load_matches, load_rig,
                          load_scale, load_scenario, load_trajectory,

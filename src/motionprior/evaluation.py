@@ -46,7 +46,8 @@ class EvalReport:
 
 
 def _between(rot_a, t_a, rot_b, t_b):
-    """inverse(a) . b over stacks, as Pose.inverse and Pose.compose do."""
+    """inverse(a) . b over stacks, for poses p_parent = R p_child + t:
+    rotation R_a^T R_b, translation R_a^T t_b - R_a^T t_a."""
     inv = np.swapaxes(rot_a, -1, -2)
     return inv @ rot_b, (inv @ t_b[..., None] + -inv @ t_a[..., None])[..., 0]
 

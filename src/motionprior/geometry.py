@@ -20,10 +20,6 @@ class DegenerateTranslation(GeometryError):
     """Epipolar geometry is undefined for a pure rotation."""
 
 
-class BehindCamera(GeometryError):
-    pass
-
-
 class OutOfDomain(GeometryError):
     pass
 
@@ -41,11 +37,12 @@ def orthonormality_error(R) -> np.ndarray:
     return np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(3)).max(axis=(-2, -1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pose:
     """Rigid transform, or a stack of F of them: rotation (3, 3) or
-    (F, 3, 3), translation (3,) or (F, 3). apply() carries points from the
-    child frame into the parent frame: p_parent = R @ p_child + t."""
+    (F, 3, 3), translation (3,) or (F, 3). It carries points from the child
+    frame into the parent frame: p_parent = R p_child + t. Poses compare
+    and hash by identity."""
 
     rotation: np.ndarray
     translation: np.ndarray
@@ -72,33 +69,8 @@ class Pose:
         object.__setattr__(self, "rotation", R)
         object.__setattr__(self, "translation", t)
 
-    @staticmethod
-    def identity() -> "Pose":
-        return Pose(np.eye(3), np.zeros(3))
-
-    def compose(self, other: "Pose") -> "Pose":
-        """Apply `other` first, then self; pose by pose over stacks."""
-        R, t = self.rotation, other.translation[..., None]
-        return Pose(R @ other.rotation, (R @ t)[..., 0] + self.translation)
-
-    def inverse(self) -> "Pose":
-        inv = np.swapaxes(self.rotation, -1, -2)
-        return Pose(inv, (-inv @ self.translation[..., None])[..., 0])
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        """Points (n, 3); for a stack (F, n, 3), pose i moving points[i]."""
-        points = np.asarray(points, dtype=float)
-        t = self.translation
-        return (points @ np.swapaxes(self.rotation, -1, -2)
-                + (t[:, None] if t.ndim == 2 else t))
-
     def matrix34(self) -> np.ndarray:
         return np.concatenate([self.rotation, self.translation[..., None]], -1)
-
-    def isclose(self, other: "Pose", atol: float = 1e-12) -> bool:
-        return (np.allclose(self.rotation, other.rotation, atol=atol, rtol=0.0)
-                and np.allclose(self.translation, other.translation,
-                                atol=atol, rtol=0.0))
 
 
 def _normalized(rays: np.ndarray) -> np.ndarray:
@@ -167,14 +139,6 @@ class PinholeCamera:
         rays = np.asarray(pixels, dtype=float) @ k_inv[:, :2].T + k_inv[:, 2]
         return _normalized(rays)
 
-    def project(self, points: np.ndarray) -> np.ndarray:
-        """Pixels (n, 2) of camera-frame points (n, 3)."""
-        points = np.asarray(points, dtype=float)
-        if np.any(points[:, 2] <= 0):
-            raise BehindCamera("point has non-positive depth")
-        homo = points @ self.intrinsics.matrix.T
-        return homo[:, :2] / homo[:, 2:3]
-
 
 class GenericCamera:
     """Tabulated camera model: a rectangular grid of ray directions with
@@ -201,21 +165,6 @@ class GenericCamera:
         self._low, self._high = -slack, self._last + slack
         self._strides = np.array([1, nu])
         self._corners = np.array([0, 1, nu, nu + 1])[:, None]
-
-    @classmethod
-    def from_camera(cls, camera, width, height, step=8.0):
-        """Tabulate another camera model on a regular pixel grid; rays are
-        stored z-normalized (the model must look into the z > 0 halfspace)."""
-        us = np.arange(0.0, width + 1e-9, step)
-        vs = np.arange(0.0, height + 1e-9, step)
-        uu, vv = np.meshgrid(us, vs)
-        pix = np.stack([uu.ravel(), vv.ravel()], axis=1)
-        rays = camera.pixel_to_bearing(pix)
-        if np.any(rays[:, 2] <= 0):
-            raise ValueError("tabulated rays must have positive z")
-        rays = rays / rays[:, 2:3]
-        return cls(0.0, 0.0, step, step, rays.reshape(len(vs), len(us), 3),
-                   image_size=(width, height))
 
     def pixel_to_bearing(self, pixels: np.ndarray) -> np.ndarray:
         """Unit rays (n, 3) of pixels (n, 2); OutOfDomain for a pixel

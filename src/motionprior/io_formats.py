@@ -215,7 +215,7 @@ def write_rig(rig: CameraRig, path):
 def load_bearing_table(path, image_size=None) -> GenericCamera:
     """Bearing table: header `u0 v0 du dv nu nv` (du, dv > 0; nu, nv
     integers >= 2) then nu*nv rays (three reals per line, any non-zero
-    length, such as the z-normalized rays of GenericCamera.from_camera),
+    length, such as a pinhole's z-normalized rays (K^-1 (u, v, 1))),
     row-major over v then u."""
     with open(path, encoding="utf-8") as fh:
         lineno, text = next(_lines(fh), (1, ""))

@@ -98,7 +98,8 @@ def diagnostic_record(o: FrameOutcome) -> dict:
 
 
 def _trajectory(motions) -> TrajectoryRecord:
-    """The frames' motions chained on arrays, as Pose.compose chains them."""
+    """The frames' motions chained on arrays: pose k + 1 is pose k times
+    motion k, R_k R_m and R_k t_m + t_k, with p_parent = R p_child + t."""
     rots, ts = motion_arrays(np.vstack([params_rows(p) for p in motions]))
     R, T = np.empty((len(rots) + 1, 3, 3)), np.empty((len(rots) + 1, 3))
     R[0], T[0] = np.eye(3), 0.0

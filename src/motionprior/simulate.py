@@ -101,8 +101,9 @@ def generate_matches(points, rig: CameraRig, truth: MotionParams,
     match_sets = []
     labels = []
     for cam in rig.cameras:
-        # the camera at t0 is the extrinsic, at t1 motion . extrinsic;
-        # inverse(R, t).apply(p) = p R + (-R^T t), as Pose computes it
+        # the camera (R, t) at t0 is the extrinsic, at t1 motion . extrinsic
+        # (R_m R, R_m t + t_m); with p_parent = R p_child + t, it sees a
+        # point p at R^T (p - t), for rows p R + (-R^T t)
         rot, t = cam.extrinsic.rotation, cam.extrinsic.translation
         cam_t0 = points @ rot + -rot.T @ t
         rot, t = rot_m @ rot, rot_m @ t + t_m

@@ -1,14 +1,15 @@
 """Reference implementations the tests check the package against.
 
-They follow the per-camera pose path: conjugate the vehicle motion to a
-camera, form its essential (and, for pixels, fundamental) matrix, and
-evaluate each metric on it match by match; sigma formed from the final
-solver state in one pass; M of a pure rotation in exact rational
-arithmetic; the per-segment Pose path of the trajectory
-evaluation; the cell-by-cell match writer, the line-by-line number parser
-and the simulator's projection on the Pose path, one time at a time,
-through PinholeCamera.project and a point-by-point image test. None of
-this is on the package's paths.
+They follow the per-camera pose path: the algebra of single poses
+(p_parent = R p_child + t), a pinhole projection and a ray tabulator;
+conjugate the vehicle motion to a camera, form its essential (and, for
+pixels, fundamental) matrix, and evaluate each metric on it match by
+match; sigma formed from the final solver state in one pass; M of a pure
+rotation in exact rational arithmetic; the per-segment Pose path of the
+trajectory evaluation; the cell-by-cell match writer, the line-by-line
+number parser and the simulator's projection on the Pose path, one time at
+a time, through K times the point over its depth and a point-by-point
+image test. None of this is on the package's paths.
 """
 
 import math
@@ -21,8 +22,8 @@ import numpy as np
 from motionprior.estimator import _solver_state
 from motionprior.evaluation import START_STEP, ErrorBucket, EvalReport
 from motionprior.geometry import (TRANSLATION_EPS, DegenerateTranslation,
-                                  PinholeCamera, PinholeIntrinsics, Pose,
-                                  skew)
+                                  GenericCamera, PinholeCamera,
+                                  PinholeIntrinsics, Pose, skew)
 from motionprior.io_formats import (MATCH_HEADER, ParseError, _lines,
                                     _write_rows)
 from motionprior.manifold import (CameraRig, RigCamera, multi_camera_energy,
@@ -31,6 +32,53 @@ from motionprior.metrics import (DEGENERACY_EPS, TILTED_FEATURES, MatchSet,
                                  MetricKind, RigFrame, feature_maps)
 
 UNIT_CAM = PinholeCamera(PinholeIntrinsics(1.0, 1.0, 0.0, 0.0))
+
+
+def identity() -> Pose:
+    return Pose(np.eye(3), np.zeros(3))
+
+
+def compose(a: Pose, b: Pose) -> Pose:
+    """a . b: apply b first, then a."""
+    return Pose(a.rotation @ b.rotation,
+                a.rotation @ b.translation + a.translation)
+
+
+def inverse(a: Pose) -> Pose:
+    inv = a.rotation.T
+    return Pose(inv, -inv @ a.translation)
+
+
+def apply(a: Pose, points) -> np.ndarray:
+    """Points (n, 3) or (3,) carried from a's child frame into its parent:
+    R p + t."""
+    return np.asarray(points, dtype=float) @ a.rotation.T + a.translation
+
+
+def isclose(a: Pose, b: Pose, atol=1e-12) -> bool:
+    return (np.allclose(a.rotation, b.rotation, atol=atol, rtol=0.0)
+            and np.allclose(a.translation, b.translation, atol=atol,
+                            rtol=0.0))
+
+
+def project(camera: PinholeCamera, points) -> np.ndarray:
+    """Pixels (n, 2) of camera-frame points (n, 3): K p over its depth."""
+    homo = np.asarray(points, dtype=float) @ camera.intrinsics.matrix.T
+    return homo[:, :2] / homo[:, 2:3]
+
+
+def tabulate(camera, width, height, step=8.0) -> GenericCamera:
+    """The camera's rays on a regular pixel grid over [0, width] x
+    [0, height], stored z-normalized (each must have positive z), as a
+    GenericCamera."""
+    us = np.arange(0.0, width + 1e-9, step)
+    vs = np.arange(0.0, height + 1e-9, step)
+    uu, vv = np.meshgrid(us, vs)
+    rays = camera.pixel_to_bearing(np.stack([uu.ravel(), vv.ravel()], 1))
+    assert (rays[:, 2] > 0).all(), "tabulated rays must have positive z"
+    return GenericCamera(0.0, 0.0, step, step,
+                         (rays / rays[:, 2:3]).reshape(len(vs), len(us), 3),
+                         image_size=(width, height))
 
 
 def bearing_set(b0, b1) -> MatchSet:
@@ -57,13 +105,13 @@ def fundamental_from_essential(e: np.ndarray, k0: PinholeIntrinsics,
 
 def conjugate_to_camera(motion: Pose, extrinsic: Pose) -> Pose:
     """Propagate a motion-center motion to a camera mounted at `extrinsic`."""
-    return extrinsic.inverse().compose(motion).compose(extrinsic)
+    return compose(compose(inverse(extrinsic), motion), extrinsic)
 
 
 def camera_point_transform(motion: Pose, extrinsic: Pose) -> Pose:
     """Point transform (t0 camera coords -> t1 camera coords) feeding the
     essential matrix for one camera."""
-    return conjugate_to_camera(motion, extrinsic).inverse()
+    return inverse(conjugate_to_camera(motion, extrinsic))
 
 
 def subset(s: MatchSet, index) -> MatchSet:
@@ -99,7 +147,7 @@ def identity_frame(s: MatchSet, metric, model=UNIT_CAM) -> RigFrame:
     pixel is its own ray, so M is the fundamental matrix of the pixels
     (line metric) or the essential matrix of bearing_set's bearings
     (plane metric)."""
-    rig = CameraRig((RigCamera(s.camera_id, model, Pose.identity()),))
+    rig = CameraRig((RigCamera(s.camera_id, model, identity()),))
     return RigFrame.from_matches(rig, [s], metric)
 
 
@@ -246,9 +294,9 @@ def evaluate_by_segment(est, gt, lengths) -> EvalReport:
                          if dist[i] > dist[first] + length), None)
             if last is None:
                 continue
-            delta_gt = gt_poses[first].inverse().compose(gt_poses[last])
-            delta_est = est_poses[first].inverse().compose(est_poses[last])
-            error = delta_est.inverse().compose(delta_gt)
+            delta_gt = compose(inverse(gt_poses[first]), gt_poses[last])
+            delta_est = compose(inverse(est_poses[first]), est_poses[last])
+            error = compose(inverse(delta_est), delta_gt)
             cos = 0.5 * (np.trace(error.rotation) - 1.0)
             buckets[length].rotation_deg_per_m.append(
                 np.degrees(np.arccos(np.clip(cos, -1.0, 1.0))) / length)
@@ -292,12 +340,12 @@ def numbers_by_lines(path, fh, row, skip=0, delimiter=None, first_line=1):
 
 
 def _pixels_seen(model, points_cam):
-    """Pixels (n, 2) of camera-frame points (n, 3), by model.project on
-    the points in front, and which of them the camera sees: positive
+    """Pixels (n, 2) of camera-frame points (n, 3), by project on the
+    points in front, and which of them the camera sees: positive
     depth and, if the model has an image size, within its pixel bounds."""
     seen = points_cam[:, 2] > 1e-9
     pixels = np.zeros((len(points_cam), 2))
-    pixels[seen] = model.project(points_cam[seen])
+    pixels[seen] = project(model, points_cam[seen])
     if model.image_size is not None:
         w, h = model.image_size
         for i in np.flatnonzero(seen):
@@ -314,9 +362,9 @@ def pixels_by_pose(points, rig, truth):
     pixels = {}
     for cam in rig.cameras:
         px0, vis0 = _pixels_seen(cam.model,
-                                 cam.extrinsic.inverse().apply(points))
+                                 apply(inverse(cam.extrinsic), points))
         px1, vis1 = _pixels_seen(
-            cam.model, motion.compose(cam.extrinsic).inverse().apply(points))
+            cam.model, apply(inverse(compose(motion, cam.extrinsic)), points))
         visible = vis0 & vis1
         if visible.any():
             pixels[cam.camera_id] = (px0[visible], px1[visible])

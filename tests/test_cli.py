@@ -8,14 +8,13 @@ from motionprior import io_formats
 from motionprior.cli import (EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
                             run_cli)
 from motionprior.estimator import LandscapeGrid, energy_landscape
-from motionprior.geometry import (GenericCamera, PinholeCamera,
-                                  PinholeIntrinsics)
+from motionprior.geometry import PinholeCamera, PinholeIntrinsics
 from motionprior.io_formats import (ParseError, load_matches, load_rig,
                                     load_scale, load_trajectory)
 from motionprior.manifold import MotionParams
 from motionprior.metrics import MetricKind, RobustLoss
 from motionprior.pipeline import match_sets_from_record
-from oracles import unstacked
+from oracles import isclose, tabulate, unstacked
 
 RIG_TEXT = """\
 id 0
@@ -59,7 +58,7 @@ def simulate(ws):
 def write_generic_rig(ws, width=1280, height=960):
     """generic_rig.txt: rig.txt with its cameras tabulated over pixels 0
     to width and 0 to height, in 8 px steps."""
-    table = GenericCamera.from_camera(
+    table = tabulate(
         PinholeCamera(PinholeIntrinsics(700.0, 700.0, 640.0, 480.0)),
         width, height).table
     with open(ws / "table.txt", "w", encoding="utf-8") as fh:
@@ -141,8 +140,8 @@ class TestEstimate:
         est = load_trajectory(workspace / "est.txt")
         gt = load_trajectory(workspace / "gt.txt")
         assert len(est) == len(gt)
-        assert unstacked(est.poses)[-1].isclose(unstacked(gt.poses)[-1],
-                                                atol=1e-4)
+        assert isclose(unstacked(est.poses)[-1], unstacked(gt.poses)[-1],
+                       atol=1e-4)
 
     def test_diagnostics_jsonl(self, workspace):
         simulate(workspace)
@@ -287,8 +286,8 @@ class TestEstimate:
         assert code == EXIT_OK
         est = load_trajectory(workspace / "est.txt")
         gt = load_trajectory(workspace / "gt.txt")
-        assert unstacked(est.poses)[-1].isclose(unstacked(gt.poses)[-1],
-                                                atol=1e-3)
+        assert isclose(unstacked(est.poses)[-1], unstacked(gt.poses)[-1],
+                       atol=1e-3)
 
     def test_geoline_metric_flag(self, workspace):
         simulate(workspace)

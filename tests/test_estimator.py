@@ -19,7 +19,7 @@ from motionprior.metrics import MatchSet, MetricKind, RigFrame, RobustLoss
 from motionprior.simulate import (NoiseSpec, SceneSpec, generate_matches,
                                   generate_scene)
 from oracles import (eager_sigma, energy_at, internal_gradient,
-                     numeric_gradient, subset)
+                     numeric_gradient, project, subset)
 
 INTR = PinholeIntrinsics(700.0, 700.0, 640.0, 480.0)
 ANGLE = MetricKind.ANGLEPLANE
@@ -544,8 +544,8 @@ class TestSolverState:
         u = (te - t[0]) @ rot[0] - te
         # the ray along -R u, ahead of the camera: R^T v0 is parallel to
         # u, so M v0 = [u]x R^T v0 = 0
-        pixel = cam.model.project((-(rot[0] @ u) @ cam.extrinsic.rotation)
-                                  [None])
+        pixel = project(cam.model,
+                        (-(rot[0] @ u) @ cam.extrinsic.rotation)[None])
         epipole = MatchSet(0, np.vstack([sets[0].pixels_t0, pixel]),
                            np.vstack([sets[0].pixels_t1, pixel]))
         full = [epipole, sets[1]]

@@ -4,13 +4,13 @@ import pytest
 from motionprior.evaluation import (TrajectoryTooShort, evaluate)
 from motionprior.geometry import Pose, rotation_z
 from motionprior.io_formats import TrajectoryRecord
-from oracles import stacked
+from oracles import compose, identity, stacked
 
 
 def chain(steps):
-    poses = [Pose.identity()]
+    poses = [identity()]
     for step in steps:
-        poses.append(poses[-1].compose(step))
+        poses.append(compose(poses[-1], step))
     return poses
 
 

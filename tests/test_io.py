@@ -20,7 +20,8 @@ from motionprior.io_formats import (MATCH_HEADER, FramePairRecord,
                                     write_trajectory)
 from motionprior import io_formats
 from motionprior.manifold import CameraRig, RigCamera
-from oracles import numbers_by_lines, stacked, write_matches_by_cell
+from oracles import (compose, identity, isclose, numbers_by_lines, stacked,
+                     write_matches_by_cell)
 from test_geometry import counted_pose_checks
 
 RIG_TEXT = """\
@@ -66,7 +67,7 @@ class TestRigFiles:
         back = load_rig(p)
         for a, b in zip(rig.cameras, back.cameras):
             assert a.camera_id == b.camera_id
-            assert a.extrinsic.isclose(b.extrinsic, atol=0.0)
+            assert isclose(a.extrinsic, b.extrinsic, atol=0.0)
             assert a.model.intrinsics == b.model.intrinsics
 
     def test_missing_key(self, tmp_path):
@@ -386,10 +387,10 @@ class TestMatchFiles:
 
 class TestTrajectoryFiles:
     def make_trajectory(self):
-        poses = [Pose.identity()]
+        poses = [identity()]
         step = Pose(rotation_z(0.01), [1.0, 0.005, 0.0])
         for _ in range(10):
-            poses.append(poses[-1].compose(step))
+            poses.append(compose(poses[-1], step))
         return TrajectoryRecord(stacked(poses))
 
     def test_round_trip_bit_exact(self, tmp_path):
@@ -421,7 +422,7 @@ class TestTrajectoryFiles:
 
     def test_line_format(self, tmp_path):
         p = tmp_path / "traj.txt"
-        write_trajectory(TrajectoryRecord(stacked([Pose.identity()])), p)
+        write_trajectory(TrajectoryRecord(stacked([identity()])), p)
         vals = p.read_text().split()
         assert len(vals) == 12
         assert [float(v) for v in vals] == [1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0]
@@ -430,11 +431,11 @@ class TestTrajectoryFiles:
         for first in (Pose(np.eye(3), [1.0, 0, 0]),
                       Pose(rotation_z(1e-6), np.zeros(3))):
             with pytest.raises(ValueError, match="must be identity"):
-                TrajectoryRecord(stacked([first, Pose.identity()]))
+                TrajectoryRecord(stacked([first, identity()]))
 
     def test_record_needs_a_stack_of_at_least_one_pose(self):
         for poses in (Pose(np.zeros((0, 3, 3)), np.zeros((0, 3))),
-                      Pose.identity()):
+                      identity()):
             with pytest.raises(ValueError, match="at least one pose"):
                 TrajectoryRecord(poses)
 
@@ -602,9 +603,9 @@ class TestRoundTripProperties:
     @given(st.lists(st.tuples(*[st.floats(-np.pi, np.pi)] * 3,
                               *[st.floats(-1e4, 1e4)] * 3), max_size=8))
     def test_trajectory(self, tmp_path_factory, steps):
-        poses = [Pose.identity()]
+        poses = [identity()]
         for yaw, pitch, roll, *t in steps:
-            poses.append(poses[-1].compose(Pose(
+            poses.append(compose(poses[-1], Pose(
                 rotation_z(yaw) @ rotation_y(pitch) @ rotation_x(roll), t)))
         p = tmp_path_factory.mktemp("prop") / "trajectory.txt"
         write_trajectory(TrajectoryRecord(stacked(poses)), p)
@@ -652,7 +653,7 @@ def value_rows(draw, kind):
                                          max_size=2, unique=True))]
         return [",".join(MATCH_HEADER)], rows, [",", ", ", " ,"]
     if kind == "trajectory":
-        poses = [Pose.identity()] + [
+        poses = [identity()] + [
             Pose(rotation_z(yaw) @ rotation_x(roll), t) for yaw, roll, *t in
             draw(st.lists(st.tuples(*[st.floats(-np.pi, np.pi)] * 2,
                                     *[st.floats(-1e4, 1e4)] * 3),
@@ -1003,10 +1004,10 @@ class TestParserFuzz:
     @given(st.integers(1, 5), st.data())
     def test_trajectory_line_corruption(self, tmp_path_factory, steps, data):
         path = tmp_path_factory.mktemp("fuzz") / "trajectory.txt"
-        poses = [Pose.identity()]
+        poses = [identity()]
         for k in range(steps):
-            poses.append(poses[-1].compose(
-                Pose(rotation_z(0.01 * k), [1.0, 0.002 * k, 0.0])))
+            poses.append(compose(poses[-1], Pose(rotation_z(0.01 * k),
+                                                 [1.0, 0.002 * k, 0.0])))
         lines = [" ".join(repr(float(v)) for v in pose.matrix34().ravel())
                  for pose in poses]
         path.write_text("\n".join(lines) + "\n")

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from motionprior.geometry import (GenericCamera, PinholeCamera,
-                                  PinholeIntrinsics, Pose, rotation_z, skew)
+from motionprior.geometry import (PinholeCamera, PinholeIntrinsics, Pose,
+                                  rotation_z, skew)
 from motionprior.manifold import CameraRig, RigCamera
 from motionprior.metrics import (TILTED_FEATURES, MatchSet, MetricKind,
                                  NonFiniteMatch, RigFrame, RobustLoss,
                                  angleplane_residuals, geoline_residuals)
-from oracles import (UNIT_CAM, bearing_set, essential_from_motion,
-                     fundamental_from_essential, identity_frame,
+from oracles import (UNIT_CAM, apply, bearing_set, essential_from_motion,
+                     fundamental_from_essential, identity, identity_frame,
                      line_residuals, origin_features, plane_residuals,
-                     subset)
+                     project, subset, tabulate)
 
 K = PinholeIntrinsics(700.0, 700.0, 640.0, 480.0)
 CAM = PinholeCamera(K)
@@ -21,8 +21,8 @@ def synthetic_set(motion, n=100, seed=0, noise=0.0):
     point transform) and return the resulting match set."""
     rng = np.random.Generator(np.random.PCG64(seed))
     points = rng.uniform(-5, 5, size=(n, 3)) + [0, 0, 20]
-    px0 = CAM.project(points)
-    px1 = CAM.project(motion.apply(points))
+    px0 = project(CAM, points)
+    px1 = project(CAM, apply(motion, points))
     if noise:
         px0 = px0 + rng.normal(0, noise, px0.shape)
         px1 = px1 + rng.normal(0, noise, px1.shape)
@@ -355,17 +355,17 @@ class TestRigFrame:
     def test_length_is_match_count(self):
         s = synthetic_set(Pose(rotation_z(0.01), [1.0, 0.0, 0.0]), n=10)
         empty = MatchSet(1, np.zeros((0, 2)), np.zeros((0, 2)))
-        rig = CameraRig((RigCamera(0, CAM, Pose.identity()),
-                         RigCamera(1, CAM, Pose.identity())))
+        rig = CameraRig((RigCamera(0, CAM, identity()),
+                         RigCamera(1, CAM, identity())))
         for metric in MetricKind:
             frame = RigFrame.from_matches(rig, [s, empty, s], metric)
             assert len(frame) == 20
             assert np.array_equal(frame.camera_index, np.repeat([0, 1], 10))
 
     def test_geoline_needs_pinhole(self):
-        table = GenericCamera.from_camera(CAM, 1280, 960, step=160.0)
-        rig = CameraRig((RigCamera(0, CAM, Pose.identity()),
-                         RigCamera(7, table, Pose.identity())))
+        table = tabulate(CAM, 1280, 960, step=160.0)
+        rig = CameraRig((RigCamera(0, CAM, identity()),
+                         RigCamera(7, table, identity())))
         s = synthetic_set(Pose(rotation_z(0.01), [1.0, 0.0, 0.0]), n=10)
         moved = MatchSet(7, s.pixels_t0, s.pixels_t1)
         RigFrame.from_matches(rig, [s, moved], MetricKind.ANGLEPLANE)

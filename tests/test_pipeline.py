@@ -20,7 +20,7 @@ from motionprior.pipeline import (FixedScale, FreeInCurves, _trajectory,
                                   simulate_sequence)
 from motionprior.simulate import (NoiseSpec, SceneSpec, generate_matches,
                                   generate_scene)
-from oracles import unstacked
+from oracles import compose, inverse, isclose, tabulate, unstacked
 from test_estimator import RIG_FB
 from test_evaluation import chain
 from test_geometry import counted_pose_checks
@@ -84,8 +84,7 @@ class TestRunSequence:
         traj, outcomes = run_sequence(RIG1, records, FixedScale([1.3, 1.3]))
         truth = pose_from_params(MotionParams(yaw=0.02, arc_length=1.3))
         first, second = unstacked(traj.poses)[:2]
-        step = first.inverse().compose(second)
-        assert step.isclose(truth, atol=1e-5)
+        assert isclose(compose(inverse(first), second), truth, atol=1e-5)
 
     def test_scale_file_too_short(self):
         records = make_records(RIG1, [0.02, 0.02])
@@ -282,15 +281,15 @@ class TestRunSequence:
         assert outcomes[1].error
         # the carried-forward motion repeats the last good estimate
         poses = unstacked(traj.poses)
-        step1 = poses[0].inverse().compose(poses[1])
-        step2 = poses[1].inverse().compose(poses[2])
-        assert step1.isclose(step2, atol=1e-12)
+        step1 = compose(inverse(poses[0]), poses[1])
+        step2 = compose(inverse(poses[1]), poses[2])
+        assert isclose(step1, step2, atol=1e-12)
 
     def test_out_of_domain_pixel_fails_only_its_frame(self):
         records = make_records(RIG1, [0.02] * 5)
         pin = RIG1.cameras[0].model
         rig = CameraRig((RigCamera(
-            0, GenericCamera.from_camera(pin, 1280, 960),
+            0, tabulate(pin, 1280, 960),
             RIG1.cameras[0].extrinsic),))
         px0, px1 = records[2].pixels[0]
         px1 = px1.copy()
@@ -306,7 +305,7 @@ class TestRunSequence:
         # frame-local failure
         records = make_records(RIG1, [0.02] * 3)
         rig = CameraRig((RigCamera(
-            0, GenericCamera.from_camera(RIG1.cameras[0].model, 1280, 960),
+            0, tabulate(RIG1.cameras[0].model, 1280, 960),
             RIG1.cameras[0].extrinsic),))
         opts = EstimatorOptions(metric=MetricKind.GEOLINE)
         with pytest.raises(ValueError, match="camera 0"):
@@ -342,7 +341,7 @@ class TestRunSequence:
         # a table node holding a zero ray lifts the pixel on it to NaN
         records = make_records(RIG1, [0.02] * 4)
         cam = RIG1.cameras[0]
-        table = GenericCamera.from_camera(cam.model, 1280, 960)
+        table = tabulate(cam.model, 1280, 960)
         rays = table.table.copy()
         rays[30, 20] = 0.0
         rig = CameraRig((RigCamera(0, GenericCamera(
@@ -362,9 +361,9 @@ class TestRunSequence:
         traj, _ = run_sequence(RIG1, records, FixedScale([1.0] * 3))
         expected = pose_from_params(MotionParams(yaw=yaws[0], arc_length=1.0))
         for yaw in yaws[1:]:
-            expected = expected.compose(
-                pose_from_params(MotionParams(yaw=yaw, arc_length=1.0)))
-        assert unstacked(traj.poses)[-1].isclose(expected, atol=1e-5)
+            expected = compose(expected, pose_from_params(
+                MotionParams(yaw=yaw, arc_length=1.0)))
+        assert isclose(unstacked(traj.poses)[-1], expected, atol=1e-5)
 
     def test_one_pose_built_per_trajectory(self, monkeypatch):
         records = make_records(RIG1, [0.02, 0.0, -0.01])
@@ -436,8 +435,8 @@ class TestSimulateSequence:
                                                           (3, 0.04))))
         traj, outcomes = run_sequence(RIG2, records, FreeInCurves(1.0))
         assert not any(o.failed for o in outcomes)
-        assert unstacked(traj.poses)[-1].isclose(unstacked(gt.poses)[-1],
-                                                 atol=1e-4)
+        assert isclose(unstacked(traj.poses)[-1], unstacked(gt.poses)[-1],
+                       atol=1e-4)
 
 
 # yaws on both sides of the series switch, arcs of either sign, and tilt

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motionprior.estimator import EstimatorOptions, estimate
-from motionprior.geometry import (GenericCamera, PinholeCamera,
-                                  PinholeIntrinsics, Pose,
+from motionprior.geometry import (PinholeCamera, PinholeIntrinsics, Pose,
                                   forward_camera_extrinsic, rotation_y,
                                   rotation_z)
 from motionprior.manifold import (CameraRig, MotionParams, RigCamera,
@@ -15,7 +14,7 @@ from motionprior.simulate import (NoiseSpec, NoVisiblePoints, SceneSpec,
                                   generate_matches, generate_scene,
                                   grid_search_oracle)
 from oracles import (camera_point_transform, essential_from_motion,
-                     pixels_by_pose, plane_residuals)
+                     pixels_by_pose, plane_residuals, tabulate)
 
 INTR = PinholeIntrinsics(700.0, 700.0, 640.0, 480.0)
 
@@ -141,8 +140,8 @@ class TestGenerateMatches:
 
     def test_generic_camera_rejected(self):
         cam = RIG1.cameras[0]
-        rig = CameraRig((RigCamera(0, GenericCamera.from_camera(
-            cam.model, 1280, 960), cam.extrinsic),))
+        rig = CameraRig((RigCamera(0, tabulate(cam.model, 1280, 960),
+                                   cam.extrinsic),))
         points = generate_scene(SceneSpec(50, seed=17))
         with pytest.raises(ValueError, match="camera 0: simulation needs a "
                                              "pinhole camera"):
