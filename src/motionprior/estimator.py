@@ -103,7 +103,7 @@ class EstimatorOptions:
             object.__setattr__(self, "loss", DEFAULT_LOSS[self.metric])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EstimateResult:
     params: MotionParams
     final_energy: float
@@ -297,7 +297,7 @@ class LandscapeGrid:
     arc_steps: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Landscape:
     yaw_values: np.ndarray
     arc_values: np.ndarray

@@ -242,7 +242,7 @@ def load_bearing_table(path, image_size=None) -> GenericCamera:
 
 # -------------------------------------------------------------- match files
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FramePairRecord:
     """Pixel matches of one consecutive frame pair, keyed by camera id."""
 

@@ -22,8 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import (TRANSLATION_EPS, Pose, rotation_x, rotation_y,
-                       rotation_z, skew)
+from .geometry import TRANSLATION_EPS, Pose, rotation_x, rotation_y, skew
 from .metrics import PLANAR_FEATURES, RigFrame, RobustLoss, residuals
 
 PARAM_FIELDS = ("yaw", "arc_length", "pitch", "roll")
@@ -69,65 +68,40 @@ def params_rows(p: MotionParams) -> np.ndarray:
     return np.array([[p.yaw, p.arc_length, p.pitch, p.roll]])
 
 
-def _chord(g, cos, sin, deriv=False):
-    """The chord of a unit arc at yaws g (K,) with cosines and sines cos,
-    sin, and (with `deriv`; else zero off the series) its d/dyaw:
-    (2, K, 2). Closed form (2 sin^2(g/2) is exact where 1 - cos(g)
-    cancels), series near zero yaw."""
-    chord = np.zeros((2, len(g), 2))
+def _chord(g, sin):
+    """The chord (K, 2) of a unit arc at yaws g (K,) with sines sin:
+    closed form (2 sin^2(g/2) is exact where 1 - cos(g) cancels), series
+    near zero yaw."""
+    chord = np.empty((len(g), 2))
     with np.errstate(divide="ignore", invalid="ignore"):
-        chord[0, :, 0] = sin / g
-        chord[0, :, 1] = 2.0 * np.sin(0.5 * g) ** 2 / g
-        if deriv:
-            chord[1, :, 0] = (cos - chord[0, :, 0]) / g
-            chord[1, :, 1] = (sin - chord[0, :, 1]) / g
+        chord[:, 0] = sin / g
+        chord[:, 1] = 2.0 * np.sin(0.5 * g) ** 2 / g
     if np.count_nonzero(near := np.abs(g) < YAW_SERIES_SWITCH):
         gs = g[near]
-        chord[0, near, 0] = 1.0 - gs * gs / 6.0 + gs ** 4 / 120.0
-        chord[0, near, 1] = gs / 2.0 - gs ** 3 / 24.0
-        chord[1, near, 0] = -gs / 3.0 + gs ** 3 / 30.0
-        chord[1, near, 1] = 0.5 - gs * gs / 8.0
+        chord[near, 0] = 1.0 - gs * gs / 6.0 + gs ** 4 / 120.0
+        chord[near, 1] = gs / 2.0 - gs ** 3 / 24.0
     return chord
 
 
-def motion_arrays(rows, wrt=None):
+def motion_arrays(rows):
     """Rotations (K, 3, 3) and translations (K, 3) of the vehicle frame at
     t1 in the frame at t0, for K rows [yaw, arc_length, pitch, roll]. The
     planar translation is the chord of a circular arc (a series near zero
-    yaw); pitch and roll tilt only the rows where either is non-zero.
-    With `wrt`, a tuple of P field names, also the derivatives of both
-    over those fields, (K, P, 3, 3) and (K, P, 3)."""
+    yaw); pitch and roll tilt only the rows where either is non-zero."""
     rows = np.asarray(rows, dtype=float).reshape(-1, 4)
     g = rows[:, 0]
     cos, sin = np.cos(g), np.sin(g)
     rot = np.zeros((len(rows), 3, 3))
     rot[:, 0, 0] = rot[:, 1, 1] = cos
     rot[:, 1, 0], rot[:, 0, 1], rot[:, 2, 2] = sin, -sin, 1.0
-    chord = np.zeros((2, len(rows), 3))
-    chord[..., :2] = _chord(g, cos, sin, wrt is not None)
-    t = chord * rows[:, 1:2]                    # [t, dt / dyaw]
+    t = np.zeros((len(rows), 3))
+    t[:, :2] = _chord(g, sin)
+    t *= rows[:, 1:2]
     if np.count_nonzero(rows[:, 2:]):
         tilted = rows[:, 2:].any(axis=1)
         rot[tilted] = (rot[tilted] @ rotation_y(rows[tilted, 2])
                        @ rotation_x(rows[tilted, 3]))
-    if wrt is None:
-        return rot, t[0]
-    # R = Rz Ry Rx: dR/dyaw = [ez]x R, rows -R_1, R_0, 0; dR/droll = R [ex]x
-    d_rot = np.zeros((len(rows), len(wrt), 3, 3))
-    d_t = np.zeros((len(rows), len(wrt), 3))
-    for k, field in enumerate(wrt):
-        if field == "yaw":
-            np.negative(rot[:, 1], out=d_rot[:, k, 0])
-            d_rot[:, k, 1] = rot[:, 0]
-            d_t[:, k] = t[1]
-        elif field == "arc_length":
-            d_t[:, k] = chord[0]
-        elif field == "pitch":
-            d_rot[:, k] = (rotation_z(g) @ rotation_y(rows[:, 2])
-                           @ skew([0.0, 1.0, 0.0]) @ rotation_x(rows[:, 3]))
-        else:
-            d_rot[:, k] = rot @ skew([1.0, 0.0, 0.0])
-    return rot, t[0], d_rot, d_t
+    return rot, t
 
 
 def pose_from_params(p: MotionParams) -> Pose:
@@ -141,6 +115,11 @@ class RigCamera:
     camera_id: int
     model: object
     extrinsic: Pose
+
+    def __post_init__(self):
+        if self.extrinsic.rotation.ndim != 2:
+            raise ValueError(f"camera {self.camera_id}: extrinsic is a stack"
+                             " of poses, not one")
 
 
 @dataclass(frozen=True)
@@ -173,34 +152,47 @@ def _kron(a, b):
 
 
 def _turn(angles, axis):
-    """R^T - I (K, 3, 3) of turns by `angles` (K,) about a unit axis:
-    (c - 1) (I - e e^T) - s [e]x, with c - 1 = -2 sin^2(angle / 2), so
-    the identity is never subtracted."""
+    """R^T - I (K, 3, 3) of turns by `angles` (K,) about a unit axis,
+    (c - 1) (I - e e^T) - s [e]x with c - 1 = -2 sin^2(angle / 2), so
+    the identity is never subtracted, and its derivative over the angle,
+    -s (I - e e^T) - c [e]x."""
     e = np.eye(3)[axis]
-    return (-2.0 * np.sin(0.5 * angles)[:, None, None] ** 2
-            * (np.eye(3) - np.outer(e, e))
-            - np.sin(angles)[:, None, None] * skew(e))
+    plane, cross = np.eye(3) - np.outer(e, e), skew(e)
+    h, s = (np.sin(x)[:, None, None] for x in (0.5 * angles, angles))
+    return (-2.0 * h ** 2 * plane - s * cross,
+            -s * plane - np.cos(angles)[:, None, None] * cross)
 
 
 def _tilted_features(rows, wrt):
     """The 29 tilted features (K, 29), with `wrt` stacked with their
     derivatives (K, 1 + P, 29). D = Rx^T Ry^T Rz^T - I is expanded over
-    the three turns' R^T - I, so it does not cancel either."""
-    _, t, *d_motion = motion_arrays(rows, wrt)
-    d_x, d_y, d_z = (_turn(rows[:, col], axis)
-                     for col, axis in ((3, 0), (2, 1), (0, 2)))
+    the three turns' R^T - I, so it does not cancel either, and so is
+    its derivative over an angle: (I + Dx)(I + Dy)(I + Dz) with that
+    angle's factor replaced by its turn's derivative. The translation
+    (tx, ty) and its derivatives are the first two planar features of
+    the rows at pitch = roll = 0."""
+    (d_x, dd_x), (d_y, dd_y), (d_z, dd_z) = (
+        _turn(rows[:, col], axis) for col, axis in ((3, 0), (2, 1), (0, 2)))
     w = d_y + d_z + d_y @ d_z
     a = np.ones((len(rows), 10))
     a[:, 1:] = (d_x + w + d_x @ w).reshape(-1, 9)
+    planar = np.zeros_like(rows)
+    planar[:, :2] = rows[:, :2]
     b = np.ones((len(rows), 3))
-    b[:, 1:] = t[:, :2]
+    b[:, 1:] = motion_features(planar)[:, :2]
     if wrt is None:
         return _kron(a, b)
-    d_rot, d_t = d_motion
+    ix, iy, iz = (np.eye(3) + d for d in (d_x, d_y, d_z))
+    d_d = {"yaw": ix @ iy @ dd_z, "pitch": ix @ dd_y @ iz,
+           "roll": dd_x @ iy @ iz}
     d_a = np.zeros((len(rows), len(wrt), 10))
-    d_a[..., 1:] = d_rot.swapaxes(-1, -2).reshape(len(rows), len(wrt), 9)
+    for k, field in enumerate(wrt):
+        if field in d_d:
+            d_a[:, k, 1:] = d_d[field].reshape(-1, 9)
+    cols = [k for k, field in enumerate(wrt) if field in PARAM_FIELDS[:2]]
     d_b = np.zeros((len(rows), len(wrt), 3))
-    d_b[..., 1:] = d_t[..., :2]
+    d_b[:, cols, 1:] = motion_features(
+        planar, tuple(wrt[k] for k in cols))[:, 1:, :2]
     return np.concatenate([_kron(a, b)[:, None], _kron(d_a, b[:, None])
                            + _kron(a[:, None], d_b)], axis=1)
 
@@ -248,7 +240,7 @@ def motion_features(rows, wrt=None):
     sin = np.sin(g)
     a = np.stack([np.ones(len(g)), -2.0 * np.sin(0.5 * g) ** 2, sin], 1)
     b = np.ones((len(g), 3))
-    b[:, 1:] = _chord(g, None, sin)[0] * rows[:, 1:2]
+    b[:, 1:] = _chord(g, sin) * rows[:, 1:2]
     return _kron(a, b)
 
 

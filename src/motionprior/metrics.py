@@ -97,7 +97,7 @@ class RobustLoss:
         return w2 * np.log1p(ratio), 1.0 / (1.0 + ratio)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatchSet:
     """One camera's pixel matches for a frame pair: read-only (n, 2)
     copies, so the caller's arrays stay writeable."""
@@ -180,7 +180,7 @@ def _joint_map(lifts, lever_arms, features):
         [design, u_maps.swapaxes(0, 1).reshape(features, -1)], axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RigFrame:
     """The N matches of the non-empty match sets, in order, for one
     metric. Lift c of `lifts` holds the rays v0, v1 (3, n_c) of camera

@@ -2,6 +2,7 @@
 
 They follow the per-camera pose path: the algebra of single poses
 (p_parent = R p_child + t), a pinhole projection and a ray tabulator;
+the closed-form derivatives of a rotation Rz Ry Rx over its three angles;
 conjugate the vehicle motion to a camera, form its essential (and, for
 pixels, fundamental) matrix, and evaluate each metric on it match by
 match; sigma formed from the final solver state in one pass; M of a pure
@@ -23,7 +24,8 @@ from motionprior.estimator import _solver_state
 from motionprior.evaluation import START_STEP, ErrorBucket, EvalReport
 from motionprior.geometry import (TRANSLATION_EPS, DegenerateTranslation,
                                   GenericCamera, PinholeCamera,
-                                  PinholeIntrinsics, Pose, skew)
+                                  PinholeIntrinsics, Pose, rotation_x,
+                                  rotation_y, rotation_z, skew)
 from motionprior.io_formats import (MATCH_HEADER, ParseError, _lines,
                                     _write_rows)
 from motionprior.manifold import (CameraRig, RigCamera, multi_camera_energy,
@@ -59,6 +61,16 @@ def isclose(a: Pose, b: Pose, atol=1e-12) -> bool:
     return (np.allclose(a.rotation, b.rotation, atol=atol, rtol=0.0)
             and np.allclose(a.translation, b.translation, atol=atol,
                             rtol=0.0))
+
+
+def rotation_derivatives(yaw, pitch, roll) -> np.ndarray:
+    """dR over yaw, pitch and roll (3, 3, 3) of R = Rz Ry Rx: [ez]x R,
+    Rz Ry [ey]x Rx and R [ex]x."""
+    rz, ry, rx = rotation_z(yaw), rotation_y(pitch), rotation_x(roll)
+    rot = rz @ ry @ rx
+    return np.stack([skew([0.0, 0.0, 1.0]) @ rot,
+                     rz @ ry @ skew([0.0, 1.0, 0.0]) @ rx,
+                     rot @ skew([1.0, 0.0, 0.0])])
 
 
 def project(camera: PinholeCamera, points) -> np.ndarray:

@@ -26,7 +26,7 @@ from oracles import (UNIT_CAM, apply, bearing_set, camera_point_transform,
                      conjugate_to_camera, energy_at, essential_from_motion,
                      exact_plane_residuals, exact_pure_rotation, identity,
                      inverse, isclose, plane_residuals, pose_path_residuals,
-                     subset)
+                     rotation_derivatives, stacked, subset)
 
 LOSS = RobustLoss("none")
 INTR = PinholeIntrinsics(700.0, 700.0, 640.0, 480.0)
@@ -141,6 +141,13 @@ class TestCameraRig:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             CameraRig(())
+
+    def test_stacked_extrinsic_rejected(self):
+        # a camera has one extrinsic: a stack of poses is refused by name
+        # before the kernel or the rig writer sees it
+        ext = stacked([identity(), forward_camera_extrinsic([2.0, 1.0, 0.0])])
+        with pytest.raises(ValueError, match="camera 4: extrinsic is a stack"):
+            RigCamera(4, PinholeCamera(INTR), ext)
 
     def test_lookup(self):
         rig = make_rig([[2.0, 1.0, 0.0], [2.0, -1.0, 0.0]])
@@ -372,31 +379,25 @@ class TestBatchedKernel:
 
     def test_batch_equals_rows_and_closed_form(self):
         # closed-form, series and zero-yaw rows, tilted and untilted: each
-        # row of a batch equals, bit for bit, the row evaluated alone, and
-        # the rotations and translations do not depend on `wrt`
+        # row of a batch equals, bit for bit, the row evaluated alone; the
+        # chord's derivatives are the yaw and arc entries of the features
+        # (their first two are tx, ty), and the tilted features' vec D
+        # entries (2, 5, ..., 26) have the closed-form vec dR^T
         rows = np.array([[0.1, 1.5, 0.0, 0.0], [5e-7, 2.0, 0.0, 0.0],
                          [0.0, 1.0, 0.0, 0.0], [-0.2, 0.5, 0.03, 0.0],
                          [-3e-7, 1.2, 0.0, -0.04], [0.0, 0.8, 0.02, 0.01],
                          [1e-6, -1.0, 0.0, 0.0], [3.1, 0.7, -0.01, 0.0]])
-        plain = motion_arrays(rows)
-        for wrt in (None, PARAM_FIELDS, ("yaw",), ("arc_length", "roll")):
-            batch = motion_arrays(rows, wrt)
-            for a, b in zip(plain, batch):
-                assert np.array_equal(a, b)
-            for k, row in enumerate(rows):
-                for a, b in zip(batch, motion_arrays(row[None], wrt)):
-                    assert np.array_equal(a[k], b[0])
-        rot, t, d_rot, d_t = motion_arrays(rows, PARAM_FIELDS)
-        axes = np.stack([skew(axis) for axis in np.eye(3)])
+        rot, t = motion_arrays(rows)
+        for k, row in enumerate(rows):
+            for a, b in zip((rot, t), motion_arrays(row[None])):
+                assert np.array_equal(a[k], b[0])
+        planar = rows * [1.0, 1.0, 0.0, 0.0]
+        d_planar = motion_features(planar, ("yaw", "arc_length"))[:, 1:]
+        d_tilted = motion_features(rows, ("yaw", "arc_length"))[:, 1:]
+        d_phi = motion_features(rows, PARAM_FIELDS)[:, 1:]
         for k, (g, arc, pitch, roll) in enumerate(rows):
-            rz, ry, rx = rotation_z(g), rotation_y(pitch), rotation_x(roll)
-            expected = rz @ ry @ rx
+            expected = rotation_z(g) @ rotation_y(pitch) @ rotation_x(roll)
             assert np.allclose(rot[k], expected, rtol=0.0, atol=1e-15)
-            # [ez]x R, 0, Rz Ry [ey]x Rx, R [ex]x
-            for d, want in zip(d_rot[k], (axes[2] @ expected, 0.0,
-                                          rz @ ry @ axes[1] @ rx,
-                                          expected @ axes[0])):
-                assert np.allclose(d, want, rtol=0.0, atol=1e-15)
             if abs(g) < YAW_SERIES_SWITCH:
                 # the series' limit at zero yaw, to first order in g
                 chord = np.array([1.0, g / 2])
@@ -407,11 +408,17 @@ class TestBatchedKernel:
                 d_chord = (np.array([np.cos(g), np.sin(g)]) - chord) / g
                 atol = 1e-15
             assert np.allclose(t[k, :2], arc * chord, rtol=0.0, atol=atol)
-            assert np.allclose(d_t[k, 1, :2], chord, rtol=0.0, atol=atol)
-            assert np.allclose(d_t[k, 0, :2], arc * d_chord, rtol=0.0,
-                               atol=atol)
-            assert t[k, 2] == 0.0 and not d_t[k, :2, 2].any()
-            assert not d_t[k, 2:].any() and not d_rot[k, 1].any()
+            for d in (d_planar[k], d_tilted[k], d_phi[k]):
+                assert np.allclose(d[0, :2], arc * d_chord, rtol=0.0,
+                                   atol=atol)
+                assert np.allclose(d[1, :2], chord, rtol=0.0, atol=atol)
+            assert t[k, 2] == 0.0 and not d_phi[k, 2:, :2].any()
+            # the rotation does not depend on the arc
+            assert not d_phi[k, 1, 2::3].any()
+            for d, want in zip(d_phi[k, [0, 2, 3], 2::3],
+                               rotation_derivatives(g, pitch, roll)):
+                assert np.allclose(d.reshape(3, 3), want.T, rtol=0.0,
+                                   atol=1e-15)
 
     def test_chord_full_precision_at_small_yaw(self):
         # just above the series switch the series is still exact to eps

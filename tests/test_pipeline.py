@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from motionprior import estimator, pipeline
-from motionprior.estimator import EstimatorOptions
+from motionprior.estimator import (EstimatorOptions, LandscapeGrid,
+                                   energy_landscape, estimate)
 from motionprior.geometry import (TRANSLATION_EPS, GenericCamera,
                                   PinholeCamera, PinholeIntrinsics,
                                   forward_camera_extrinsic)
@@ -14,7 +15,7 @@ from motionprior.io_formats import (FramePairRecord, NoRecords, Scenario,
                                     SequenceProfile)
 from motionprior.manifold import (YAW_SERIES_SWITCH, CameraRig, MotionParams,
                                   RigCamera, pose_from_params)
-from motionprior.metrics import MetricKind, RigFrame
+from motionprior.metrics import MatchSet, MetricKind, RigFrame, RobustLoss
 from motionprior.pipeline import (FixedScale, FreeInCurves, _trajectory,
                                   match_sets_from_record, run_sequence,
                                   simulate_sequence)
@@ -49,6 +50,35 @@ def make_records(rig, yaws, arc=1.0, seed=0, noise=NoiseSpec(seed=1)):
                                 np.asarray(s.pixels_t1)) for s in sets}
         records.append(FramePairRecord(k, k + 1, pixels))
     return records
+
+
+# Values that hold arrays compare and hash by identity: each builder makes
+# a new value from the same inputs on every call
+RECORD = make_records(RIG1, [0.02])[0]
+PRIOR = MotionParams(arc_length=1.0)
+BY_IDENTITY = {
+    "MatchSet": lambda: MatchSet(0, np.zeros((3, 2)), np.ones((3, 2))),
+    "RigFrame": lambda: RigFrame.from_matches(
+        RIG1, match_sets_from_record(RECORD), MetricKind.ANGLEPLANE),
+    "EstimateResult": lambda: estimate(
+        RIG1, match_sets_from_record(RECORD), PRIOR),
+    "Landscape": lambda: energy_landscape(
+        RIG1, match_sets_from_record(RECORD),
+        LandscapeGrid((-0.1, 0.1), 3, (0.5, 1.5), 2), PRIOR,
+        RobustLoss("none"), MetricKind.ANGLEPLANE),
+    "FramePairRecord": lambda: make_records(RIG1, [0.02])[0],
+    # compares its fields, among them an EstimateResult
+    "FrameOutcome": lambda: run_sequence(RIG1, [RECORD],
+                                         FixedScale([1.0]))[1][0],
+}
+
+
+@pytest.mark.parametrize("build", BY_IDENTITY.values(), ids=BY_IDENTITY)
+def test_compares_and_hashes_by_identity(build):
+    a, b = build(), build()
+    assert a == a and (a == b) is False
+    assert a in [b, a] and b not in [a]
+    assert hash(a) == hash(a) and len({a, b}) == 2
 
 
 class TestMatchSetsFromRecord:
